@@ -1,17 +1,25 @@
 """Monte-Carlo generic-rank oracle and the rainbow-redundancy decider.
 
-Ranks are evaluated exactly over GF(q) at random integer configurations,
-so a reported rank is always a lower bound on the true generic rank and
-equals it except with probability bounded by (total minor degree)/q per
-trial.  The decider checks that the underlying graph is generically rigid
-and that some rainbow tuple (one edge per coordination class) is redundant,
-and cross-checks the combinatorial answer against the direct rank of the
-coordinated matrix at the same sampled configurations.
+Ranks are evaluated exactly over GF(q) at random integer configurations p.
+Each trial eliminates R(p)ᵀ once and keeps rank R(p) and a basis S of the
+equilibrium stresses (the left kernel of R(p)).  The projection criterion
+reads everything else from that pair:
+
+* rank[R(p) | I] = rank R(p) + rank(S·I), with I the m x k class-indicator
+  matrix;
+* a rainbow tuple T (one edge per coordination class) is redundant iff
+  the columns of S on T are independent; one is found by self-reduction
+  of S·I, one class at a time.
+
+The error is one-sided.  A sampled rank never exceeds the generic rank,
+so a rigid verdict is certain.  A flexible verdict is wrong only when
+every trial samples a root of a nonzero minor; an r x r minor has degree
+at most r in the coordinates, so by Schwartz-Zippel this happens with
+probability at most r/(q - 1) per trial.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -84,60 +92,51 @@ class _RankOracle:
 
     Trial t draws its configuration from seed + t, the documented splitting
     rule, so parallel evaluation schemes must reproduce exactly what the
-    sequential loop does.
+    sequential loop does.  Each trial eliminates R(p)ᵀ once and keeps rank
+    R(p), the stress basis S (one row per stress) and the columns of S·I.
     """
 
-    def __init__(self, g: ColouredGraph, params: OracleParams, seed: int | None = None):
+    def __init__(self, g: ColouredGraph, params: OracleParams):
         self.g = g
         self.params = params
-        self.seed = params.seed if seed is None else seed
-        self.dn = params.d * g.n
+        q = params.prime
+        self.classes = [
+            [g.edge_index(e) for e in g.colour_class(i)] for i in range(1, g.k + 1)
+        ]
         self.trials = []
         for t in range(params.trials):
             p = linalg.sample_modular_configuration(
-                g.n, params.d, self.seed + t, params.prime
+                g.n, params.d, params.seed + t, q
             )
-            mat = linalg.modular_matrix(g, p, params.d, k=g.k)
-            self.trials.append((p, mat.rows))
-        self._rank_full: int | None = None
+            rows = linalg.modular_matrix(g, p, params.d, q=q).rows
+            stresses = linalg.modular_nullspace(list(zip(*rows)), g.m, q)
+            cols = [self.stress_column(stresses, idx) for idx in self.classes]
+            rank = g.m - len(stresses)
+            coordinated = rank + linalg.modular_rank_rows(cols, q)  # rank[R(p) | I]
+            self.trials.append((p, rows, rank, coordinated, stresses, cols))
+        self.rank_full = max(t[2] for t in self.trials)
+        self.coordinated_rank = max(t[3] for t in self.trials)
         self._trivial: int | None = None
 
-    def _base_rows(self, rows):
-        return [row[: self.dn] for row in rows]
+    def stress_column(self, stresses, idx) -> list[int]:
+        """Column of S·1_idx: each stress summed over the edge rows idx."""
+        return [sum(w[i] for i in idx) % self.params.prime for w in stresses]
 
-    def rank_base(self, drop: frozenset[int] = frozenset()) -> int:
-        """Max over trials of rank R(p) with the given edge rows removed."""
+    def rank_base(self, drop: frozenset[int]) -> int:
+        """Max over trials of rank R(p) with the given edge rows removed,
+        by a fresh elimination of the remaining rows."""
         best = 0
-        for _, rows in self.trials:
+        for _, rows, *_ in self.trials:
             subset = [i for i in range(len(rows)) if i not in drop]
-            r = linalg.modular_rank_rows(
-                self._base_rows(rows), self.params.prime, row_subset=subset
-            )
+            r = linalg.modular_rank_rows(rows, self.params.prime, row_subset=subset)
             best = max(best, r)
         return best
-
-    def rank_plus(self) -> int:
-        return max(
-            linalg.modular_rank_rows(rows, self.params.prime)
-            for _, rows in self.trials
-        )
-
-    def rank_plus_per_trial(self) -> list[int]:
-        return [
-            linalg.modular_rank_rows(rows, self.params.prime)
-            for _, rows in self.trials
-        ]
-
-    def rank_full(self) -> int:
-        if self._rank_full is None:
-            self._rank_full = self.rank_base()
-        return self._rank_full
 
     def trivial_dim(self) -> int:
         if self._trivial is None:
             self._trivial = max(
                 linalg.modular_trivial_dim(p, self.params.d, self.params.prime)
-                for p, _ in self.trials
+                for p, *_ in self.trials
             )
         return self._trivial
 
@@ -153,7 +152,7 @@ def generic_rank(g, params: OracleParams) -> int:
     the number of trials.
     """
     g = _as_graph(g)
-    return _RankOracle(g, params).rank_full()
+    return _RankOracle(g, params).rank_full
 
 
 def is_redundant_set(g, edges, params: OracleParams) -> bool:
@@ -161,7 +160,7 @@ def is_redundant_set(g, edges, params: OracleParams) -> bool:
     g = _as_graph(g)
     oracle = _RankOracle(g, params)
     drop = oracle.indices(edges)
-    return oracle.rank_base(drop) == oracle.rank_full()
+    return oracle.rank_base(drop) == oracle.rank_full
 
 
 def rank_summary(g: ColouredGraph, params: OracleParams) -> dict:
@@ -170,37 +169,48 @@ def rank_summary(g: ColouredGraph, params: OracleParams) -> dict:
     trivial = oracle.trivial_dim()
     dn = params.d * g.n
     return {
-        "generic_rank": oracle.rank_full(),
+        "generic_rank": oracle.rank_full,
         "target_rank": dn - trivial,
-        "coordinated_rank": oracle.rank_plus(),
+        "coordinated_rank": oracle.coordinated_rank,
         "coordinated_target": dn + g.k - trivial,
         "trivial_dim": trivial,
     }
 
 
 def find_rainbow_redundant_tuple(g: ColouredGraph, params: OracleParams, _oracle=None):
-    """First redundant rainbow tuple in lexicographic class-product order.
+    """A redundant rainbow tuple read from the stress basis S, or None.
 
-    Edges that are bridges (not individually redundant) are pruned up
-    front, since any set containing a bridge fails.  Returns None when the
-    whole product is exhausted.
+    The k-minors of S·I are multilinear in its columns, the class sums of
+    the edge columns of S, so S·I has rank k iff some rainbow tuple has
+    independent columns, i.e. is redundant.  In the first trial at full
+    rank where S·I has rank k, classes 1..k in turn have their column
+    replaced by that of their first edge that keeps rank k.  This is the
+    lexicographically first redundant tuple of the class product, except
+    at an unlucky sample, where it may be a later, still redundant one.
     """
     if g.k < 1:
         raise ValueError("rainbow tuples need k >= 1")
     oracle = _oracle or _RankOracle(g, params)
-    full = oracle.rank_full()
-    bridges = {
-        e
-        for e in g.edges
-        if oracle.rank_base(oracle.indices([e])) < full
-    }
-    classes = [g.colour_class(i) for i in range(1, g.k + 1)]
-    for cand in itertools.product(*classes):
-        if any(e in bridges for e in cand):
-            continue
-        if oracle.rank_base(oracle.indices(cand)) == full:
-            return tuple(cand)
-    return None
+    full = oracle.rank_full
+    for _, _, rank, coordinated, stresses, cols in oracle.trials:
+        if rank == full and coordinated == full + g.k:
+            break
+    else:
+        return None
+    tup = []
+    for c, idx in enumerate(oracle.classes):
+        for i in idx:
+            trial_cols = cols[:c] + [oracle.stress_column(stresses, [i])] + cols[c + 1 :]
+            if linalg.modular_rank_rows(trial_cols, params.prime) == g.k:
+                cols = trial_cols
+                tup.append(g.edges[i])
+                break
+        else:
+            raise BackendError(
+                f"no edge of class {c + 1} keeps the stress rank {g.k} "
+                f"(seed {params.seed})"
+            )
+    return tuple(tup)
 
 
 def rainbow_stress_certificates(g: ColouredGraph, p, tup, tol: float = 1e-9):
@@ -236,77 +246,73 @@ def rainbow_stress_certificates(g: ColouredGraph, p, tup, tol: float = 1e-9):
 
 
 def decide_generic_coordinated_rigidity(
-    g: ColouredGraph, params: OracleParams, max_attempts: int = 3
+    g: ColouredGraph, params: OracleParams
 ) -> RigidityVerdict:
     """Decide generic rigidity of the coordinated framework in dimension d.
 
-    Rigid iff the underlying graph has full generic rank and some rainbow
-    tuple is redundant; the answer is cross-checked against the rank of the
-    coordinated matrix at the same samples, and on disagreement (an unlucky
-    sample) the whole computation retries with fresh seeds.
+    Rigid iff the sampled rank of [R(p) | I] = rank R(p) + rank(S·I)
+    reaches dn + k minus the trivial dimension; then the underlying graph
+    has full generic rank and the certificate is a redundant rainbow tuple
+    read from S (``find_rainbow_redundant_tuple``), checked by a fresh
+    elimination of R(p) without the tuple's rows.  A rigid verdict is
+    certain, as sampled ranks are lower bounds; a flexible one is wrong
+    with probability at most (minor degree)/(q - 1) per trial.
     """
-    for attempt in range(max_attempts):
-        seed = params.seed + 1_000_003 * attempt
-        oracle = _RankOracle(g, params, seed=seed)
-        trivial = oracle.trivial_dim()
-        dn = params.d * g.n
-        target = dn - trivial
-        coord_target = dn + g.k - trivial
-        rank_full = oracle.rank_full()
-        plus_per_trial = oracle.rank_plus_per_trial()
-        rank_plus = max(plus_per_trial)
-        if g.n >= params.d:
-            bound = min(g.m, dn - math.comb(params.d + 1, 2) + g.k)
-            assert all(r <= bound for r in plus_per_trial), (
-                f"sampled coordinated rank exceeds the matroid-union bound "
-                f"{bound} (seed {seed})"
+    oracle = _RankOracle(g, params)
+    trivial = oracle.trivial_dim()
+    dn = params.d * g.n
+    target = dn - trivial
+    coord_target = dn + g.k - trivial
+    rank_full = oracle.rank_full
+    coord_rank = oracle.coordinated_rank
+    if g.n >= params.d:
+        bound = min(g.m, dn - math.comb(params.d + 1, 2) + g.k)
+        if coord_rank > bound:
+            raise BackendError(
+                f"sampled coordinated rank {coord_rank} exceeds the matroid-union "
+                f"bound {bound} (seed {params.seed})"
             )
-        underlying_rigid = rank_full == target
-        tup = None
-        if underlying_rigid and g.k >= 1:
+    underlying_rigid = rank_full == target
+    rigid = underlying_rigid and coord_rank == coord_target
+    ranks = {
+        "n": g.n,
+        "m": g.m,
+        "generic_rank": rank_full,
+        "target_rank": target,
+        "coordinated_rank": coord_rank,
+        "coordinated_target": coord_target,
+        "trivial_dim": trivial,
+        "trials": params.trials,
+    }
+    isolated = g.isolated_vertices()
+    if isolated:
+        ranks["isolated_vertices"] = list(isolated)
+    if rigid:
+        tup = ()
+        if g.k >= 1:
             tup = find_rainbow_redundant_tuple(g, params, _oracle=oracle)
-        rigid = underlying_rigid and (g.k == 0 or tup is not None)
-        rigid_direct = rank_plus == coord_target
-        if rigid != rigid_direct:
-            continue  # unlucky sample; retry with fresh seeds
-        ranks = {
-            "n": g.n,
-            "m": g.m,
-            "generic_rank": rank_full,
-            "target_rank": target,
-            "coordinated_rank": rank_plus,
-            "coordinated_target": coord_target,
-            "trivial_dim": trivial,
-            "trials": params.trials,
-        }
-        isolated = g.isolated_vertices()
-        if isolated:
-            ranks["isolated_vertices"] = list(isolated)
-        if rigid:
-            cert: dict = {"rainbow_tuple": [list(e) for e in (tup or ())]}
-            if tup is not None:
-                classes = [g.colour_of(e) for e in tup]
-                assert sorted(classes) == list(range(1, g.k + 1))
-            return RigidityVerdict(
-                decision="rigid", method="numeric", d=params.d, k=g.k,
-                seed=seed, ranks=ranks, certificate=cert,
-                isostatic=g.m == coord_target,
-            )
-        if not underlying_rigid:
-            witness = "underlying-flexible"
-        else:
-            witness = "no-rainbow-redundant-tuple"
-        cert = {"kind": witness}
-        flex = _nontrivial_flex(g, params.d, seed)
-        if flex is not None:
-            cert["flex"] = [round(float(x), 12) for x in flex]
+            if oracle.rank_base(oracle.indices(tup)) != rank_full:
+                raise BackendError(
+                    f"rainbow tuple {list(tup)} read from the stress basis is "
+                    f"not redundant (seed {params.seed})"
+                )
         return RigidityVerdict(
-            decision="flexible", method="numeric", d=params.d, k=g.k,
-            seed=seed, ranks=ranks, certificate=cert, witness=witness,
+            decision="rigid", method="numeric", d=params.d, k=g.k,
+            seed=params.seed, ranks=ranks,
+            certificate={"rainbow_tuple": [list(e) for e in tup]},
+            isostatic=g.m == coord_target,
         )
-    raise BackendError(
-        f"combinatorial and direct rank tests disagreed {max_attempts} times; "
-        f"root seed {params.seed}, trials {params.trials}"
+    if not underlying_rigid:
+        witness = "underlying-flexible"
+    else:
+        witness = "no-rainbow-redundant-tuple"
+    cert = {"kind": witness}
+    flex = _nontrivial_flex(g, params.d, params.seed)
+    if flex is not None:
+        cert["flex"] = [round(float(x), 12) for x in flex]
+    return RigidityVerdict(
+        decision="flexible", method="numeric", d=params.d, k=g.k,
+        seed=params.seed, ranks=ranks, certificate=cert, witness=witness,
     )
 
 

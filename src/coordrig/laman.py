@@ -109,7 +109,8 @@ def _try_augment(g: ColouredGraph, e: Edge, i1: list[Edge], i2: dict[int, Edge])
         arcs: list[tuple[Edge, int]] = []
         if x not in i1_set:
             game = _pebble_insert_all(g.n, sorted(i1_set))
-            assert game is not None, "union invariant broken: part 1 not sparse"
+            if game is None:
+                raise RuntimeError("union invariant broken: part 1 not sparse")
             if game.try_insert(x):
                 terminal = (x, 1)
                 break

@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cgraph import ColouredGraph
+from .pebble import _edges_of
 
 MODULUS = (1 << 61) - 1  # Mersenne prime
 
@@ -133,7 +134,7 @@ def rigidity_matrix(g, p, d: int | None = None) -> CoordinatedMatrix:
     p(j) - p(i) on j's block; the kernel is the space of infinitesimal
     motions of (G, p).
     """
-    edges, n = _edges_n(g)
+    edges, n = _edges_of(g)
     pts = as_points(p, n)
     if d is not None and pts.shape[1] != d:
         raise ValueError(f"expected dimension {d}, got {pts.shape[1]}")
@@ -167,7 +168,7 @@ def coordinated_matrix(g: ColouredGraph, p, d: int | None = None) -> Coordinated
 
 def modular_matrix(g, p, d: int, k: int = 0, colours=None, q: int = MODULUS) -> CoordinatedMatrix:
     """Exact m x (dn + k) matrix over GF(q) at an integer configuration."""
-    edges, n = _edges_n(g)
+    edges, n = _edges_of(g)
     if isinstance(g, ColouredGraph) and k:
         colours = g.colours
     rows = []
@@ -192,13 +193,6 @@ def modular_matrix(g, p, d: int, k: int = 0, colours=None, q: int = MODULUS) -> 
     )
 
 
-def _edges_n(g) -> tuple[tuple[Edge, ...], int]:
-    if isinstance(g, ColouredGraph):
-        return g.edges, g.n
-    edges, n = g
-    return tuple(edges), n
-
-
 # ---------------------------------------------------------------------------
 # rank and kernels
 
@@ -212,70 +206,50 @@ def float_rank(A: np.ndarray, tol: float | None = None) -> int:
     return int(np.sum(s > tol))
 
 
+def _row_reduce(rows, q: int, reduced: bool) -> tuple[list[int], list[list[int]]]:
+    """Gaussian elimination over GF(q), behind every modular rank and kernel.
+
+    Returns the pivot columns and the unit-pivot echelon rows; ``reduced``
+    also clears above each pivot.  Pivot rows are zero left of the pivot.
+    """
+    work = [list(r) for r in rows if any(r)]
+    pivots: list[int] = []
+    for c in range(len(work[0]) if work else 0):
+        top = len(pivots)
+        if top == len(work):
+            break
+        piv = next((i for i in range(top, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[top], work[piv] = work[piv], work[top]
+        prow = work[top]
+        inv = pow(prow[c], q - 2, q)
+        prow[c:] = [x * inv % q for x in prow[c:]]
+        for i in range(0 if reduced else top + 1, len(work)):
+            f = work[i][c]
+            if f and i != top:
+                ri = work[i]
+                ri[c:] = [(a - f * b) % q for a, b in zip(ri[c:], prow[c:])]
+        pivots.append(c)
+    return pivots, work[: len(pivots)]
+
+
 def modular_rank_rows(rows, q: int = MODULUS, row_subset=None) -> int:
     """Exact rank over GF(q) by Gaussian elimination."""
     if row_subset is not None:
         rows = [rows[i] for i in row_subset]
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(work)):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        inv = pow(prow[c], q - 2, q)
-        for i in range(rank + 1, len(work)):
-            f = work[i][c]
-            if f:
-                f = f * inv % q
-                ri = work[i]
-                ri[c:] = [(a - f * b) % q for a, b in zip(ri[c:], prow[c:])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    return len(_row_reduce(rows, q, reduced=False)[0])
 
 
 def modular_nullspace(rows, ncols: int, q: int = MODULUS) -> list[list[int]]:
     """Kernel basis over GF(q) in reduced echelon form."""
-    work = [list(r) for r in rows if any(r)]
-    pivots: list[int] = []
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(work)):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][c], q - 2, q)
-        work[rank] = [x * inv % q for x in work[rank]]
-        prow = work[rank]
-        for i in range(len(work)):
-            if i != rank and work[i][c]:
-                f = work[i][c]
-                work[i] = [(a - f * b) % q for a, b in zip(work[i], prow)]
-        pivots.append(c)
-        rank += 1
-        if rank == len(work):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    pivots, echelon = _row_reduce(rows, q, reduced=True)
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(ncols)) - set(pivots)):
         vec = [0] * ncols
         vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-work[r][fc]) % q
+        for row, pc in zip(echelon, pivots):
+            vec[pc] = (-row[fc]) % q
         basis.append(vec)
     return basis
 
@@ -422,7 +396,7 @@ def equilibrium_stresses(g, p, tol: float | None = None) -> np.ndarray:
 
 def edge_load(g, p, edge: Edge) -> np.ndarray:
     """The equilibrium load of one edge: p(i)-p(j) at i, p(j)-p(i) at j."""
-    edges, n = _edges_n(g)
+    edges, n = _edges_of(g)
     pts = as_points(p, n)
     d = pts.shape[1]
     f = np.zeros(d * n)
@@ -466,7 +440,7 @@ def resolve_load(g, p, f, tol: float = 1e-9):
     when f lies outside the resolvable space (the row space of R(p)).
     Raises if f is not an equilibrium load.
     """
-    edges, n = _edges_n(g)
+    edges, n = _edges_of(g)
     pts = as_points(p, n)
     f = np.asarray(f, dtype=float).reshape(-1)
     if f.shape[0] != pts.size:

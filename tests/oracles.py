@@ -3,13 +3,19 @@
 These deliberately avoid the production code paths they are used to check:
 sparsity is tested subgraph-by-subgraph from the definition, ranks by
 maximizing over all edge subsets, circuits as minimal dependent sets, and
-the union rank by exhausting the min-formula over every subset.
+the union rank by exhausting the min-formula over every subset, and
+rainbow tuples by enumerating the class product with row-removal ranks.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
+from coordrig.linalg import (
+    modular_matrix,
+    modular_rank_rows,
+    sample_modular_configuration,
+)
 from coordrig.pebble import PLANE, PebbleGame
 
 
@@ -96,3 +102,32 @@ def brute_union_rank(g) -> int:
 
     recurse(0, 0, set(), 0)
     return best
+
+
+def brute_rainbow_tuple(g, params):
+    """First redundant rainbow tuple in lexicographic class-product order.
+
+    Uses the same samples as the GF(q) oracle (trial t from seed + t).  A
+    set is redundant when removing its rows keeps the rank of R(p), max
+    over trials.  Bridges (edges that are not redundant alone) are pruned
+    before the product is enumerated; returns None when it is exhausted.
+    """
+    q = params.prime
+    samples = []
+    for t in range(params.trials):
+        p = sample_modular_configuration(g.n, params.d, params.seed + t, q)
+        samples.append(modular_matrix(g, p, params.d, q=q).rows)
+
+    def rank_without(drop) -> int:
+        keep = [i for i in range(g.m) if i not in drop]
+        return max(modular_rank_rows(rows, q, row_subset=keep) for rows in samples)
+
+    full = rank_without(())
+    bridges = {i for i in range(g.m) if rank_without((i,)) < full}
+    classes = [
+        [g.edge_index(e) for e in g.colour_class(c)] for c in range(1, g.k + 1)
+    ]
+    for cand in product(*classes):
+        if bridges.isdisjoint(cand) and rank_without(cand) == full:
+            return tuple(g.edges[i] for i in cand)
+    return None

@@ -1,6 +1,10 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
+from coordrig import linalg
 from coordrig import (
     OracleParams,
     build,
@@ -11,8 +15,9 @@ from coordrig import (
     rainbow_stress_certificates,
     sparsity_rank,
 )
-from coordrig.corpus import random_corpus
+from coordrig.corpus import random_coloured_graph, random_corpus
 from coordrig.linalg import random_configuration
+from oracles import brute_rainbow_tuple
 
 K4 = build(4, 0, [(u, v, 0) for u in range(4) for v in range(u + 1, 4)])
 TRIANGLE = build(3, 0, [(0, 1, 0), (0, 2, 0), (1, 2, 0)])
@@ -65,9 +70,65 @@ def test_rainbow_tuple_none_when_class_is_bridges(twin_blocks_k2):
 
 
 def test_rainbow_tuple_seven_fixture(seven_rigid_k2):
-    # lexicographic search over the class product, with bridge pruning:
-    # (0,1) already pairs with (4,6), so the search stops there
+    # the first edge of class 1, (0,1), already pairs with (4,6), the
+    # lexicographically first redundant tuple of the class product
     assert find_rainbow_redundant_tuple(seven_rigid_k2, params()) == ((0, 1), (4, 6))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rainbow_tuple_matches_product_search(d):
+    # the seeded corpus is mostly flexible; the dense graphs sit near
+    # d*n - C(d+1, 2) + k edges, where redundant tuples are common
+    rng = random.Random(4200 + d)
+    dense = []
+    for i in range(30):
+        n, k = rng.randint(d + 2, 8), rng.randint(1, 3)
+        m = d * n - math.comb(d + 1, 2) + k + rng.randint(-1, 2)
+        m = min(m, n * (n - 1) // 2)
+        dense.append(random_coloured_graph(n, k, seed=4300 + 100 * d + i, m=m))
+    p = params(d=d, seed=29)
+    found = 0
+    for g in random_corpus(40, seed=4100 + d, k_range=(1, 3)) + dense:
+        tup = find_rainbow_redundant_tuple(g, p)
+        assert tup == brute_rainbow_tuple(g, p)
+        found += tup is not None
+    assert found >= 10
+
+
+def _wheel_plus(n, extra, k):
+    """Wheel on hub 0 and rim 1..n-1 plus chords, coloured round-robin."""
+    rim = list(range(1, n))
+    pairs = [(0, v) for v in rim] + [(1, n - 1)]
+    pairs += [(u, u + 1) for u in rim[:-1]] + list(extra)
+    return build(n, k, [(u, v, 1 + i % k) for i, (u, v) in enumerate(sorted(pairs))])
+
+
+def test_decide_cost_is_polynomial_in_classes(monkeypatch):
+    # 26 edges in six classes of 4-5 edges, stress dimension 26 - 21 = 5 < 6:
+    # rigid underneath, but no rainbow tuple is redundant.  A product search
+    # would need trials * 5 * 5 * 4**4 eliminations.
+    g = _wheel_plus(12, [(1, 3), (4, 6), (7, 9), (2, 8)], k=6)
+    p = params(trials=3)
+    sizes = [len(g.colour_class(i)) for i in range(1, g.k + 1)]
+    assert min(sizes) >= 4
+    budget = p.trials * (5 + sum(sizes))
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            if len(calls) > budget:
+                pytest.fail(f"more than {budget} eliminations")
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("modular_rank_rows", "modular_nullspace"):
+        monkeypatch.setattr(linalg, name, counted(getattr(linalg, name)))
+    v = decide_generic_coordinated_rigidity(g, p)
+    assert v.witness == "no-rainbow-redundant-tuple"
+    assert v.ranks["generic_rank"] == v.ranks["target_rank"]
+    assert len(calls) <= budget
 
 
 def test_decide_fixtures(quad_rigid_k1, twin_blocks_k2, nested_circuit_k2):
