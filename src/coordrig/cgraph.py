@@ -102,9 +102,9 @@ class ColouredGraph:
 
 
 def validate(n: int, edges, colours, k: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise GraphError(f"vertex count must be a positive integer, got {n!r}")
-    if not isinstance(k, int) or k < 0:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise GraphError(f"class count must be a non-negative integer, got {k!r}")
     if len(edges) != len(colours):
         raise GraphError("edge list and colour list lengths differ")

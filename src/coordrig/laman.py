@@ -2,11 +2,15 @@
 
 For one coordination class the test is: Laman+1 with a coloured edge in the
 unique circuit.  For two classes: Laman+2, no class made entirely of
-bridges, and the three coloured sparsity counts.  For any number of classes
-the rank of the union of the plane rigidity matroid with the colour
-partition matroid is computed by augmenting-path matroid union, where the
-partition matroid treats uncoloured edges as loops and admits at most one
-edge per colour.
+bridges, and the three coloured sparsity counts.  Both read the rank, the
+Laman+p kind, the circuits and the redundant edges from one (2,3) game on E.
+
+For any number of classes the decider uses the rank of the union of the
+plane rigidity matroid M with the colour partition matroid P (uncoloured
+edges are loops, at most one edge per colour): r(E) plus the largest
+rainbow set T independent in the dual M*, i.e. whose removal keeps the rank
+r(E).  T is a matroid intersection of M* with P, grown by at most k
+shortest augmenting paths read from ``redundant_edges_d2``.
 
 Also houses the inductive generator for one-class isostatic graphs used to
 build test corpora.
@@ -21,10 +25,8 @@ from dataclasses import dataclass
 from .cgraph import ColouredGraph, build, subgraph_by_colours
 from .generic import RigidityVerdict
 from .pebble import (
-    PLANE,
     PLANE_LOOSE,
-    PebbleGame,
-    classify_laman_plus,
+    laman_kind,
     redundant_edges_d2,
     run_game,
     sparsity_rank,
@@ -58,98 +60,75 @@ class UnionRankReport:
     deficiency: int
 
 
-def _pebble_insert_all(n: int, edges) -> PebbleGame | None:
-    game = PebbleGame(n, PLANE)
-    for e in edges:
-        if not game.try_insert(e):
-            return None
-    return game
-
-
 def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
-    """Exact rank of E in the plane union matroid by Edmonds augmentation.
+    """Exact rank of E in the plane union matroid by dual matroid intersection.
 
-    Grows a union-independent set one ground element at a time; when the
-    element does not fit directly, a breadth-first search over the exchange
-    digraph finds a shortest augmenting path (lowest canonical index first),
-    so the witness partition is deterministic.  The coordinated framework is
-    generically rigid in the plane iff union_rank = 2n - 3 + k, and
-    generically isostatic iff additionally m = 2n - 3 + k.
+    The union rank is r(E) + |T| for a largest rainbow set T whose removal
+    keeps the (2,3)-rank r(E).  T grows by shortest augmenting paths, at
+    most one per colour.  ``transversal`` is T in canonical order and
+    ``independent_rigidity`` the canonical basis of E minus T, so the
+    witness is deterministic.  The coordinated framework is generically
+    rigid in the plane iff union_rank = 2n - 3 + k, and generically
+    isostatic iff additionally m = 2n - 3 + k.
     """
-    i1: list[Edge] = []  # independent in the (2,3) count matroid
-    i2: dict[int, Edge] = {}  # colour -> representative edge
-    for e in g.edges:
-        _try_augment(g, e, i1, i2)
-    i1_sorted = tuple(sorted(i1))
-    i2_sorted = tuple(sorted(i2.values()))
-    rank = len(i1_sorted) + len(i2_sorted)
+    held: dict[int, Edge] = {}  # colour -> the edge of T that holds it
+    while len(held) < g.k and _augment(g, held):
+        pass
+    transversal = tuple(sorted(held.values()))
+    rest = [e for e in g.edges if e not in transversal]
+    # E minus T first, then T: the accepted set is the canonical basis of
+    # E minus T, and T is independent in M* iff every edge of T is rejected
+    _, accepted, circuits = run_game((rest + list(transversal), g.n))
+    if transversal_rank(g, transversal) != len(transversal):
+        raise RuntimeError("union invariant broken: T is not rainbow")
+    if any(e not in circuits for e in transversal):
+        raise RuntimeError("union invariant broken: removing T lowers the rank")
+    rank = len(accepted) + len(transversal)
     return UnionRankReport(
         union_rank=rank,
-        independent_rigidity=i1_sorted,
-        transversal=i2_sorted,
+        independent_rigidity=accepted,
+        transversal=transversal,
         deficiency=(2 * g.n - 3 + g.k) - rank,
     )
 
 
-def _try_augment(g: ColouredGraph, e: Edge, i1: list[Edge], i2: dict[int, Edge]) -> bool:
-    """Insert e into the union via a shortest exchange path, if possible.
+def _augment(g: ColouredGraph, held: dict[int, Edge]) -> bool:
+    """Grow T = held.values() by one colour along a shortest exchange path.
 
-    Arcs x -> y mean "x may displace y": y lies in the fundamental circuit
-    of x over the rigidity part, or y is the current holder of x's colour.
-    The search stops at the first element that extends one of the parts
-    directly; swaps along a shortest path keep both parts independent.
+    Sources are the redundant edges of E minus T (adding one to T keeps it
+    independent in M*); an edge x outside T has an arc to the edge of T
+    holding x's colour; an edge y of T has arcs to the redundant edges of
+    (E minus T) + y; sinks are coloured edges whose colour T does not hold.
+    Breadth-first in canonical order, so the path found is deterministic.
+    Returns False when no path exists, i.e. T is already largest.
     """
-    pred: dict[Edge, tuple[Edge | None, int]] = {e: (None, 0)}
-    queue: deque[Edge] = deque([e])
-    i1_set = set(i1)
-    i2_edges = set(i2.values())
-    terminal: tuple[Edge, int] | None = None
-    while queue and terminal is None:
+    tset = set(held.values())
+    sources = redundant_edges_d2(([e for e in g.edges if e not in tset], g.n))
+    pred: dict[Edge, Edge | None] = dict.fromkeys(sources)
+    queue: deque[Edge] = deque(sources)
+    while queue:
         x = queue.popleft()
-        arcs: list[tuple[Edge, int]] = []
-        if x not in i1_set:
-            game = _pebble_insert_all(g.n, sorted(i1_set))
-            if game is None:
-                raise RuntimeError("union invariant broken: part 1 not sparse")
-            if game.try_insert(x):
-                terminal = (x, 1)
-                break
-            circuit = game.rejection_circuit(x)
-            arcs.extend((y, 1) for y in circuit if y != x)
-        if x not in i2_edges:
-            colour = g.colour_of(x)
-            if colour >= 1:
-                if colour not in i2:
-                    terminal = (x, 2)
-                    break
-                arcs.append((i2[colour], 2))
-        for y, label in arcs:
-            if y not in pred:
-                pred[y] = (x, label)
-                queue.append(y)
-    if terminal is None:
-        return False
-    # walk back from the terminal: the terminal enters its part for free,
-    # every other path node leaves the part its incoming arc names and is
-    # replaced there by its predecessor
-    node, part = terminal
-    if part == 1:
-        i1.append(node)
-    else:
-        i2[g.colour_of(node)] = node
-    current = node
-    while True:
-        parent, label = pred[current]
-        if parent is None:
-            break
-        if label == 1:
-            i1.remove(current)
-            i1.append(parent)
+        if x in tset:
+            rest = [e for e in g.edges if e not in tset or e == x]
+            arcs = redundant_edges_d2((rest, g.n))
         else:
-            del i2[g.colour_of(current)]
-            i2[g.colour_of(parent)] = parent
-        current = parent
-    return True
+            colour = g.colour_of(x)
+            if colour == 0:  # a loop of P: no exchange, not a sink
+                continue
+            if colour not in held:
+                # walk back to the source: each edge outside T takes the
+                # colour of the edge of T it displaces, the sink a new one
+                while x is not None:
+                    held[g.colour_of(x)] = x
+                    y = pred[x]
+                    x = None if y is None else pred[y]
+                return True
+            arcs = (held[colour],)
+        for y in arcs:
+            if y not in pred:
+                pred[y] = x
+                queue.append(y)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +143,15 @@ def _base_ranks(g: ColouredGraph) -> dict:
     return out
 
 
+def _plane_game(g: ColouredGraph):
+    """One (2,3) game on g: its Laman+p classification, the fundamental
+    circuit of each rejected edge, and the redundant edges (the union of
+    those circuits)."""
+    _, accepted, circuits = run_game(g)
+    redundant = {e for circuit in circuits.values() for e in circuit}
+    return laman_kind(g.n, g.m, len(accepted)), circuits, redundant
+
+
 def check_k1(g: ColouredGraph) -> RigidityVerdict:
     """Plane decision for one coordination class.
 
@@ -175,17 +163,16 @@ def check_k1(g: ColouredGraph) -> RigidityVerdict:
     """
     if g.k != 1:
         raise ValueError(f"one-class decider called with k={g.k}")
-    cls = classify_laman_plus(g)
+    cls, circuits, redundant = _plane_game(g)
     target = 2 * g.n - 3
-    redundant = set(redundant_edges_d2(g)) if cls.rank == target else set()
     coloured = g.colour_class(1)
     cert_edges = [e for e in coloured if e in redundant]
     rigid = cls.rank == target and bool(cert_edges)
     isostatic = rigid and g.m == target + 1
 
     g0 = subgraph_by_colours(g, {0})
-    g0_rank, _ = sparsity_rank((g0.edges, g.n))
-    g0_sparse = g0_rank == g0.m
+    _, _, g0_circuits = run_game((g0.edges, g.n))
+    g0_sparse = not g0_circuits
     independent = g0_sparse and (g.m - cls.rank) <= 1
 
     ranks = _base_ranks(g)
@@ -197,7 +184,6 @@ def check_k1(g: ColouredGraph) -> RigidityVerdict:
     }
     if rigid:
         if isostatic:
-            _, _, circuits = run_game(g)
             (circuit,) = circuits.values()
             diagnosis["circuit"] = [list(e) for e in circuit]
         return RigidityVerdict(
@@ -222,26 +208,18 @@ def check_k1(g: ColouredGraph) -> RigidityVerdict:
 def rainbow_pair_k2(g: ColouredGraph):
     """First rainbow redundant pair of a Laman+2 graph, canonical order.
 
-    For each coloured edge e of class 1 in turn, e belongs to a rainbow
-    redundant pair iff the graph minus e is Laman+1 with a class-2 edge in
-    its circuit; the first such (e, f) is returned, else None.
+    A rainbow redundant pair {e, f} is a rainbow set independent in the
+    dual matroid M*: removing both keeps the (2,3)-rank.  Returns None
+    unless the graph is Laman+2; otherwise the first redundant class-1 edge
+    e after whose removal some class-2 edge is still redundant, with the
+    first such f, or None when there is none.
     """
     if g.k != 2:
         raise ValueError(f"rainbow pair search called with k={g.k}")
-    if classify_laman_plus(g).kind != "laman+2":
+    cls, _, redundant = _plane_game(g)
+    if cls.kind != "laman+2":
         return None
-    class2 = set(g.colour_class(2))
-    for e in g.colour_class(1):
-        rest = tuple(x for x in g.edges if x != e)
-        cls = classify_laman_plus((rest, g.n))
-        if cls.kind != "laman+1":
-            continue
-        _, _, circuits = run_game((rest, g.n))
-        (circuit,) = circuits.values()
-        for f in circuit:
-            if f in class2:
-                return (e, f)
-    return None
+    return _rainbow_pair_general(g, redundant, g.colour_class(1), g.colour_class(2))
 
 
 def check_k2(g: ColouredGraph) -> RigidityVerdict:
@@ -255,9 +233,10 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     """
     if g.k != 2:
         raise ValueError(f"two-class decider called with k={g.k}")
-    cls = classify_laman_plus(g)
+    cls, _, redundant = _plane_game(g)
     target = 2 * g.n - 3
-    redundant = set(redundant_edges_d2(g)) if cls.rank == target else set()
+    if cls.rank < target:
+        redundant = set()
     class1, class2 = g.colour_class(1), g.colour_class(2)
 
     cond_laman2 = cls.kind == "laman+2"
@@ -268,12 +247,8 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     cond_classes = bool(class_red[1]) and bool(class_red[2])
 
     g0 = subgraph_by_colours(g, {0})
-    g0_rank, _ = sparsity_rank((g0.edges, g.n))
-    g0_sparse = g0_rank == g0.m
-    g0_circuit = None
-    if not g0_sparse:
-        _, _, circuits = run_game((g0.edges, g.n))
-        g0_circuit = [list(e) for e in next(iter(circuits.values()))]
+    _, _, g0_circuits = run_game((g0.edges, g.n))
+    g0_sparse = not g0_circuits
     sub_22 = {}
     for i in (1, 2):
         gi = subgraph_by_colours(g, {0, i})
@@ -295,8 +270,8 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
         "g1_22_sparse": sub_22[1],
         "g2_22_sparse": sub_22[2],
     }
-    if g0_circuit is not None:
-        diagnosis["g0_circuit"] = g0_circuit
+    if not g0_sparse:
+        diagnosis["g0_circuit"] = [list(e) for e in next(iter(g0_circuits.values()))]
     failing = []
     if not cond_laman2:
         failing.append("not-laman-plus-2")
@@ -311,7 +286,7 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     diagnosis["failing"] = failing
 
     if cond_laman2 and cond_classes and cond_sparsity:
-        pair = rainbow_pair_k2(g)
+        pair = _rainbow_pair_general(g, redundant, class1, class2)
         if pair is None:
             raise RuntimeError(
                 "internal inconsistency: coloured sparsity conditions hold "

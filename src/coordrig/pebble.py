@@ -214,11 +214,17 @@ def classify_laman_plus(g) -> LamanClassification:
     three or more surplus edges.
     """
     edges, n = _edges_of(g)
+    rank, _ = sparsity_rank((edges, n), PLANE)
+    return laman_kind(n, len(edges), rank)
+
+
+def laman_kind(n: int, m: int, rank: int) -> LamanClassification:
+    """Laman+p classification of an n-vertex, m-edge graph of (2,3)-rank
+    ``rank``; lets a caller that already played the game classify without
+    playing it again."""
     if n < 2:
         raise ValueError("Laman classification needs n >= 2")
-    rank, _ = sparsity_rank((edges, n), PLANE)
     target = 2 * n - 3
-    m = len(edges)
     if rank < target:
         return LamanClassification("deficit", rank, target - rank)
     surplus = m - rank

@@ -48,6 +48,8 @@ def test_parse_rejects_empty_class():
         ('{"n":2,"k":0,"edges":[[0,2,0]]}', "violates"),
         ('{"n":2,"k":1,"edges":[[0,1,2]]}', "out of range"),
         ('{"n":0,"k":0,"edges":[]}', "positive"),
+        ('{"n":true,"k":0,"edges":[]}', "vertex count"),
+        ('{"n":2,"k":false,"edges":[]}', "class count"),
         ('{"n":2,"k":0,"edges":[[0,1,0]], "coords":[[0,0]]}', "coords"),
         ('{"n":2,"k":1,"edges":[[0,1,1]], "r":[1,2]}', "array of k numbers"),
         ("{not json", "malformed JSON"),

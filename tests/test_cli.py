@@ -75,6 +75,10 @@ def test_check_parse_error_exit_two(tmp_path):
     assert "u < v" in err
     code, _, err = run_cli("check", str(tmp_path / "missing.json"))
     assert code == 2
+    bad.write_text('{"n": true, "k": false, "edges": []}')
+    code, out, err = run_cli("check", str(bad))
+    assert (code, out) == (2, "")
+    assert "vertex count" in err
 
 
 def test_reproducible_byte_identical_output():

@@ -12,11 +12,14 @@ from coordrig import (
     decide_plane,
     henneberg_k1_sample,
     rainbow_pair_k2,
+    rank_summary,
+    sparsity_rank,
     subgraph_by_colours,
     transversal_rank,
     union_rank_d2,
 )
-from coordrig.corpus import random_corpus
+from coordrig import laman
+from coordrig.corpus import random_coloured_graph, random_corpus
 from coordrig.pebble import PLANE, PebbleGame
 
 from oracles import brute_circuits, brute_union_rank
@@ -65,6 +68,75 @@ def test_union_rank_matches_brute_force_formula():
         if g.m > 10:
             continue
         assert union_rank_d2(g).union_rank == brute_union_rank(g), f"instance {idx}"
+
+
+def test_union_rank_matches_modular_rank_beyond_brute_force():
+    # the brute-force oracle stops at m <= 12; the sampled rank of the
+    # coordinated matrix [R | I] checks larger graphs, and every rigid
+    # certificate must leave a Laman-rank graph once its tuple is removed
+    rigid = 0
+    for i in range(60):
+        g = random_coloured_graph(10 + i % 11, 3 + i % 4, seed=i)
+        rep = union_rank_d2(g)
+        summary = rank_summary(g, OracleParams(d=2, seed=i))
+        assert rep.union_rank == summary["coordinated_rank"], f"instance {i}"
+        v = check_union(g)
+        if v.rigid:
+            rigid += 1
+            tup = {tuple(e) for e in v.certificate["rainbow_tuple"]}
+            assert sorted(g.colour_of(e) for e in tup) == list(range(1, g.k + 1))
+            rest = [e for e in g.edges if e not in tup]
+            assert sparsity_rank((rest, g.n))[0] == 2 * g.n - 3, f"instance {i}"
+    assert rigid >= 10
+
+
+def test_union_invariant_check_fires(monkeypatch, twin_blocks_k2):
+    # a path that puts a bridge into T breaks the dual independence of T,
+    # which the final game must catch rather than report a wrong rank
+    g = twin_blocks_k2
+    bridge = g.colour_class(2)[0]
+    assert bridge not in laman.redundant_edges_d2(g)
+
+    def augment_with_bridge(g, held):
+        if held:
+            return False
+        held[2] = bridge
+        return True
+
+    monkeypatch.setattr(laman, "_augment", augment_with_bridge)
+    with pytest.raises(RuntimeError, match="lowers the rank"):
+        union_rank_d2(g)
+
+
+@pytest.mark.parametrize(
+    "decide,fixture,most",
+    [
+        # random k = 6 graph: at most one augmentation per colour, each a
+        # source game plus one game per edge of T it expands, and one final
+        # game; (k + 1)^2 + 1 bounds that
+        (union_rank_d2, None, (6 + 1) ** 2 + 1),
+        # one game on E and one on the uncoloured subgraph
+        (check_k1, "quad_rigid_k1", 2),
+        # those two, the two (2,2) games, and one pair-search game
+        (check_k2, "seven_rigid_k2", 5),
+        (check_k2, "nested_circuit_k2", 4),
+    ],
+)
+def test_pebble_games_per_decision(monkeypatch, request, decide, fixture, most):
+    if fixture is None:
+        g = random_coloured_graph(30, 6, seed=3, m=67)
+    else:
+        g = request.getfixturevalue(fixture)
+    games = []
+    init = PebbleGame.__init__
+
+    def counting_init(self, *args, **kwargs):
+        games.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PebbleGame, "__init__", counting_init)
+    decide(g)
+    assert len(games) <= most
 
 
 def test_union_rank_monotone_under_edge_addition():

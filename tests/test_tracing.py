@@ -1,0 +1,32 @@
+"""The benchmark's ``--trace 1`` run wraps library functions by name, so a
+rename in the library must fail here rather than only in the benchmark."""
+
+from pathlib import Path
+
+from conftest import load_fixture
+
+import coordrig
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_wraps_every_named_function_and_restores_it(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import CHECKERS, GROUPS, LAYERS, Tracer
+
+    names = {name for members in GROUPS.values() for name in members} | set(CHECKERS)
+    originals = {name: getattr(LAYERS[name.split(".")[0]], name.split(".")[1]) for name in names}
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for name, fn in originals.items():
+            module, attr = name.split(".")
+            assert getattr(LAYERS[module], attr).__wrapped__ is fn, name
+        coordrig.check_union(load_fixture("seven_rigid_k2"))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["laman.union_rank_d2"] == 1
+    assert tracer.counts["laman.union_games"] >= 1
+    for name, fn in originals.items():
+        module, attr = name.split(".")
+        assert getattr(LAYERS[module], attr) is fn, name
