@@ -40,9 +40,7 @@ from .laman import (
 )
 from .linalg import (
     Configuration,
-    CoordinatedMatrix,
     MotionReport,
-    Placement,
     check_equivalent,
     colour_class_load,
     coordinated_matrix,
@@ -50,7 +48,6 @@ from .linalg import (
     edge_load,
     equilibrium_stresses,
     infinitesimal_motions,
-    rank,
     resolve_load,
     rigidity_matrix,
 )
@@ -58,7 +55,6 @@ from .pebble import (
     CircuitReport,
     LamanClassification,
     SparsityParams,
-    bridges_d2,
     classify_laman_plus,
     fundamental_circuit,
     redundant_edges_d2,

@@ -64,9 +64,6 @@ class ColouredGraph:
             out[c].append(e)
         return [tuple(cls) for cls in out]
 
-    def degree(self, v: int) -> int:
-        return sum(1 for (a, b) in self.edges if v in (a, b))
-
     def isolated_vertices(self) -> tuple[int, ...]:
         seen = set()
         for a, b in self.edges:

@@ -40,6 +40,13 @@ def _default_seed() -> int:
         raise CliError(f"COORDRIG_SEED must be an integer, got {raw!r}")
 
 
+def _oracle_params(args) -> OracleParams:
+    try:
+        return OracleParams(d=args.dim, trials=args.trials, seed=args.seed)
+    except ValueError as exc:
+        raise CliError(str(exc))
+
+
 def _load(path: str):
     try:
         text = Path(path).read_text()
@@ -87,7 +94,7 @@ def cmd_check(args) -> int:
     if method == "combinatorial":
         verdict = decide_plane(g)
     else:
-        params = OracleParams(d=args.dim, trials=args.trials, seed=args.seed)
+        params = _oracle_params(args)
         verdict = decide_generic_coordinated_rigidity(g, params)
     _emit(verdict.to_json(), args.json)
     return 0 if verdict.rigid else 1
@@ -115,7 +122,7 @@ def cmd_motions(args) -> int:
     }
     if args.dump_matrix:
         payload["coordinated_matrix"] = _round(
-            linalg.coordinated_matrix(g, p).array.tolist()
+            linalg.coordinated_matrix(g, p).tolist()
         )
     _emit(payload, args.json)
     return 0
@@ -137,7 +144,7 @@ def cmd_stresses(args) -> int:
         "basis": _round(basis.tolist()),
     }
     if args.dump_matrix:
-        payload["rigidity_matrix"] = _round(linalg.rigidity_matrix(g, p).array.tolist())
+        payload["rigidity_matrix"] = _round(linalg.rigidity_matrix(g, p).tolist())
     _emit(payload, args.json)
     return 0
 
@@ -156,7 +163,10 @@ def cmd_gen(args) -> int:
         if args.mode == "henneberg-k1":
             g = henneberg_k1_sample(args.n, seed_i)
         else:
-            g = random_coloured_graph(args.n, args.k, seed_i)
+            try:
+                g = random_coloured_graph(args.n, args.k, seed_i)
+            except ValueError as exc:
+                raise CliError(f"--mode random: {exc}")
         name = f"{args.mode}_n{args.n}_k{args.k}_s{seed_i}.json"
         path = out_dir / name
         path.write_text(serialize(g) + "\n")
@@ -176,7 +186,7 @@ def cmd_draw(args) -> int:
 
 def cmd_rank(args) -> int:
     g = _load(args.file)
-    params = OracleParams(d=args.dim, trials=args.trials, seed=args.seed)
+    params = _oracle_params(args)
     payload = {
         "n": g.n,
         "m": g.m,
@@ -195,9 +205,9 @@ def cmd_rank(args) -> int:
     if args.dump_matrix:
         p = _coords_for(g, args, args.dim)
         payload["coords"] = _round(p.tolist())
-        payload["rigidity_matrix"] = _round(linalg.rigidity_matrix(g, p).array.tolist())
+        payload["rigidity_matrix"] = _round(linalg.rigidity_matrix(g, p).tolist())
         payload["coordinated_matrix"] = _round(
-            linalg.coordinated_matrix(g, p).array.tolist()
+            linalg.coordinated_matrix(g, p).tolist()
         )
     _emit(payload, args.json)
     return 0

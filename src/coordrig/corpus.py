@@ -22,6 +22,8 @@ def random_coloured_graph(
     rng = random.Random(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     max_m = len(pairs)
+    if k > max_m:
+        raise ValueError(f"{k} classes need {k} edges, but n={n} allows {max_m}")
     if m is None:
         target = 2 * n - 3 + k
         m = rng.randint(max(k, 1, target - 4), min(max_m, target + 3))

@@ -43,7 +43,6 @@ class OracleParams:
     d: int = 2
     trials: int = 3
     seed: int = 0
-    prime: int = MODULUS
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -99,20 +98,17 @@ class _RankOracle:
     def __init__(self, g: ColouredGraph, params: OracleParams):
         self.g = g
         self.params = params
-        q = params.prime
         self.classes = [
             [g.edge_index(e) for e in g.colour_class(i)] for i in range(1, g.k + 1)
         ]
         self.trials = []
         for t in range(params.trials):
-            p = linalg.sample_modular_configuration(
-                g.n, params.d, params.seed + t, q
-            )
-            rows = linalg.modular_matrix(g, p, params.d, q=q).rows
-            stresses = linalg.modular_nullspace(list(zip(*rows)), g.m, q)
+            p = linalg.sample_modular_configuration(g.n, params.d, params.seed + t)
+            rows = linalg.modular_matrix(g, p, params.d)
+            stresses = linalg.modular_nullspace(list(zip(*rows)), g.m)
             cols = [self.stress_column(stresses, idx) for idx in self.classes]
             rank = g.m - len(stresses)
-            coordinated = rank + linalg.modular_rank_rows(cols, q)  # rank[R(p) | I]
+            coordinated = rank + linalg.modular_rank_rows(cols)  # rank[R(p) | I]
             self.trials.append((p, rows, rank, coordinated, stresses, cols))
         self.rank_full = max(t[2] for t in self.trials)
         self.coordinated_rank = max(t[3] for t in self.trials)
@@ -120,7 +116,7 @@ class _RankOracle:
 
     def stress_column(self, stresses, idx) -> list[int]:
         """Column of S·1_idx: each stress summed over the edge rows idx."""
-        return [sum(w[i] for i in idx) % self.params.prime for w in stresses]
+        return [sum(w[i] for i in idx) % MODULUS for w in stresses]
 
     def rank_base(self, drop: frozenset[int]) -> int:
         """Max over trials of rank R(p) with the given edge rows removed,
@@ -128,14 +124,14 @@ class _RankOracle:
         best = 0
         for _, rows, *_ in self.trials:
             subset = [i for i in range(len(rows)) if i not in drop]
-            r = linalg.modular_rank_rows(rows, self.params.prime, row_subset=subset)
+            r = linalg.modular_rank_rows(rows, row_subset=subset)
             best = max(best, r)
         return best
 
     def trivial_dim(self) -> int:
         if self._trivial is None:
             self._trivial = max(
-                linalg.modular_trivial_dim(p, self.params.d, self.params.prime)
+                linalg.modular_trivial_dim(p, self.params.d)
                 for p, *_ in self.trials
             )
         return self._trivial
@@ -144,20 +140,18 @@ class _RankOracle:
         return frozenset(self.g.edge_index(tuple(e)) for e in edges)
 
 
-def generic_rank(g, params: OracleParams) -> int:
+def generic_rank(g: ColouredGraph, params: OracleParams) -> int:
     """Rank of the edge set in the d-dimensional rigidity matroid.
 
     Max over trials of rank R(p) at independently sampled exact
     configurations; never exceeds the true generic rank and is monotone in
     the number of trials.
     """
-    g = _as_graph(g)
     return _RankOracle(g, params).rank_full
 
 
-def is_redundant_set(g, edges, params: OracleParams) -> bool:
+def is_redundant_set(g: ColouredGraph, edges, params: OracleParams) -> bool:
     """Whether removing ``edges`` keeps the generic rank, on shared samples."""
-    g = _as_graph(g)
     oracle = _RankOracle(g, params)
     drop = oracle.indices(edges)
     return oracle.rank_base(drop) == oracle.rank_full
@@ -201,7 +195,7 @@ def find_rainbow_redundant_tuple(g: ColouredGraph, params: OracleParams, _oracle
     for c, idx in enumerate(oracle.classes):
         for i in idx:
             trial_cols = cols[:c] + [oracle.stress_column(stresses, [i])] + cols[c + 1 :]
-            if linalg.modular_rank_rows(trial_cols, params.prime) == g.k:
+            if linalg.modular_rank_rows(trial_cols) == g.k:
                 cols = trial_cols
                 tup.append(g.edges[i])
                 break
@@ -326,13 +320,3 @@ def _nontrivial_flex(g: ColouredGraph, d: int, seed: int):
     if report.nontrivial_dim == 0:
         return None
     return report.nontrivial_basis[0]
-
-
-def _as_graph(g):
-    if isinstance(g, ColouredGraph):
-        return g
-    edges, n = g
-    triples = [(u, v, 0) for (u, v) in edges]
-    from .cgraph import build
-
-    return build(n, 0, triples)

@@ -35,6 +35,11 @@ from .pebble import (
 Edge = tuple[int, int]
 
 
+def _plane_target(n: int) -> int:
+    """Plane rank of a rigid framework on n vertices: 2n - 3, 0 for n = 1."""
+    return 2 * n - 3 if n > 1 else 0
+
+
 def transversal_rank(g: ColouredGraph, edges) -> int:
     """Number of distinct nonzero colours among ``edges``.
 
@@ -51,7 +56,8 @@ class UnionRankReport:
 
     ``independent_rigidity`` is (2,3)-sparse, ``transversal`` has pairwise
     distinct nonzero colours, the two are disjoint and their union has size
-    ``union_rank``.  ``deficiency`` is (2n - 3 + k) - union_rank.
+    ``union_rank``.  ``deficiency`` is (t + k) - union_rank, where the
+    plane target t is 2n - 3 (0 for a single vertex).
     """
 
     union_rank: int
@@ -68,8 +74,8 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
     most one per colour.  ``transversal`` is T in canonical order and
     ``independent_rigidity`` the canonical basis of E minus T, so the
     witness is deterministic.  The coordinated framework is generically
-    rigid in the plane iff union_rank = 2n - 3 + k, and generically
-    isostatic iff additionally m = 2n - 3 + k.
+    rigid in the plane iff union_rank = t + k, and generically isostatic
+    iff additionally m = t + k, where t is 2n - 3 (0 for a single vertex).
     """
     held: dict[int, Edge] = {}  # colour -> the edge of T that holds it
     while len(held) < g.k and _augment(g, held):
@@ -88,7 +94,7 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
         union_rank=rank,
         independent_rigidity=accepted,
         transversal=transversal,
-        deficiency=(2 * g.n - 3 + g.k) - rank,
+        deficiency=(_plane_target(g.n) + g.k) - rank,
     )
 
 
@@ -136,7 +142,7 @@ def _augment(g: ColouredGraph, held: dict[int, Edge]) -> bool:
 
 
 def _base_ranks(g: ColouredGraph) -> dict:
-    out = {"n": g.n, "m": g.m, "target_rank": 2 * g.n - 3}
+    out = {"n": g.n, "m": g.m, "target_rank": _plane_target(g.n)}
     isolated = g.isolated_vertices()
     if isolated:
         out["isolated_vertices"] = list(isolated)
@@ -164,7 +170,7 @@ def check_k1(g: ColouredGraph) -> RigidityVerdict:
     if g.k != 1:
         raise ValueError(f"one-class decider called with k={g.k}")
     cls, circuits, redundant = _plane_game(g)
-    target = 2 * g.n - 3
+    target = _plane_target(g.n)
     coloured = g.colour_class(1)
     cert_edges = [e for e in coloured if e in redundant]
     rigid = cls.rank == target and bool(cert_edges)
@@ -234,7 +240,7 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     if g.k != 2:
         raise ValueError(f"two-class decider called with k={g.k}")
     cls, _, redundant = _plane_game(g)
-    target = 2 * g.n - 3
+    target = _plane_target(g.n)
     if cls.rank < target:
         redundant = set()
     class1, class2 = g.colour_class(1), g.colour_class(2)
@@ -349,8 +355,8 @@ def _rainbow_pair_general(g: ColouredGraph, redundant, class1, class2):
 def check_union(g: ColouredGraph) -> RigidityVerdict:
     """Plane decision for any number of classes via the union rank."""
     rep = union_rank_d2(g)
-    target = 2 * g.n - 3 + g.k
-    rigid = g.n == 1 or rep.union_rank == target
+    target = _plane_target(g.n) + g.k
+    rigid = rep.union_rank == target
     ranks = _base_ranks(g)
     ranks["union_rank"] = rep.union_rank
     ranks["union_target"] = target

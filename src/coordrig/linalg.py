@@ -1,14 +1,13 @@
-"""Rigidity linear algebra over two backends.
+"""Rigidity matrices in floats and over GF(q), motions and stresses.
 
-The float backend (numpy) builds the m x dn rigidity matrix and the
-m x (dn + k) coordinated matrix, computes kernels (infinitesimal motions),
-left kernels (equilibrium stresses), load resolutions and the projection
-Gram matrix used by the coordination criterion.
-
-The modular backend does exact arithmetic over GF(q), q = 2^61 - 1, with
-coordinates sampled uniformly from [1, q-1]; it answers generic-rank
-questions without any tolerance.  Random sampling always takes an explicit
-seed and parallel trials must derive their seeds as root_seed + trial_index.
+``rigidity_matrix`` returns R(p) as an m x dn numpy array and
+``coordinated_matrix`` returns [R(p) | 1(c)] as an m x (dn + k) array, rows
+in canonical edge order; from them come motions, stresses, load
+resolutions and the projection Gram matrix of the coordination criterion.
+``modular_matrix`` returns the same matrix as a tuple of int rows over
+GF(q), with q fixed at MODULUS = 2^61 - 1, for exact ranks and kernels.
+Random sampling always takes an explicit seed and parallel trials must
+derive their seeds as root_seed + trial_index.
 """
 
 from __future__ import annotations
@@ -16,12 +15,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .cgraph import ColouredGraph
-from .pebble import _edges_of
 
 MODULUS = (1 << 61) - 1  # Mersenne prime
 
@@ -29,7 +26,7 @@ Edge = tuple[int, int]
 
 
 # ---------------------------------------------------------------------------
-# configurations and placements
+# configurations
 
 
 @dataclass(frozen=True)
@@ -56,13 +53,6 @@ class Configuration:
         return len(self.points[0])
 
 
-class Placement(NamedTuple):
-    """A configuration together with the coordination offsets r."""
-
-    points: object  # (n, d) array-like
-    r: object  # length-k array-like
-
-
 def as_points(p, n: int) -> np.ndarray:
     """Coerce to an (n, d) float array, validating the vertex count."""
     if isinstance(p, Configuration):
@@ -81,41 +71,14 @@ def random_configuration(n: int, d: int, seed: int) -> np.ndarray:
     return np.array([[rng.random() for _ in range(d)] for _ in range(n)])
 
 
-def sample_modular_configuration(n: int, d: int, seed: int, q: int = MODULUS):
-    """Exact-backend configuration: coordinates uniform in [1, q-1]."""
+def sample_modular_configuration(n: int, d: int, seed: int):
+    """Integer configuration for ``modular_matrix``, coordinates in [1, MODULUS - 1]."""
     rng = random.Random(seed)
-    return [[rng.randrange(1, q) for _ in range(d)] for _ in range(n)]
+    return [[rng.randrange(1, MODULUS) for _ in range(d)] for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
 # matrix construction
-
-
-@dataclass(frozen=True)
-class CoordinatedMatrix:
-    """Rows indexed by edges in canonical order; dn kinematic columns
-    followed by k class-indicator columns.
-
-    ``backend`` is "float" (numpy array in ``array``) or "modular" (list of
-    int rows in ``rows``, entries mod ``prime``).  Rows whose edge has
-    coincident endpoints are recorded in ``zero_length_edges``; construction
-    succeeds but motion analysis refuses such frameworks.
-    """
-
-    m: int
-    n: int
-    d: int
-    k: int
-    edges: tuple[Edge, ...]
-    backend: str
-    array: np.ndarray | None = None
-    rows: tuple[tuple[int, ...], ...] | None = None
-    prime: int | None = None
-    zero_length_edges: tuple[Edge, ...] = ()
-
-    @property
-    def ncols(self) -> int:
-        return self.d * self.n + self.k
 
 
 def indicator_matrix(g: ColouredGraph) -> np.ndarray:
@@ -127,70 +90,47 @@ def indicator_matrix(g: ColouredGraph) -> np.ndarray:
     return ind
 
 
-def rigidity_matrix(g, p, d: int | None = None) -> CoordinatedMatrix:
-    """Float m x dn rigidity matrix of the underlying bar framework.
+def rigidity_matrix(g: ColouredGraph, p, d: int | None = None) -> np.ndarray:
+    """The m x dn float rigidity matrix R(p) of the underlying bar framework.
 
     Row for edge {i, j} carries p(i) - p(j) on i's column block and
     p(j) - p(i) on j's block; the kernel is the space of infinitesimal
-    motions of (G, p).
+    motions of (G, p).  An edge with coincident endpoints gives a zero row.
     """
-    edges, n = _edges_of(g)
-    pts = as_points(p, n)
+    pts = as_points(p, g.n)
     if d is not None and pts.shape[1] != d:
         raise ValueError(f"expected dimension {d}, got {pts.shape[1]}")
     d = pts.shape[1]
-    m = len(edges)
-    R = np.zeros((m, d * n))
-    zero = []
-    for row, (i, j) in enumerate(edges):
+    R = np.zeros((g.m, d * g.n))
+    for row, (i, j) in enumerate(g.edges):
         diff = pts[i] - pts[j]
-        if not np.any(diff):
-            zero.append((i, j))
         R[row, d * i : d * i + d] = diff
         R[row, d * j : d * j + d] = -diff
-    return CoordinatedMatrix(
-        m=m, n=n, d=d, k=0, edges=tuple(edges), backend="float",
-        array=R, zero_length_edges=tuple(zero),
-    )
+    return R
 
 
-def coordinated_matrix(g: ColouredGraph, p, d: int | None = None) -> CoordinatedMatrix:
-    """Float m x (dn + k) matrix: rigidity matrix plus indicator columns."""
-    base = rigidity_matrix(g, p, d)
-    if g.k == 0:
-        return base
-    full = np.hstack([base.array, indicator_matrix(g)])
-    return CoordinatedMatrix(
-        m=base.m, n=base.n, d=base.d, k=g.k, edges=base.edges,
-        backend="float", array=full, zero_length_edges=base.zero_length_edges,
-    )
+def coordinated_matrix(g: ColouredGraph, p, d: int | None = None) -> np.ndarray:
+    """The m x (dn + k) float matrix [R(p) | 1(c)]: R(p) followed by the k
+    class-indicator columns (R(p) itself when k = 0)."""
+    return np.hstack([rigidity_matrix(g, p, d), indicator_matrix(g)])
 
 
-def modular_matrix(g, p, d: int, k: int = 0, colours=None, q: int = MODULUS) -> CoordinatedMatrix:
-    """Exact m x (dn + k) matrix over GF(q) at an integer configuration."""
-    edges, n = _edges_of(g)
-    if isinstance(g, ColouredGraph) and k:
-        colours = g.colours
+def modular_matrix(g: ColouredGraph, p, d: int, k: int = 0) -> tuple[tuple[int, ...], ...]:
+    """R(p) over GF(MODULUS) at an integer configuration, as a tuple of int
+    rows, one per edge; with k = g.k the k class-indicator columns follow."""
+    q = MODULUS
+    n = g.n
     rows = []
-    zero = []
-    for row, (i, j) in enumerate(edges):
+    for (i, j), c in zip(g.edges, g.colours):
         r = [0] * (d * n + k)
-        coincident = True
         for a in range(d):
             diff = (p[i][a] - p[j][a]) % q
             r[d * i + a] = diff
             r[d * j + a] = (-diff) % q
-            if diff:
-                coincident = False
-        if k and colours[row] >= 1:
-            r[d * n + colours[row] - 1] = 1
-        if coincident:
-            zero.append((i, j))
+        if k and c >= 1:
+            r[d * n + c - 1] = 1
         rows.append(tuple(r))
-    return CoordinatedMatrix(
-        m=len(edges), n=n, d=d, k=k, edges=tuple(edges), backend="modular",
-        rows=tuple(rows), prime=q, zero_length_edges=tuple(zero),
-    )
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +146,13 @@ def float_rank(A: np.ndarray, tol: float | None = None) -> int:
     return int(np.sum(s > tol))
 
 
-def _row_reduce(rows, q: int, reduced: bool) -> tuple[list[int], list[list[int]]]:
-    """Gaussian elimination over GF(q), behind every modular rank and kernel.
+def _row_reduce(rows, reduced: bool) -> tuple[list[int], list[list[int]]]:
+    """Gaussian elimination over GF(MODULUS) for every modular rank and kernel.
 
     Returns the pivot columns and the unit-pivot echelon rows; ``reduced``
     also clears above each pivot.  Pivot rows are zero left of the pivot.
     """
+    q = MODULUS
     work = [list(r) for r in rows if any(r)]
     pivots: list[int] = []
     for c in range(len(work[0]) if work else 0):
@@ -234,31 +175,24 @@ def _row_reduce(rows, q: int, reduced: bool) -> tuple[list[int], list[list[int]]
     return pivots, work[: len(pivots)]
 
 
-def modular_rank_rows(rows, q: int = MODULUS, row_subset=None) -> int:
-    """Exact rank over GF(q) by Gaussian elimination."""
+def modular_rank_rows(rows, *, row_subset=None) -> int:
+    """Exact rank over GF(MODULUS) of the rows (or of those in row_subset)."""
     if row_subset is not None:
         rows = [rows[i] for i in row_subset]
-    return len(_row_reduce(rows, q, reduced=False)[0])
+    return len(_row_reduce(rows, reduced=False)[0])
 
 
-def modular_nullspace(rows, ncols: int, q: int = MODULUS) -> list[list[int]]:
-    """Kernel basis over GF(q) in reduced echelon form."""
-    pivots, echelon = _row_reduce(rows, q, reduced=True)
+def modular_nullspace(rows, ncols: int) -> list[list[int]]:
+    """Kernel basis over GF(MODULUS) in reduced echelon form."""
+    pivots, echelon = _row_reduce(rows, reduced=True)
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
         vec = [0] * ncols
         vec[fc] = 1
         for row, pc in zip(echelon, pivots):
-            vec[pc] = (-row[fc]) % q
+            vec[pc] = (-row[fc]) % MODULUS
         basis.append(vec)
     return basis
-
-
-def rank(M: CoordinatedMatrix, tol: float | None = None) -> int:
-    """Rank under the matrix's own backend (exact for modular)."""
-    if M.backend == "modular":
-        return modular_rank_rows(M.rows, M.prime)
-    return float_rank(M.array, tol)
 
 
 def _svd_spaces(A: np.ndarray, tol: float | None = None):
@@ -301,11 +235,7 @@ def trivial_motion_generators(p: np.ndarray, k: int = 0) -> np.ndarray:
     return np.array(gens)
 
 
-def trivial_dim_at(p: np.ndarray) -> int:
-    return float_rank(trivial_motion_generators(p))
-
-
-def modular_trivial_dim(p, d: int, q: int = MODULUS) -> int:
+def modular_trivial_dim(p, d: int) -> int:
     """Exact dimension of the trivial motion space at a modular configuration."""
     n = len(p)
     gens = []
@@ -318,10 +248,10 @@ def modular_trivial_dim(p, d: int, q: int = MODULUS) -> int:
         for b in range(a + 1, d):
             vec = [0] * (d * n)
             for i in range(n):
-                vec[d * i + b] = p[i][a] % q
-                vec[d * i + a] = (-p[i][b]) % q
+                vec[d * i + b] = p[i][a] % MODULUS
+                vec[d * i + a] = (-p[i][b]) % MODULUS
             gens.append(vec)
-    return modular_rank_rows(gens, q)
+    return modular_rank_rows(gens)
 
 
 @dataclass(frozen=True)
@@ -348,14 +278,15 @@ class MotionReport:
 
 def infinitesimal_motions(g: ColouredGraph, p, tol: float | None = None) -> MotionReport:
     """Basis of the motion space M+(p) with its trivial/nontrivial split."""
-    M = coordinated_matrix(g, p)
-    if M.zero_length_edges:
+    pts = as_points(p, g.n)
+    M = coordinated_matrix(g, pts)
+    zero = [e for e, row in zip(g.edges, M[:, : pts.size]) if not row.any()]
+    if zero:
         raise ValueError(
-            f"zero-length edges {list(M.zero_length_edges)}: motion analysis "
+            f"zero-length edges {zero}: motion analysis "
             "requires distinct endpoints on every edge"
         )
-    pts = as_points(p, g.n)
-    _, _, kern = _svd_spaces(M.array, tol)
+    _, _, kern = _svd_spaces(M, tol)
     basis = kern.T  # rows are motions
     gens = trivial_motion_generators(pts, g.k)
     # orthonormal row basis of the trivial space via SVD (QR is unsafe when
@@ -373,33 +304,31 @@ def infinitesimal_motions(g: ColouredGraph, p, tol: float | None = None) -> Moti
         _, _, vt = np.linalg.svd(resid, full_matrices=False)
         nontrivial = vt[:nt_dim]
     else:
-        nontrivial = np.zeros((0, M.ncols))
+        nontrivial = np.zeros((0, M.shape[1]))
     return MotionReport(
         basis=basis,
         trivial_dim=t_dim,
         nontrivial_dim=nt_dim,
         nontrivial_basis=nontrivial,
-        d=M.d,
+        d=pts.shape[1],
         k=g.k,
     )
 
 
-def equilibrium_stresses(g, p, tol: float | None = None) -> np.ndarray:
+def equilibrium_stresses(g: ColouredGraph, p, tol: float | None = None) -> np.ndarray:
     """Orthonormal basis (rows) of the left kernel S(p) of R(p).
 
     dim S(p) = m - rank R(p); the framework is independent iff it is 0.
     """
-    M = rigidity_matrix(g, p)
-    _, left, _ = _svd_spaces(M.array, tol)
+    _, left, _ = _svd_spaces(rigidity_matrix(g, p), tol)
     return left.T
 
 
-def edge_load(g, p, edge: Edge) -> np.ndarray:
+def edge_load(g: ColouredGraph, p, edge: Edge) -> np.ndarray:
     """The equilibrium load of one edge: p(i)-p(j) at i, p(j)-p(i) at j."""
-    edges, n = _edges_of(g)
-    pts = as_points(p, n)
+    pts = as_points(p, g.n)
     d = pts.shape[1]
-    f = np.zeros(d * n)
+    f = np.zeros(d * g.n)
     i, j = edge
     f[d * i : d * i + d] = pts[i] - pts[j]
     f[d * j : d * j + d] = pts[j] - pts[i]
@@ -433,22 +362,20 @@ def is_equilibrium_load(p: np.ndarray, f: np.ndarray, tol: float = 1e-9) -> bool
     return True
 
 
-def resolve_load(g, p, f, tol: float = 1e-9):
+def resolve_load(g: ColouredGraph, p, f, tol: float = 1e-9):
     """Minimum-norm stress resolving an equilibrium load, or None.
 
     Solves sum_j rho({i,j}) [p(j) - p(i)] = -f(i) for all i; returns None
     when f lies outside the resolvable space (the row space of R(p)).
     Raises if f is not an equilibrium load.
     """
-    edges, n = _edges_of(g)
-    pts = as_points(p, n)
+    pts = as_points(p, g.n)
     f = np.asarray(f, dtype=float).reshape(-1)
     if f.shape[0] != pts.size:
         raise ValueError("load vector length must be d*n")
     if not is_equilibrium_load(pts, f, tol):
         raise ValueError("not an equilibrium load (net force or torque nonzero)")
-    M = rigidity_matrix((edges, n), pts)
-    A = M.array.T  # (dn) x m
+    A = rigidity_matrix(g, pts).T  # (dn) x m
     rho, *_ = np.linalg.lstsq(A, f, rcond=None)
     resid = float(np.linalg.norm(A @ rho - f))
     if resid > tol * (1.0 + float(np.linalg.norm(f))):
@@ -463,14 +390,9 @@ def coordination_gram(g: ColouredGraph, p, tol: float | None = None) -> np.ndarr
     coordinated framework is infinitesimally rigid iff this k x k matrix is
     nonsingular; an independent framework (S(p) = 0) yields the zero matrix.
     """
-    M = rigidity_matrix(g, p)
-    _, left, _ = _svd_spaces(M.array, tol)
+    _, left, _ = _svd_spaces(rigidity_matrix(g, p), tol)
     proj = left.T @ indicator_matrix(g)  # s x k coefficients
     return proj.T @ proj
-
-
-def gram_rank(gram: np.ndarray, tol: float | None = None) -> int:
-    return float_rank(gram, tol)
 
 
 def check_equivalent(g: ColouredGraph, placement_a, placement_b, tol: float):

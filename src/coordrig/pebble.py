@@ -3,7 +3,7 @@
 Provides rank in the count matroid (for the plane: (2,3), with (2,2) also
 needed by the two-class decider), maximal independent edge sets,
 fundamental circuits of rejected edges, Laman+p classification and d=2
-redundancy/bridge detection.
+redundant-edge detection.
 
 Edges are always processed in canonical (sorted) order and pebble searches
 break ties toward the lowest-index vertex, so the accepted set, every
@@ -65,19 +65,6 @@ class PebbleGame:
         self.pebbles = [params.kk] * n
         self.succ: list[list[int]] = [[] for _ in range(n)]
         self.accepted: list[Edge] = []
-
-    def copy_state(self) -> tuple[list[int], list[list[int]], list[Edge]]:
-        return (
-            list(self.pebbles),
-            [list(s) for s in self.succ],
-            list(self.accepted),
-        )
-
-    def restore_state(self, state) -> None:
-        pebbles, succ, accepted = state
-        self.pebbles = list(pebbles)
-        self.succ = [list(s) for s in succ]
-        self.accepted = list(accepted)
 
     def _find_pebble(self, start: int, blocked: tuple[int, int]) -> bool:
         """Move one pebble to ``start`` along a reversed search path.
@@ -249,10 +236,3 @@ def redundant_edges_d2(g) -> tuple[Edge, ...]:
     for e, circuit in circuits.items():
         redundant.update(circuit)
     return tuple(sorted(redundant))
-
-
-def bridges_d2(g) -> tuple[Edge, ...]:
-    """Rigidity-bridges: edges in every basis of the (2,3) matroid."""
-    edges, _ = _edges_of(g)
-    red = set(redundant_edges_d2(g))
-    return tuple(e for e in edges if e not in red)

@@ -89,7 +89,7 @@ def brute_union_rank(g) -> int:
             best = min(best, (m - size_f) + rank_f + len(colours))
             return
         recurse(i + 1, rank_f, colours, size_f)
-        state = game.copy_state()
+        state = (list(game.pebbles), [list(s) for s in game.succ], len(game.accepted))
         gained = 1 if game.try_insert(g.edges[i]) else 0
         c = g.colours[i]
         added = c > 0 and c not in colours
@@ -98,7 +98,8 @@ def brute_union_rank(g) -> int:
         recurse(i + 1, rank_f + gained, colours, size_f + 1)
         if added:
             colours.remove(c)
-        game.restore_state(state)
+        game.pebbles, game.succ, size = state
+        del game.accepted[size:]
 
     recurse(0, 0, set(), 0)
     return best
@@ -112,15 +113,14 @@ def brute_rainbow_tuple(g, params):
     over trials.  Bridges (edges that are not redundant alone) are pruned
     before the product is enumerated; returns None when it is exhausted.
     """
-    q = params.prime
     samples = []
     for t in range(params.trials):
-        p = sample_modular_configuration(g.n, params.d, params.seed + t, q)
-        samples.append(modular_matrix(g, p, params.d, q=q).rows)
+        p = sample_modular_configuration(g.n, params.d, params.seed + t)
+        samples.append(modular_matrix(g, p, params.d))
 
     def rank_without(drop) -> int:
         keep = [i for i in range(g.m) if i not in drop]
-        return max(modular_rank_rows(rows, q, row_subset=keep) for rows in samples)
+        return max(modular_rank_rows(rows, row_subset=keep) for rows in samples)
 
     full = rank_without(())
     bridges = {i for i in range(g.m) if rank_without((i,)) < full}

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import fixture_path
 
 from coordrig.cli import main
@@ -166,6 +168,24 @@ def test_gen_tiny_exit_two(tmp_path):
         "--out", str(tmp_path),
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "FILE", "--dim", "0"),
+        ("check", "FILE", "--dim", "3", "--trials", "0"),
+        ("rank", "FILE", "--trials", "0"),
+        ("gen", "--mode", "random", "--n", "1", "--out", "OUT"),
+        ("gen", "--mode", "random", "--n", "3", "--k", "5", "--out", "OUT"),
+    ],
+)
+def test_usage_errors_exit_two(tmp_path, argv):
+    # exit code 1 means "flexible", so a bad flag value must not produce it
+    fill = {"FILE": str(fixture_path("quad_rigid_k1")), "OUT": str(tmp_path)}
+    code, out, err = run_cli(*(fill.get(a, a) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_gen_requires_k1(tmp_path):

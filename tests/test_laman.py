@@ -359,6 +359,12 @@ def test_union_single_vertex_is_rigid():
     g = build(1, 0, [])
     v = check_union(g)
     assert v.rigid
+    # the plane target of a single vertex is 0, not 2n - 3 = -1
+    assert v.ranks["target_rank"] == v.ranks["union_target"] == 0
+    assert v.ranks["deficiency"] == union_rank_d2(g).deficiency == 0
+    numeric = decide_generic_coordinated_rigidity(g, OracleParams(d=2))
+    assert numeric.ranks["target_rank"] == 0
+    assert v.isostatic == numeric.isostatic
 
 
 def test_decider_agreement_small_corpus():

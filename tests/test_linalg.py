@@ -13,7 +13,6 @@ from coordrig import (
     edge_load,
     equilibrium_stresses,
     infinitesimal_motions,
-    rank,
     resolve_load,
     rigidity_matrix,
 )
@@ -22,7 +21,6 @@ from coordrig.linalg import (
     MODULUS,
     Configuration,
     float_rank,
-    gram_rank,
     indicator_matrix,
     is_equilibrium_load,
     modular_matrix,
@@ -30,7 +28,6 @@ from coordrig.linalg import (
     modular_rank_rows,
     random_configuration,
     sample_modular_configuration,
-    trivial_dim_at,
     trivial_motion_generators,
 )
 
@@ -42,15 +39,15 @@ TRIANGLE = build(3, 0, [(0, 1, 0), (0, 2, 0), (1, 2, 0)])
 def test_single_edge_row():
     g = build(2, 0, [(0, 1, 0)])
     M = rigidity_matrix(g, [[0.0, 0.0], [1.0, 0.0]])
-    assert M.array.tolist() == [[-1.0, 0.0, 1.0, 0.0]]
-    assert rank(M) == 1
+    assert M.tolist() == [[-1.0, 0.0, 1.0, 0.0]]
+    assert float_rank(M) == 1
 
 
 def test_triangle_is_isostatic():
     p = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     M = rigidity_matrix(TRIANGLE, p)
-    assert rank(M) == 3
-    assert M.array.shape == (3, 6)
+    assert float_rank(M) == 3
+    assert M.shape == (3, 6)
     report = infinitesimal_motions(TRIANGLE, p)
     assert report.nullity == 3
     assert report.trivial_dim == 3
@@ -62,13 +59,13 @@ def test_k4_modular_rank_three_configurations():
     for seed in (1, 2, 3):
         p = sample_modular_configuration(4, 2, seed)
         M = modular_matrix(K4, p, 2)
-        votes.append(rank(M))
+        votes.append(modular_rank_rows(M))
     assert votes == [5, 5, 5]
 
 
 def test_coordinated_matrix_structure_at_square(square_k1):
     M = coordinated_matrix(square_k1, SQUARE)
-    assert M.array.shape == (6, 9)
+    assert M.shape == (6, 9)
     expected = np.array(
         [
             # (0,1)      (columns by vertex, then the class indicator)
@@ -86,19 +83,19 @@ def test_coordinated_matrix_structure_at_square(square_k1):
         ],
         dtype=float,
     )
-    assert np.allclose(M.array, expected)
-    assert M.array[:, 8].tolist() == [0, 0, 0, 0, 1, 1]
+    assert np.allclose(M, expected)
+    assert M[:, 8].tolist() == [0, 0, 0, 0, 1, 1]
     # the square is a degenerate configuration for this colouring: the K4
     # stress there is +1 on sides and -1 on diagonals, so it annihilates the
     # indicator column and the rank stays at 5 (the bound of 6 is attained
     # only at generic configurations; that flexibility is exactly what makes
     # an equivalent non-congruent placement possible)
-    assert rank(M) == 5
+    assert float_rank(M) == 5
     exact = modular_matrix(square_k1, [[0, 0], [1, 0], [1, 1], [0, 1]], 2, k=1)
-    assert rank(exact) == 5
+    assert modular_rank_rows(exact) == 5
     for seed in (1, 2):
         p = sample_modular_configuration(4, 2, seed)
-        assert rank(modular_matrix(square_k1, p, 2, k=1)) == 6
+        assert modular_rank_rows(modular_matrix(square_k1, p, 2, k=1)) == 6
 
 
 def test_row_support_only_on_endpoints_and_class(seven_rigid_k2):
@@ -109,22 +106,22 @@ def test_row_support_only_on_endpoints_and_class(seven_rigid_k2):
         allowed = {2 * i, 2 * i + 1, 2 * j, 2 * j + 1}
         if c >= 1:
             allowed.add(2 * g.n + c - 1)
-        support = set(np.nonzero(M.array[row])[0].tolist())
+        support = set(np.nonzero(M[row])[0].tolist())
         assert support <= allowed
         if c >= 1:
-            assert M.array[row, 2 * g.n + c - 1] == 1.0
+            assert M[row, 2 * g.n + c - 1] == 1.0
 
 
 def test_k0_coordinated_equals_rigidity():
     p = random_configuration(4, 2, seed=9)
-    assert np.allclose(coordinated_matrix(K4, p).array, rigidity_matrix(K4, p).array)
+    assert np.allclose(coordinated_matrix(K4, p), rigidity_matrix(K4, p))
 
 
 def test_quad_rigid_coordinated_rank(quad_rigid_k1):
     for seed in (10, 11):
         p = sample_modular_configuration(4, 2, seed)
         M = modular_matrix(quad_rigid_k1, p, 2, k=1)
-        assert rank(M) == 6 == 2 * 4 + 1 - 3
+        assert modular_rank_rows(M) == 6 == 2 * 4 + 1 - 3
 
 
 def test_zero_matrix_rank():
@@ -138,16 +135,16 @@ def test_twin_blocks_coordinated_rank_short(twin_blocks_k2):
     for seed in (31, 32):
         p = sample_modular_configuration(8, 2, seed)
         M = modular_matrix(twin_blocks_k2, p, 2, k=2)
-        assert rank(M) == 14 < 15
+        assert modular_rank_rows(M) == 14 < 15
 
 
 def test_modular_nullspace_is_kernel():
     p = sample_modular_configuration(4, 2, seed=5)
     M = modular_matrix(K4, p, 2)
-    basis = modular_nullspace(M.rows, 8)
+    basis = modular_nullspace(M, 8)
     assert len(basis) == 8 - 5
     for vec in basis:
-        for row in M.rows:
+        for row in M:
             assert sum(a * b for a, b in zip(row, vec)) % MODULUS == 0
 
 
@@ -167,7 +164,7 @@ def test_motion_kernel_residual(seven_rigid_k2):
     M = coordinated_matrix(g, p)
     report = infinitesimal_motions(g, p)
     for vec in report.basis:
-        assert np.linalg.norm(M.array @ vec) < 1e-9
+        assert np.linalg.norm(M @ vec) < 1e-9
 
 
 def test_trivial_dim_is_computed_not_assumed():
@@ -189,7 +186,7 @@ def test_trivial_dim_is_computed_not_assumed():
     path = build(3, 0, [(0, 1, 0), (1, 2, 0)])
     pp = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
     report = infinitesimal_motions(path, pp)
-    assert report.trivial_dim == trivial_dim_at(pp) == 3
+    assert report.trivial_dim == float_rank(trivial_motion_generators(pp)) == 3
 
 
 def test_stress_triangle_empty():
@@ -208,7 +205,7 @@ def test_stress_k4_nonvanishing():
 def test_stress_left_kernel_residual(twin_blocks_k2):
     g = twin_blocks_k2
     p = random_configuration(g.n, 2, seed=8)
-    R = rigidity_matrix(g, p).array
+    R = rigidity_matrix(g, p)
     basis = equilibrium_stresses(g, p)
     assert basis.shape[0] == 2 == g.m - float_rank(R)
     for omega in basis:
@@ -228,7 +225,7 @@ def test_edge_load_and_resolution():
     # the dedicated edge resolution (1 on the edge, 0 elsewhere) is a witness
     direct = np.zeros(6)
     direct[K4.edge_index((1, 3))] = 1.0
-    R = rigidity_matrix(K4, p).array
+    R = rigidity_matrix(K4, p)
     assert np.allclose(R.T @ direct, f)
     assert np.allclose(R.T @ rho, f, atol=1e-9)
 
@@ -247,7 +244,7 @@ def test_resolve_minimum_norm_and_affine_space():
     # minimum-norm solution is orthogonal to the stress space
     assert np.max(np.abs(S @ rho)) < 1e-9
     # the full solution set is rho + S(p)
-    R = rigidity_matrix(K4, p).array
+    R = rigidity_matrix(K4, p)
     rng = np.random.default_rng(5)
     for _ in range(3):
         shifted = rho + S.T @ rng.normal(size=S.shape[0])
@@ -278,7 +275,7 @@ def test_unresolvable_load_on_flexible_framework():
     constraints.append(row)
     _, _, vt = np.linalg.svd(np.array(constraints))
     eq_basis = vt[3:]  # equilibrium loads
-    R = rigidity_matrix(cycle, p).array
+    R = rigidity_matrix(cycle, p)
     # project the equilibrium basis off the resolvable space
     q, _ = np.linalg.qr(R.T)
     found = None
@@ -324,14 +321,14 @@ def test_gram_quad_rigid_nonsingular(quad_rigid_k1):
     p = random_configuration(4, 2, seed=24)
     gram = coordination_gram(quad_rigid_k1, p)
     assert gram.shape == (1, 1)
-    assert gram_rank(gram) == 1
+    assert float_rank(gram) == 1
 
 
 def test_gram_twin_blocks_singular(twin_blocks_k2):
     p = random_configuration(8, 2, seed=25)
     gram = coordination_gram(twin_blocks_k2, p)
     assert gram.shape == (2, 2)
-    assert gram_rank(gram) == 1
+    assert float_rank(gram) == 1
     # the class-2 indicator column projects to (numerically) zero
     assert abs(gram[1, 1]) < 1e-16
 
@@ -341,7 +338,7 @@ def test_gram_zero_for_independent_framework():
     p = random_configuration(3, 2, seed=26)
     gram = coordination_gram(g, p)
     assert np.allclose(gram, 0)
-    assert gram_rank(gram) == 0
+    assert float_rank(gram) == 0
 
 
 def test_equivalence_fixture(square_k1):
@@ -393,8 +390,8 @@ def test_congruence_invariance_of_ranks():
             [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
         )
         moved = p @ rot.T + np.array([rng.random(), rng.random()])
-        a = coordinated_matrix(g, p).array
-        b = coordinated_matrix(g, moved).array
+        a = coordinated_matrix(g, p)
+        b = coordinated_matrix(g, moved)
         assert float_rank(a) == float_rank(b)
         assert float_rank(a[:, : 2 * g.n]) == float_rank(b[:, : 2 * g.n])
 
@@ -406,7 +403,7 @@ def test_scaled_indicator_nullity_matches():
         if g.k == 0:
             continue
         p = np.asarray(random_configuration(g.n, 2, seed=3000 + idx))
-        M = coordinated_matrix(g, p).array
+        M = coordinated_matrix(g, p)
         lens = np.array([np.linalg.norm(p[u] - p[v]) for u, v in g.edges])
         scaled = M.copy()
         scaled[:, 2 * g.n :] *= lens[:, None]
@@ -424,11 +421,11 @@ def test_gram_criterion_matches_rank_criterion():
         if g.k == 0:
             continue
         p = np.asarray(random_configuration(g.n, 2, seed=4000 + idx))
-        t = trivial_dim_at(p)
-        base_rank = float_rank(rigidity_matrix(g, p).array)
-        coord_rank = float_rank(coordinated_matrix(g, p).array)
+        t = float_rank(trivial_motion_generators(p))
+        base_rank = float_rank(rigidity_matrix(g, p))
+        coord_rank = float_rank(coordinated_matrix(g, p))
         coord_rigid = coord_rank == 2 * g.n + g.k - t
-        gram_full = gram_rank(coordination_gram(g, p)) == g.k
+        gram_full = float_rank(coordination_gram(g, p)) == g.k
         if base_rank == 2 * g.n - t:
             checked_rigid += 1
             assert gram_full == coord_rigid
@@ -448,7 +445,7 @@ def test_rank_is_r_independent(square_k1):
         r=[123.456],
     )
     M2 = coordinated_matrix(g2, SQUARE)
-    assert np.array_equal(M.array, M2.array)
+    assert np.array_equal(M, M2)
 
 
 def test_float_and_modular_backends_agree_on_generic_ranks():
@@ -457,8 +454,8 @@ def test_float_and_modular_backends_agree_on_generic_ranks():
     for idx, g in enumerate(random_corpus(40, seed=9750)):
         p_float = np.asarray(random_configuration(g.n, 2, seed=5000 + idx))
         p_mod = sample_modular_configuration(g.n, 2, seed=5000 + idx)
-        f_rank = float_rank(coordinated_matrix(g, p_float).array)
-        m_rank = modular_rank_rows(modular_matrix(g, p_mod, 2, k=g.k).rows)
+        f_rank = float_rank(coordinated_matrix(g, p_float))
+        m_rank = modular_rank_rows(modular_matrix(g, p_mod, 2, k=g.k))
         assert f_rank == m_rank, f"instance {idx}"
 
 

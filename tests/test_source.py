@@ -1,6 +1,7 @@
 """Static checks over the library source."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "coordrig"
@@ -14,3 +15,39 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in src/coordrig: {found}"
+
+
+def test_every_public_name_has_a_caller():
+    # a public function or class named nowhere but at its definition and in
+    # __init__.py is dead weight: either something uses it or it goes
+    root = SRC.parent.parent
+    texts = {
+        path: path.read_text()
+        for top in ("src", "tests", "perfbench")
+        for path in sorted((root / top).rglob("*.py"))
+    }
+    unused = []
+    for module in sorted(SRC.glob("*.py")):
+        if module.name == "__init__.py":
+            continue
+        tree = ast.parse(texts[module], filename=str(module))
+        used_here = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used_here.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used_here.add(node.attr)
+        elsewhere = [
+            text for path, text in texts.items()
+            if path not in (module, SRC / "__init__.py")
+        ]
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("_") or name in used_here:
+                continue
+            pattern = re.compile(rf"\b{name}\b")
+            if not any(pattern.search(text) for text in elsewhere):
+                unused.append(f"{module.name}:{name}")
+    assert not unused, f"public names with no caller: {unused}"
