@@ -52,11 +52,8 @@ from .linalg import (
     rigidity_matrix,
 )
 from .pebble import (
-    CircuitReport,
     LamanClassification,
     SparsityParams,
-    classify_laman_plus,
-    fundamental_circuit,
     redundant_edges_d2,
     sparsity_rank,
 )

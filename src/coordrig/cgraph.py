@@ -10,6 +10,7 @@ downstream produces reproducible output.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -188,16 +189,25 @@ def parse_coloured_graph(text: str) -> ColouredGraph:
         d = len(coords[0])
         if any(len(p) != d for p in coords):
             raise GraphError("'coords' rows have inconsistent dimension")
-        if any(not isinstance(x, (int, float)) or isinstance(x, bool) for p in coords for x in p):
-            raise GraphError("'coords' entries must be numbers")
+        if not _finite_numbers(x for p in coords for x in p):
+            raise GraphError("'coords' entries must be finite numbers")
     r = doc.get("r")
     if r is not None:
         if not isinstance(r, list) or len(r) != k:
             raise GraphError("'r' must be an array of k numbers")
-        if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in r):
-            raise GraphError("'r' entries must be numbers")
+        if not _finite_numbers(r):
+            raise GraphError("'r' entries must be finite numbers")
 
     return build(n, k, triples, coords=coords, r=r)
+
+
+def _finite_numbers(values) -> bool:
+    """Whether every value is a finite number; JSON also admits NaN,
+    Infinity, booleans and integers beyond the float range."""
+    try:
+        return all(math.isfinite(x) and not isinstance(x, bool) for x in values)
+    except (TypeError, OverflowError):  # not a number, or no float value
+        return False
 
 
 def serialize(g: ColouredGraph) -> str:

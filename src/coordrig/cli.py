@@ -72,7 +72,16 @@ def _round(x, nd: int = 12):
     return round(float(x), nd)
 
 
+def _write(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}")
+
+
 def _coords_for(g, args, d: int):
+    if d < 1:
+        raise CliError(f"--dim must be at least 1, got {d}")
     if getattr(args, "coords", "random") == "from-file":
         if g.coords is None:
             raise CliError("--coords from-file requires a 'coords' entry in the input")
@@ -150,13 +159,18 @@ def cmd_stresses(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.count < 1:
+        raise CliError(f"--count must be at least 1, got {args.count}")
     if args.mode == "henneberg-k1":
         if args.k != 1:
             raise CliError("henneberg-k1 generation requires --k 1")
         if args.n < 4:
             raise CliError("henneberg-k1 generation requires --n >= 4")
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create {out_dir}: {exc}")
     files = []
     for i in range(args.count):
         seed_i = args.seed + i
@@ -169,7 +183,7 @@ def cmd_gen(args) -> int:
                 raise CliError(f"--mode random: {exc}")
         name = f"{args.mode}_n{args.n}_k{args.k}_s{seed_i}.json"
         path = out_dir / name
-        path.write_text(serialize(g) + "\n")
+        _write(path, serialize(g) + "\n")
         files.append(str(path))
     _emit({"files": files, "seed": args.seed, "count": args.count}, args.json)
     return 0
@@ -178,8 +192,7 @@ def cmd_gen(args) -> int:
 def cmd_draw(args) -> int:
     g = _load(args.file)
     out = args.out or str(Path(args.file).with_suffix(".svg"))
-    svg = render_svg(g)
-    Path(out).write_text(svg)
+    _write(out, render_svg(g))
     _emit({"out": out, "n": g.n, "m": g.m, "k": g.k}, args.json)
     return 0
 

@@ -222,13 +222,7 @@ def rainbow_stress_certificates(g: ColouredGraph, p, tup, tol: float = 1e-9):
     out = []
     for i, ei in enumerate(idx):
         others = [e for j, e in enumerate(idx) if j != i]
-        if others:
-            A = B[others, :]
-            _, s, vt = np.linalg.svd(A, full_matrices=True)
-            cut = max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-            K = vt[int(np.sum(s > cut)) :].T
-        else:
-            K = np.eye(B.shape[1])
+        _, _, K = linalg._svd_spaces(B[others, :])
         if K.size == 0:
             return None
         v = B[ei, :] @ K  # coefficients of the target row on the kernel

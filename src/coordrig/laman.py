@@ -2,8 +2,10 @@
 
 For one coordination class the test is: Laman+1 with a coloured edge in the
 unique circuit.  For two classes: Laman+2, no class made entirely of
-bridges, and the three coloured sparsity counts.  Both read the rank, the
-Laman+p kind, the circuits and the redundant edges from one (2,3) game on E.
+bridges, and the three coloured sparsity counts.  Both play one (2,3)
+game on E, uncoloured edges first: its first phase is the game on the
+uncoloured subgraph G0, so G0's sparsity and circuit come from the same
+game as the rank, the Laman+p kind and the redundant edges.
 
 For any number of classes the decider uses the rank of the union of the
 plane rigidity matroid M with the colour partition matroid P (uncoloured
@@ -84,7 +86,7 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
     rest = [e for e in g.edges if e not in transversal]
     # E minus T first, then T: the accepted set is the canonical basis of
     # E minus T, and T is independent in M* iff every edge of T is rejected
-    _, accepted, circuits = run_game((rest + list(transversal), g.n))
+    accepted, circuits = run_game((rest + list(transversal), g.n))
     if transversal_rank(g, transversal) != len(transversal):
         raise RuntimeError("union invariant broken: T is not rainbow")
     if any(e not in circuits for e in transversal):
@@ -141,8 +143,8 @@ def _augment(g: ColouredGraph, held: dict[int, Edge]) -> bool:
 # one and two coordination classes
 
 
-def _base_ranks(g: ColouredGraph) -> dict:
-    out = {"n": g.n, "m": g.m, "target_rank": _plane_target(g.n)}
+def _base_ranks(g: ColouredGraph, **extra) -> dict:
+    out = {"n": g.n, "m": g.m, "target_rank": _plane_target(g.n), **extra}
     isolated = g.isolated_vertices()
     if isolated:
         out["isolated_vertices"] = list(isolated)
@@ -150,12 +152,15 @@ def _base_ranks(g: ColouredGraph) -> dict:
 
 
 def _plane_game(g: ColouredGraph):
-    """One (2,3) game on g: its Laman+p classification, the fundamental
-    circuit of each rejected edge, and the redundant edges (the union of
-    those circuits)."""
-    _, accepted, circuits = run_game(g)
+    """One (2,3) game on g, uncoloured edges first, each group in canonical
+    order: the Laman+p classification, the circuit of each rejected edge,
+    the redundant edges (their union) and G0's first circuit (None when G0
+    is Laman-sparse), read from the first phase, which is G0's own game."""
+    order = sorted(g.edges, key=lambda e: g.colour_of(e) > 0)  # stable sort
+    accepted, circuits = run_game((order, g.n))
     redundant = {e for circuit in circuits.values() for e in circuit}
-    return laman_kind(g.n, g.m, len(accepted)), circuits, redundant
+    g0_circuit = next((c for e, c in circuits.items() if not g.colour_of(e)), None)
+    return laman_kind(g.n, g.m, len(accepted)), circuits, redundant, g0_circuit
 
 
 def check_k1(g: ColouredGraph) -> RigidityVerdict:
@@ -169,21 +174,16 @@ def check_k1(g: ColouredGraph) -> RigidityVerdict:
     """
     if g.k != 1:
         raise ValueError(f"one-class decider called with k={g.k}")
-    cls, circuits, redundant = _plane_game(g)
+    cls, circuits, redundant, g0_circuit = _plane_game(g)
     target = _plane_target(g.n)
     coloured = g.colour_class(1)
     cert_edges = [e for e in coloured if e in redundant]
     rigid = cls.rank == target and bool(cert_edges)
     isostatic = rigid and g.m == target + 1
-
-    g0 = subgraph_by_colours(g, {0})
-    _, _, g0_circuits = run_game((g0.edges, g.n))
-    g0_sparse = not g0_circuits
+    g0_sparse = g0_circuit is None
     independent = g0_sparse and (g.m - cls.rank) <= 1
 
-    ranks = _base_ranks(g)
-    ranks["rank23"] = cls.rank
-    ranks["classification"] = cls.kind
+    ranks = _base_ranks(g, rank23=cls.rank, classification=cls.kind)
     diagnosis = {
         "g0_laman_sparse": g0_sparse,
         "independent": independent,
@@ -222,7 +222,7 @@ def rainbow_pair_k2(g: ColouredGraph):
     """
     if g.k != 2:
         raise ValueError(f"rainbow pair search called with k={g.k}")
-    cls, _, redundant = _plane_game(g)
+    cls, _, redundant, _ = _plane_game(g)
     if cls.kind != "laman+2":
         return None
     return _rainbow_pair_general(g, redundant, g.colour_class(1), g.colour_class(2))
@@ -239,7 +239,7 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     """
     if g.k != 2:
         raise ValueError(f"two-class decider called with k={g.k}")
-    cls, _, redundant = _plane_game(g)
+    cls, _, redundant, g0_circuit = _plane_game(g)
     target = _plane_target(g.n)
     if cls.rank < target:
         redundant = set()
@@ -252,9 +252,7 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     }
     cond_classes = bool(class_red[1]) and bool(class_red[2])
 
-    g0 = subgraph_by_colours(g, {0})
-    _, _, g0_circuits = run_game((g0.edges, g.n))
-    g0_sparse = not g0_circuits
+    g0_sparse = g0_circuit is None
     sub_22 = {}
     for i in (1, 2):
         gi = subgraph_by_colours(g, {0, i})
@@ -262,9 +260,7 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
         sub_22[i] = gi_rank == gi.m
     cond_sparsity = g0_sparse and sub_22[1] and sub_22[2]
 
-    ranks = _base_ranks(g)
-    ranks["rank23"] = cls.rank
-    ranks["classification"] = cls.kind
+    ranks = _base_ranks(g, rank23=cls.rank, classification=cls.kind)
     diagnosis = {
         "laman_plus_2": cond_laman2,
         "class_redundant": {str(i): [list(e) for e in class_red[i]] for i in (1, 2)},
@@ -277,7 +273,7 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
         "g2_22_sparse": sub_22[2],
     }
     if not g0_sparse:
-        diagnosis["g0_circuit"] = [list(e) for e in next(iter(g0_circuits.values()))]
+        diagnosis["g0_circuit"] = [list(e) for e in g0_circuit]
     failing = []
     if not cond_laman2:
         failing.append("not-laman-plus-2")
@@ -291,31 +287,25 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
             failing.append(f"G{i}-not-22-sparse")
     diagnosis["failing"] = failing
 
-    if cond_laman2 and cond_classes and cond_sparsity:
+    # a Laman+2 graph is rigid iff the three conditions hold; a rank-full
+    # graph with more surplus is not isostatic but may still be rigid
+    conditions = cond_laman2 and cond_classes and cond_sparsity
+    pair = None
+    if conditions or (cls.rank == target and g.m > target + 2):
         pair = _rainbow_pair_general(g, redundant, class1, class2)
-        if pair is None:
-            raise RuntimeError(
-                "internal inconsistency: coloured sparsity conditions hold "
-                "but no rainbow redundant pair was found"
-            )
+    if conditions and pair is None:
+        raise RuntimeError(
+            "internal inconsistency: coloured sparsity conditions hold "
+            "but no rainbow redundant pair was found"
+        )
+    if pair is not None:
         return RigidityVerdict(
             decision="rigid", method="k2-laman", d=2, k=2, seed=None,
             ranks=ranks,
             certificate={"rainbow_tuple": [list(pair[0]), list(pair[1])],
                          "diagnosis": diagnosis},
-            isostatic=True,
+            isostatic=cond_laman2,
         )
-    if cls.rank == target and g.m > target + 2:
-        # rank-full graph with surplus: not isostatic, but may still be rigid
-        pair = _rainbow_pair_general(g, redundant, class1, class2)
-        if pair is not None:
-            return RigidityVerdict(
-                decision="rigid", method="k2-laman", d=2, k=2, seed=None,
-                ranks=ranks,
-                certificate={"rainbow_tuple": [list(pair[0]), list(pair[1])],
-                             "diagnosis": diagnosis},
-                isostatic=False,
-            )
     if cls.rank < target:
         witness = f"deficiency:{target - cls.rank}"
     elif g.m < target + 2:
@@ -357,10 +347,8 @@ def check_union(g: ColouredGraph) -> RigidityVerdict:
     rep = union_rank_d2(g)
     target = _plane_target(g.n) + g.k
     rigid = rep.union_rank == target
-    ranks = _base_ranks(g)
-    ranks["union_rank"] = rep.union_rank
-    ranks["union_target"] = target
-    ranks["deficiency"] = rep.deficiency
+    ranks = _base_ranks(g, union_rank=rep.union_rank, union_target=target,
+                        deficiency=rep.deficiency)
     partition = {
         "rigidity_part": [list(e) for e in rep.independent_rigidity],
         "transversal_part": [list(e) for e in rep.transversal],

@@ -137,13 +137,18 @@ def modular_matrix(g: ColouredGraph, p, d: int, k: int = 0) -> tuple[tuple[int, 
 # rank and kernels
 
 
+def _numerical_rank(s: np.ndarray, shape, tol: float | None = None) -> int:
+    """Number of singular values ``s`` (descending) of a matrix of ``shape``
+    above ``tol``, by default the standard cut max(shape) * eps * s[0]."""
+    if tol is None:
+        tol = max(shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    return int(np.sum(s > tol))
+
+
 def float_rank(A: np.ndarray, tol: float | None = None) -> int:
     if A.size == 0:
         return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    if tol is None:
-        tol = max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    return int(np.sum(s > tol))
+    return _numerical_rank(np.linalg.svd(A, compute_uv=False), A.shape, tol)
 
 
 def _row_reduce(rows, reduced: bool) -> tuple[list[int], list[list[int]]]:
@@ -201,9 +206,7 @@ def _svd_spaces(A: np.ndarray, tol: float | None = None):
     if m == 0:
         return 0, np.zeros((0, 0)), np.eye(c)
     u, s, vt = np.linalg.svd(A, full_matrices=True)
-    if tol is None:
-        tol = max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    r = int(np.sum(s > tol))
+    r = _numerical_rank(s, A.shape, tol)
     return r, u[:, r:], vt[r:].T
 
 
@@ -292,8 +295,7 @@ def infinitesimal_motions(g: ColouredGraph, p, tol: float | None = None) -> Moti
     # orthonormal row basis of the trivial space via SVD (QR is unsafe when
     # a degenerate configuration makes interior generators dependent)
     _, gs, gvt = np.linalg.svd(gens, full_matrices=False)
-    gcut = max(gens.shape) * np.finfo(float).eps * (gs[0] if gs.size else 0.0)
-    t_dim = int(np.sum(gs > gcut))
+    t_dim = _numerical_rank(gs, gens.shape)
     q_t = gvt[:t_dim].T  # columns orthonormal, span = trivial space
     # the trivial space is a subspace of the kernel by construction, so the
     # nontrivial dimension is the exact difference of the two computed ranks;

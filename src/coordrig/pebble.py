@@ -5,9 +5,10 @@ needed by the two-class decider), maximal independent edge sets,
 fundamental circuits of rejected edges, Laman+p classification and d=2
 redundant-edge detection.
 
-Edges are always processed in canonical (sorted) order and pebble searches
-break ties toward the lowest-index vertex, so the accepted set, every
-circuit, and every derived report are reproducible.
+Determinism comes from the canonical (sorted) edge order alone.  The
+accepted set is the greedy basis in that order, and the circuit of a
+rejected edge is the unique minimal tight set spanning it (Lee & Streinu
+2008), so neither depends on which pebble a search finds.
 """
 
 from __future__ import annotations
@@ -43,14 +44,6 @@ PLANE = SparsityParams(2, 3)
 PLANE_LOOSE = SparsityParams(2, 2)
 
 
-@dataclass(frozen=True)
-class CircuitReport:
-    """Fundamental circuit of a rejected edge over an independent set."""
-
-    circuit: tuple[Edge, ...]
-    witness_edge: Edge
-
-
 class PebbleGame:
     """Incremental (kk, ll)-independence tester.
 
@@ -69,9 +62,9 @@ class PebbleGame:
     def _find_pebble(self, start: int, blocked: tuple[int, int]) -> bool:
         """Move one pebble to ``start`` along a reversed search path.
 
-        Depth-first over the edge orientations, expanding lowest-index
-        successors first; the endpoints of the pending edge never donate.
-        Returns False when no free pebble is reachable.
+        Depth-first over the edge orientations in stored order; the
+        endpoints of the pending edge never donate.  Returns False when no
+        free pebble is reachable.
         """
         parent: dict[int, int] = {start: -1}
         stack = [start]
@@ -86,22 +79,11 @@ class PebbleGame:
                     self.succ[v].append(u)
                     v = u
                 return True
-            for w in sorted(self.succ[v], reverse=True):
+            for w in self.succ[v]:
                 if w not in parent:
                     parent[w] = v
                     stack.append(w)
         return False
-
-    def _reach(self, u: int, v: int) -> set[int]:
-        seen = {u, v}
-        stack = [u, v]
-        while stack:
-            x = stack.pop()
-            for w in self.succ[x]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
 
     def try_insert(self, edge: Edge) -> bool:
         """Accept ``edge`` if it is independent over the accepted set."""
@@ -123,12 +105,18 @@ class PebbleGame:
         """Fundamental circuit of a just-rejected edge.
 
         Valid immediately after ``try_insert`` returned False: the vertices
-        still reachable from the endpoints then span a tight subgraph, and
-        the accepted edges inside it together with the rejected edge form
-        the unique circuit.
+        still reachable from the endpoints are then the minimal tight set
+        containing both, whichever pebbles the searches moved, and the
+        accepted edges inside it together with the rejected edge form the
+        unique circuit.
         """
-        u, v = edge
-        region = self._reach(u, v)
+        region = set(edge)
+        stack = list(edge)
+        while stack:
+            for w in self.succ[stack.pop()]:
+                if w not in region:
+                    region.add(w)
+                    stack.append(w)
         inside = [e for e in self.accepted if e[0] in region and e[1] in region]
         return tuple(sorted(inside + [edge]))
 
@@ -141,12 +129,13 @@ def _edges_of(g) -> tuple[tuple[Edge, ...], int]:
 
 
 def run_game(g, params: SparsityParams = PLANE):
-    """Play the full game; returns (game, accepted, {rejected edge: circuit}).
+    """Play the full game; returns (accepted, {rejected edge: circuit}).
 
-    Edges are inserted in canonical order; each rejection records its
-    fundamental circuit (computed on the spot, which matches the circuit
-    over the final accepted set because the circuit of e is already
-    contained in the accepted edges present at rejection time).
+    Edges are inserted in the order given (canonical for a ColouredGraph),
+    so the accepted set is the greedy basis in that order; each rejection
+    records its fundamental circuit (computed on the spot, which matches
+    the circuit over the final accepted set because the circuit of e is
+    already contained in the accepted edges present at rejection time).
     """
     edges, n = _edges_of(g)
     game = PebbleGame(n, params)
@@ -154,7 +143,7 @@ def run_game(g, params: SparsityParams = PLANE):
     for e in edges:
         if not game.try_insert(e):
             circuits[e] = game.rejection_circuit(e)
-    return game, tuple(game.accepted), circuits
+    return tuple(game.accepted), circuits
 
 
 def sparsity_rank(g, params: SparsityParams = PLANE) -> tuple[int, tuple[Edge, ...]]:
@@ -164,23 +153,8 @@ def sparsity_rank(g, params: SparsityParams = PLANE) -> tuple[int, tuple[Edge, .
     edges accepted in canonical order).  For params (2, 3) this is the rank
     in the plane rigidity matroid by the Pollaczek-Geiringer/Laman count.
     """
-    _, accepted, _ = run_game(g, params)
+    accepted, _ = run_game(g, params)
     return len(accepted), accepted
-
-
-def fundamental_circuit(g, tight, edge: Edge, params: SparsityParams = PLANE) -> CircuitReport:
-    """Unique circuit inside tight + edge, where tight is independent.
-
-    Raises if ``tight`` is not sparse or if ``edge`` is independent over it.
-    """
-    _, n = _edges_of(g)
-    game = PebbleGame(n, params)
-    for e in sorted(tight):
-        if not game.try_insert(tuple(e)):
-            raise ValueError(f"edge set is not ({params.kk},{params.ll})-sparse: {e} rejected")
-    if game.try_insert(edge):
-        raise ValueError(f"edge {edge} is independent over the given set; no circuit")
-    return CircuitReport(circuit=game.rejection_circuit(edge), witness_edge=edge)
 
 
 @dataclass(frozen=True)
@@ -192,23 +166,14 @@ class LamanClassification:
     deficit: int = 0
 
 
-def classify_laman_plus(g) -> LamanClassification:
-    """Classify a graph by its (2,3)-rank against the 2n-3 target.
+def laman_kind(n: int, m: int, rank: int) -> LamanClassification:
+    """Classify an n-vertex, m-edge graph by its (2,3)-rank against 2n - 3.
 
     laman / laman+p means the rank is full (2n-3) and exactly p surplus
     edges exist, so removing the rejected edges leaves a Laman graph;
     deficit(t) means the rank falls short by t; "other" is full rank with
     three or more surplus edges.
     """
-    edges, n = _edges_of(g)
-    rank, _ = sparsity_rank((edges, n), PLANE)
-    return laman_kind(n, len(edges), rank)
-
-
-def laman_kind(n: int, m: int, rank: int) -> LamanClassification:
-    """Laman+p classification of an n-vertex, m-edge graph of (2,3)-rank
-    ``rank``; lets a caller that already played the game classify without
-    playing it again."""
     if n < 2:
         raise ValueError("Laman classification needs n >= 2")
     target = 2 * n - 3
@@ -230,9 +195,5 @@ def redundant_edges_d2(g) -> tuple[Edge, ...]:
     redundant, and so is every accepted edge lying in some rejected edge's
     fundamental circuit.
     """
-    edges, n = _edges_of(g)
-    _, _, circuits = run_game((edges, n), PLANE)
-    redundant: set[Edge] = set()
-    for e, circuit in circuits.items():
-        redundant.update(circuit)
-    return tuple(sorted(redundant))
+    _, circuits = run_game(g)
+    return tuple(sorted({e for circuit in circuits.values() for e in circuit}))

@@ -52,6 +52,14 @@ def test_parse_rejects_empty_class():
         ('{"n":2,"k":false,"edges":[]}', "class count"),
         ('{"n":2,"k":0,"edges":[[0,1,0]], "coords":[[0,0]]}', "coords"),
         ('{"n":2,"k":1,"edges":[[0,1,1]], "r":[1,2]}', "array of k numbers"),
+        ('{"n":2,"k":0,"edges":[[0,1,0]], "coords":[[0,NaN],[1,0]]}', "finite"),
+        ('{"n":2,"k":0,"edges":[[0,1,0]], "coords":[[0,0],[-Infinity,0]]}', "finite"),
+        pytest.param(
+            '{"n":2,"k":0,"edges":[[0,1,0]], "coords":[[0,0],[1,1' + "0" * 400 + "]]}",
+            "finite",
+            id="coords-int-beyond-float-range",
+        ),
+        ('{"n":2,"k":1,"edges":[[0,1,1]], "r":[Infinity]}', "finite"),
         ("{not json", "malformed JSON"),
     ],
 )

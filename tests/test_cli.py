@@ -81,6 +81,10 @@ def test_check_parse_error_exit_two(tmp_path):
     code, out, err = run_cli("check", str(bad))
     assert (code, out) == (2, "")
     assert "vertex count" in err
+    bad.write_text('{"n": 2, "k": 0, "edges": [[0, 1, 0]], "coords": [[0, NaN], [1, 0]]}')
+    code, out, err = run_cli("stresses", str(bad), "--coords", "from-file")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
 
 
 def test_reproducible_byte_identical_output():
@@ -178,11 +182,24 @@ def test_gen_tiny_exit_two(tmp_path):
         ("rank", "FILE", "--trials", "0"),
         ("gen", "--mode", "random", "--n", "1", "--out", "OUT"),
         ("gen", "--mode", "random", "--n", "3", "--k", "5", "--out", "OUT"),
+        ("stresses", "FILE", "--dim", "0"),
+        ("motions", "FILE", "--dim", "0"),
+        ("gen", "--n", "5", "--count", "-1", "--out", "OUT"),
+        ("gen", "--n", "5", "--count", "0", "--out", "OUT"),
+        ("draw", "FILE", "--out", "NO_DIR"),
+        ("gen", "--n", "5", "--out", "PLAIN_FILE"),
     ],
 )
 def test_usage_errors_exit_two(tmp_path, argv):
     # exit code 1 means "flexible", so a bad flag value must not produce it
-    fill = {"FILE": str(fixture_path("quad_rigid_k1")), "OUT": str(tmp_path)}
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    fill = {
+        "FILE": str(fixture_path("quad_rigid_k1")),
+        "OUT": str(tmp_path),
+        "NO_DIR": str(tmp_path / "missing" / "x.svg"),
+        "PLAIN_FILE": str(plain),
+    }
     code, out, err = run_cli(*(fill.get(a, a) for a in argv))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -20,7 +20,7 @@ from coordrig import (
 )
 from coordrig import laman
 from coordrig.corpus import random_coloured_graph, random_corpus
-from coordrig.pebble import PLANE, PebbleGame
+from coordrig.pebble import PLANE, PebbleGame, run_game
 
 from oracles import brute_circuits, brute_union_rank
 
@@ -115,11 +115,12 @@ def test_union_invariant_check_fires(monkeypatch, twin_blocks_k2):
         # source game plus one game per edge of T it expands, and one final
         # game; (k + 1)^2 + 1 bounds that
         (union_rank_d2, None, (6 + 1) ** 2 + 1),
-        # one game on E and one on the uncoloured subgraph
-        (check_k1, "quad_rigid_k1", 2),
-        # those two, the two (2,2) games, and one pair-search game
-        (check_k2, "seven_rigid_k2", 5),
-        (check_k2, "nested_circuit_k2", 4),
+        # one game on E, whose first phase is the uncoloured subgraph's game
+        (check_k1, "quad_rigid_k1", 1),
+        # that game, the two (2,2) games, and one pair-search game
+        (check_k2, "seven_rigid_k2", 4),
+        # no pair search: G0 is not Laman-sparse
+        (check_k2, "nested_circuit_k2", 3),
     ],
 )
 def test_pebble_games_per_decision(monkeypatch, request, decide, fixture, most):
@@ -137,6 +138,32 @@ def test_pebble_games_per_decision(monkeypatch, request, decide, fixture, most):
     monkeypatch.setattr(PebbleGame, "__init__", counting_init)
     decide(g)
     assert len(games) <= most
+
+
+def test_g0_read_from_the_game_on_e():
+    # the deciders read G0's sparsity and circuit from the first phase of
+    # their game on E; a standalone game on the uncoloured edges must agree
+    corpus = [henneberg_k1_sample(6 + i % 8, seed=i) for i in range(20)]
+    for i in range(80):
+        n = 5 + i % 10
+        k = 1 + i % 2
+        m = min(n * (n - 1) // 2, 2 * n - 3 + k + i % 8)
+        corpus.append(random_coloured_graph(n, k, seed=i, m=m))
+    sparse = 0
+    for g in corpus:
+        _, g0_circuits = run_game((g.colour_class(0), g.n))
+        diag = (check_k1 if g.k == 1 else check_k2)(g).certificate["diagnosis"]
+        assert diag["g0_laman_sparse"] == (not g0_circuits)
+        sparse += not g0_circuits
+        if g.k == 1:
+            surplus = g.m - sparsity_rank(g)[0]
+            assert diag["independent"] == (not g0_circuits and surplus <= 1)
+        elif g0_circuits:
+            first = [list(e) for e in next(iter(g0_circuits.values()))]
+            assert diag["g0_circuit"] == first
+        else:
+            assert "g0_circuit" not in diag
+    assert 15 <= sparse <= len(corpus) - 15
 
 
 def test_union_rank_monotone_under_edge_addition():

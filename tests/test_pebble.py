@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coordrig import (
-    classify_laman_plus,
-    fundamental_circuit,
-    redundant_edges_d2,
-    sparsity_rank,
-)
+from coordrig import pebble, redundant_edges_d2, sparsity_rank
 from coordrig.corpus import random_coloured_graph
-from coordrig.pebble import PLANE, PLANE_LOOSE, PebbleGame, SparsityParams, run_game
+from coordrig.pebble import (
+    PLANE,
+    PLANE_LOOSE,
+    PebbleGame,
+    SparsityParams,
+    laman_kind,
+    run_game,
+)
 
 from oracles import brute_circuits, brute_rank, brute_sparse
 
@@ -21,6 +23,10 @@ TRIANGLE = [(0, 1), (0, 2), (1, 2)]
 
 def plain(edges, n):
     return (tuple(sorted(edges)), n)
+
+
+def classify(edges, n):
+    return laman_kind(n, len(edges), sparsity_rank(plain(edges, n))[0])
 
 
 def test_params_validation():
@@ -51,11 +57,12 @@ def test_seven_vertex_fixture_rank(seven_rigid_k2):
 
 
 def test_classify_k4():
-    assert classify_laman_plus(plain(K4, 4)).kind == "laman+1"
+    assert classify(K4, 4).kind == "laman+1"
 
 
 def test_classify_fixture_plus_two(twin_blocks_k2):
-    cls = classify_laman_plus(twin_blocks_k2)
+    g = twin_blocks_k2
+    cls = laman_kind(g.n, g.m, sparsity_rank(g)[0])
     assert cls.kind == "laman+2"
     assert cls.rank == 13
 
@@ -63,39 +70,31 @@ def test_classify_fixture_plus_two(twin_blocks_k2):
 def test_classify_deficit():
     # K4 minus an edge plus an isolated vertex: rank 5 against target 7
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
-    cls = classify_laman_plus(plain(edges, 5))
+    cls = classify(edges, 5)
     assert cls.kind == "deficit"
     assert cls.deficit == 2
 
 
 def test_classify_laman_and_other():
-    assert classify_laman_plus(plain(TRIANGLE, 3)).kind == "laman"
+    assert classify(TRIANGLE, 3).kind == "laman"
     # triangle plus all three multi... use K5: m=10, rank 7, surplus 3
     k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
-    assert classify_laman_plus(plain(k5, 5)).kind == "other"
+    assert classify(k5, 5).kind == "other"
 
 
 def test_classify_rejects_tiny():
     with pytest.raises(ValueError):
-        classify_laman_plus(plain([], 1))
+        classify([], 1)
 
 
 def test_k4_circuit_is_whole_graph():
     rank, tight = sparsity_rank(plain(K4, 4))
     missing = next(e for e in K4 if e not in tight)
-    report = fundamental_circuit(plain(K4, 4), tight, missing)
-    assert set(report.circuit) == set(K4)
-    assert report.witness_edge == missing
+    _, circuits = run_game(plain(K4, 4))
+    assert list(circuits) == [missing]
+    assert set(circuits[missing]) == set(K4)
     # matches the brute-force minimal dependent set
     assert [set(c) for c in brute_circuits(K4, 4)] == [set(K4)]
-
-
-def test_circuit_errors():
-    rank, tight = sparsity_rank(plain(TRIANGLE, 3))
-    with pytest.raises(ValueError, match="independent"):
-        fundamental_circuit(plain(TRIANGLE + [(0, 3)], 4), tight, (0, 3))
-    with pytest.raises(ValueError, match="not \\(2,3\\)-sparse"):
-        fundamental_circuit(plain(K4, 4), K4, (0, 1))
 
 
 def test_circuit_confined_to_overbraced_block(nested_circuit_k2):
@@ -103,7 +102,7 @@ def test_circuit_confined_to_overbraced_block(nested_circuit_k2):
     # inside the six-vertex block
     g0_edges = [e for e, c in zip(nested_circuit_k2.edges, nested_circuit_k2.colours) if c == 0]
     coloured = next(e for e, c in zip(nested_circuit_k2.edges, nested_circuit_k2.colours) if c == 1)
-    _, accepted, circuits = run_game(plain(g0_edges + [coloured], 7))
+    accepted, circuits = run_game(plain(g0_edges + [coloured], 7))
     assert len(circuits) == 1
     circuit = next(iter(circuits.values()))
     assert set(circuit) == set(g0_edges)  # the block's unique circuit
@@ -116,10 +115,11 @@ def test_circuit_inside_rigid_block_only():
     laman = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (0, 4), (1, 4)]
     rank, tight = sparsity_rank(plain(laman, 5))
     assert rank == 7 and set(tight) == set(laman)
-    report = fundamental_circuit(plain(laman + [(2, 3)], 5), tight, (2, 3))
-    assert set(report.circuit) == set(K4)
+    _, circuits = run_game(plain(laman + [(2, 3)], 5))
+    assert list(circuits) == [(2, 3)]
+    assert set(circuits[(2, 3)]) == set(K4)
     expected = [c for c in brute_circuits(laman + [(2, 3)], 5)]
-    assert [set(report.circuit)] == [set(c) for c in expected]
+    assert [set(circuits[(2, 3)])] == [set(c) for c in expected]
 
 
 def test_circuit_independent_of_build_order():
@@ -212,10 +212,40 @@ def test_circuit_shape_invariant(seed):
     n = rng.randint(4, 7)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = sorted(rng.sample(pairs, min(len(pairs), rng.randint(6, 12))))
-    _, _, circuits = run_game(plain(edges, n))
+    _, circuits = run_game(plain(edges, n))
     for e, circuit in circuits.items():
         assert e in circuit
         spanned = {v for f in circuit for v in f}
         assert len(circuit) == 2 * len(spanned) - 2
         for f in circuit:
             assert brute_sparse([x for x in circuit if x != f], n)
+
+
+class ShuffledSearch(PebbleGame):
+    """The same game, but every search visits successors in a random order."""
+
+    rng = random.Random(0)
+
+    def _find_pebble(self, start, blocked):
+        for succ in self.succ:
+            self.rng.shuffle(succ)
+        return super()._find_pebble(start, blocked)
+
+
+@pytest.mark.parametrize("params", [PLANE, PLANE_LOOSE])
+def test_game_independent_of_search_order(monkeypatch, params):
+    # the accepted set is the greedy basis in insertion order and each
+    # circuit the minimal tight set spanning its edge, so no output may
+    # depend on which pebble a search finds
+    graphs = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(4, 25)
+        m = min(n * (n - 1) // 2, rng.randint(2 * n - 3, 2 * n + 4))
+        graphs.append(random_coloured_graph(n, 0, seed=seed, m=m))
+    expected = [run_game(g, params) for g in graphs]
+    monkeypatch.setattr(ShuffledSearch, "rng", random.Random(99))
+    monkeypatch.setattr(pebble, "PebbleGame", ShuffledSearch)
+    for g, (accepted, circuits) in zip(graphs, expected):
+        assert run_game(g, params) == (accepted, circuits)
+    assert sum(bool(circuits) for _, circuits in expected) >= 20
