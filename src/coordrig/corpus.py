@@ -26,7 +26,8 @@ def random_coloured_graph(
         raise ValueError(f"{k} classes need {k} edges, but n={n} allows {max_m}")
     if m is None:
         target = 2 * n - 3 + k
-        m = rng.randint(max(k, 1, target - 4), min(max_m, target + 3))
+        low = min(max(k, 1, target - 4), max_m)  # nearly complete graphs
+        m = rng.randint(low, min(max_m, target + 3))
     if not k <= m <= max_m:
         raise ValueError(f"edge count {m} out of range [{k}, {max_m}]")
     edges = rng.sample(pairs, m)

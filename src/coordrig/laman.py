@@ -12,7 +12,10 @@ plane rigidity matroid M with the colour partition matroid P (uncoloured
 edges are loops, at most one edge per colour): r(E) plus the largest
 rainbow set T independent in the dual M*, i.e. whose removal keeps the rank
 r(E).  T is a matroid intersection of M* with P, grown by at most k
-shortest augmenting paths read from ``redundant_edges_d2``.
+shortest augmenting paths; each augmentation plays one game on E minus T
+and reads every arc from it.  The k = 2 pair search works on copies of the
+decider's game on E, with one edge deleted, and the two (2,2) counts on
+copies of one game on G0.
 
 Also houses the inductive generator for one-class isostatic graphs used to
 build test corpora.
@@ -24,15 +27,9 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .cgraph import ColouredGraph, build, subgraph_by_colours
+from .cgraph import ColouredGraph, build
 from .generic import RigidityVerdict
-from .pebble import (
-    PLANE_LOOSE,
-    laman_kind,
-    redundant_edges_d2,
-    run_game,
-    sparsity_rank,
-)
+from .pebble import PLANE_LOOSE, PebbleGame, laman_kind, run_game
 
 Edge = tuple[int, int]
 
@@ -103,22 +100,28 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
 def _augment(g: ColouredGraph, held: dict[int, Edge]) -> bool:
     """Grow T = held.values() by one colour along a shortest exchange path.
 
-    Sources are the redundant edges of E minus T (adding one to T keeps it
+    One game on E minus T gives every arc.  Sources are its redundant
+    edges, the union of its rejection circuits (adding one to T keeps it
     independent in M*); an edge x outside T has an arc to the edge of T
     holding x's colour; an edge y of T has arcs to the redundant edges of
-    (E minus T) + y; sinks are coloured edges whose colour T does not hold.
+    (E minus T) + y, which are the sources plus the fundamental circuit
+    C(y, B) of y over the game's basis B, read by inserting y into the same
+    game; sinks are coloured edges whose colour T does not hold.
     Breadth-first in canonical order, so the path found is deterministic.
     Returns False when no path exists, i.e. T is already largest.
     """
     tset = set(held.values())
-    sources = redundant_edges_d2(([e for e in g.edges if e not in tset], g.n))
+    game = PebbleGame(g.n)
+    circuits = game.insert_all(e for e in g.edges if e not in tset)
+    sources = sorted({e for circuit in circuits.values() for e in circuit})
     pred: dict[Edge, Edge | None] = dict.fromkeys(sources)
     queue: deque[Edge] = deque(sources)
     while queue:
         x = queue.popleft()
         if x in tset:
-            rest = [e for e in g.edges if e not in tset or e == x]
-            arcs = redundant_edges_d2((rest, g.n))
+            if game.try_insert(x):
+                raise RuntimeError("union invariant broken: removing T lowers the rank")
+            arcs = game.rejection_circuit(x)
         else:
             colour = g.colour_of(x)
             if colour == 0:  # a loop of P: no exchange, not a sink
@@ -154,13 +157,16 @@ def _base_ranks(g: ColouredGraph, **extra) -> dict:
 def _plane_game(g: ColouredGraph):
     """One (2,3) game on g, uncoloured edges first, each group in canonical
     order: the Laman+p classification, the circuit of each rejected edge,
-    the redundant edges (their union) and G0's first circuit (None when G0
-    is Laman-sparse), read from the first phase, which is G0's own game."""
+    the redundant edges (their union), G0's first circuit (None when G0
+    is Laman-sparse), read from the first phase, which is G0's own game,
+    and the game itself for the pair search."""
     order = sorted(g.edges, key=lambda e: g.colour_of(e) > 0)  # stable sort
-    accepted, circuits = run_game((order, g.n))
+    game = PebbleGame(g.n)
+    circuits = game.insert_all(order)
     redundant = {e for circuit in circuits.values() for e in circuit}
     g0_circuit = next((c for e, c in circuits.items() if not g.colour_of(e)), None)
-    return laman_kind(g.n, g.m, len(accepted)), circuits, redundant, g0_circuit
+    cls = laman_kind(g.n, g.m, len(game.accepted))
+    return cls, circuits, redundant, g0_circuit, game
 
 
 def check_k1(g: ColouredGraph) -> RigidityVerdict:
@@ -174,7 +180,7 @@ def check_k1(g: ColouredGraph) -> RigidityVerdict:
     """
     if g.k != 1:
         raise ValueError(f"one-class decider called with k={g.k}")
-    cls, circuits, redundant, g0_circuit = _plane_game(g)
+    cls, circuits, redundant, g0_circuit, _ = _plane_game(g)
     target = _plane_target(g.n)
     coloured = g.colour_class(1)
     cert_edges = [e for e in coloured if e in redundant]
@@ -222,10 +228,10 @@ def rainbow_pair_k2(g: ColouredGraph):
     """
     if g.k != 2:
         raise ValueError(f"rainbow pair search called with k={g.k}")
-    cls, _, redundant, _ = _plane_game(g)
+    cls, circuits, redundant, _, game = _plane_game(g)
     if cls.kind != "laman+2":
         return None
-    return _rainbow_pair_general(g, redundant, g.colour_class(1), g.colour_class(2))
+    return _rainbow_pair_general(g, game, circuits, redundant)
 
 
 def check_k2(g: ColouredGraph) -> RigidityVerdict:
@@ -239,7 +245,7 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     """
     if g.k != 2:
         raise ValueError(f"two-class decider called with k={g.k}")
-    cls, _, redundant, g0_circuit = _plane_game(g)
+    cls, circuits, redundant, g0_circuit, game = _plane_game(g)
     target = _plane_target(g.n)
     if cls.rank < target:
         redundant = set()
@@ -253,11 +259,7 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     cond_classes = bool(class_red[1]) and bool(class_red[2])
 
     g0_sparse = g0_circuit is None
-    sub_22 = {}
-    for i in (1, 2):
-        gi = subgraph_by_colours(g, {0, i})
-        gi_rank, _ = sparsity_rank((gi.edges, g.n), PLANE_LOOSE)
-        sub_22[i] = gi_rank == gi.m
+    sub_22 = _one_class_22_sparse(g)
     cond_sparsity = g0_sparse and sub_22[1] and sub_22[2]
 
     ranks = _base_ranks(g, rank23=cls.rank, classification=cls.kind)
@@ -292,7 +294,7 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     conditions = cond_laman2 and cond_classes and cond_sparsity
     pair = None
     if conditions or (cls.rank == target and g.m > target + 2):
-        pair = _rainbow_pair_general(g, redundant, class1, class2)
+        pair = _rainbow_pair_general(g, game, circuits, redundant)
     if conditions and pair is None:
         raise RuntimeError(
             "internal inconsistency: coloured sparsity conditions hold "
@@ -325,17 +327,39 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     )
 
 
-def _rainbow_pair_general(g: ColouredGraph, redundant, class1, class2):
+def _one_class_22_sparse(g: ColouredGraph) -> dict[int, bool]:
+    """Whether G0 plus class i is (2,2)-sparse, for i = 1, 2: one (2,2)
+    game on G0, copied for each class, each copy stopping at its first
+    rejection."""
+    game = PebbleGame(g.n, PLANE_LOOSE)
+    g0_sparse = all(game.try_insert(e) for e in g.colour_class(0))
+    sub_22 = {}
+    for i in (1, 2):
+        trial = game.copy()
+        sub_22[i] = g0_sparse and all(trial.try_insert(e) for e in g.colour_class(i))
+    return sub_22
+
+
+def _rainbow_pair_general(g: ColouredGraph, game, circuits, redundant):
     """Rainbow redundant pair search for rank-full graphs of any surplus.
 
     {e, f} is jointly redundant iff e is redundant and f stays redundant
-    after e is removed.
+    after e is removed.  The redundant edges of E - e are read from the
+    plane game on E: if e was rejected they are the other rejections'
+    circuits; otherwise a copy of the game deletes e, which leaves a valid
+    game on the rest of the basis, and re-inserts the rejected edges.
     """
-    for e in class1:
+    class2 = g.colour_class(2)
+    for e in g.colour_class(1):
         if e not in redundant:
             continue
-        rest = tuple(x for x in g.edges if x != e)
-        sub_red = set(redundant_edges_d2((rest, g.n)))
+        if e in circuits:
+            rest = [c for x, c in circuits.items() if x != e]
+        else:
+            trial = game.copy()
+            trial.delete(e)
+            rest = trial.insert_all(circuits).values()
+        sub_red = {x for circuit in rest for x in circuit}
         for f in class2:
             if f in sub_red:
                 return (e, f)

@@ -9,6 +9,13 @@ Determinism comes from the canonical (sorted) edge order alone.  The
 accepted set is the greedy basis in that order, and the circuit of a
 rejected edge is the unique minimal tight set spanning it (Lee & Streinu
 2008), so neither depends on which pebble a search finds.
+
+A game can be copied (``PebbleGame.copy``) and can drop an accepted edge
+(``PebbleGame.delete``): removing the edge's arc and returning its pebble
+to the arc's tail leaves a valid game on the remaining accepted edges
+(Lee & Streinu 2008).  Re-inserting the rejected edges then gives the
+rank, the redundant edges and the circuits of the smaller edge set without
+replaying the whole game.
 """
 
 from __future__ import annotations
@@ -59,47 +66,87 @@ class PebbleGame:
         self.succ: list[list[int]] = [[] for _ in range(n)]
         self.accepted: list[Edge] = []
 
-    def _find_pebble(self, start: int, blocked: tuple[int, int]) -> bool:
+    def copy(self) -> PebbleGame:
+        """An independent game in the same state, made without replaying
+        any insertion."""
+        twin = object.__new__(type(self))
+        twin.n, twin.params = self.n, self.params
+        twin.pebbles = list(self.pebbles)
+        twin.succ = [list(s) for s in self.succ]
+        twin.accepted = list(self.accepted)
+        return twin
+
+    def delete(self, edge: Edge) -> None:
+        """Remove an accepted edge: drop its arc and return the pebble that
+        paid for it to the arc's tail.  The state is then a valid game on
+        the remaining accepted edges (Lee & Streinu 2008)."""
+        u, v = edge
+        if v in self.succ[u]:
+            self.succ[u].remove(v)
+            self.pebbles[u] += 1
+        else:
+            self.succ[v].remove(u)
+            self.pebbles[v] += 1
+        self.accepted.remove(edge)
+
+    def _find_pebble(self, start: int, other: int) -> bool:
         """Move one pebble to ``start`` along a reversed search path.
 
-        Depth-first over the edge orientations in stored order; the
-        endpoints of the pending edge never donate.  Returns False when no
-        free pebble is reachable.
+        Depth-first over the edge orientations in stored order, testing
+        each vertex for a free pebble when it is discovered; the endpoints
+        of the pending edge (``start`` and ``other``) never donate.
+        Returns False when no free pebble is reachable.
         """
-        parent: dict[int, int] = {start: -1}
+        pebbles, succ = self.pebbles, self.succ
+        parent = {start: start}
         stack = [start]
         while stack:
             v = stack.pop()
-            if v not in blocked and self.pebbles[v] > 0:
-                self.pebbles[v] -= 1
-                self.pebbles[start] += 1
-                while parent[v] != -1:
-                    u = parent[v]
-                    self.succ[u].remove(v)
-                    self.succ[v].append(u)
-                    v = u
-                return True
-            for w in self.succ[v]:
-                if w not in parent:
-                    parent[w] = v
-                    stack.append(w)
+            for w in succ[v]:
+                if w in parent:
+                    continue
+                parent[w] = v
+                if pebbles[w] and w != other:
+                    pebbles[w] -= 1
+                    pebbles[start] += 1
+                    while w != start:
+                        u = parent[w]
+                        succ[u].remove(w)
+                        succ[w].append(u)
+                        w = u
+                    return True
+                stack.append(w)
         return False
 
     def try_insert(self, edge: Edge) -> bool:
         """Accept ``edge`` if it is independent over the accepted set."""
         u, v = edge
+        pebbles = self.pebbles
         need = self.params.ll + 1
-        while self.pebbles[u] + self.pebbles[v] < need:
-            if not (self._find_pebble(u, edge) or self._find_pebble(v, edge)):
+        while pebbles[u] + pebbles[v] < need:
+            if not (self._find_pebble(u, v) or self._find_pebble(v, u)):
                 return False
-        if self.pebbles[u] > 0:
-            self.pebbles[u] -= 1
+        if pebbles[u] > 0:
+            pebbles[u] -= 1
             self.succ[u].append(v)
         else:
-            self.pebbles[v] -= 1
+            pebbles[v] -= 1
             self.succ[v].append(u)
         self.accepted.append(edge)
         return True
+
+    def insert_all(self, edges) -> dict[Edge, tuple[Edge, ...]]:
+        """Insert ``edges`` in order; returns {rejected edge: its circuit}.
+
+        Each circuit is computed on the spot, which matches the circuit
+        over the final accepted set because the circuit of e is already
+        contained in the accepted edges present at rejection time.
+        """
+        circuits: dict[Edge, tuple[Edge, ...]] = {}
+        for e in edges:
+            if not self.try_insert(e):
+                circuits[e] = self.rejection_circuit(e)
+        return circuits
 
     def rejection_circuit(self, edge: Edge) -> tuple[Edge, ...]:
         """Fundamental circuit of a just-rejected edge.
@@ -132,17 +179,11 @@ def run_game(g, params: SparsityParams = PLANE):
     """Play the full game; returns (accepted, {rejected edge: circuit}).
 
     Edges are inserted in the order given (canonical for a ColouredGraph),
-    so the accepted set is the greedy basis in that order; each rejection
-    records its fundamental circuit (computed on the spot, which matches
-    the circuit over the final accepted set because the circuit of e is
-    already contained in the accepted edges present at rejection time).
+    so the accepted set is the greedy basis in that order.
     """
     edges, n = _edges_of(g)
     game = PebbleGame(n, params)
-    circuits: dict[Edge, tuple[Edge, ...]] = {}
-    for e in edges:
-        if not game.try_insert(e):
-            circuits[e] = game.rejection_circuit(e)
+    circuits = game.insert_all(edges)
     return tuple(game.accepted), circuits
 
 

@@ -3,8 +3,9 @@
 These deliberately avoid the production code paths they are used to check:
 sparsity is tested subgraph-by-subgraph from the definition, ranks by
 maximizing over all edge subsets, circuits as minimal dependent sets, and
-the union rank by exhausting the min-formula over every subset, and
-rainbow tuples by enumerating the class product with row-removal ranks.
+the union rank by exhausting the min-formula over every subset,
+rainbow tuples by enumerating the class product with row-removal ranks,
+and plane rainbow pairs by a fresh (2,3) rank of every E - e - f.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from coordrig.linalg import (
     modular_rank_rows,
     sample_modular_configuration,
 )
-from coordrig.pebble import PLANE, PebbleGame
+from coordrig.pebble import PLANE, PebbleGame, sparsity_rank
 
 
 def brute_sparse(edges, n: int, kk: int = 2, ll: int = 3) -> bool:
@@ -130,4 +131,22 @@ def brute_rainbow_tuple(g, params):
     for cand in product(*classes):
         if bridges.isdisjoint(cand) and rank_without(cand) == full:
             return tuple(g.edges[i] for i in cand)
+    return None
+
+
+def brute_rainbow_pair(g):
+    """First redundant class-1 edge e, in canonical order, with the first
+    class-2 edge f such that the (2,3)-rank of E - e - f equals that of E;
+    None when there is no such pair.  Every rank is a fresh game."""
+
+    def rank_without(*drop) -> int:
+        return sparsity_rank(([x for x in g.edges if x not in drop], g.n))[0]
+
+    full = rank_without()
+    for e in g.colour_class(1):
+        if rank_without(e) != full:
+            continue
+        for f in g.colour_class(2):
+            if rank_without(e, f) == full:
+                return (e, f)
     return None

@@ -161,3 +161,17 @@ def test_subgraph_keeps_exactly_selected_colours(seed, keep):
     # every surviving class is non-empty
     for c in range(1, sub.k + 1):
         assert sub.colour_class(c)
+
+
+def test_random_graph_any_class_count():
+    # every class count up to n(n-1)/2 draws a graph, including the nearly
+    # complete ones whose default edge window used to start above it
+    for n in range(2, 9):
+        pairs = n * (n - 1) // 2
+        for k in range(pairs + 1):
+            for seed in range(3):
+                g = random_coloured_graph(n, k, seed=seed)
+                assert k <= g.m <= pairs
+                assert sorted(set(g.colours) - {0}) == list(range(1, k + 1))
+    k4 = random_coloured_graph(4, 6, seed=0)
+    assert (k4.m, sorted(k4.colours)) == (6, [1, 2, 3, 4, 5, 6])

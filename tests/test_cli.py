@@ -223,6 +223,21 @@ def test_gen_random_mode(tmp_path):
         assert Path(fn).exists()
 
 
+def test_gen_random_nearly_complete(tmp_path):
+    # the default edge-count window must not start above n(n-1)/2: four
+    # vertices and six classes leave only K4 with one edge per class
+    code, out, _ = run_cli(
+        "gen", "--n", "4", "--k", "6", "--mode", "random", "--out", str(tmp_path),
+    )
+    assert code == 0
+    (fn,) = json.loads(out)["files"]
+    doc = json.loads(Path(fn).read_text())
+    assert sorted(tuple(e[:2]) for e in doc["edges"]) == [
+        (u, v) for u in range(4) for v in range(u + 1, 4)
+    ]
+    assert sorted(e[2] for e in doc["edges"]) == [1, 2, 3, 4, 5, 6]
+
+
 def test_draw_stroke_classes(tmp_path):
     out_svg = tmp_path / "drawing.svg"
     code, out, _ = run_cli(

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coordrig import (
     OracleParams,
@@ -13,6 +15,7 @@ from coordrig import (
     henneberg_k1_sample,
     rainbow_pair_k2,
     rank_summary,
+    redundant_edges_d2,
     sparsity_rank,
     subgraph_by_colours,
     transversal_rank,
@@ -22,7 +25,7 @@ from coordrig import laman
 from coordrig.corpus import random_coloured_graph, random_corpus
 from coordrig.pebble import PLANE, PebbleGame, run_game
 
-from oracles import brute_circuits, brute_union_rank
+from oracles import brute_circuits, brute_rainbow_pair, brute_union_rank
 
 K4_ONE_COLOURED = build(
     4, 1, [(0, 1, 1), (0, 2, 0), (0, 3, 0), (1, 2, 0), (1, 3, 0), (2, 3, 0)]
@@ -95,7 +98,7 @@ def test_union_invariant_check_fires(monkeypatch, twin_blocks_k2):
     # which the final game must catch rather than report a wrong rank
     g = twin_blocks_k2
     bridge = g.colour_class(2)[0]
-    assert bridge not in laman.redundant_edges_d2(g)
+    assert bridge not in redundant_edges_d2(g)
 
     def augment_with_bridge(g, held):
         if held:
@@ -108,24 +111,35 @@ def test_union_invariant_check_fires(monkeypatch, twin_blocks_k2):
         union_rank_d2(g)
 
 
+def test_augment_invariant_check_fires():
+    # an edge of T that the game on E minus T accepts is a bridge: T is
+    # then not independent in M*, and the augmentation must say so
+    g = build(5, 1, [(u, v, int((u, v) == (0, 1))) for u in range(4)
+                     for v in range(u + 1, 4)] + [(0, 4, 1), (1, 4, 0)])
+    with pytest.raises(RuntimeError, match="lowers the rank"):
+        laman._augment(g, {1: (0, 4)})
+
+
 @pytest.mark.parametrize(
     "decide,fixture,most",
     [
-        # random k = 6 graph: at most one augmentation per colour, each a
-        # source game plus one game per edge of T it expands, and one final
-        # game; (k + 1)^2 + 1 bounds that
-        (union_rank_d2, None, (6 + 1) ** 2 + 1),
+        # random k = 5 graph whose augmenting paths pass through edges of T:
+        # at most one augmentation per colour plus one that finds no path,
+        # each a single game on E minus T whose edges of T are read by
+        # inserting them into that game, and one final game; k + 2 bounds that
+        (union_rank_d2, None, 5 + 2),
         # one game on E, whose first phase is the uncoloured subgraph's game
         (check_k1, "quad_rigid_k1", 1),
-        # that game, the two (2,2) games, and one pair-search game
-        (check_k2, "seven_rigid_k2", 4),
+        # that game and one (2,2) game on G0, copied for each class; the
+        # pair search works on copies of the game on E
+        (check_k2, "seven_rigid_k2", 2),
         # no pair search: G0 is not Laman-sparse
-        (check_k2, "nested_circuit_k2", 3),
+        (check_k2, "nested_circuit_k2", 2),
     ],
 )
 def test_pebble_games_per_decision(monkeypatch, request, decide, fixture, most):
     if fixture is None:
-        g = random_coloured_graph(30, 6, seed=3, m=67)
+        g = random_coloured_graph(14, 5, seed=2, m=31)
     else:
         g = request.getfixturevalue(fixture)
     games = []
@@ -138,6 +152,33 @@ def test_pebble_games_per_decision(monkeypatch, request, decide, fixture, most):
     monkeypatch.setattr(PebbleGame, "__init__", counting_init)
     decide(g)
     assert len(games) <= most
+
+
+def test_rainbow_pair_matches_fresh_games():
+    # the pair search reads E - e from copies of the decider's game; a
+    # fresh (2,3) game on every E - e - f must find the same pair
+    cases = {"laman+2": 0, "surplus>2": 0, "deficit": 0, "e rejected": 0}
+    found = 0
+    for i in range(500):
+        n = 5 + i % 9
+        m = min(n * (n - 1) // 2, 2 * n - 4 + i % 7)
+        g = random_coloured_graph(n, 2, seed=i, m=m)
+        expected = brute_rainbow_pair(g)
+        cls, circuits, redundant, _, game = laman._plane_game(g)
+        assert laman._rainbow_pair_general(g, game, circuits, redundant) == expected
+        assert rainbow_pair_k2(g) == (expected if cls.kind == "laman+2" else None)
+        full = cls.kind != "deficit"
+        got = check_k2(g).certificate.get("rainbow_tuple")
+        assert got == ([list(e) for e in expected] if full and expected else None)
+        if cls.kind in cases:
+            cases[cls.kind] += 1
+        elif cls.kind == "other":
+            cases["surplus>2"] += 1
+        found += expected is not None
+        first = next((e for e in g.colour_class(1) if e in redundant), None)
+        cases["e rejected"] += first in circuits
+    assert min(cases.values()) >= 40, cases
+    assert 100 <= found <= 400
 
 
 def test_g0_read_from_the_game_on_e():
@@ -164,6 +205,61 @@ def test_g0_read_from_the_game_on_e():
         else:
             assert "g0_circuit" not in diag
     assert 15 <= sparse <= len(corpus) - 15
+
+
+# metamorphic properties of the plane verdict; k runs over 1, 2 and 3 so
+# that each of the three deciders is exercised
+
+def _plane_instance(seed):
+    rng = random.Random(seed)
+    n = rng.randint(4, 10)
+    k = rng.randint(1, 3)
+    return rng, random_coloured_graph(n, k, seed=seed)
+
+
+def _triples(g):
+    return [(u, v, c) for (u, v), c in zip(g.edges, g.colours)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_plane_verdict_invariant_under_relabelling(seed):
+    rng, g = _plane_instance(seed)
+    vertex = list(range(g.n))
+    rng.shuffle(vertex)
+    colour = [0] + rng.sample(range(1, g.k + 1), g.k)
+    twin = build(g.n, g.k, [
+        (*sorted((vertex[u], vertex[v])), colour[c]) for u, v, c in _triples(g)
+    ])
+    v, w = decide_plane(g), decide_plane(twin)
+    assert (v.decision, v.isostatic) == (w.decision, w.isostatic)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_plane_rigid_survives_an_uncoloured_edge(seed):
+    rng, g = _plane_instance(seed)
+    present = set(g.edges)
+    missing = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+               if (u, v) not in present]
+    if not missing or not decide_plane(g).rigid:
+        return
+    bigger = build(g.n, g.k, _triples(g) + [(*rng.choice(missing), 0)])
+    assert decide_plane(bigger).rigid
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_plane_rigid_survives_merging_two_classes(seed):
+    # the rainbow tuple minus the merged class's second edge still works
+    # (the converse fails: a merge can make a flexible graph rigid)
+    rng, g = _plane_instance(seed)
+    if g.k < 2 or not decide_plane(g).rigid:
+        return
+    keep, gone = sorted(rng.sample(range(1, g.k + 1), 2))
+    relabel = [c - (c > gone) if c != gone else keep for c in range(g.k + 1)]
+    merged = build(g.n, g.k - 1, [(u, v, relabel[c]) for u, v, c in _triples(g)])
+    assert decide_plane(merged).rigid
 
 
 def test_union_rank_monotone_under_edge_addition():

@@ -249,3 +249,57 @@ def test_game_independent_of_search_order(monkeypatch, params):
     for g, (accepted, circuits) in zip(graphs, expected):
         assert run_game(g, params) == (accepted, circuits)
     assert sum(bool(circuits) for _, circuits in expected) >= 20
+
+
+@pytest.mark.parametrize("params", [PLANE, PLANE_LOOSE])
+def test_delete_then_reinsert_equals_fresh_game(params):
+    # deleting accepted edges leaves a valid game on the rest of the basis
+    # (Lee & Streinu 2008); re-inserting the rejected edges must then give
+    # what a fresh game on the remaining edges gives
+    rng = random.Random(2024)
+    changed = 0
+    for seed in range(60):
+        n = rng.randint(4, 18)
+        m = min(n * (n - 1) // 2, rng.randint(2 * n - 3, 2 * n + 6))
+        g = random_coloured_graph(n, 0, seed=seed, m=m)
+        game = PebbleGame(g.n, params)
+        circuits = game.insert_all(g.edges)
+        gone = set(rng.sample(game.accepted, rng.randint(1, 4)))
+        for e in gone:
+            game.delete(e)
+        rest_circuits = game.insert_all(circuits)
+        rest = [e for e in g.edges if e not in gone]
+        accepted, fresh = run_game((rest, g.n), params)
+        assert len(game.accepted) == len(accepted)
+        assert set(game.accepted) == set(accepted)
+        assert rest_circuits == fresh
+        redundant = {e for c in rest_circuits.values() for e in c}
+        assert redundant == {e for c in fresh.values() for e in c}
+        changed += rest_circuits.keys() != circuits.keys()
+    assert changed >= 20
+
+
+@pytest.mark.parametrize("params", [PLANE, PLANE_LOOSE])
+def test_copy_is_independent_of_original(params):
+    g = random_coloured_graph(12, 0, seed=5, m=24)
+    game = PebbleGame(g.n, params)
+    circuits = game.insert_all(g.edges)
+    state = (list(game.pebbles), [list(s) for s in game.succ], list(game.accepted))
+    twin = game.copy()
+    assert type(twin) is PebbleGame
+    assert (twin.pebbles, twin.succ, twin.accepted) == state
+    for e in twin.accepted[:5]:
+        twin.delete(e)
+    twin.insert_all(circuits)
+    assert (twin.pebbles, twin.succ, twin.accepted) != state
+    assert (game.pebbles, game.succ, game.accepted) == state
+
+
+def test_delete_returns_the_pebble_to_the_tail():
+    game = PebbleGame(4, PLANE)
+    assert game.insert_all(K4) == {(2, 3): tuple(K4)}
+    for e in list(game.accepted):
+        game.delete(e)
+    assert game.pebbles == [2] * 4
+    assert game.succ == [[] for _ in range(4)]
+    assert game.accepted == []
