@@ -28,6 +28,7 @@ from .generic import (
     rank_summary,
 )
 from .laman import (
+    LamanClassification,
     UnionRankReport,
     check_k1,
     check_k2,
@@ -52,7 +53,6 @@ from .linalg import (
     rigidity_matrix,
 )
 from .pebble import (
-    LamanClassification,
     SparsityParams,
     redundant_edges_d2,
     sparsity_rank,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -23,7 +24,6 @@ from .corpus import random_coloured_graph
 from .draw import render_svg
 from .generic import OracleParams, decide_generic_coordinated_rigidity
 from .laman import decide_plane, henneberg_k1_sample, union_rank_d2
-from .pebble import sparsity_rank
 
 USAGE_ERROR = 2
 
@@ -109,11 +109,19 @@ def cmd_check(args) -> int:
     return 0 if verdict.rigid else 1
 
 
+def _tol(args) -> float | None:
+    tol = args.tol
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise CliError(f"--tol must be a finite number >= 0, got {tol}")
+    return tol
+
+
 def cmd_motions(args) -> int:
     g = _load(args.file)
+    tol = _tol(args)
     p = _coords_for(g, args, args.dim)
     try:
-        report = linalg.infinitesimal_motions(g, p, tol=args.tol)
+        report = linalg.infinitesimal_motions(g, p, tol=tol)
     except ValueError as exc:
         raise CliError(str(exc))
     payload = {
@@ -139,8 +147,9 @@ def cmd_motions(args) -> int:
 
 def cmd_stresses(args) -> int:
     g = _load(args.file)
+    tol = _tol(args)
     p = _coords_for(g, args, args.dim)
-    basis = linalg.equilibrium_stresses(g, p, tol=args.tol)
+    basis = linalg.equilibrium_stresses(g, p, tol=tol)
     payload = {
         "n": g.n,
         "m": g.m,
@@ -210,9 +219,9 @@ def cmd_rank(args) -> int:
     }
     payload.update(generic.rank_summary(g, params))
     if args.dim == 2:
-        rank23, _ = sparsity_rank(g)
-        payload["pebble_rank_23"] = rank23
+        # removing T keeps the rank, so E minus T's basis has r(E) edges
         rep = union_rank_d2(g)
+        payload["pebble_rank_23"] = len(rep.independent_rigidity)
         payload["union_rank"] = rep.union_rank
         payload["union_deficiency"] = rep.deficiency
     if args.dump_matrix:

@@ -11,8 +11,10 @@ reads everything else from that pair:
   the columns of S on T are independent; one is found by self-reduction
   of S·I, one class at a time.
 
-The error is one-sided.  A sampled rank never exceeds the generic rank,
-so a rigid verdict is certain.  A flexible verdict is wrong only when
+The targets subtract the generic trivial dimension, a closed form in n
+and d (``_trivial_dim``).  The error is one-sided.  A sampled rank never
+exceeds the generic rank, which never exceeds dn minus that dimension, so
+a rigid verdict is certain.  A flexible verdict is wrong only when
 every trial samples a root of a nonzero minor; an r x r minor has degree
 at most r in the coordinates, so by Schwartz-Zippel this happens with
 probability at most r/(q - 1) per trial.
@@ -109,10 +111,9 @@ class _RankOracle:
             cols = [self.stress_column(stresses, idx) for idx in self.classes]
             rank = g.m - len(stresses)
             coordinated = rank + linalg.modular_rank_rows(cols)  # rank[R(p) | I]
-            self.trials.append((p, rows, rank, coordinated, stresses, cols))
-        self.rank_full = max(t[2] for t in self.trials)
-        self.coordinated_rank = max(t[3] for t in self.trials)
-        self._trivial: int | None = None
+            self.trials.append((rows, rank, coordinated, stresses, cols))
+        self.rank_full = max(t[1] for t in self.trials)
+        self.coordinated_rank = max(t[2] for t in self.trials)
 
     def stress_column(self, stresses, idx) -> list[int]:
         """Column of S·1_idx: each stress summed over the edge rows idx."""
@@ -122,19 +123,11 @@ class _RankOracle:
         """Max over trials of rank R(p) with the given edge rows removed,
         by a fresh elimination of the remaining rows."""
         best = 0
-        for _, rows, *_ in self.trials:
+        for rows, *_ in self.trials:
             subset = [i for i in range(len(rows)) if i not in drop]
             r = linalg.modular_rank_rows(rows, row_subset=subset)
             best = max(best, r)
         return best
-
-    def trivial_dim(self) -> int:
-        if self._trivial is None:
-            self._trivial = max(
-                linalg.modular_trivial_dim(p, self.params.d)
-                for p, *_ in self.trials
-            )
-        return self._trivial
 
     def indices(self, edges) -> frozenset[int]:
         return frozenset(self.g.edge_index(tuple(e)) for e in edges)
@@ -157,11 +150,20 @@ def is_redundant_set(g: ColouredGraph, edges, params: OracleParams) -> bool:
     return oracle.rank_base(drop) == oracle.rank_full
 
 
-def rank_summary(g: ColouredGraph, params: OracleParams) -> dict:
-    """Sampled ranks of both matrices with their rigidity targets."""
-    oracle = _RankOracle(g, params)
-    trivial = oracle.trivial_dim()
-    dn = params.d * g.n
+def _trivial_dim(n: int, d: int) -> int:
+    """Dimension of the trivial motions of n generic points in R^d:
+    C(d+1, 2), less the C(d+1-n, 2) rotations that fix the affine span of
+    n <= d points."""
+    return math.comb(d + 1, 2) - math.comb(max(d + 1 - n, 0), 2)
+
+
+def _rank_fields(oracle: _RankOracle) -> dict:
+    """The oracle's sampled ranks of R(p) and [R(p) | I] with their
+    rigidity targets dn - t and dn + k - t, t the generic trivial
+    dimension."""
+    g, d = oracle.g, oracle.params.d
+    trivial = _trivial_dim(g.n, d)
+    dn = d * g.n
     return {
         "generic_rank": oracle.rank_full,
         "target_rank": dn - trivial,
@@ -169,6 +171,12 @@ def rank_summary(g: ColouredGraph, params: OracleParams) -> dict:
         "coordinated_target": dn + g.k - trivial,
         "trivial_dim": trivial,
     }
+
+
+def rank_summary(g: ColouredGraph, params: OracleParams) -> dict:
+    """Sampled ranks of both matrices with their rigidity targets; the
+    trivial dimension is the generic closed form (``_trivial_dim``)."""
+    return _rank_fields(_RankOracle(g, params))
 
 
 def find_rainbow_redundant_tuple(g: ColouredGraph, params: OracleParams, _oracle=None):
@@ -186,7 +194,7 @@ def find_rainbow_redundant_tuple(g: ColouredGraph, params: OracleParams, _oracle
         raise ValueError("rainbow tuples need k >= 1")
     oracle = _oracle or _RankOracle(g, params)
     full = oracle.rank_full
-    for _, _, rank, coordinated, stresses, cols in oracle.trials:
+    for _, rank, coordinated, stresses, cols in oracle.trials:
         if rank == full and coordinated == full + g.k:
             break
     else:
@@ -239,39 +247,25 @@ def decide_generic_coordinated_rigidity(
     """Decide generic rigidity of the coordinated framework in dimension d.
 
     Rigid iff the sampled rank of [R(p) | I] = rank R(p) + rank(S·I)
-    reaches dn + k minus the trivial dimension; then the underlying graph
-    has full generic rank and the certificate is a redundant rainbow tuple
-    read from S (``find_rainbow_redundant_tuple``), checked by a fresh
-    elimination of R(p) without the tuple's rows.  A rigid verdict is
-    certain, as sampled ranks are lower bounds; a flexible one is wrong
-    with probability at most (minor degree)/(q - 1) per trial.
+    reaches dn + k minus the generic trivial dimension; then the
+    underlying graph has full generic rank and the certificate is a
+    redundant rainbow tuple read from S (``find_rainbow_redundant_tuple``),
+    checked by a fresh elimination of R(p) without the tuple's rows.  A
+    rigid verdict is certain, as sampled ranks are lower bounds; a flexible
+    one is wrong with probability at most (minor degree)/(q - 1) per trial.
     """
     oracle = _RankOracle(g, params)
-    trivial = oracle.trivial_dim()
-    dn = params.d * g.n
-    target = dn - trivial
-    coord_target = dn + g.k - trivial
-    rank_full = oracle.rank_full
-    coord_rank = oracle.coordinated_rank
-    if g.n >= params.d:
-        bound = min(g.m, dn - math.comb(params.d + 1, 2) + g.k)
-        if coord_rank > bound:
-            raise BackendError(
-                f"sampled coordinated rank {coord_rank} exceeds the matroid-union "
-                f"bound {bound} (seed {params.seed})"
-            )
-    underlying_rigid = rank_full == target
+    ranks = {"n": g.n, "m": g.m, **_rank_fields(oracle), "trials": params.trials}
+    rank_full, coord_rank = oracle.rank_full, oracle.coordinated_rank
+    coord_target = ranks["coordinated_target"]
+    bound = min(g.m, coord_target)
+    if coord_rank > bound:
+        raise BackendError(
+            f"sampled coordinated rank {coord_rank} exceeds the matroid-union "
+            f"bound {bound} (seed {params.seed})"
+        )
+    underlying_rigid = rank_full == ranks["target_rank"]
     rigid = underlying_rigid and coord_rank == coord_target
-    ranks = {
-        "n": g.n,
-        "m": g.m,
-        "generic_rank": rank_full,
-        "target_rank": target,
-        "coordinated_rank": coord_rank,
-        "coordinated_target": coord_target,
-        "trivial_dim": trivial,
-        "trials": params.trials,
-    }
     isolated = g.isolated_vertices()
     if isolated:
         ranks["isolated_vertices"] = list(isolated)

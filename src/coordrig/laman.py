@@ -12,10 +12,10 @@ plane rigidity matroid M with the colour partition matroid P (uncoloured
 edges are loops, at most one edge per colour): r(E) plus the largest
 rainbow set T independent in the dual M*, i.e. whose removal keeps the rank
 r(E).  T is a matroid intersection of M* with P, grown by at most k
-shortest augmenting paths; each augmentation plays one game on E minus T
-and reads every arc from it.  The k = 2 pair search works on copies of the
-decider's game on E, with one edge deleted, and the two (2,2) counts on
-copies of one game on G0.
+shortest augmenting paths; each round plays one game on E minus T and
+reads every arc from it, and the last round's game is the witness.  The
+k = 2 pair search works on copies of the decider's game on E, with one
+edge deleted, and the two (2,2) counts on copies of one game on G0.
 
 Also houses the inductive generator for one-class isostatic graphs used to
 build test corpora.
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .cgraph import ColouredGraph, build
 from .generic import RigidityVerdict
-from .pebble import PLANE_LOOSE, PebbleGame, laman_kind, run_game
+from .pebble import PLANE_LOOSE, PebbleGame
 
 Edge = tuple[int, int]
 
@@ -37,6 +37,36 @@ Edge = tuple[int, int]
 def _plane_target(n: int) -> int:
     """Plane rank of a rigid framework on n vertices: 2n - 3, 0 for n = 1."""
     return 2 * n - 3 if n > 1 else 0
+
+
+@dataclass(frozen=True)
+class LamanClassification:
+    """Outcome of the Laman+p test: kind, (2,3)-rank, and rank deficit."""
+
+    kind: str  # "deficit" | "laman" | "laman+1" | "laman+2" | "other"
+    rank: int
+    deficit: int = 0
+
+
+def laman_kind(n: int, m: int, rank: int) -> LamanClassification:
+    """Classify an n-vertex, m-edge graph by its (2,3)-rank against 2n - 3.
+
+    laman / laman+p means the rank is full (2n-3) and exactly p surplus
+    edges exist, so removing the rejected edges leaves a Laman graph;
+    deficit(t) means the rank falls short by t; "other" is full rank with
+    three or more surplus edges.
+    """
+    if n < 2:
+        raise ValueError("Laman classification needs n >= 2")
+    target = _plane_target(n)
+    if rank < target:
+        return LamanClassification("deficit", rank, target - rank)
+    surplus = m - rank
+    if surplus == 0:
+        return LamanClassification("laman", rank)
+    if surplus in (1, 2):
+        return LamanClassification(f"laman+{surplus}", rank)
+    return LamanClassification("other", rank)
 
 
 def transversal_rank(g: ColouredGraph, edges) -> int:
@@ -70,24 +100,29 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
 
     The union rank is r(E) + |T| for a largest rainbow set T whose removal
     keeps the (2,3)-rank r(E).  T grows by shortest augmenting paths, at
-    most one per colour.  ``transversal`` is T in canonical order and
-    ``independent_rigidity`` the canonical basis of E minus T, so the
-    witness is deterministic.  The coordinated framework is generically
-    rigid in the plane iff union_rank = t + k, and generically isostatic
-    iff additionally m = t + k, where t is 2n - 3 (0 for a single vertex).
+    most one per colour.  Each round plays one game on E minus T; the last,
+    whose T holds every colour or which finds no path, is the witness, so
+    a call plays |T| + 1 games.  ``transversal`` is T in canonical order
+    and ``independent_rigidity`` that game's canonical basis of E minus T,
+    so the witness is deterministic.  The coordinated framework is
+    generically rigid in the plane iff union_rank = t + k, and generically
+    isostatic iff additionally m = t + k, where t is 2n - 3 (0 for a
+    single vertex).
     """
     held: dict[int, Edge] = {}  # colour -> the edge of T that holds it
-    while len(held) < g.k and _augment(g, held):
-        pass
+    while True:
+        tset = set(held.values())
+        game = PebbleGame(g.n)
+        circuits = game.insert_all(e for e in g.edges if e not in tset)
+        if len(held) == g.k or not _augment(g, held, game, circuits):
+            break
     transversal = tuple(sorted(held.values()))
-    rest = [e for e in g.edges if e not in transversal]
-    # E minus T first, then T: the accepted set is the canonical basis of
-    # E minus T, and T is independent in M* iff every edge of T is rejected
-    accepted, circuits = run_game((rest + list(transversal), g.n))
     if transversal_rank(g, transversal) != len(transversal):
         raise RuntimeError("union invariant broken: T is not rainbow")
-    if any(e not in circuits for e in transversal):
+    # T is independent in M* iff the game on E minus T rejects every edge of T
+    if any(game.try_insert(e) for e in transversal):
         raise RuntimeError("union invariant broken: removing T lowers the rank")
+    accepted = tuple(game.accepted)
     rank = len(accepted) + len(transversal)
     return UnionRankReport(
         union_rank=rank,
@@ -97,22 +132,23 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
     )
 
 
-def _augment(g: ColouredGraph, held: dict[int, Edge]) -> bool:
+def _augment(g: ColouredGraph, held: dict[int, Edge], game: PebbleGame,
+             circuits) -> bool:
     """Grow T = held.values() by one colour along a shortest exchange path.
 
-    One game on E minus T gives every arc.  Sources are its redundant
-    edges, the union of its rejection circuits (adding one to T keeps it
-    independent in M*); an edge x outside T has an arc to the edge of T
-    holding x's colour; an edge y of T has arcs to the redundant edges of
+    ``game`` is the game on E minus T and ``circuits`` its rejection
+    circuits; together they give every arc.  Sources are its redundant
+    edges, the union of the circuits (adding one to T keeps it independent
+    in M*); an edge x outside T has an arc to the edge of T holding x's
+    colour; an edge y of T has arcs to the redundant edges of
     (E minus T) + y, which are the sources plus the fundamental circuit
     C(y, B) of y over the game's basis B, read by inserting y into the same
     game; sinks are coloured edges whose colour T does not hold.
     Breadth-first in canonical order, so the path found is deterministic.
-    Returns False when no path exists, i.e. T is already largest.
+    Returns False when no path exists, i.e. T is already largest; the game
+    then still has the accepted edges of E minus T.
     """
     tset = set(held.values())
-    game = PebbleGame(g.n)
-    circuits = game.insert_all(e for e in g.edges if e not in tset)
     sources = sorted({e for circuit in circuits.values() for e in circuit})
     pred: dict[Edge, Edge | None] = dict.fromkeys(sources)
     queue: deque[Edge] = deque(sources)

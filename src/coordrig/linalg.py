@@ -238,25 +238,6 @@ def trivial_motion_generators(p: np.ndarray, k: int = 0) -> np.ndarray:
     return np.array(gens)
 
 
-def modular_trivial_dim(p, d: int) -> int:
-    """Exact dimension of the trivial motion space at a modular configuration."""
-    n = len(p)
-    gens = []
-    for a in range(d):
-        vec = [0] * (d * n)
-        for i in range(n):
-            vec[d * i + a] = 1
-        gens.append(vec)
-    for a in range(d):
-        for b in range(a + 1, d):
-            vec = [0] * (d * n)
-            for i in range(n):
-                vec[d * i + b] = p[i][a] % MODULUS
-                vec[d * i + a] = (-p[i][b]) % MODULUS
-            gens.append(vec)
-    return modular_rank_rows(gens)
-
-
 @dataclass(frozen=True)
 class MotionReport:
     """Kernel of the coordinated matrix split against the trivial space.

@@ -2,8 +2,8 @@
 
 Provides rank in the count matroid (for the plane: (2,3), with (2,2) also
 needed by the two-class decider), maximal independent edge sets,
-fundamental circuits of rejected edges, Laman+p classification and d=2
-redundant-edge detection.
+fundamental circuits of rejected edges and d=2 redundant-edge detection.
+The plane count 2n - 3 and the Laman+p classification live in ``laman``.
 
 Determinism comes from the canonical (sorted) edge order alone.  The
 accepted set is the greedy basis in that order, and the circuit of a
@@ -196,36 +196,6 @@ def sparsity_rank(g, params: SparsityParams = PLANE) -> tuple[int, tuple[Edge, .
     """
     accepted, _ = run_game(g, params)
     return len(accepted), accepted
-
-
-@dataclass(frozen=True)
-class LamanClassification:
-    """Outcome of the Laman+p test: kind, (2,3)-rank, and rank deficit."""
-
-    kind: str  # "deficit" | "laman" | "laman+1" | "laman+2" | "other"
-    rank: int
-    deficit: int = 0
-
-
-def laman_kind(n: int, m: int, rank: int) -> LamanClassification:
-    """Classify an n-vertex, m-edge graph by its (2,3)-rank against 2n - 3.
-
-    laman / laman+p means the rank is full (2n-3) and exactly p surplus
-    edges exist, so removing the rejected edges leaves a Laman graph;
-    deficit(t) means the rank falls short by t; "other" is full rank with
-    three or more surplus edges.
-    """
-    if n < 2:
-        raise ValueError("Laman classification needs n >= 2")
-    target = 2 * n - 3
-    if rank < target:
-        return LamanClassification("deficit", rank, target - rank)
-    surplus = m - rank
-    if surplus == 0:
-        return LamanClassification("laman", rank)
-    if surplus in (1, 2):
-        return LamanClassification(f"laman+{surplus}", rank)
-    return LamanClassification("other", rank)
 
 
 def redundant_edges_d2(g) -> tuple[Edge, ...]:

@@ -52,3 +52,19 @@ def twin_blocks_k2():
 @pytest.fixture
 def nested_circuit_k2():
     return load_fixture("nested_circuit_k2")
+
+
+@pytest.fixture
+def pebble_games(monkeypatch):
+    """A list that grows by one for every ``PebbleGame`` constructed."""
+    from coordrig.pebble import PebbleGame
+
+    games = []
+    init = PebbleGame.__init__
+
+    def counting_init(self, *args, **kwargs):
+        games.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PebbleGame, "__init__", counting_init)
+    return games

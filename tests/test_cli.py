@@ -7,7 +7,9 @@ import pytest
 
 from conftest import fixture_path
 
+from coordrig import serialize, sparsity_rank, union_rank_d2
 from coordrig.cli import main
+from coordrig.corpus import random_coloured_graph
 
 
 def run_cli(*argv, env_seed=None, capsys=None):
@@ -188,6 +190,12 @@ def test_gen_tiny_exit_two(tmp_path):
         ("gen", "--n", "5", "--count", "0", "--out", "OUT"),
         ("draw", "FILE", "--out", "NO_DIR"),
         ("gen", "--n", "5", "--out", "PLAIN_FILE"),
+        ("motions", "FILE", "--tol", "nan"),
+        ("motions", "FILE", "--tol", "inf"),
+        ("motions", "FILE", "--tol", "-1"),
+        ("stresses", "FILE", "--tol", "nan"),
+        ("stresses", "FILE", "--tol", "inf"),
+        ("stresses", "FILE", "--tol", "-1"),
     ],
 )
 def test_usage_errors_exit_two(tmp_path, argv):
@@ -274,6 +282,22 @@ def test_rank_report():
     assert doc["union_rank"] == 13
     assert doc["coordinated_rank"] == 13
     assert doc["coordinated_target"] == 13
+
+
+def test_rank_plays_only_the_union_games(tmp_path, pebble_games):
+    # r(E) is the size of the union witness's basis of E minus T, so
+    # `rank --dim 2` plays no game of its own; this graph's T ends with
+    # 4 of its 5 colours
+    g = random_coloured_graph(14, 5, seed=2, m=31)
+    path = tmp_path / "g.json"
+    path.write_text(serialize(g))
+    code, out, _ = run_cli("rank", str(path), "--dim", "2", "--trials", "1")
+    assert code == 0
+    rank_games = len(pebble_games)
+    pebble_games.clear()
+    rep = union_rank_d2(g)
+    assert rank_games == len(pebble_games) == len(rep.transversal) + 1 == 5
+    assert json.loads(out)["pebble_rank_23"] == sparsity_rank(g)[0]
 
 
 def test_rank_dump_matrix():

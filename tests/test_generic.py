@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from coordrig import linalg
+from coordrig import generic, linalg
 from coordrig import (
     OracleParams,
     build,
@@ -247,13 +247,24 @@ def test_decide_single_vertex_rigid():
 
 
 def test_decide_two_points_in_3d():
-    # n < d: the trivial space is computed (5-dimensional: one rotation
-    # fixes the segment), never read off a closed-form count
+    # n < d: the trivial space is 5-dimensional, as one rotation fixes the
+    # segment; the closed form subtracts C(d + 1 - n, 2) = 1 from C(4, 2)
     g = build(2, 0, [(0, 1, 0)])
     v = decide_generic_coordinated_rigidity(g, params(d=3))
     assert v.rigid
     assert v.ranks["trivial_dim"] == 5
     assert v.ranks["target_rank"] == 1
+
+
+def test_trivial_dim_closed_form_matches_float_rank():
+    # the closed form is the trivial dimension at generic points, also for
+    # n <= d, where rotations fixing the points' affine span drop out
+    for d in range(1, 6):
+        for n in range(1, 9):
+            for s in range(3):
+                p = random_configuration(n, d, s)
+                gens = linalg.trivial_motion_generators(p)
+                assert generic._trivial_dim(n, d) == linalg.float_rank(gens), (n, d, s)
 
 
 def test_decide_edgeless_graph_flexible():

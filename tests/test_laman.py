@@ -95,12 +95,12 @@ def test_union_rank_matches_modular_rank_beyond_brute_force():
 
 def test_union_invariant_check_fires(monkeypatch, twin_blocks_k2):
     # a path that puts a bridge into T breaks the dual independence of T,
-    # which the final game must catch rather than report a wrong rank
+    # which the last round's game must catch rather than report a wrong rank
     g = twin_blocks_k2
     bridge = g.colour_class(2)[0]
     assert bridge not in redundant_edges_d2(g)
 
-    def augment_with_bridge(g, held):
+    def augment_with_bridge(g, held, game, circuits):
         if held:
             return False
         held[2] = bridge
@@ -116,18 +116,33 @@ def test_augment_invariant_check_fires():
     # then not independent in M*, and the augmentation must say so
     g = build(5, 1, [(u, v, int((u, v) == (0, 1))) for u in range(4)
                      for v in range(u + 1, 4)] + [(0, 4, 1), (1, 4, 0)])
+    game = PebbleGame(g.n)
+    circuits = game.insert_all(e for e in g.edges if e != (0, 4))
     with pytest.raises(RuntimeError, match="lowers the rank"):
-        laman._augment(g, {1: (0, 4)})
+        laman._augment(g, {1: (0, 4)}, game, circuits)
+
+
+def test_union_plays_one_game_per_round(pebble_games):
+    # one game on E minus T per round, the last round's game is the
+    # witness: |T| + 1 games whether or not T reaches k colours
+    short = 0
+    for i in range(120):
+        g = random_coloured_graph(8 + i % 20, 3 + i % 4, seed=i)
+        pebble_games.clear()
+        rep = union_rank_d2(g)
+        assert len(pebble_games) == len(rep.transversal) + 1, f"instance {i}"
+        short += len(rep.transversal) < g.k
+    assert short >= 40
 
 
 @pytest.mark.parametrize(
     "decide,fixture,most",
     [
-        # random k = 5 graph whose augmenting paths pass through edges of T:
-        # at most one augmentation per colour plus one that finds no path,
-        # each a single game on E minus T whose edges of T are read by
-        # inserting them into that game, and one final game; k + 2 bounds that
-        (union_rank_d2, None, 5 + 2),
+        # random k = 5 graph whose augmenting paths pass through edges of T
+        # and whose T ends with 4 colours: one game on E minus T per
+        # augmentation plus the last round's, which finds no path and is
+        # the witness; edges of T are read by inserting them into the game
+        (union_rank_d2, None, 4 + 1),
         # one game on E, whose first phase is the uncoloured subgraph's game
         (check_k1, "quad_rigid_k1", 1),
         # that game and one (2,2) game on G0, copied for each class; the
@@ -137,21 +152,13 @@ def test_augment_invariant_check_fires():
         (check_k2, "nested_circuit_k2", 2),
     ],
 )
-def test_pebble_games_per_decision(monkeypatch, request, decide, fixture, most):
+def test_pebble_games_per_decision(pebble_games, request, decide, fixture, most):
     if fixture is None:
         g = random_coloured_graph(14, 5, seed=2, m=31)
     else:
         g = request.getfixturevalue(fixture)
-    games = []
-    init = PebbleGame.__init__
-
-    def counting_init(self, *args, **kwargs):
-        games.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(PebbleGame, "__init__", counting_init)
     decide(g)
-    assert len(games) <= most
+    assert len(pebble_games) <= most
 
 
 def test_rainbow_pair_matches_fresh_games():

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from coordrig import pebble, redundant_edges_d2, sparsity_rank
 from coordrig.corpus import random_coloured_graph
+from coordrig.laman import laman_kind
 from coordrig.pebble import (
     PLANE,
     PLANE_LOOSE,
     PebbleGame,
     SparsityParams,
-    laman_kind,
     run_game,
 )
 
