@@ -12,10 +12,11 @@ plane rigidity matroid M with the colour partition matroid P (uncoloured
 edges are loops, at most one edge per colour): r(E) plus the largest
 rainbow set T independent in the dual M*, i.e. whose removal keeps the rank
 r(E).  T is a matroid intersection of M* with P, grown by at most k
-shortest augmenting paths; each round plays one game on E minus T and
-reads every arc from it, and the last round's game is the witness.  The
-k = 2 pair search works on copies of the decider's game on E, with one
-edge deleted, and the two (2,2) counts on copies of one game on G0.
+shortest augmenting paths.  One game on E stays live on E minus T: every
+arc is read from it, each path moves T by deleting and re-inserting edges
+(Lee & Streinu 2008), and the game is the witness.  The k = 2 pair search
+works on copies of the decider's game on E, with one edge deleted, and
+the two (2,2) counts on copies of one game on G0.
 
 Also houses the inductive generator for one-class isostatic graphs used to
 build test corpora.
@@ -100,29 +101,42 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
 
     The union rank is r(E) + |T| for a largest rainbow set T whose removal
     keeps the (2,3)-rank r(E).  T grows by shortest augmenting paths, at
-    most one per colour.  Each round plays one game on E minus T; the last,
-    whose T holds every colour or which finds no path, is the witness, so
-    a call plays |T| + 1 games.  ``transversal`` is T in canonical order
-    and ``independent_rigidity`` that game's canonical basis of E minus T,
-    so the witness is deterministic.  The coordinated framework is
+    most one per colour.  One game, played on E in canonical order, stays
+    live on E minus T: after each path it deletes the entering edges it had
+    accepted and re-inserts, in canonical order, the other rejected edges
+    and the edges leaving T, whose circuits are the next round's sources.
+    The round whose T holds every colour, or which finds no path, is the
+    witness, so a call plays one game.  ``transversal`` is T in canonical
+    order and ``independent_rigidity`` the canonical basis of E minus T, so
+    the witness is deterministic.  The coordinated framework is
     generically rigid in the plane iff union_rank = t + k, and generically
     isostatic iff additionally m = t + k, where t is 2n - 3 (0 for a
     single vertex).
     """
     held: dict[int, Edge] = {}  # colour -> the edge of T that holds it
-    while True:
-        tset = set(held.values())
-        game = PebbleGame(g.n)
-        circuits = game.insert_all(e for e in g.edges if e not in tset)
-        if len(held) == g.k or not _augment(g, held, game, circuits):
+    game = PebbleGame(g.n)
+    circuits = game.insert_all(g.edges)
+    while len(held) < g.k:
+        before = set(held.values())
+        if not _augment(g, held, game, circuits):
             break
+        after = set(held.values())
+        entering = after - before
+        for e in sorted(entering):
+            if e not in circuits:
+                game.delete(e)
+        # deletion leaves a valid game on the rest of the basis; every edge
+        # of the new E minus T outside it goes back in, so all circuits are
+        # fresh and the accepted set is a basis again
+        circuits = game.insert_all(sorted(
+            [e for e in circuits if e not in entering] + list(before - after)))
     transversal = tuple(sorted(held.values()))
     if transversal_rank(g, transversal) != len(transversal):
         raise RuntimeError("union invariant broken: T is not rainbow")
     # T is independent in M* iff the game on E minus T rejects every edge of T
     if any(game.try_insert(e) for e in transversal):
         raise RuntimeError("union invariant broken: removing T lowers the rank")
-    accepted = tuple(game.accepted)
+    accepted = _canonical_basis(g, set(transversal), game, circuits)
     rank = len(accepted) + len(transversal)
     return UnionRankReport(
         union_rank=rank,
@@ -132,21 +146,40 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
     )
 
 
+def _canonical_basis(g: ColouredGraph, tset, game: PebbleGame,
+                     circuits) -> tuple[Edge, ...]:
+    """The greedy basis of E minus T in canonical order, from ``game`` on
+    E minus T and its rejection circuits.
+
+    A basis is the greedy one iff every edge outside it is the last edge
+    of its fundamental circuit (cycle optimality), so the game's basis is
+    checked on the circuits at hand; only if it fails is E minus T replayed
+    in canonical order.
+    """
+    if all(circuit[-1] == e for e, circuit in circuits.items()):
+        return tuple(sorted(game.accepted))
+    replay = PebbleGame(g.n)
+    replay.insert_all(e for e in g.edges if e not in tset)
+    return tuple(replay.accepted)
+
+
 def _augment(g: ColouredGraph, held: dict[int, Edge], game: PebbleGame,
              circuits) -> bool:
     """Grow T = held.values() by one colour along a shortest exchange path.
 
-    ``game`` is the game on E minus T and ``circuits`` its rejection
-    circuits; together they give every arc.  Sources are its redundant
-    edges, the union of the circuits (adding one to T keeps it independent
-    in M*); an edge x outside T has an arc to the edge of T holding x's
-    colour; an edge y of T has arcs to the redundant edges of
-    (E minus T) + y, which are the sources plus the fundamental circuit
-    C(y, B) of y over the game's basis B, read by inserting y into the same
-    game; sinks are coloured edges whose colour T does not hold.
-    Breadth-first in canonical order, so the path found is deterministic.
-    Returns False when no path exists, i.e. T is already largest; the game
-    then still has the accepted edges of E minus T.
+    ``game`` is a game on E minus T, holding any basis B of it, and
+    ``circuits`` its rejection circuits; together they give every arc.
+    Sources are its redundant edges, the union of the circuits (adding one
+    to T keeps it independent in M*); an edge x outside T has an arc to the
+    edge of T holding x's colour; an edge y of T has arcs to the redundant
+    edges of (E minus T) + y, which are the sources plus the fundamental
+    circuit C(y, B), read by inserting y into the same game; sinks are
+    coloured edges whose colour T does not hold.  The new arcs of y are the
+    coloops of E minus T in C(y, B), those on a circuit with y, so no arc
+    depends on which basis the game holds.  Breadth-first in canonical
+    order, so the path found is deterministic.  Returns False when no path
+    exists, i.e. T is already largest; the game then still has the
+    accepted edges of E minus T.
     """
     tset = set(held.values())
     sources = sorted({e for circuit in circuits.values() for e in circuit})

@@ -151,16 +151,20 @@ def float_rank(A: np.ndarray, tol: float | None = None) -> int:
     return _numerical_rank(np.linalg.svd(A, compute_uv=False), A.shape, tol)
 
 
-def _row_reduce(rows, reduced: bool) -> tuple[list[int], list[list[int]]]:
+def _row_reduce(rows) -> tuple[list[int], list[list[int]]]:
     """Gaussian elimination over GF(MODULUS) for every modular rank and kernel.
 
-    Returns the pivot columns and the unit-pivot echelon rows; ``reduced``
-    also clears above each pivot.  Pivot rows are zero left of the pivot.
+    One forward pass over rows with entries in [0, MODULUS).  Returns the
+    pivot columns and the unit-pivot echelon rows, each zero left of its
+    pivot.  A pivot row updates the rows below it only in the columns where
+    it is nonzero, so sparse matrices such as R(p) and R(p)ᵀ cost far less
+    than their size.
     """
     q = MODULUS
     work = [list(r) for r in rows if any(r)]
     pivots: list[int] = []
-    for c in range(len(work[0]) if work else 0):
+    ncols = len(work[0]) if work else 0
+    for c in range(ncols):
         top = len(pivots)
         if top == len(work):
             break
@@ -170,12 +174,19 @@ def _row_reduce(rows, reduced: bool) -> tuple[list[int], list[list[int]]]:
         work[top], work[piv] = work[piv], work[top]
         prow = work[top]
         inv = pow(prow[c], q - 2, q)
-        prow[c:] = [x * inv % q for x in prow[c:]]
-        for i in range(0 if reduced else top + 1, len(work)):
-            f = work[i][c]
-            if f and i != top:
-                ri = work[i]
-                ri[c:] = [(a - f * b) % q for a, b in zip(ri[c:], prow[c:])]
+        prow[c] = 1
+        support = []
+        for j in range(c + 1, ncols):
+            if prow[j]:
+                prow[j] = prow[j] * inv % q
+                support.append((j, prow[j]))
+        for i in range(top + 1, len(work)):
+            ri = work[i]
+            f = ri[c]
+            if f:
+                ri[c] = 0
+                for j, x in support:
+                    ri[j] = (ri[j] - f * x) % q
         pivots.append(c)
     return pivots, work[: len(pivots)]
 
@@ -184,18 +195,31 @@ def modular_rank_rows(rows, *, row_subset=None) -> int:
     """Exact rank over GF(MODULUS) of the rows (or of those in row_subset)."""
     if row_subset is not None:
         rows = [rows[i] for i in row_subset]
-    return len(_row_reduce(rows, reduced=False)[0])
+    return len(_row_reduce(rows)[0])
 
 
 def modular_nullspace(rows, ncols: int) -> list[list[int]]:
-    """Kernel basis over GF(MODULUS) in reduced echelon form."""
-    pivots, echelon = _row_reduce(rows, reduced=True)
+    """Kernel basis over GF(MODULUS) in reduced echelon form.
+
+    One vector per free column fc: 1 at fc, 0 at the other free columns,
+    and the pivot entries by back-substitution through the echelon rows.
+    Only pivots left of fc can be nonzero.  The basis is the one a reduced
+    echelon form would give, since it is unique once the pivots are fixed.
+    """
+    q = MODULUS
+    pivots, echelon = _row_reduce(rows)
+    upward = list(zip(pivots, echelon))[::-1]
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
         vec = [0] * ncols
         vec[fc] = 1
-        for row, pc in zip(echelon, pivots):
-            vec[pc] = (-row[fc]) % MODULUS
+        known = [(fc, 1)]  # the nonzero entries of vec so far
+        for pc, row in upward:
+            if pc < fc:
+                x = -sum(row[j] * v for j, v in known) % q
+                if x:
+                    vec[pc] = x
+                    known.append((pc, x))
         basis.append(vec)
     return basis
 

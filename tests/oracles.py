@@ -6,13 +6,20 @@ maximizing over all edge subsets, circuits as minimal dependent sets, and
 the union rank by exhausting the min-formula over every subset,
 rainbow tuples by enumerating the class product with row-removal ranks,
 and plane rainbow pairs by a fresh (2,3) rank of every E - e - f.
+
+Two are earlier implementations kept as references for the faster code
+that replaced them: the union rank that replays a fresh game on E minus T
+in every augmentation round, and GF(q) elimination to reduced echelon
+form.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
+from coordrig.laman import UnionRankReport, _augment, _plane_target, transversal_rank
 from coordrig.linalg import (
+    MODULUS,
     modular_matrix,
     modular_rank_rows,
     sample_modular_configuration,
@@ -150,3 +157,68 @@ def brute_rainbow_pair(g):
             if rank_without(e, f) == full:
                 return (e, f)
     return None
+
+
+def replay_union_rank(g) -> UnionRankReport:
+    """Plane union rank with a fresh game on E minus T, in canonical order,
+    for every augmentation round; the last round's game is the witness."""
+    held = {}
+    while True:
+        tset = set(held.values())
+        game = PebbleGame(g.n)
+        circuits = game.insert_all(e for e in g.edges if e not in tset)
+        if len(held) == g.k or not _augment(g, held, game, circuits):
+            break
+    transversal = tuple(sorted(held.values()))
+    if transversal_rank(g, transversal) != len(transversal):
+        raise RuntimeError("T is not rainbow")
+    if any(game.try_insert(e) for e in transversal):
+        raise RuntimeError("removing T lowers the rank")
+    accepted = tuple(game.accepted)
+    rank = len(accepted) + len(transversal)
+    return UnionRankReport(
+        union_rank=rank,
+        independent_rigidity=accepted,
+        transversal=transversal,
+        deficiency=(_plane_target(g.n) + g.k) - rank,
+    )
+
+
+def reduced_echelon(rows):
+    """Pivot columns and unit-pivot reduced echelon rows over GF(MODULUS):
+    every pivot column is cleared above and below its pivot."""
+    q = MODULUS
+    work = [list(r) for r in rows if any(r)]
+    pivots = []
+    for c in range(len(work[0]) if work else 0):
+        top = len(pivots)
+        if top == len(work):
+            break
+        piv = next((i for i in range(top, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[top], work[piv] = work[piv], work[top]
+        prow = work[top]
+        inv = pow(prow[c], q - 2, q)
+        prow[c:] = [x * inv % q for x in prow[c:]]
+        for i in range(len(work)):
+            f = work[i][c]
+            if f and i != top:
+                ri = work[i]
+                ri[c:] = [(a - f * b) % q for a, b in zip(ri[c:], prow[c:])]
+        pivots.append(c)
+    return pivots, work[: len(pivots)]
+
+
+def reduced_echelon_nullspace(rows, ncols: int):
+    """Kernel basis over GF(MODULUS) read off the reduced echelon form:
+    one vector per free column, 1 there and 0 at the other free columns."""
+    pivots, echelon = reduced_echelon(rows)
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        vec = [0] * ncols
+        vec[fc] = 1
+        for row, pc in zip(echelon, pivots):
+            vec[pc] = (-row[fc]) % MODULUS
+        basis.append(vec)
+    return basis

@@ -8,6 +8,7 @@ import pytest
 from conftest import fixture_path
 
 from coordrig import serialize, sparsity_rank, union_rank_d2
+from coordrig import cli
 from coordrig.cli import main
 from coordrig.corpus import random_coloured_graph
 
@@ -287,7 +288,7 @@ def test_rank_report():
 def test_rank_plays_only_the_union_games(tmp_path, pebble_games):
     # r(E) is the size of the union witness's basis of E minus T, so
     # `rank --dim 2` plays no game of its own; this graph's T ends with
-    # 4 of its 5 colours
+    # 4 of its 5 colours, and the union keeps one game live throughout
     g = random_coloured_graph(14, 5, seed=2, m=31)
     path = tmp_path / "g.json"
     path.write_text(serialize(g))
@@ -296,8 +297,41 @@ def test_rank_plays_only_the_union_games(tmp_path, pebble_games):
     rank_games = len(pebble_games)
     pebble_games.clear()
     rep = union_rank_d2(g)
-    assert rank_games == len(pebble_games) == len(rep.transversal) + 1 == 5
+    assert len(rep.transversal) == 4
+    assert rank_games == len(pebble_games) == 1
     assert json.loads(out)["pebble_rank_23"] == sparsity_rank(g)[0]
+
+
+def test_one_parser_serves_every_call(monkeypatch):
+    # main builds its parser once per process; a check, a rank, an argparse
+    # usage error and a check under another COORDRIG_SEED must each give
+    # what a freshly built parser gives
+    calls = [
+        (("check", str(fixture_path("seven_rigid_k2")), "--dim", "3"), 4),
+        (("rank", str(fixture_path("twin_blocks_k2")), "--trials", "1"), None),
+        (("check", str(fixture_path("quad_rigid_k1")), "--method", "bogus"), None),
+        (("check", str(fixture_path("seven_rigid_k2")), "--dim", "3"), 9),
+    ]
+
+    def outcome(argv, env_seed):
+        try:
+            return run_cli(*argv, env_seed=env_seed)
+        except SystemExit as exc:
+            return exc.code, "", ""
+
+    fresh = []
+    for argv, env_seed in calls:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv, env_seed)[:2])
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    shared = [outcome(argv, env_seed)[:2] for argv, env_seed in calls]
+    assert len(built) == 1
+    assert shared == fresh
+    assert [code for code, _ in shared] == [1, 0, 2, 1]
+    assert shared[0][1] != shared[3][1]  # the seed reached the oracle
 
 
 def test_rank_dump_matrix():

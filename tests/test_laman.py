@@ -25,7 +25,12 @@ from coordrig import laman
 from coordrig.corpus import random_coloured_graph, random_corpus
 from coordrig.pebble import PLANE, PebbleGame, run_game
 
-from oracles import brute_circuits, brute_rainbow_pair, brute_union_rank
+from oracles import (
+    brute_circuits,
+    brute_rainbow_pair,
+    brute_union_rank,
+    replay_union_rank,
+)
 
 K4_ONE_COLOURED = build(
     4, 1, [(0, 1, 1), (0, 2, 0), (0, 3, 0), (1, 2, 0), (1, 3, 0), (2, 3, 0)]
@@ -123,26 +128,83 @@ def test_augment_invariant_check_fires():
 
 
 def test_union_plays_one_game_per_round(pebble_games):
-    # one game on E minus T per round, the last round's game is the
-    # witness: |T| + 1 games whether or not T reaches k colours
+    # one game on E stays live on E minus T through every augmentation and
+    # is the witness, whether or not T reaches k colours
     short = 0
     for i in range(120):
         g = random_coloured_graph(8 + i % 20, 3 + i % 4, seed=i)
         pebble_games.clear()
         rep = union_rank_d2(g)
-        assert len(pebble_games) == len(rep.transversal) + 1, f"instance {i}"
+        assert len(pebble_games) == 1, f"instance {i}"
         short += len(rep.transversal) < g.k
     assert short >= 40
+
+
+def test_live_union_matches_per_round_replay(monkeypatch):
+    # the live game moves T along each path by deleting and re-inserting
+    # edges; every field must equal a fresh game per round, including
+    # paths that swap edges of T out and graphs whose T stays short of k
+    swaps = []
+    augment = laman._augment
+
+    def counting_augment(g, held, game, circuits):
+        before = set(held.values())
+        found = augment(g, held, game, circuits)
+        swaps.append(len(before - set(held.values())))
+        return found
+
+    monkeypatch.setattr(laman, "_augment", counting_augment)
+    graphs = []
+    for i in range(300):
+        rng = random.Random(i)
+        k = rng.randint(3, 6)
+        if i % 3 == 0:  # default edge-count window around 2n - 3 + k
+            n, m = rng.randint(6, 60), None
+        elif i % 3 == 1:  # dense: far more edges than 2n - 3 + k
+            n = rng.randint(6, 60)
+            m = min(n * (n - 1) // 2, 2 * n - 3 + k + rng.randint(3, 3 * n))
+        else:  # small and exactly at the count, where paths swap T most
+            n = rng.randint(6, 12)
+            m = min(n * (n - 1) // 2, 2 * n - 3 + k)
+        graphs.append(random_coloured_graph(n, k, seed=i, m=m))
+    graphs.append(random_coloured_graph(320, 6, seed=1))
+    short = rigid = 0
+    for i, g in enumerate(graphs):
+        rep = union_rank_d2(g)
+        assert rep == replay_union_rank(g), f"instance {i}"  # all four fields
+        short += len(rep.transversal) < g.k
+        rigid += rep.deficiency == 0
+    assert short >= 25 and rigid >= 100
+    assert sum(1 for x in swaps if x) >= 15
+
+
+def test_canonical_basis_replays_only_a_non_greedy_basis(pebble_games):
+    # a basis is the canonical greedy one iff every rejected edge is the
+    # last of its circuit; a game played in reverse order fails that test
+    # and must be replaced by a canonical replay, a canonical game must not
+    g = random_coloured_graph(12, 3, seed=0)
+    tset = set(union_rank_d2(g).transversal)
+    rest = [e for e in g.edges if e not in tset]
+    canonical = PebbleGame(g.n)
+    circuits = canonical.insert_all(rest)
+    backwards = PebbleGame(g.n)
+    back_circuits = backwards.insert_all(reversed(rest))
+    assert sorted(backwards.accepted) != canonical.accepted
+    pebble_games.clear()
+    assert laman._canonical_basis(g, tset, canonical, circuits) == tuple(canonical.accepted)
+    assert not pebble_games
+    assert laman._canonical_basis(g, tset, backwards, back_circuits) == tuple(canonical.accepted)
+    assert len(pebble_games) == 1
 
 
 @pytest.mark.parametrize(
     "decide,fixture,most",
     [
         # random k = 5 graph whose augmenting paths pass through edges of T
-        # and whose T ends with 4 colours: one game on E minus T per
-        # augmentation plus the last round's, which finds no path and is
-        # the witness; edges of T are read by inserting them into the game
-        (union_rank_d2, None, 4 + 1),
+        # and whose T ends with 4 colours: one game on E, moved along each
+        # path by deleting and re-inserting edges, is also the witness;
+        # edges of T are read by inserting them into the game
+        (union_rank_d2, None, 1),
         # one game on E, whose first phase is the uncoloured subgraph's game
         (check_k1, "quad_rigid_k1", 1),
         # that game and one (2,2) game on G0, copied for each class; the

@@ -31,6 +31,9 @@ from coordrig.linalg import (
     trivial_motion_generators,
 )
 
+from conftest import FIXTURE_NAMES, load_fixture
+from oracles import reduced_echelon, reduced_echelon_nullspace
+
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 K4 = build(4, 0, [(u, v, 0) for u in range(4) for v in range(u + 1, 4)])
 TRIANGLE = build(3, 0, [(0, 1, 0), (0, 2, 0), (1, 2, 0)])
@@ -146,6 +149,64 @@ def test_modular_nullspace_is_kernel():
     for vec in basis:
         for row in M:
             assert sum(a * b for a, b in zip(row, vec)) % MODULUS == 0
+
+
+def _random_gf_matrices():
+    # seeded GF(q) matrices of every awkward shape: wide, tall, square,
+    # rank-deficient products, zero rows and zero columns, one row or
+    # column, and sparse ones like rigidity matrices
+    rng = random.Random(2024)
+
+    def dense(r, c):
+        return [[rng.randrange(MODULUS) for _ in range(c)] for _ in range(r)]
+
+    out = []
+    for _ in range(12):
+        r, c = rng.randint(1, 14), rng.randint(1, 14)
+        out.append(dense(r, c))  # wide, tall or square
+        inner = rng.randint(1, min(r, c))
+        left, right = dense(r, inner), dense(inner, c)
+        out.append([[sum(a * b for a, b in zip(row, col)) % MODULUS
+                     for col in zip(*right)] for row in left])  # rank <= inner
+        m = dense(r, c)
+        for i in rng.sample(range(r), rng.randint(0, r)):
+            m[i] = [0] * c
+        for j in rng.sample(range(c), rng.randint(0, c)):
+            for row in m:
+                row[j] = 0
+        out.append(m)  # zero rows and zero columns
+        out.append([[x if rng.random() < 0.2 else 0 for x in row]
+                    for row in dense(r, c)])  # sparse
+    out += [dense(1, 9), dense(9, 1), [[0] * 5 for _ in range(3)]]
+    return out
+
+
+def _fixture_transposes():
+    for name in FIXTURE_NAMES:
+        g = load_fixture(name)
+        for d in (2, 3):
+            p = sample_modular_configuration(g.n, d, seed=d)
+            yield f"{name}-d{d}", list(zip(*modular_matrix(g, p, d))), g.m
+
+
+def test_eliminator_matches_reduced_echelon_on_random_matrices():
+    for i, m in enumerate(_random_gf_matrices()):
+        ncols = len(m[0])
+        assert modular_rank_rows(m) == len(reduced_echelon(m)[0]), f"matrix {i}"
+        assert modular_nullspace(m, ncols) == reduced_echelon_nullspace(m, ncols), f"matrix {i}"
+        keep = list(range(0, len(m), 2))
+        expect = len(reduced_echelon([m[j] for j in keep])[0])
+        assert modular_rank_rows(m, row_subset=keep) == expect, f"matrix {i}"
+
+
+def test_eliminator_matches_reduced_echelon_on_fixture_transposes():
+    # R(p)ᵀ has one row per vertex coordinate and one column per edge; its
+    # kernel is the stress space the rank oracle reads rainbow tuples from
+    for label, rt, m in _fixture_transposes():
+        assert modular_nullspace(rt, m) == reduced_echelon_nullspace(rt, m), label
+        assert modular_rank_rows(rt) == len(reduced_echelon(rt)[0]), label
+        rows = list(zip(*rt))
+        assert modular_rank_rows(rows) == len(reduced_echelon(rows)[0]), label
 
 
 def test_motions_quad_flex_vs_rigid(quad_flex_k1, quad_rigid_k1):
