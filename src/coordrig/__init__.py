@@ -40,7 +40,6 @@ from .laman import (
     union_rank_d2,
 )
 from .linalg import (
-    Configuration,
     MotionReport,
     check_equivalent,
     colour_class_load,

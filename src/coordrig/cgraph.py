@@ -5,6 +5,11 @@ colour in {0, ..., k}.  Colour 0 marks ordinary fixed-length bars; colours
 1..k are the coordination classes and must each be non-empty.  Edges are
 kept in canonical (lexicographically sorted) order so that every algorithm
 downstream produces reproducible output.
+
+Each check lives in one place.  ``parse_coloured_graph`` checks only what
+JSON needs (the document's shape and the optional ``coords`` and ``r``),
+``build`` sorts the triples without coercing them, and ``validate``, which
+every ``ColouredGraph`` runs, checks every graph value once.
 """
 
 from __future__ import annotations
@@ -76,52 +81,38 @@ class ColouredGraph:
         """Position of an edge in canonical order."""
         return self.edges.index(edge)
 
-    def without_edges(self, drop: set[tuple[int, int]] | frozenset) -> "ColouredGraph":
-        """Same vertex set with the given edges removed; colours renumbered.
-
-        Classes emptied by the removal are dropped and the remaining nonzero
-        classes renumbered 1..k' in increasing order of their old index.
-        """
-        kept = [(e, c) for e, c in zip(self.edges, self.colours) if e not in drop]
-        surviving = sorted({c for _, c in kept if c > 0})
-        renum = {old: new for new, old in enumerate(surviving, start=1)}
-        renum[0] = 0
-        new_r = None
-        if self.r is not None:
-            new_r = tuple(self.r[old - 1] for old in surviving)
-        return ColouredGraph(
-            n=self.n,
-            edges=tuple(e for e, _ in kept),
-            colours=tuple(renum[c] for _, c in kept),
-            k=len(surviving),
-            coords=self.coords,
-            r=new_r,
-        )
-
 
 def validate(n: int, edges, colours, k: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    """Check a graph's values in one pass over its edges.
+
+    n, k, the vertices and the colours must be exact ``int``s (so no bool,
+    float or numpy scalar), every edge must satisfy 0 <= u < v < n with a
+    colour in 0..k, the edges must be strictly increasing (sorted, no
+    duplicates) and every class 1..k must be non-empty.
+    """
+    if type(n) is not int or n < 1:
         raise GraphError(f"vertex count must be a positive integer, got {n!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+    if type(k) is not int or k < 0:
         raise GraphError(f"class count must be a non-negative integer, got {k!r}")
     if len(edges) != len(colours):
         raise GraphError("edge list and colour list lengths differ")
-    seen: set[tuple[int, int]] = set()
-    for (u, v), c in zip(edges, colours):
-        if not (isinstance(u, int) and isinstance(v, int)):
+    prev = (-1, -1)  # below every edge that passes the range check
+    for e, c in zip(edges, colours):
+        u, v = e
+        if type(u) is not int or type(v) is not int:
             raise GraphError(f"non-integer vertex in edge ({u!r}, {v!r})")
-        if u == v:
-            raise GraphError(f"loop at vertex {u}")
-        if not (0 <= u < v < n):
-            raise GraphError(f"edge ({u}, {v}) violates 0 <= u < v < n={n}")
-        if (u, v) in seen:
-            raise GraphError(f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
-        if not isinstance(c, int) or not 0 <= c <= k:
-            raise GraphError(f"colour {c!r} of edge ({u}, {v}) out of range 0..{k}")
-    if list(edges) != sorted(edges):
-        raise GraphError("edges not in canonical sorted order")
-    present = {c for c in colours if c > 0}
+        if not 0 <= u < v < n:
+            what = f"loop at vertex {u}" if u == v else f"edge ({u}, {v})"
+            raise GraphError(f"{what} violates 0 <= u < v < n={n}")
+        if e <= prev:
+            if e == prev:
+                raise GraphError(f"duplicate edge ({u}, {v})")
+            raise GraphError("edges not in canonical sorted order")
+        prev = e
+        if type(c) is not int or not 0 <= c <= k:
+            why = "out of range" if type(c) is int else "is not an integer in"
+            raise GraphError(f"colour {c!r} of edge ({u}, {v}) {why} 0..{k}")
+    present = set(colours)
     for i in range(1, k + 1):
         if i not in present:
             raise GraphError(f"colour class {i} is empty")
@@ -130,9 +121,14 @@ def validate(n: int, edges, colours, k: int) -> None:
 def build(n: int, k: int, coloured_edges, coords=None, r=None) -> ColouredGraph:
     """Construct a graph from an iterable of (u, v, colour) triples.
 
-    Canonicalizes the edge order; everything else is validated strictly.
+    Sorts the triples into canonical order as given, without coercing any
+    value; the graph's ``validate`` then checks them.  Values that cannot
+    be ordered against each other raise ``GraphError``.
     """
-    triples = sorted((int(u), int(v), int(c)) for u, v, c in coloured_edges)
+    try:
+        triples = sorted(coloured_edges)
+    except TypeError as exc:
+        raise GraphError(f"edge entries cannot be ordered: {exc}") from exc
     edges = tuple((u, v) for u, v, _ in triples)
     colours = tuple(c for _, _, c in triples)
     return ColouredGraph(
@@ -151,11 +147,12 @@ def parse_coloured_graph(text: str) -> ColouredGraph:
     The document is an object with integer ``n`` >= 1, integer ``k`` >= 0 and
     ``edges``: an array of ``[u, v, colour]`` integer triples with
     0 <= u < v < n and 0 <= colour <= k.  Optional keys: ``coords`` (n rows
-    of d numbers) and ``r`` (k numbers).
+    of d numbers) and ``r`` (k numbers).  This function checks the JSON
+    shape, ``coords`` and ``r``; ``build`` and ``validate`` check the graph.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer beyond the digit limit
         raise GraphError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise GraphError("top-level JSON value must be an object")
@@ -165,16 +162,9 @@ def parse_coloured_graph(text: str) -> ColouredGraph:
     n, k, raw_edges = doc["n"], doc["k"], doc["edges"]
     if not isinstance(raw_edges, list):
         raise GraphError("'edges' must be an array")
-    triples = []
     for item in raw_edges:
         if not (isinstance(item, list) and len(item) == 3):
             raise GraphError(f"edge entry {item!r} is not a [u, v, colour] triple")
-        u, v, c = item
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (u, v, c)):
-            raise GraphError(f"edge entry {item!r} has non-integer components")
-        if u >= v:
-            raise GraphError(f"edge ({u}, {v}) must satisfy u < v")
-        triples.append((u, v, c))
 
     coords = doc.get("coords")
     if coords is not None:
@@ -198,7 +188,7 @@ def parse_coloured_graph(text: str) -> ColouredGraph:
         if not _finite_numbers(r):
             raise GraphError("'r' entries must be finite numbers")
 
-    return build(n, k, triples, coords=coords, r=r)
+    return build(n, k, raw_edges, coords=coords, r=r)
 
 
 def _finite_numbers(values) -> bool:
@@ -234,5 +224,15 @@ def subgraph_by_colours(g: ColouredGraph, keep: set[int]) -> ColouredGraph:
     bad = sorted(c for c in keep if not 0 <= c <= g.k)
     if bad:
         raise GraphError(f"colour selection {bad} out of range 0..{g.k}")
-    drop = {e for e, c in zip(g.edges, g.colours) if c not in keep}
-    return g.without_edges(drop)
+    surviving = [c for c in range(1, g.k + 1) if c in keep]  # none is empty
+    renum = {old: new for new, old in enumerate(surviving, start=1)}
+    renum[0] = 0
+    kept = [(e, renum[c]) for e, c in zip(g.edges, g.colours) if c in keep]
+    return ColouredGraph(
+        n=g.n,
+        edges=tuple(e for e, _ in kept),
+        colours=tuple(c for _, c in kept),
+        k=len(surviving),
+        coords=g.coords,
+        r=None if g.r is None else tuple(g.r[c - 1] for c in surviving),
+    )

@@ -83,7 +83,7 @@ def _write(path, text: str) -> None:
 def _coords_for(g, args, d: int):
     if d < 1:
         raise CliError(f"--dim must be at least 1, got {d}")
-    if getattr(args, "coords", "random") == "from-file":
+    if args.coords == "from-file":
         if g.coords is None:
             raise CliError("--coords from-file requires a 'coords' entry in the input")
         if len(g.coords[0]) != d:
@@ -258,27 +258,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("motions", help="infinitesimal motion basis")
-    p.add_argument("file")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--coords", choices=["random", "from-file"], default="random")
-    p.add_argument("--tol", type=float, default=None,
-                   help="numerical rank tolerance (default: the standard "
-                        "max(shape) * eps * sigma_max rule)")
-    p.add_argument("--dump-matrix", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_motions)
-
-    p = sub.add_parser("stresses", help="equilibrium stress basis")
-    p.add_argument("file")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--coords", choices=["random", "from-file"], default="random")
-    p.add_argument("--tol", type=float, default=None,
-                   help="numerical rank tolerance (default: the standard "
-                        "max(shape) * eps * sigma_max rule)")
-    p.add_argument("--dump-matrix", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_stresses)
+    for name, help_text, func in (
+        ("motions", "infinitesimal motion basis", cmd_motions),
+        ("stresses", "equilibrium stress basis", cmd_stresses),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file")
+        p.add_argument("--dim", type=int, default=2)
+        p.add_argument("--coords", choices=["random", "from-file"], default="random")
+        p.add_argument("--tol", type=float, default=None,
+                       help="numerical rank tolerance (default: the standard "
+                            "max(shape) * eps * sigma_max rule)")
+        p.add_argument("--dump-matrix", action="store_true")
+        common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("gen", help="generate graph files")
     p.add_argument("--n", type=int, required=True)
@@ -320,10 +313,7 @@ def main(argv=None) -> int:
         if args.seed is None:
             args.seed = _default_seed()
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except generic.BackendError as exc:
+    except (CliError, generic.BackendError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

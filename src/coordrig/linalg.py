@@ -12,7 +12,6 @@ derive their seeds as root_seed + trial_index.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -29,34 +28,8 @@ Edge = tuple[int, int]
 # configurations
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """An ordered tuple of n points in d-space."""
-
-    points: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.points:
-            raise ValueError("configuration needs at least one point")
-        d = len(self.points[0])
-        if d < 1 or any(len(p) != d for p in self.points):
-            raise ValueError("points must share a dimension >= 1")
-        if any(not math.isfinite(x) for p in self.points for x in p):
-            raise ValueError("coordinates must be finite")
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
-    @property
-    def d(self) -> int:
-        return len(self.points[0])
-
-
 def as_points(p, n: int) -> np.ndarray:
-    """Coerce to an (n, d) float array, validating the vertex count."""
-    if isinstance(p, Configuration):
-        p = p.points
+    """Coerce to an (n, d) float array of finite points, one per vertex."""
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != n:
         raise ValueError(f"expected {n} points, got array of shape {arr.shape}")
@@ -173,7 +146,7 @@ def _row_reduce(rows) -> tuple[list[int], list[list[int]]]:
             continue
         work[top], work[piv] = work[piv], work[top]
         prow = work[top]
-        inv = pow(prow[c], q - 2, q)
+        inv = pow(prow[c], -1, q)
         prow[c] = 1
         support = []
         for j in range(c + 1, ncols):
@@ -397,8 +370,7 @@ def coordination_gram(g: ColouredGraph, p, tol: float | None = None) -> np.ndarr
     coordinated framework is infinitesimally rigid iff this k x k matrix is
     nonsingular; an independent framework (S(p) = 0) yields the zero matrix.
     """
-    _, left, _ = _svd_spaces(rigidity_matrix(g, p), tol)
-    proj = left.T @ indicator_matrix(g)  # s x k coefficients
+    proj = equilibrium_stresses(g, p, tol) @ indicator_matrix(g)  # s x k
     return proj.T @ proj
 
 

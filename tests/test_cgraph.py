@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordrig import (
+    ColouredGraph,
     GraphError,
     build,
     parse_coloured_graph,
@@ -133,6 +135,30 @@ def test_build_rejects_loop_and_duplicate():
         build(3, 0, [(1, 1, 0)])
     with pytest.raises(GraphError, match="duplicate"):
         build(3, 0, [(0, 1, 0), (0, 1, 0)])
+
+
+@pytest.mark.parametrize(
+    "construct",
+    [
+        pytest.param(lambda: build(3, 0, [(0, 1.7, 0)]), id="float-vertex"),
+        pytest.param(lambda: build(3, 1, [(True, 2, 1)]), id="bool-vertex"),
+        pytest.param(lambda: build(3, 1, [(0, 1, True)]), id="bool-colour"),
+        pytest.param(lambda: build(3, 1, [(0, np.int64(1), 1)]), id="numpy-vertex"),
+        pytest.param(
+            lambda: ColouredGraph(n=3, edges=((True, 2),), colours=(1,), k=1),
+            id="graph-bool-vertex",
+        ),
+        pytest.param(
+            lambda: ColouredGraph(n=3, edges=((0, 1),), colours=(True,), k=1),
+            id="graph-bool-colour",
+        ),
+    ],
+)
+def test_library_construction_rejects_what_the_parser_rejects(construct):
+    # coercing these would turn 1.7 into vertex 1, and a bool would be
+    # serialized as `true`, which the parser rejects
+    with pytest.raises(GraphError):
+        construct()
 
 
 @settings(max_examples=60, deadline=None)

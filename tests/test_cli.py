@@ -90,6 +90,39 @@ def test_check_parse_error_exit_two(tmp_path):
     assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
 
 
+def _doc(edges: str, n: str = "3") -> str:
+    return f'{{"n": {n}, "k": 1, "edges": {edges}}}'
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param(_doc('[[0, "1", 1]]'), id="string-vertex"),
+        pytest.param(_doc("[[0, 1.5, 1]]"), id="fractional-vertex"),
+        pytest.param(_doc("[[0, 1.0, 1]]"), id="integral-float-vertex"),
+        pytest.param(_doc("[[true, 2, 1]]"), id="bool-vertex"),
+        pytest.param(_doc("[[0, 1, true]]"), id="bool-colour"),
+        pytest.param(_doc("[[0, null, 1]]"), id="null-vertex"),
+        pytest.param(_doc("[[0, [1], 1]]"), id="nested-list-vertex"),
+        pytest.param(_doc('[[0, 1, 1], ["0", 2, 0]]'), id="unsortable-mix"),
+        pytest.param(_doc("[[1, 0, 1]]"), id="reversed-pair"),
+        pytest.param(_doc("[[1, 1, 1]]"), id="loop"),
+        pytest.param(_doc("[[0, 1]]"), id="two-entry-item"),
+        pytest.param(_doc("[[0, 1" + "0" * 29 + ", 1]]"), id="30-digit-vertex"),
+        pytest.param(_doc("[[0, 1, 1]]", n="3.0"), id="float-n"),
+        pytest.param(_doc("[[-1, 1, 1]]"), id="negative-vertex"),
+        # beyond Python's int-string digit limit, json raises a bare ValueError
+        pytest.param(_doc("[[0, 1" + "0" * 5000 + ", 1]]"), id="5001-digit-vertex"),
+    ],
+)
+def test_check_rejects_hostile_edge_entries(tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc)
+    code, out, err = run_cli("check", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_reproducible_byte_identical_output():
     args = ("check", str(fixture_path("seven_rigid_k2")), "--method", "numeric",
             "--seed", "99", "--json")

@@ -19,7 +19,6 @@ from coordrig import (
 from coordrig.corpus import random_corpus
 from coordrig.linalg import (
     MODULUS,
-    Configuration,
     float_rank,
     indicator_matrix,
     is_equilibrium_load,
@@ -429,13 +428,11 @@ def test_matrix_dimension_mismatch_errors():
 
 
 def test_configuration_type_validation():
-    Configuration(points=((0.0, 0.0), (1.0, 2.0)))
-    with pytest.raises(ValueError):
-        Configuration(points=())
-    with pytest.raises(ValueError):
-        Configuration(points=((0.0,), (1.0, 2.0)))
-    with pytest.raises(ValueError):
-        Configuration(points=((math.inf, 0.0),))
+    g = build(2, 0, [(0, 1, 0)])
+    assert rigidity_matrix(g, ((0.0, 0.0), (1.0, 2.0))).shape == (1, 4)
+    for points in ((), ((0.0,), (1.0, 2.0)), ((math.inf, 0.0), (1.0, 2.0))):
+        with pytest.raises(ValueError):
+            rigidity_matrix(g, points)
 
 
 # ---------------------------------------------------------------------------
