@@ -6,10 +6,11 @@ colour in {0, ..., k}.  Colour 0 marks ordinary fixed-length bars; colours
 kept in canonical (lexicographically sorted) order so that every algorithm
 downstream produces reproducible output.
 
-Each check lives in one place.  ``parse_coloured_graph`` checks only what
-JSON needs (the document's shape and the optional ``coords`` and ``r``),
-``build`` sorts the triples without coercing them, and ``validate``, which
-every ``ColouredGraph`` runs, checks every graph value once.
+Each check lives in one place.  ``parse_coloured_graph`` checks only the
+JSON document's shape, ``build`` sorts the triples without coercing them,
+and ``validate``, which every ``ColouredGraph`` runs, checks every value
+once: the graph, the placement ``coords`` and the offsets ``r``.  The graph
+then answers edge positions and colours from one edge -> position map.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ class ColouredGraph:
     ``edges`` is a tuple of (u, v) pairs with u < v, sorted lexicographically;
     ``colours`` is the parallel tuple of colour indices.  ``coords`` and ``r``
     are optional payloads carried through from input files (a point
-    configuration and a coordination offset vector); they play no role in
-    graph-level algorithms.
+    configuration and a coordination offset vector), stored as float
+    tuples; they play no role in graph-level algorithms.
     """
 
     n: int
@@ -40,35 +41,30 @@ class ColouredGraph:
     k: int
     coords: tuple[tuple[float, ...], ...] | None = None
     r: tuple[float, ...] | None = None
-    _colour_of: dict[tuple[int, int], int] = field(
+    _position: dict[tuple[int, int], int] = field(
         init=False, repr=False, compare=False, hash=False, default_factory=dict
     )
 
     def __post_init__(self) -> None:
-        validate(self.n, self.edges, self.colours, self.k)
-        object.__setattr__(
-            self, "_colour_of", dict(zip(self.edges, self.colours))
-        )
+        validate(self.n, self.edges, self.colours, self.k, self.coords, self.r)
+        if self.coords is not None:
+            object.__setattr__(self, "coords", tuple(tuple(map(float, p)) for p in self.coords))
+        if self.r is not None:
+            object.__setattr__(self, "r", tuple(map(float, self.r)))
+        object.__setattr__(self, "_position", {e: i for i, e in enumerate(self.edges)})
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def colour_of(self, edge: tuple[int, int]) -> int:
-        return self._colour_of[edge]
+        return self.colours[self._position[edge]]
 
     def colour_class(self, i: int) -> tuple[tuple[int, int], ...]:
         """Edges of class i (i = 0 gives the uncoloured edges)."""
         if not 0 <= i <= self.k:
             raise GraphError(f"colour class {i} out of range 0..{self.k}")
         return tuple(e for e, c in zip(self.edges, self.colours) if c == i)
-
-    def colour_classes(self) -> list[tuple[tuple[int, int], ...]]:
-        """All classes, indexed 0..k."""
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.k + 1)]
-        for e, c in zip(self.edges, self.colours):
-            out[c].append(e)
-        return [tuple(cls) for cls in out]
 
     def isolated_vertices(self) -> tuple[int, ...]:
         seen = set()
@@ -79,21 +75,35 @@ class ColouredGraph:
 
     def edge_index(self, edge: tuple[int, int]) -> int:
         """Position of an edge in canonical order."""
-        return self.edges.index(edge)
+        return self._position[edge]
 
 
-def validate(n: int, edges, colours, k: int) -> None:
-    """Check a graph's values in one pass over its edges.
+def validate(n: int, edges, colours, k: int, coords, r) -> None:
+    """Check a graph's values, its edges in one pass.
 
     n, k, the vertices and the colours must be exact ``int``s (so no bool,
     float or numpy scalar), every edge must satisfy 0 <= u < v < n with a
     colour in 0..k, the edges must be strictly increasing (sorted, no
-    duplicates) and every class 1..k must be non-empty.
+    duplicates) and every class 1..k must be non-empty.  ``coords`` must be
+    None or n rows of one length d >= 1, ``r`` None or k entries, all finite
+    reals (no bool, string or int beyond the float range).
     """
     if type(n) is not int or n < 1:
         raise GraphError(f"vertex count must be a positive integer, got {n!r}")
     if type(k) is not int or k < 0:
         raise GraphError(f"class count must be a non-negative integer, got {k!r}")
+    if coords is not None:
+        if _len(coords) != n or not all(_len(p) > 0 for p in coords):
+            raise GraphError("'coords' must be an array of n non-empty coordinate rows")
+        if len({len(p) for p in coords}) != 1:
+            raise GraphError("'coords' rows have inconsistent dimension")
+        if not _finite_numbers(x for p in coords for x in p):
+            raise GraphError("'coords' entries must be finite numbers")
+    if r is not None:
+        if _len(r) != k:
+            raise GraphError("'r' must be an array of k numbers")
+        if not _finite_numbers(r):
+            raise GraphError("'r' entries must be finite numbers")
     if len(edges) != len(colours):
         raise GraphError("edge list and colour list lengths differ")
     prev = (-1, -1)  # below every edge that passes the range check
@@ -122,8 +132,9 @@ def build(n: int, k: int, coloured_edges, coords=None, r=None) -> ColouredGraph:
     """Construct a graph from an iterable of (u, v, colour) triples.
 
     Sorts the triples into canonical order as given, without coercing any
-    value; the graph's ``validate`` then checks them.  Values that cannot
-    be ordered against each other raise ``GraphError``.
+    value; the graph's ``validate`` then checks them and ``coords`` and
+    ``r``.  Values that cannot be ordered against each other raise
+    ``GraphError``.
     """
     try:
         triples = sorted(coloured_edges)
@@ -131,14 +142,7 @@ def build(n: int, k: int, coloured_edges, coords=None, r=None) -> ColouredGraph:
         raise GraphError(f"edge entries cannot be ordered: {exc}") from exc
     edges = tuple((u, v) for u, v, _ in triples)
     colours = tuple(c for _, _, c in triples)
-    return ColouredGraph(
-        n=n,
-        edges=edges,
-        colours=colours,
-        k=k,
-        coords=None if coords is None else tuple(tuple(float(x) for x in p) for p in coords),
-        r=None if r is None else tuple(float(x) for x in r),
-    )
+    return ColouredGraph(n=n, edges=edges, colours=colours, k=k, coords=coords, r=r)
 
 
 def parse_coloured_graph(text: str) -> ColouredGraph:
@@ -147,8 +151,9 @@ def parse_coloured_graph(text: str) -> ColouredGraph:
     The document is an object with integer ``n`` >= 1, integer ``k`` >= 0 and
     ``edges``: an array of ``[u, v, colour]`` integer triples with
     0 <= u < v < n and 0 <= colour <= k.  Optional keys: ``coords`` (n rows
-    of d numbers) and ``r`` (k numbers).  This function checks the JSON
-    shape, ``coords`` and ``r``; ``build`` and ``validate`` check the graph.
+    of d numbers) and ``r`` (k numbers).  This function checks only the JSON
+    shape (``edges`` an array of triples, ``coords`` an array of arrays,
+    ``r`` an array); ``validate`` checks every value.
     """
     try:
         doc = json.loads(text)
@@ -166,29 +171,22 @@ def parse_coloured_graph(text: str) -> ColouredGraph:
         if not (isinstance(item, list) and len(item) == 3):
             raise GraphError(f"edge entry {item!r} is not a [u, v, colour] triple")
 
-    coords = doc.get("coords")
-    if coords is not None:
-        if (
-            not isinstance(coords, list)
-            or not isinstance(n, int)
-            or len(coords) != n
-            or not coords
-            or any(not isinstance(p, list) or not p for p in coords)
-        ):
-            raise GraphError("'coords' must be an array of n non-empty coordinate rows")
-        d = len(coords[0])
-        if any(len(p) != d for p in coords):
-            raise GraphError("'coords' rows have inconsistent dimension")
-        if not _finite_numbers(x for p in coords for x in p):
-            raise GraphError("'coords' entries must be finite numbers")
-    r = doc.get("r")
-    if r is not None:
-        if not isinstance(r, list) or len(r) != k:
-            raise GraphError("'r' must be an array of k numbers")
-        if not _finite_numbers(r):
-            raise GraphError("'r' entries must be finite numbers")
-
+    coords, r = doc.get("coords"), doc.get("r")
+    if coords is not None and not (
+        isinstance(coords, list) and all(isinstance(p, list) for p in coords)
+    ):
+        raise GraphError("'coords' must be an array of n non-empty coordinate rows")
+    if r is not None and not isinstance(r, list):
+        raise GraphError("'r' must be an array of k numbers")
     return build(n, k, raw_edges, coords=coords, r=r)
+
+
+def _len(x) -> int:
+    """len(x), or -1 for a value that has no length."""
+    try:
+        return len(x)
+    except TypeError:
+        return -1
 
 
 def _finite_numbers(values) -> bool:

@@ -3,8 +3,9 @@
 Commands: check, motions, stresses, gen, draw, rank.  All machine output is
 JSON on stdout; diagnostics go to stderr.  Exit codes: 0 for a "rigid"
 decision or plain success, 1 for a "flexible" decision, 2 for input or
-usage errors.  The environment variable COORDRIG_SEED supplies the default
-seed; the same file, flags and seed always produce byte-identical output.
+usage errors and for running out of memory.  The environment variable
+COORDRIG_SEED supplies the default seed; the same file, flags and seed
+always produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -313,8 +314,9 @@ def main(argv=None) -> int:
         if args.seed is None:
             args.seed = _default_seed()
         return args.func(args)
-    except (CliError, generic.BackendError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliError, generic.BackendError, MemoryError) as exc:
+        # exit 1 means "flexible", so a crash must not exit 1
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -100,9 +100,10 @@ class _RankOracle:
     def __init__(self, g: ColouredGraph, params: OracleParams):
         self.g = g
         self.params = params
-        self.classes = [
-            [g.edge_index(e) for e in g.colour_class(i)] for i in range(1, g.k + 1)
-        ]
+        self.classes = [[] for _ in range(g.k)]  # edge positions of classes 1..k
+        for i, c in enumerate(g.colours):
+            if c:
+                self.classes[c - 1].append(i)
         self.trials = []
         for t in range(params.trials):
             p = linalg.sample_modular_configuration(g.n, params.d, params.seed + t)
@@ -119,18 +120,16 @@ class _RankOracle:
         """Column of S·1_idx: each stress summed over the edge rows idx."""
         return [sum(w[i] for i in idx) % MODULUS for w in stresses]
 
-    def rank_base(self, drop: frozenset[int]) -> int:
-        """Max over trials of rank R(p) with the given edge rows removed,
-        by a fresh elimination of the remaining rows."""
-        best = 0
+    def keeps_rank(self, edges) -> bool:
+        """Whether R(p) without the rows of ``edges`` keeps rank_full in
+        some trial, by a fresh elimination of the remaining rows.  No trial
+        exceeds rank_full, so the first trial that reaches it decides."""
+        drop = {self.g.edge_index(tuple(e)) for e in edges}
+        subset = [i for i in range(self.g.m) if i not in drop]
         for rows, *_ in self.trials:
-            subset = [i for i in range(len(rows)) if i not in drop]
-            r = linalg.modular_rank_rows(rows, row_subset=subset)
-            best = max(best, r)
-        return best
-
-    def indices(self, edges) -> frozenset[int]:
-        return frozenset(self.g.edge_index(tuple(e)) for e in edges)
+            if linalg.modular_rank_rows(rows, row_subset=subset) == self.rank_full:
+                return True
+        return False
 
 
 def generic_rank(g: ColouredGraph, params: OracleParams) -> int:
@@ -144,10 +143,9 @@ def generic_rank(g: ColouredGraph, params: OracleParams) -> int:
 
 
 def is_redundant_set(g: ColouredGraph, edges, params: OracleParams) -> bool:
-    """Whether removing ``edges`` keeps the generic rank, on shared samples."""
-    oracle = _RankOracle(g, params)
-    drop = oracle.indices(edges)
-    return oracle.rank_base(drop) == oracle.rank_full
+    """Whether removing ``edges`` keeps the sampled generic rank in some
+    trial, on shared samples."""
+    return _RankOracle(g, params).keeps_rank(edges)
 
 
 def _trivial_dim(n: int, d: int) -> int:
@@ -250,7 +248,7 @@ def decide_generic_coordinated_rigidity(
     reaches dn + k minus the generic trivial dimension; then the
     underlying graph has full generic rank and the certificate is a
     redundant rainbow tuple read from S (``find_rainbow_redundant_tuple``),
-    checked by a fresh elimination of R(p) without the tuple's rows.  A
+    checked by eliminating R(p) without the tuple's rows (``keeps_rank``).  A
     rigid verdict is certain, as sampled ranks are lower bounds; a flexible
     one is wrong with probability at most (minor degree)/(q - 1) per trial.
     """
@@ -273,7 +271,7 @@ def decide_generic_coordinated_rigidity(
         tup = ()
         if g.k >= 1:
             tup = find_rainbow_redundant_tuple(g, params, _oracle=oracle)
-            if oracle.rank_base(oracle.indices(tup)) != rank_full:
+            if not oracle.keeps_rank(tup):
                 raise BackendError(
                     f"rainbow tuple {list(tup)} read from the stress basis is "
                     f"not redundant (seed {params.seed})"

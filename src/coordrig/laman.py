@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .cgraph import ColouredGraph, build
-from .generic import RigidityVerdict
+from .generic import RigidityVerdict, _trivial_dim
 from .pebble import PLANE_LOOSE, PebbleGame
 
 Edge = tuple[int, int]
@@ -37,7 +37,7 @@ Edge = tuple[int, int]
 
 def _plane_target(n: int) -> int:
     """Plane rank of a rigid framework on n vertices: 2n - 3, 0 for n = 1."""
-    return 2 * n - 3 if n > 1 else 0
+    return 2 * n - _trivial_dim(n, 2)
 
 
 @dataclass(frozen=True)

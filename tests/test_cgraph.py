@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -38,36 +39,64 @@ def test_parse_rejects_empty_class():
         parse_coloured_graph(doc)
 
 
-@pytest.mark.parametrize(
-    "doc,match",
-    [
-        ("[1,2]", "object"),
-        ('{"n":2,"k":0}', "edges"),
-        ('{"n":2,"k":0,"edges":[[0,0,0]]}', "u < v"),
-        ('{"n":2,"k":0,"edges":[[1,0,0]]}', "u < v"),
-        ('{"n":2,"k":0,"edges":[[0,1,0],[0,1,0]]}', "duplicate"),
-        ('{"n":2,"k":0,"edges":[[0,1,1]]}', "out of range"),
-        ('{"n":2,"k":0,"edges":[[0,2,0]]}', "violates"),
-        ('{"n":2,"k":1,"edges":[[0,1,2]]}', "out of range"),
-        ('{"n":0,"k":0,"edges":[]}', "positive"),
-        ('{"n":true,"k":0,"edges":[]}', "vertex count"),
-        ('{"n":2,"k":false,"edges":[]}', "class count"),
-        ('{"n":2,"k":0,"edges":[[0,1,0]], "coords":[[0,0]]}', "coords"),
-        ('{"n":2,"k":1,"edges":[[0,1,1]], "r":[1,2]}', "array of k numbers"),
-        ('{"n":2,"k":0,"edges":[[0,1,0]], "coords":[[0,NaN],[1,0]]}', "finite"),
-        ('{"n":2,"k":0,"edges":[[0,1,0]], "coords":[[0,0],[-Infinity,0]]}', "finite"),
-        pytest.param(
-            '{"n":2,"k":0,"edges":[[0,1,0]], "coords":[[0,0],[1,1' + "0" * 400 + "]]}",
-            "finite",
-            id="coords-int-beyond-float-range",
-        ),
-        ('{"n":2,"k":1,"edges":[[0,1,1]], "r":[Infinity]}', "finite"),
-        ("{not json", "malformed JSON"),
-    ],
-)
+PARSE_ERRORS = [
+    ("[1,2]", "object"),
+    ('{"n":2,"k":0}', "edges"),
+    ('{"n":2,"k":0,"edges":[[0,0,0]]}', "u < v"),
+    ('{"n":2,"k":0,"edges":[[1,0,0]]}', "u < v"),
+    ('{"n":2,"k":0,"edges":[[0,1,0],[0,1,0]]}', "duplicate"),
+    ('{"n":2,"k":0,"edges":[[0,1,1]]}', "out of range"),
+    ('{"n":2,"k":0,"edges":[[0,2,0]]}', "violates"),
+    ('{"n":2,"k":1,"edges":[[0,1,2]]}', "out of range"),
+    ('{"n":0,"k":0,"edges":[]}', "positive"),
+    ('{"n":true,"k":0,"edges":[]}', "vertex count"),
+    ('{"n":2,"k":false,"edges":[]}', "class count"),
+    ('{"n":2,"k":0,"edges":[[0,1,0]], "coords":[[0,0]]}', "coords"),
+    ('{"n":2,"k":1,"edges":[[0,1,1]], "r":[1,2]}', "array of k numbers"),
+    ('{"n":2,"k":0,"edges":[[0,1,0]], "coords":[[0,NaN],[1,0]]}', "finite"),
+    ('{"n":2,"k":0,"edges":[[0,1,0]], "coords":[[0,0],[-Infinity,0]]}', "finite"),
+    pytest.param(
+        '{"n":2,"k":0,"edges":[[0,1,0]], "coords":[[0,0],[1,1' + "0" * 400 + "]]}",
+        "finite",
+        id="coords-int-beyond-float-range",
+    ),
+    ('{"n":2,"k":1,"edges":[[0,1,1]], "r":[Infinity]}', "finite"),
+    ("{not json", "malformed JSON"),
+]
+
+
+@pytest.mark.parametrize("doc,match", PARSE_ERRORS)
 def test_parse_errors(doc, match):
     with pytest.raises(GraphError, match=match):
         parse_coloured_graph(doc)
+
+
+def _documents_with_a_graph():
+    """The parse-error documents that decode to an object with n, k, edges."""
+    for case in PARSE_ERRORS:
+        text = getattr(case, "values", case)[0]
+        try:
+            doc = json.loads(text)
+        except ValueError:
+            continue
+        if isinstance(doc, dict) and {"n", "k", "edges"} <= doc.keys():
+            yield pytest.param(doc, id=getattr(case, "id", None) or text)
+
+
+@pytest.mark.parametrize("doc", _documents_with_a_graph())
+def test_build_rejects_every_parse_error(doc):
+    # a check that only the parser makes would let the library build a
+    # graph that fails to parse back once serialized
+    with pytest.raises(GraphError):
+        build(doc["n"], doc["k"], doc["edges"], coords=doc.get("coords"), r=doc.get("r"))
+
+
+def test_build_with_integer_payload_serializes_floats():
+    g = build(3, 1, [(1, 2, 1), (0, 1, 0)], coords=[[0, 0], [1, 0], [0, 2]], r=[3])
+    assert serialize(g) == (
+        '{"coords": [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], '
+        '"edges": [[0, 1, 0], [1, 2, 1]], "k": 1, "n": 3, "r": [3.0]}'
+    )
 
 
 def test_serialize_canonical_order():
@@ -122,7 +151,7 @@ def test_subgraph_rejects_bad_selection(square_k1):
 
 def test_class_sizes_partition(seven_rigid_k2):
     g = seven_rigid_k2
-    assert sum(len(c) for c in g.colour_classes()) == g.m
+    assert sum(len(g.colour_class(i)) for i in range(g.k + 1)) == g.m
 
 
 def test_isolated_vertices():
@@ -152,6 +181,18 @@ def test_build_rejects_loop_and_duplicate():
             lambda: ColouredGraph(n=3, edges=((0, 1),), colours=(True,), k=1),
             id="graph-bool-colour",
         ),
+        pytest.param(
+            lambda: build(2, 0, [(0, 1, 0)], coords=[["1", True], [0, 1]]),
+            id="string-and-bool-coords",
+        ),
+        pytest.param(
+            lambda: ColouredGraph(
+                n=2, edges=((0, 1),), colours=(0,), k=0, coords=((math.nan,),), r=(1.0,)
+            ),
+            id="graph-one-nan-row-and-r-at-k0",
+        ),
+        pytest.param(lambda: build(2, 0, [(0, 1, 0)], coords=[0, 1]), id="coords-row-not-a-sequence"),
+        pytest.param(lambda: build(2, 1, [(0, 1, 1)], r=[10**400]), id="r-beyond-float-range"),
     ],
 )
 def test_library_construction_rejects_what_the_parser_rejects(construct):
@@ -167,6 +208,9 @@ def test_random_graph_round_trip(seed):
     g = random_coloured_graph(5, 2, seed=seed)
     assert parse_coloured_graph(serialize(g)) == g
     assert list(g.edges) == sorted(g.edges)
+    for i, (e, c) in enumerate(zip(g.edges, g.colours)):
+        assert g.edge_index(e) == g.edges.index(e) == i
+        assert g.colour_of(e) == c
     assert all(c for c in range(1, g.k + 1) if g.colour_class(c))
 
 

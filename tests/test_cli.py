@@ -8,7 +8,7 @@ import pytest
 from conftest import fixture_path
 
 from coordrig import serialize, sparsity_rank, union_rank_d2
-from coordrig import cli
+from coordrig import cli, linalg
 from coordrig.cli import main
 from coordrig.corpus import random_coloured_graph
 
@@ -121,6 +121,29 @@ def test_check_rejects_hostile_edge_entries(tmp_path, doc):
     code, out, err = run_cli("check", str(bad))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "message,line",
+    [
+        pytest.param(
+            "Unable to allocate 298. GiB for an array",
+            "error: Unable to allocate 298. GiB for an array\n",
+            id="numpy-message",
+        ),
+        pytest.param("", "error: out of memory\n", id="no-message"),
+    ],
+)
+def test_out_of_memory_exits_two_not_flexible(monkeypatch, message, line):
+    # exit 1 means "flexible"; an allocation that fails in the float route
+    # must not read as one.  Nothing is allocated: the route raises at once.
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(linalg, "infinitesimal_motions", no_memory)
+    path = str(fixture_path("twin_blocks_k2"))
+    code, out, err = run_cli("check", path, "--method", "numeric", "--trials", "1")
+    assert (code, out, err) == (2, "", line)
 
 
 def test_reproducible_byte_identical_output():

@@ -131,6 +131,23 @@ def test_decide_cost_is_polynomial_in_classes(monkeypatch):
     assert len(calls) <= budget
 
 
+def test_rigid_tuple_is_checked_by_one_elimination(monkeypatch, seven_rigid_k2):
+    # a sampled rank is a lower bound, so the first trial that keeps the
+    # rank without the tuple's rows settles it; the other trials are skipped
+    removed = []
+    rank_rows = linalg.modular_rank_rows
+
+    def counted(rows, *, row_subset=None):
+        if row_subset is not None:
+            removed.append(len(rows) - len(row_subset))
+        return rank_rows(rows, row_subset=row_subset)
+
+    monkeypatch.setattr(linalg, "modular_rank_rows", counted)
+    v = decide_generic_coordinated_rigidity(seven_rigid_k2, params(trials=3))
+    assert v.rigid
+    assert removed == [seven_rigid_k2.k]
+
+
 def test_decide_fixtures(quad_rigid_k1, twin_blocks_k2, nested_circuit_k2):
     v = decide_generic_coordinated_rigidity(quad_rigid_k1, params())
     assert v.rigid
