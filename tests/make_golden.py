@@ -2,8 +2,9 @@
 
 For every fixture and for a seeded corpus of ``random_coloured_graph`` and
 ``henneberg_k1_sample`` graphs it records the exit code and the compact
-stdout of ``coordrig check FILE --json`` (plane, combinatorial) and
-``coordrig rank FILE --json --dim 2``.  Both outputs hold integers only, so
+stdout of ``coordrig check FILE --json`` (plane, combinatorial),
+``coordrig rank FILE --json --dim 2`` and ``coordrig rank FILE --json
+--dim 3`` (the GF(q) oracle alone).  These outputs hold integers only, so
 the file does not depend on the float library.  Regenerate it only when an
 output change is intended:
 
@@ -25,6 +26,7 @@ GOLDEN = HERE / "golden.json"
 COMMANDS = {
     "check": ["check", "FILE", "--json"],
     "rank": ["rank", "FILE", "--json", "--dim", "2"],
+    "rank3": ["rank", "FILE", "--json", "--dim", "3"],
 }
 
 
