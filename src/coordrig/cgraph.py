@@ -78,15 +78,48 @@ class ColouredGraph:
         return self._position[edge]
 
 
+def coloops(g: ColouredGraph, d: int) -> frozenset[tuple[int, int]]:
+    """The edges outside the (d+1)-core: those removed by repeatedly
+    peeling a vertex of degree <= d with its edges.
+
+    Every circuit of the generic d-dimensional rigidity matroid has
+    minimum degree d + 1 (a vertex of degree <= d adds its edges
+    independently), so it lies in the core, and each peeled edge is a
+    coloop: in every basis and in no circuit.  The same holds for the
+    (2,2) count matroid at d = 2.  O(m); only vertices that occur in an
+    edge are stored.
+    """
+    adj: dict[int, list[int]] = {}
+    for u, v in g.edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    degree = {v: len(nbrs) for v, nbrs in adj.items()}
+    stack = [v for v, deg in degree.items() if deg <= d]
+    peeled: set[int] = set()
+    stripped = []
+    while stack:
+        v = stack.pop()
+        peeled.add(v)
+        for w in adj[v]:
+            if w in peeled:  # the edge went with w
+                continue
+            stripped.append((v, w) if v < w else (w, v))
+            degree[w] -= 1
+            if degree[w] == d:  # w drops to d once, unless it started there
+                stack.append(w)
+    return frozenset(stripped)
+
+
 def validate(n: int, edges, colours, k: int, coords, r) -> None:
     """Check a graph's values, its edges in one pass.
 
     n, k, the vertices and the colours must be exact ``int``s (so no bool,
-    float or numpy scalar), every edge must satisfy 0 <= u < v < n with a
-    colour in 0..k, the edges must be strictly increasing (sorted, no
-    duplicates) and every class 1..k must be non-empty.  ``coords`` must be
-    None or n rows of one length d >= 1, ``r`` None or k entries, all finite
-    reals (no bool, string or int beyond the float range).
+    float or numpy scalar), every edge must be a (u, v) tuple with
+    0 <= u < v < n and a colour in 0..k, the edges must be strictly
+    increasing (sorted, no duplicates) and every class 1..k must be
+    non-empty.  ``coords`` must be None or n rows of one length d >= 1,
+    ``r`` None or k entries, all finite reals (no bool, string or int
+    beyond the float range).
     """
     if type(n) is not int or n < 1:
         raise GraphError(f"vertex count must be a positive integer, got {n!r}")
@@ -108,6 +141,8 @@ def validate(n: int, edges, colours, k: int, coords, r) -> None:
         raise GraphError("edge list and colour list lengths differ")
     prev = (-1, -1)  # below every edge that passes the range check
     for e, c in zip(edges, colours):
+        if type(e) is not tuple or len(e) != 2:
+            raise GraphError(f"edge entry {e!r} is not a (u, v) tuple")
         u, v = e
         if type(u) is not int or type(v) is not int:
             raise GraphError(f"non-integer vertex in edge ({u!r}, {v!r})")

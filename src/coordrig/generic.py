@@ -1,9 +1,16 @@
 """Monte-Carlo generic-rank oracle and the rainbow-redundancy decider.
 
 Ranks are evaluated exactly over GF(q) at random integer configurations p.
-Each trial eliminates R(p)ᵀ once and keeps rank R(p) and a basis S of the
-equilibrium stresses (the left kernel of R(p)).  The projection criterion
-reads everything else from that pair:
+Every edge at a vertex of degree <= d is a coloop of the generic
+d-dimensional rigidity matroid, because every circuit has minimum degree
+d + 1; peeling such vertices repeatedly (``cgraph.coloops``) leaves the
+(d+1)-core.  The coloops C lie in every basis and on no circuit, so each
+trial eliminates only the core rows, R_core(p)ᵀ, once, and keeps
+rank R(p) = |C| + rank R_core(p) and a basis S of the equilibrium
+stresses (the left kernel of R(p), which vanishes on C).  At a generic p
+the coloop columns of R(p)ᵀ are pivots, so S is the same vector set as
+the full elimination gives.  The projection criterion reads everything
+else from that pair:
 
 * rank[R(p) | I] = rank R(p) + rank(S·I), with I the m x k class-indicator
   matrix;
@@ -14,10 +21,13 @@ reads everything else from that pair:
 The targets subtract the generic trivial dimension, a closed form in n
 and d (``_trivial_dim``).  The error is one-sided.  A sampled rank never
 exceeds the generic rank, which never exceeds dn minus that dimension, so
-a rigid verdict is certain.  A flexible verdict is wrong only when
-every trial samples a root of a nonzero minor; an r x r minor has degree
-at most r in the coordinates, so by Schwartz-Zippel this happens with
-probability at most r/(q - 1) per trial.
+a rigid verdict is certain.  At a degenerate p, |C| + rank R_core(p) can
+exceed rank R(p), but never the generic rank, since every edge of C is a
+coloop of the generic matroid, so this still holds.  A flexible verdict
+is wrong only when every trial samples a root of a nonzero minor; an
+r x r minor has degree at most r in the coordinates, so by
+Schwartz-Zippel this happens with probability at most r/(q - 1) per
+trial.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgraph import ColouredGraph
+from .cgraph import ColouredGraph, coloops
 from . import linalg
 from .linalg import MODULUS
 
@@ -93,24 +103,33 @@ class _RankOracle:
 
     Trial t draws its configuration from seed + t, the documented splitting
     rule, so parallel evaluation schemes must reproduce exactly what the
-    sequential loop does.  Each trial eliminates R(p)ᵀ once and keeps rank
-    R(p), the stress basis S (one row per stress) and the columns of S·I.
+    sequential loop does.  Only the core rows are eliminated: the coloops
+    C of the d-dimensional rigidity matroid are dropped and rank R(p) is
+    counted as |C| + rank R_core(p).  Each trial eliminates R_core(p)ᵀ
+    once and keeps that rank, the stress basis S (one row per stress,
+    one entry per core edge) and the columns of S·I.  ``core`` maps a core
+    position to the edge's position in ``g.edges``; ``classes`` holds core
+    positions.
     """
 
     def __init__(self, g: ColouredGraph, params: OracleParams):
         self.g = g
         self.params = params
-        self.classes = [[] for _ in range(g.k)]  # edge positions of classes 1..k
-        for i, c in enumerate(g.colours):
+        self.stripped = coloops(g, params.d)
+        self.core = [i for i, e in enumerate(g.edges) if e not in self.stripped]
+        self.classes = [[] for _ in range(g.k)]  # core positions of classes 1..k
+        for j, i in enumerate(self.core):
+            c = g.colours[i]
             if c:
-                self.classes[c - 1].append(i)
+                self.classes[c - 1].append(j)
         self.trials = []
         for t in range(params.trials):
             p = linalg.sample_modular_configuration(g.n, params.d, params.seed + t)
-            rows = linalg.modular_matrix(g, p, params.d)
-            stresses = linalg.modular_nullspace(list(zip(*rows)), g.m)
+            full = linalg.modular_matrix(g, p, params.d)
+            rows = [full[i] for i in self.core]
+            stresses = linalg.modular_nullspace(list(zip(*rows)), len(rows))
             cols = [self.stress_column(stresses, idx) for idx in self.classes]
-            rank = g.m - len(stresses)
+            rank = len(self.stripped) + len(rows) - len(stresses)
             coordinated = rank + linalg.modular_rank_rows(cols)  # rank[R(p) | I]
             self.trials.append((rows, rank, coordinated, stresses, cols))
         self.rank_full = max(t[1] for t in self.trials)
@@ -122,12 +141,17 @@ class _RankOracle:
 
     def keeps_rank(self, edges) -> bool:
         """Whether R(p) without the rows of ``edges`` keeps rank_full in
-        some trial, by a fresh elimination of the remaining rows.  No trial
-        exceeds rank_full, so the first trial that reaches it decides."""
-        drop = {self.g.edge_index(tuple(e)) for e in edges}
-        subset = [i for i in range(self.g.m) if i not in drop]
+        some trial, by a fresh elimination of the remaining core rows.  A
+        set holding a coloop never does.  No trial exceeds rank_full, so
+        the first trial that reaches it decides."""
+        edges = [tuple(e) for e in edges]
+        if not self.stripped.isdisjoint(edges):
+            return False
+        drop = {self.g.edge_index(e) for e in edges}
+        subset = [j for j, i in enumerate(self.core) if i not in drop]
+        core_rank = self.rank_full - len(self.stripped)
         for rows, *_ in self.trials:
-            if linalg.modular_rank_rows(rows, row_subset=subset) == self.rank_full:
+            if linalg.modular_rank_rows(rows, row_subset=subset) == core_rank:
                 return True
         return False
 
@@ -203,7 +227,7 @@ def find_rainbow_redundant_tuple(g: ColouredGraph, params: OracleParams, _oracle
             trial_cols = cols[:c] + [oracle.stress_column(stresses, [i])] + cols[c + 1 :]
             if linalg.modular_rank_rows(trial_cols) == g.k:
                 cols = trial_cols
-                tup.append(g.edges[i])
+                tup.append(g.edges[oracle.core[i]])
                 break
         else:
             raise BackendError(

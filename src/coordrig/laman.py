@@ -2,21 +2,30 @@
 
 For one coordination class the test is: Laman+1 with a coloured edge in the
 unique circuit.  For two classes: Laman+2, no class made entirely of
-bridges, and the three coloured sparsity counts.  Both play one (2,3)
-game on E, uncoloured edges first: its first phase is the game on the
-uncoloured subgraph G0, so G0's sparsity and circuit come from the same
-game as the rank, the Laman+p kind and the redundant edges.
+bridges, and the three coloured sparsity counts.
+
+Every decision first strips the coloops C (``cgraph.coloops(g, 2)``): the
+edges removed by repeatedly peeling a vertex of degree <= 2.  (2,3)- and
+(2,2)-circuits have minimum degree 3, so C lies in every basis and on no
+circuit; the rank is |C| plus the rank of the 3-core, and the circuits,
+the redundant edges and the redundant rainbow sets are those of the core.
+The games below are played on the core only.
+
+The one- and two-class deciders play one (2,3) game, uncoloured edges
+first: its first phase is the game on the uncoloured subgraph G0, so G0's
+sparsity and circuit come from the same game as the rank, the Laman+p
+kind and the redundant edges.
 
 For any number of classes the decider uses the rank of the union of the
 plane rigidity matroid M with the colour partition matroid P (uncoloured
 edges are loops, at most one edge per colour): r(E) plus the largest
 rainbow set T independent in the dual M*, i.e. whose removal keeps the rank
 r(E).  T is a matroid intersection of M* with P, grown by at most k
-shortest augmenting paths.  One game on E stays live on E minus T: every
-arc is read from it, each path moves T by deleting and re-inserting edges
-(Lee & Streinu 2008), and the game is the witness.  The k = 2 pair search
-works on copies of the decider's game on E, with one edge deleted, and
-the two (2,2) counts on copies of one game on G0.
+shortest augmenting paths.  One game on the core stays live on the core
+minus T: every arc is read from it, each path moves T by deleting and
+re-inserting edges (Lee & Streinu 2008), and the game is the witness.
+The k = 2 pair search works on copies of the decider's game, with one
+edge deleted, and the two (2,2) counts on copies of one game on G0.
 
 Also houses the inductive generator for one-class isostatic graphs used to
 build test corpora.
@@ -28,7 +37,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .cgraph import ColouredGraph, build
+from .cgraph import ColouredGraph, build, coloops
 from .generic import RigidityVerdict, _trivial_dim
 from .pebble import PLANE_LOOSE, PebbleGame
 
@@ -101,21 +110,25 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
 
     The union rank is r(E) + |T| for a largest rainbow set T whose removal
     keeps the (2,3)-rank r(E).  T grows by shortest augmenting paths, at
-    most one per colour.  One game, played on E in canonical order, stays
-    live on E minus T: after each path it deletes the entering edges it had
-    accepted and re-inserts, in canonical order, the other rejected edges
-    and the edges leaving T, whose circuits are the next round's sources.
-    The round whose T holds every colour, or which finds no path, is the
-    witness, so a call plays one game.  ``transversal`` is T in canonical
-    order and ``independent_rigidity`` the canonical basis of E minus T, so
-    the witness is deterministic.  The coordinated framework is
-    generically rigid in the plane iff union_rank = t + k, and generically
-    isostatic iff additionally m = t + k, where t is 2n - 3 (0 for a
-    single vertex).
+    most one per colour.  The coloops C (``coloops(g, 2)``) lie on no
+    circuit, so T avoids them, and the game is played on the core E minus
+    C alone.  One game, played on the core in canonical order, stays live
+    on the core minus T: after each path it deletes the entering edges it
+    had accepted and re-inserts, in canonical order, the other rejected
+    edges and the edges leaving T, whose circuits are the next round's
+    sources.  The round whose T holds every colour, or which finds no
+    path, is the witness, so a call plays one game.  ``transversal`` is T
+    in canonical order and ``independent_rigidity`` the canonical basis of
+    E minus T, C together with the game's basis, so the witness is
+    deterministic.  The coordinated framework is generically rigid in the
+    plane iff union_rank = t + k, and generically isostatic iff
+    additionally m = t + k, where t is 2n - 3 (0 for a single vertex).
     """
     held: dict[int, Edge] = {}  # colour -> the edge of T that holds it
+    stripped = coloops(g, 2)
+    core = [e for e in g.edges if e not in stripped]
     game = PebbleGame(g.n)
-    circuits = game.insert_all(g.edges)
+    circuits = game.insert_all(core)
     while len(held) < g.k:
         before = set(held.values())
         if not _augment(g, held, game, circuits):
@@ -136,30 +149,29 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
     # T is independent in M* iff the game on E minus T rejects every edge of T
     if any(game.try_insert(e) for e in transversal):
         raise RuntimeError("union invariant broken: removing T lowers the rank")
-    accepted = _canonical_basis(g, set(transversal), game, circuits)
-    rank = len(accepted) + len(transversal)
+    accepted = _canonical_basis(core, set(transversal), game, circuits)
+    rank = len(stripped) + len(accepted) + len(transversal)
     return UnionRankReport(
         union_rank=rank,
-        independent_rigidity=accepted,
+        independent_rigidity=tuple(sorted(stripped.union(accepted))),
         transversal=transversal,
         deficiency=(_plane_target(g.n) + g.k) - rank,
     )
 
 
-def _canonical_basis(g: ColouredGraph, tset, game: PebbleGame,
-                     circuits) -> tuple[Edge, ...]:
-    """The greedy basis of E minus T in canonical order, from ``game`` on
-    E minus T and its rejection circuits.
+def _canonical_basis(edges, tset, game: PebbleGame, circuits) -> tuple[Edge, ...]:
+    """The greedy basis of ``edges`` minus T in canonical order, from
+    ``game`` on that set and its rejection circuits.
 
     A basis is the greedy one iff every edge outside it is the last edge
     of its fundamental circuit (cycle optimality), so the game's basis is
-    checked on the circuits at hand; only if it fails is E minus T replayed
-    in canonical order.
+    checked on the circuits at hand; only if it fails is ``edges`` minus T
+    replayed in canonical order.
     """
     if all(circuit[-1] == e for e, circuit in circuits.items()):
         return tuple(sorted(game.accepted))
-    replay = PebbleGame(g.n)
-    replay.insert_all(e for e in g.edges if e not in tset)
+    replay = PebbleGame(game.n)
+    replay.insert_all(e for e in edges if e not in tset)
     return tuple(replay.accepted)
 
 
@@ -223,18 +235,21 @@ def _base_ranks(g: ColouredGraph, **extra) -> dict:
     return out
 
 
-def _plane_game(g: ColouredGraph):
-    """One (2,3) game on g, uncoloured edges first, each group in canonical
-    order: the Laman+p classification, the circuit of each rejected edge,
-    the redundant edges (their union), G0's first circuit (None when G0
-    is Laman-sparse), read from the first phase, which is G0's own game,
-    and the game itself for the pair search."""
-    order = sorted(g.edges, key=lambda e: g.colour_of(e) > 0)  # stable sort
+def _plane_game(g: ColouredGraph, stripped):
+    """One (2,3) game on the core of g, g minus its coloops ``stripped``,
+    uncoloured edges first, each group in canonical order: the Laman+p
+    classification (the rank is |stripped| plus the game's), the circuit
+    of each rejected edge, the redundant edges (their union), G0's first
+    circuit (None when G0 is Laman-sparse), read from the first phase,
+    which is the game on G0's core, and the game itself for the pair
+    search.  Coloops lie on no circuit, so none of these changes."""
+    core = [e for e in g.edges if e not in stripped]
+    core.sort(key=lambda e: g.colour_of(e) > 0)  # stable sort
     game = PebbleGame(g.n)
-    circuits = game.insert_all(order)
+    circuits = game.insert_all(core)
     redundant = {e for circuit in circuits.values() for e in circuit}
     g0_circuit = next((c for e, c in circuits.items() if not g.colour_of(e)), None)
-    cls = laman_kind(g.n, g.m, len(game.accepted))
+    cls = laman_kind(g.n, g.m, len(stripped) + len(game.accepted))
     return cls, circuits, redundant, g0_circuit, game
 
 
@@ -249,7 +264,7 @@ def check_k1(g: ColouredGraph) -> RigidityVerdict:
     """
     if g.k != 1:
         raise ValueError(f"one-class decider called with k={g.k}")
-    cls, circuits, redundant, g0_circuit, _ = _plane_game(g)
+    cls, circuits, redundant, g0_circuit, _ = _plane_game(g, coloops(g, 2))
     target = _plane_target(g.n)
     coloured = g.colour_class(1)
     cert_edges = [e for e in coloured if e in redundant]
@@ -297,7 +312,7 @@ def rainbow_pair_k2(g: ColouredGraph):
     """
     if g.k != 2:
         raise ValueError(f"rainbow pair search called with k={g.k}")
-    cls, circuits, redundant, _, game = _plane_game(g)
+    cls, circuits, redundant, _, game = _plane_game(g, coloops(g, 2))
     if cls.kind != "laman+2":
         return None
     return _rainbow_pair_general(g, game, circuits, redundant)
@@ -314,7 +329,8 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     """
     if g.k != 2:
         raise ValueError(f"two-class decider called with k={g.k}")
-    cls, circuits, redundant, g0_circuit, game = _plane_game(g)
+    stripped = coloops(g, 2)
+    cls, circuits, redundant, g0_circuit, game = _plane_game(g, stripped)
     target = _plane_target(g.n)
     if cls.rank < target:
         redundant = set()
@@ -328,7 +344,7 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     cond_classes = bool(class_red[1]) and bool(class_red[2])
 
     g0_sparse = g0_circuit is None
-    sub_22 = _one_class_22_sparse(g)
+    sub_22 = _one_class_22_sparse(g, stripped)
     cond_sparsity = g0_sparse and sub_22[1] and sub_22[2]
 
     ranks = _base_ranks(g, rank23=cls.rank, classification=cls.kind)
@@ -396,16 +412,19 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     )
 
 
-def _one_class_22_sparse(g: ColouredGraph) -> dict[int, bool]:
+def _one_class_22_sparse(g: ColouredGraph, stripped) -> dict[int, bool]:
     """Whether G0 plus class i is (2,2)-sparse, for i = 1, 2: one (2,2)
     game on G0, copied for each class, each copy stopping at its first
-    rejection."""
+    rejection.  The coloops ``stripped`` of g are skipped: (2,2) circuits
+    also have minimum degree 3, and a coloop of g is one of every
+    subgraph."""
     game = PebbleGame(g.n, PLANE_LOOSE)
-    g0_sparse = all(game.try_insert(e) for e in g.colour_class(0))
+    g0_sparse = all(game.try_insert(e) for e in g.colour_class(0) if e not in stripped)
     sub_22 = {}
     for i in (1, 2):
         trial = game.copy()
-        sub_22[i] = g0_sparse and all(trial.try_insert(e) for e in g.colour_class(i))
+        sub_22[i] = g0_sparse and all(
+            trial.try_insert(e) for e in g.colour_class(i) if e not in stripped)
     return sub_22
 
 

@@ -123,8 +123,15 @@ class PebbleGame:
         u, v = edge
         pebbles = self.pebbles
         need = self.params.ll + 1
+        u_live = True
         while pebbles[u] + pebbles[v] < need:
-            if not (self._find_pebble(u, v) or self._find_pebble(v, u)):
+            # a failed search from u leaves no free pebble reachable from u;
+            # a later path from v avoids that region (it would end inside
+            # it), so u's searches keep failing for the rest of this insert
+            if u_live and self._find_pebble(u, v):
+                continue
+            u_live = False
+            if not self._find_pebble(v, u):
                 return False
         if pebbles[u] > 0:
             pebbles[u] -= 1
@@ -155,7 +162,11 @@ class PebbleGame:
         still reachable from the endpoints are then the minimal tight set
         containing both, whichever pebbles the searches moved, and the
         accepted edges inside it together with the rejected edge form the
-        unique circuit.
+        unique circuit.  They are read by a scan of the accepted edges,
+        which come in nearly canonical order, so the sort is nearly linear;
+        the region's own arcs come in hash order, and sorting them costs
+        more than the scan saves when, as is typical, the region holds a
+        third of the vertices or more.
         """
         region = set(edge)
         stack = list(edge)
@@ -165,7 +176,9 @@ class PebbleGame:
                     region.add(w)
                     stack.append(w)
         inside = [e for e in self.accepted if e[0] in region and e[1] in region]
-        return tuple(sorted(inside + [edge]))
+        inside.append(edge)
+        inside.sort()
+        return tuple(inside)
 
 
 def _edges_of(g) -> tuple[tuple[Edge, ...], int]:

@@ -202,6 +202,16 @@ def test_library_construction_rejects_what_the_parser_rejects(construct):
         construct()
 
 
+@pytest.mark.parametrize(
+    "edges", [([0, 1],), ((0, 1, 2),)], ids=["list-edge", "triple-edge"]
+)
+def test_graph_rejects_an_edge_that_is_not_a_pair(edges):
+    # checked before the edge is unpacked or compared, so neither raises a
+    # raw TypeError or ValueError
+    with pytest.raises(GraphError, match=r"is not a \(u, v\) tuple"):
+        ColouredGraph(n=3, edges=edges, colours=(0,), k=0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_random_graph_round_trip(seed):

@@ -22,6 +22,7 @@ from coordrig import (
     union_rank_d2,
 )
 from coordrig import laman
+from coordrig.cgraph import coloops
 from coordrig.corpus import random_coloured_graph, random_corpus
 from coordrig.pebble import PLANE, PebbleGame, run_game
 
@@ -191,9 +192,9 @@ def test_canonical_basis_replays_only_a_non_greedy_basis(pebble_games):
     back_circuits = backwards.insert_all(reversed(rest))
     assert sorted(backwards.accepted) != canonical.accepted
     pebble_games.clear()
-    assert laman._canonical_basis(g, tset, canonical, circuits) == tuple(canonical.accepted)
+    assert laman._canonical_basis(g.edges, tset, canonical, circuits) == tuple(canonical.accepted)
     assert not pebble_games
-    assert laman._canonical_basis(g, tset, backwards, back_circuits) == tuple(canonical.accepted)
+    assert laman._canonical_basis(g.edges, tset, backwards, back_circuits) == tuple(canonical.accepted)
     assert len(pebble_games) == 1
 
 
@@ -233,7 +234,9 @@ def test_rainbow_pair_matches_fresh_games():
         m = min(n * (n - 1) // 2, 2 * n - 4 + i % 7)
         g = random_coloured_graph(n, 2, seed=i, m=m)
         expected = brute_rainbow_pair(g)
-        cls, circuits, redundant, _, game = laman._plane_game(g)
+        cls, circuits, redundant, _, game = laman._plane_game(g, coloops(g, 2))
+        # the game on the whole of E has the same kind and circuits
+        assert laman._plane_game(g, frozenset())[:2] == (cls, circuits)
         assert laman._rainbow_pair_general(g, game, circuits, redundant) == expected
         assert rainbow_pair_k2(g) == (expected if cls.kind == "laman+2" else None)
         full = cls.kind != "deficit"

@@ -303,3 +303,56 @@ def test_delete_returns_the_pebble_to_the_tail():
     assert game.pebbles == [2] * 4
     assert game.succ == [[] for _ in range(4)]
     assert game.accepted == []
+
+
+class SearchBothSides(PebbleGame):
+    """The earlier insert loop, which searched from both endpoints on every
+    round, even from one whose last search had failed."""
+
+    def try_insert(self, edge):
+        u, v = edge
+        while self.pebbles[u] + self.pebbles[v] < self.params.ll + 1:
+            if not (self._find_pebble(u, v) or self._find_pebble(v, u)):
+                return False
+        return super().try_insert(edge)
+
+
+def _counted_game(cls, g, params):
+    """Searches made and final state of a game of ``cls`` on g."""
+    calls = []
+    game = cls(g.n, params)
+    find = game._find_pebble
+
+    def counting_find(start, other):
+        calls.append(start)
+        return find(start, other)
+
+    game._find_pebble = counting_find
+    circuits = game.insert_all(g.edges)
+    return len(calls), (game.pebbles, game.succ, game.accepted, circuits)
+
+
+@pytest.mark.parametrize("fixture", ["seven_rigid_k2", "nested_circuit_k2"])
+def test_failed_side_is_not_searched_again(request, fixture):
+    # a failed search from u leaves no free pebble reachable from u for the
+    # rest of the insert, so searching it again changes nothing
+    g = request.getfixturevalue(fixture)
+    old, old_state = _counted_game(SearchBothSides, g, PLANE)
+    new, new_state = _counted_game(PebbleGame, g, PLANE)
+    assert new_state == old_state
+    assert new == old - 1
+
+
+def test_failed_side_skip_keeps_every_state():
+    saved = 0
+    for seed in range(40):
+        n = 6 + seed % 12
+        m = min(n * (n - 1) // 2, 2 * n + seed % 9)
+        g = random_coloured_graph(n, 0, seed=seed, m=m)
+        for params in (PLANE, PLANE_LOOSE):
+            old, old_state = _counted_game(SearchBothSides, g, params)
+            new, new_state = _counted_game(PebbleGame, g, params)
+            assert new_state == old_state
+            assert new <= old
+            saved += old - new
+    assert saved >= 100
