@@ -33,7 +33,10 @@ COMMANDS = {
 def golden_graphs():
     """(name, graph) pairs: the fixtures, 140 random graphs with k in 0..6
     (weighted toward the k = 1, 2 deciders) and m from 2n - 4 + k to
-    2n - 1 + k, and 30 one-class Henneberg graphs."""
+    2n - 1 + k, 30 one-class Henneberg graphs, and four k = 2 graphs whose
+    flexible witnesses are not-laman-plus-2 (Laman+1),
+    no-rainbow-redundant-pair, class-all-bridges:1 and class-all-bridges:2
+    (the last three at surplus > 2)."""
     from conftest import FIXTURE_NAMES, load_fixture
 
     from coordrig import henneberg_k1_sample
@@ -48,6 +51,8 @@ def golden_graphs():
     for i in range(30):
         n = rng.randint(4, 18)
         out.append((f"henneberg_n{n}_s{i}", henneberg_k1_sample(n, seed=i)))
+    for n, m, s in ((5, 8, 2), (10, 20, 369), (11, 24, 340), (7, 15, 1229)):
+        out.append((f"k2_witness_n{n}_m{m}_s{s}", random_coloured_graph(n, 2, seed=s, m=m)))
     return out
 
 
