@@ -28,7 +28,6 @@ from .generic import (
     rank_summary,
 )
 from .laman import (
-    LamanClassification,
     UnionRankReport,
     check_k1,
     check_k2,

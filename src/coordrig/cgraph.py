@@ -58,7 +58,10 @@ class ColouredGraph:
         return len(self.edges)
 
     def colour_of(self, edge: tuple[int, int]) -> int:
-        return self.colours[self._position[edge]]
+        try:
+            return self.colours[self._position[edge]]
+        except KeyError:
+            raise GraphError(f"edge {edge} is not in the graph") from None
 
     def colour_class(self, i: int) -> tuple[tuple[int, int], ...]:
         """Edges of class i (i = 0 gives the uncoloured edges)."""
@@ -74,8 +77,12 @@ class ColouredGraph:
         return tuple(v for v in range(self.n) if v not in seen)
 
     def edge_index(self, edge: tuple[int, int]) -> int:
-        """Position of an edge in canonical order."""
-        return self._position[edge]
+        """Position of an edge in canonical order; ``GraphError`` for an
+        edge that is not in the graph."""
+        try:
+            return self._position[edge]
+        except KeyError:
+            raise GraphError(f"edge {edge} is not in the graph") from None
 
 
 def coloops(g: ColouredGraph, d: int) -> frozenset[tuple[int, int]]:

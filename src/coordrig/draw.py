@@ -16,6 +16,7 @@ import zlib
 from .cgraph import ColouredGraph, serialize
 
 _DASHES = ["8,6", "2,5", "10,4,2,4", "6,3,1,3"]
+_LAYOUT_STEPS = 120
 
 
 def edge_style(colour: int) -> tuple[str, str | None]:
@@ -29,13 +30,13 @@ def edge_style(colour: int) -> tuple[str, str | None]:
     return f"hsl({hue},70%,40%)", dash
 
 
-def spring_layout(g: ColouredGraph, iterations: int = 120) -> list[tuple[float, float]]:
+def spring_layout(g: ColouredGraph) -> list[tuple[float, float]]:
     rng = random.Random(zlib.crc32(serialize(g).encode()))
     pos = [(rng.random(), rng.random()) for _ in range(g.n)]
     if g.n == 1:
         return pos
     ideal = 1.0 / math.sqrt(g.n)
-    for step in range(iterations):
+    for step in range(_LAYOUT_STEPS):
         force = [[0.0, 0.0] for _ in range(g.n)]
         for i in range(g.n):
             for j in range(i + 1, g.n):
@@ -56,7 +57,7 @@ def spring_layout(g: ColouredGraph, iterations: int = 120) -> list[tuple[float, 
             force[u][1] -= dy / dist * att
             force[v][0] += dx / dist * att
             force[v][1] += dy / dist * att
-        temp = 0.1 * (1.0 - step / iterations)
+        temp = 0.1 * (1.0 - step / _LAYOUT_STEPS)
         new = []
         for i in range(g.n):
             fx, fy = force[i]

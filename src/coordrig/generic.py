@@ -179,6 +179,16 @@ def _trivial_dim(n: int, d: int) -> int:
     return math.comb(d + 1, 2) - math.comb(max(d + 1 - n, 0), 2)
 
 
+def _ranks(g: ColouredGraph, **fields) -> dict:
+    """A verdict's ``ranks``: n and m, then ``fields``, then the isolated
+    vertices when there are any."""
+    out = {"n": g.n, "m": g.m, **fields}
+    isolated = g.isolated_vertices()
+    if isolated:
+        out["isolated_vertices"] = list(isolated)
+    return out
+
+
 def _rank_fields(oracle: _RankOracle) -> dict:
     """The oracle's sampled ranks of R(p) and [R(p) | I] with their
     rigidity targets dn - t and dn + k - t, t the generic trivial
@@ -277,7 +287,7 @@ def decide_generic_coordinated_rigidity(
     one is wrong with probability at most (minor degree)/(q - 1) per trial.
     """
     oracle = _RankOracle(g, params)
-    ranks = {"n": g.n, "m": g.m, **_rank_fields(oracle), "trials": params.trials}
+    ranks = _ranks(g, **_rank_fields(oracle), trials=params.trials)
     rank_full, coord_rank = oracle.rank_full, oracle.coordinated_rank
     coord_target = ranks["coordinated_target"]
     bound = min(g.m, coord_target)
@@ -288,10 +298,8 @@ def decide_generic_coordinated_rigidity(
         )
     underlying_rigid = rank_full == ranks["target_rank"]
     rigid = underlying_rigid and coord_rank == coord_target
-    isolated = g.isolated_vertices()
-    if isolated:
-        ranks["isolated_vertices"] = list(isolated)
     if rigid:
+        witness = None
         tup = ()
         if g.k >= 1:
             tup = find_rainbow_redundant_tuple(g, params, _oracle=oracle)
@@ -300,23 +308,18 @@ def decide_generic_coordinated_rigidity(
                     f"rainbow tuple {list(tup)} read from the stress basis is "
                     f"not redundant (seed {params.seed})"
                 )
-        return RigidityVerdict(
-            decision="rigid", method="numeric", d=params.d, k=g.k,
-            seed=params.seed, ranks=ranks,
-            certificate={"rainbow_tuple": [list(e) for e in tup]},
-            isostatic=g.m == coord_target,
-        )
-    if not underlying_rigid:
-        witness = "underlying-flexible"
+        certificate = {"rainbow_tuple": [list(e) for e in tup]}
     else:
-        witness = "no-rainbow-redundant-tuple"
-    cert = {"kind": witness}
-    flex = _nontrivial_flex(g, params.d, params.seed)
-    if flex is not None:
-        cert["flex"] = [round(float(x), 12) for x in flex]
+        witness = ("no-rainbow-redundant-tuple" if underlying_rigid
+                   else "underlying-flexible")
+        certificate = {"kind": witness}
+        flex = _nontrivial_flex(g, params.d, params.seed)
+        if flex is not None:
+            certificate["flex"] = [round(float(x), 12) for x in flex]
     return RigidityVerdict(
-        decision="flexible", method="numeric", d=params.d, k=g.k,
-        seed=params.seed, ranks=ranks, certificate=cert, witness=witness,
+        decision="rigid" if rigid else "flexible", method="numeric", d=params.d,
+        k=g.k, seed=params.seed, ranks=ranks, certificate=certificate,
+        witness=witness, isostatic=g.m == coord_target if rigid else None,
     )
 
 

@@ -38,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .cgraph import ColouredGraph, build, coloops
-from .generic import RigidityVerdict, _trivial_dim
+from .generic import RigidityVerdict, _ranks, _trivial_dim
 from .pebble import PLANE_LOOSE, PebbleGame
 
 Edge = tuple[int, int]
@@ -49,34 +49,24 @@ def _plane_target(n: int) -> int:
     return 2 * n - _trivial_dim(n, 2)
 
 
-@dataclass(frozen=True)
-class LamanClassification:
-    """Outcome of the Laman+p test: kind, (2,3)-rank, and rank deficit."""
+def laman_kind(n: int, m: int, rank: int) -> str:
+    """Kind of an n-vertex, m-edge graph by its (2,3)-rank against 2n - 3.
 
-    kind: str  # "deficit" | "laman" | "laman+1" | "laman+2" | "other"
-    rank: int
-    deficit: int = 0
-
-
-def laman_kind(n: int, m: int, rank: int) -> LamanClassification:
-    """Classify an n-vertex, m-edge graph by its (2,3)-rank against 2n - 3.
-
-    laman / laman+p means the rank is full (2n-3) and exactly p surplus
-    edges exist, so removing the rejected edges leaves a Laman graph;
-    deficit(t) means the rank falls short by t; "other" is full rank with
-    three or more surplus edges.
+    "laman" or "laman+p" (p = 1, 2) means the rank is full (2n-3) and
+    exactly p surplus edges exist, so removing the rejected edges leaves a
+    Laman graph; "deficit" means the rank falls short; "other" is full rank
+    with three or more surplus edges.
     """
     if n < 2:
         raise ValueError("Laman classification needs n >= 2")
-    target = _plane_target(n)
-    if rank < target:
-        return LamanClassification("deficit", rank, target - rank)
+    if rank < _plane_target(n):
+        return "deficit"
     surplus = m - rank
     if surplus == 0:
-        return LamanClassification("laman", rank)
+        return "laman"
     if surplus in (1, 2):
-        return LamanClassification(f"laman+{surplus}", rank)
-    return LamanClassification("other", rank)
+        return f"laman+{surplus}"
+    return "other"
 
 
 def transversal_rank(g: ColouredGraph, edges) -> int:
@@ -227,30 +217,22 @@ def _augment(g: ColouredGraph, held: dict[int, Edge], game: PebbleGame,
 # one and two coordination classes
 
 
-def _base_ranks(g: ColouredGraph, **extra) -> dict:
-    out = {"n": g.n, "m": g.m, "target_rank": _plane_target(g.n), **extra}
-    isolated = g.isolated_vertices()
-    if isolated:
-        out["isolated_vertices"] = list(isolated)
-    return out
-
-
 def _plane_game(g: ColouredGraph, stripped):
     """One (2,3) game on the core of g, g minus its coloops ``stripped``,
-    uncoloured edges first, each group in canonical order: the Laman+p
-    classification (the rank is |stripped| plus the game's), the circuit
-    of each rejected edge, the redundant edges (their union), G0's first
-    circuit (None when G0 is Laman-sparse), read from the first phase,
-    which is the game on G0's core, and the game itself for the pair
-    search.  Coloops lie on no circuit, so none of these changes."""
+    uncoloured edges first, each group in canonical order: the (2,3)-rank
+    (|stripped| plus the game's), its ``laman_kind``, the circuit of each
+    rejected edge, the redundant edges (their union), G0's first circuit
+    (None when G0 is Laman-sparse), read from the first phase, which is
+    the game on G0's core, and the game itself for the pair search.
+    Coloops lie on no circuit, so none of these changes."""
     core = [e for e in g.edges if e not in stripped]
     core.sort(key=lambda e: g.colour_of(e) > 0)  # stable sort
     game = PebbleGame(g.n)
     circuits = game.insert_all(core)
     redundant = {e for circuit in circuits.values() for e in circuit}
     g0_circuit = next((c for e, c in circuits.items() if not g.colour_of(e)), None)
-    cls = laman_kind(g.n, g.m, len(stripped) + len(game.accepted))
-    return cls, circuits, redundant, g0_circuit, game
+    rank = len(stripped) + len(game.accepted)
+    return rank, laman_kind(g.n, g.m, rank), circuits, redundant, g0_circuit, game
 
 
 def check_k1(g: ColouredGraph) -> RigidityVerdict:
@@ -264,40 +246,33 @@ def check_k1(g: ColouredGraph) -> RigidityVerdict:
     """
     if g.k != 1:
         raise ValueError(f"one-class decider called with k={g.k}")
-    cls, circuits, redundant, g0_circuit, _ = _plane_game(g, coloops(g, 2))
+    rank, kind, circuits, redundant, g0_circuit, _ = _plane_game(g, coloops(g, 2))
     target = _plane_target(g.n)
-    coloured = g.colour_class(1)
-    cert_edges = [e for e in coloured if e in redundant]
-    rigid = cls.rank == target and bool(cert_edges)
+    cert_edges = [e for e in g.colour_class(1) if e in redundant]
+    rigid = rank == target and bool(cert_edges)
     isostatic = rigid and g.m == target + 1
     g0_sparse = g0_circuit is None
-    independent = g0_sparse and (g.m - cls.rank) <= 1
-
-    ranks = _base_ranks(g, rank23=cls.rank, classification=cls.kind)
     diagnosis = {
         "g0_laman_sparse": g0_sparse,
-        "independent": independent,
+        "independent": g0_sparse and (g.m - rank) <= 1,
     }
+    if isostatic:
+        (circuit,) = circuits.values()
+        diagnosis["circuit"] = [list(e) for e in circuit]
+    certificate = {"diagnosis": diagnosis}
     if rigid:
-        if isostatic:
-            (circuit,) = circuits.values()
-            diagnosis["circuit"] = [list(e) for e in circuit]
-        return RigidityVerdict(
-            decision="rigid", method="k1-laman", d=2, k=1, seed=None,
-            ranks=ranks,
-            certificate={"rainbow_tuple": [list(cert_edges[0])], "diagnosis": diagnosis},
-            isostatic=isostatic,
-        )
-    if cls.rank < target:
-        witness = f"deficiency:{target - cls.rank}"
+        witness = None
+        certificate["rainbow_tuple"] = [list(cert_edges[0])]
+    elif rank < target:
+        witness = f"deficiency:{target - rank}"
     elif g.m < target + 1:
         witness = "not-laman-plus-1"
     else:
         witness = "class-all-bridges:1"
     return RigidityVerdict(
-        decision="flexible", method="k1-laman", d=2, k=1, seed=None,
-        ranks=ranks, certificate={"diagnosis": diagnosis},
-        witness=witness, isostatic=False,
+        decision="rigid" if rigid else "flexible", method="k1-laman", d=2, k=1,
+        seed=None, ranks=_ranks(g, target_rank=target, rank23=rank, classification=kind),
+        certificate=certificate, witness=witness, isostatic=isostatic,
     )
 
 
@@ -312,8 +287,8 @@ def rainbow_pair_k2(g: ColouredGraph):
     """
     if g.k != 2:
         raise ValueError(f"rainbow pair search called with k={g.k}")
-    cls, circuits, redundant, _, game = _plane_game(g, coloops(g, 2))
-    if cls.kind != "laman+2":
+    _, kind, circuits, redundant, _, game = _plane_game(g, coloops(g, 2))
+    if kind != "laman+2":
         return None
     return _rainbow_pair_general(g, game, circuits, redundant)
 
@@ -324,91 +299,72 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     Isostatic iff (1) Laman+2, (2) no colour class consists only of
     bridges, (3) the uncoloured subgraph is Laman-sparse and both one-class
     subgraphs are (2,2)-sparse.  All three conditions are evaluated even
-    after one fails so the diagnosis is complete.  Rigid (beyond isostatic)
-    means full plane rank plus some rainbow redundant pair.
+    after one fails so the diagnosis is complete, and ``failing`` lists
+    those that fail.  Rigid (beyond isostatic) means full plane rank plus
+    some rainbow redundant pair.  A flexible verdict's witness is the
+    rank deficiency when the rank is short; else, up to Laman+2, the first
+    failing condition; else the first class made of bridges, or
+    no-rainbow-redundant-pair when there is none.
     """
     if g.k != 2:
         raise ValueError(f"two-class decider called with k={g.k}")
     stripped = coloops(g, 2)
-    cls, circuits, redundant, g0_circuit, game = _plane_game(g, stripped)
+    rank, kind, circuits, redundant, g0_circuit, game = _plane_game(g, stripped)
     target = _plane_target(g.n)
-    if cls.rank < target:
+    if rank < target:
         redundant = set()
-    class1, class2 = g.colour_class(1), g.colour_class(2)
-
-    cond_laman2 = cls.kind == "laman+2"
-    class_red = {
-        1: sorted(e for e in class1 if e in redundant),
-        2: sorted(e for e in class2 if e in redundant),
-    }
-    cond_classes = bool(class_red[1]) and bool(class_red[2])
-
+    classes = {i: g.colour_class(i) for i in (1, 2)}
+    class_red = {i: [e for e in classes[i] if e in redundant] for i in (1, 2)}
     g0_sparse = g0_circuit is None
     sub_22 = _one_class_22_sparse(g, stripped)
-    cond_sparsity = g0_sparse and sub_22[1] and sub_22[2]
 
-    ranks = _base_ranks(g, rank23=cls.rank, classification=cls.kind)
+    failing = [] if kind == "laman+2" else ["not-laman-plus-2"]
+    failing += [f"class-all-bridges:{i}" for i in (1, 2) if not class_red[i]]
+    if not g0_sparse:
+        failing.append("G0-not-sparse")
+    failing += [f"G{i}-not-22-sparse" for i in (1, 2) if not sub_22[i]]
     diagnosis = {
-        "laman_plus_2": cond_laman2,
+        "laman_plus_2": kind == "laman+2",
         "class_redundant": {str(i): [list(e) for e in class_red[i]] for i in (1, 2)},
         "class_bridges": {
-            "1": [list(e) for e in class1 if e not in redundant],
-            "2": [list(e) for e in class2 if e not in redundant],
+            str(i): [list(e) for e in classes[i] if e not in redundant]
+            for i in (1, 2)
         },
         "g0_laman_sparse": g0_sparse,
         "g1_22_sparse": sub_22[1],
         "g2_22_sparse": sub_22[2],
+        "failing": failing,
     }
     if not g0_sparse:
         diagnosis["g0_circuit"] = [list(e) for e in g0_circuit]
-    failing = []
-    if not cond_laman2:
-        failing.append("not-laman-plus-2")
-    for i in (1, 2):
-        if not class_red[i]:
-            failing.append(f"class-all-bridges:{i}")
-    if not g0_sparse:
-        failing.append("G0-not-sparse")
-    for i in (1, 2):
-        if not sub_22[i]:
-            failing.append(f"G{i}-not-22-sparse")
-    diagnosis["failing"] = failing
 
-    # a Laman+2 graph is rigid iff the three conditions hold; a rank-full
-    # graph with more surplus is not isostatic but may still be rigid
-    conditions = cond_laman2 and cond_classes and cond_sparsity
+    # a Laman+2 graph is rigid iff no condition fails; a rank-full graph
+    # with more surplus is not isostatic but may still be rigid
     pair = None
-    if conditions or (cls.rank == target and g.m > target + 2):
+    if not failing or (rank == target and g.m > target + 2):
         pair = _rainbow_pair_general(g, game, circuits, redundant)
-    if conditions and pair is None:
+    if not failing and pair is None:
         raise RuntimeError(
             "internal inconsistency: coloured sparsity conditions hold "
             "but no rainbow redundant pair was found"
         )
-    if pair is not None:
-        return RigidityVerdict(
-            decision="rigid", method="k2-laman", d=2, k=2, seed=None,
-            ranks=ranks,
-            certificate={"rainbow_tuple": [list(pair[0]), list(pair[1])],
-                         "diagnosis": diagnosis},
-            isostatic=cond_laman2,
-        )
-    if cls.rank < target:
-        witness = f"deficiency:{target - cls.rank}"
-    elif g.m < target + 2:
-        witness = "not-laman-plus-2"
-    elif g.m == target + 2:
+    rigid = pair is not None
+    certificate = {"diagnosis": diagnosis}
+    if rigid:
+        witness = None
+        certificate["rainbow_tuple"] = [list(pair[0]), list(pair[1])]
+    elif rank < target:
+        witness = f"deficiency:{target - rank}"
+    elif g.m <= target + 2:
         witness = failing[0]
-    elif not class_red[1]:
-        witness = "class-all-bridges:1"
-    elif not class_red[2]:
-        witness = "class-all-bridges:2"
     else:
-        witness = "no-rainbow-redundant-pair"
+        witness = next((f for f in failing if f.startswith("class-all-bridges:")),
+                       "no-rainbow-redundant-pair")
     return RigidityVerdict(
-        decision="flexible", method="k2-laman", d=2, k=2, seed=None,
-        ranks=ranks, certificate={"diagnosis": diagnosis},
-        witness=witness, isostatic=False,
+        decision="rigid" if rigid else "flexible", method="k2-laman", d=2, k=2,
+        seed=None, ranks=_ranks(g, target_rank=target, rank23=rank, classification=kind),
+        certificate=certificate, witness=witness,
+        isostatic=rigid and kind == "laman+2",
     )
 
 
@@ -459,25 +415,21 @@ def check_union(g: ColouredGraph) -> RigidityVerdict:
     rep = union_rank_d2(g)
     target = _plane_target(g.n) + g.k
     rigid = rep.union_rank == target
-    ranks = _base_ranks(g, union_rank=rep.union_rank, union_target=target,
-                        deficiency=rep.deficiency)
-    partition = {
+    certificate = {"partition": {
         "rigidity_part": [list(e) for e in rep.independent_rigidity],
         "transversal_part": [list(e) for e in rep.transversal],
-    }
+    }}
     if rigid:
-        tuple_by_colour = sorted(rep.transversal, key=lambda e: g.colour_of(e))
-        return RigidityVerdict(
-            decision="rigid", method="matroid-union", d=2, k=g.k, seed=None,
-            ranks=ranks,
-            certificate={"rainbow_tuple": [list(e) for e in tuple_by_colour],
-                         "partition": partition},
-            isostatic=(g.m == target),
-        )
+        tuple_by_colour = sorted(rep.transversal, key=g.colour_of)
+        certificate["rainbow_tuple"] = [list(e) for e in tuple_by_colour]
     return RigidityVerdict(
-        decision="flexible", method="matroid-union", d=2, k=g.k, seed=None,
-        ranks=ranks, certificate={"partition": partition},
-        witness=f"deficiency:{rep.deficiency}", isostatic=False,
+        decision="rigid" if rigid else "flexible", method="matroid-union", d=2,
+        k=g.k, seed=None,
+        ranks=_ranks(g, target_rank=_plane_target(g.n), union_rank=rep.union_rank,
+                     union_target=target, deficiency=rep.deficiency),
+        certificate=certificate,
+        witness=None if rigid else f"deficiency:{rep.deficiency}",
+        isostatic=rigid and g.m == target,
     )
 
 

@@ -63,7 +63,7 @@ def indicator_matrix(g: ColouredGraph) -> np.ndarray:
     return ind
 
 
-def rigidity_matrix(g: ColouredGraph, p, d: int | None = None) -> np.ndarray:
+def rigidity_matrix(g: ColouredGraph, p) -> np.ndarray:
     """The m x dn float rigidity matrix R(p) of the underlying bar framework.
 
     Row for edge {i, j} carries p(i) - p(j) on i's column block and
@@ -71,8 +71,6 @@ def rigidity_matrix(g: ColouredGraph, p, d: int | None = None) -> np.ndarray:
     motions of (G, p).  An edge with coincident endpoints gives a zero row.
     """
     pts = as_points(p, g.n)
-    if d is not None and pts.shape[1] != d:
-        raise ValueError(f"expected dimension {d}, got {pts.shape[1]}")
     d = pts.shape[1]
     R = np.zeros((g.m, d * g.n))
     for row, (i, j) in enumerate(g.edges):
@@ -82,10 +80,10 @@ def rigidity_matrix(g: ColouredGraph, p, d: int | None = None) -> np.ndarray:
     return R
 
 
-def coordinated_matrix(g: ColouredGraph, p, d: int | None = None) -> np.ndarray:
+def coordinated_matrix(g: ColouredGraph, p) -> np.ndarray:
     """The m x (dn + k) float matrix [R(p) | 1(c)]: R(p) followed by the k
     class-indicator columns (R(p) itself when k = 0)."""
-    return np.hstack([rigidity_matrix(g, p, d), indicator_matrix(g)])
+    return np.hstack([rigidity_matrix(g, p), indicator_matrix(g)])
 
 
 def modular_matrix(g: ColouredGraph, p, d: int, k: int = 0) -> tuple[tuple[int, ...], ...]:
@@ -309,7 +307,7 @@ def edge_load(g: ColouredGraph, p, edge: Edge) -> np.ndarray:
     pts = as_points(p, g.n)
     d = pts.shape[1]
     f = np.zeros(d * g.n)
-    i, j = edge
+    i, j = g.edges[g.edge_index(edge)]
     f[d * i : d * i + d] = pts[i] - pts[j]
     f[d * j : d * j + d] = pts[j] - pts[i]
     return f

@@ -224,6 +224,16 @@ def test_random_graph_round_trip(seed):
     assert all(c for c in range(1, g.k + 1) if g.colour_class(c))
 
 
+def test_edge_index_missing_edge(quad_rigid_k1):
+    with pytest.raises(GraphError, match=r"edge \(0, 9\) is not in the graph"):
+        quad_rigid_k1.edge_index((0, 9))
+
+
+def test_colour_of_missing_edge(quad_rigid_k1):
+    with pytest.raises(GraphError, match=r"edge \(0, 9\) is not in the graph"):
+        quad_rigid_k1.colour_of((0, 9))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10**6),

@@ -6,6 +6,7 @@ import pytest
 
 from coordrig import generic, linalg
 from coordrig import (
+    GraphError,
     OracleParams,
     build,
     decide_generic_coordinated_rigidity,
@@ -235,6 +236,18 @@ def test_stress_certificates_seven(seven_rigid_k2):
                 assert value > 1e-8
             else:
                 assert value < 1e-8
+
+
+def test_redundant_set_missing_edge(quad_rigid_k1):
+    with pytest.raises(GraphError, match=r"edge \(2, 7\) is not in the graph"):
+        is_redundant_set(quad_rigid_k1, [(2, 7)], params())
+
+
+def test_stress_certificates_missing_edge(quad_rigid_k1):
+    g = quad_rigid_k1
+    p = random_configuration(g.n, 2, seed=51)
+    with pytest.raises(GraphError, match=r"edge \(5, 6\) is not in the graph"):
+        rainbow_stress_certificates(g, p, [(5, 6)])
 
 
 def test_rank_summary(seven_rigid_k2):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordrig import (
+    GraphError,
     OracleParams,
     build,
     check_k1,
@@ -43,6 +44,11 @@ def test_transversal_rank_cases(seven_rigid_k2):
     assert transversal_rank(g, g.colour_class(0)) == 0
     assert transversal_rank(g, [(0, 1), (0, 4)]) == 2  # one of each class
     assert transversal_rank(g, [(0, 1), (1, 4), (4, 6)]) == 2  # 1,1,2
+
+
+def test_transversal_rank_missing_edge(quad_rigid_k1):
+    with pytest.raises(GraphError, match=r"edge \(7, 8\) is not in the graph"):
+        transversal_rank(quad_rigid_k1, [(7, 8)])
 
 
 def test_union_rank_k4_one_class():
@@ -234,17 +240,17 @@ def test_rainbow_pair_matches_fresh_games():
         m = min(n * (n - 1) // 2, 2 * n - 4 + i % 7)
         g = random_coloured_graph(n, 2, seed=i, m=m)
         expected = brute_rainbow_pair(g)
-        cls, circuits, redundant, _, game = laman._plane_game(g, coloops(g, 2))
-        # the game on the whole of E has the same kind and circuits
-        assert laman._plane_game(g, frozenset())[:2] == (cls, circuits)
+        rank, kind, circuits, redundant, _, game = laman._plane_game(g, coloops(g, 2))
+        # the game on the whole of E has the same rank, kind and circuits
+        assert laman._plane_game(g, frozenset())[:3] == (rank, kind, circuits)
         assert laman._rainbow_pair_general(g, game, circuits, redundant) == expected
-        assert rainbow_pair_k2(g) == (expected if cls.kind == "laman+2" else None)
-        full = cls.kind != "deficit"
+        assert rainbow_pair_k2(g) == (expected if kind == "laman+2" else None)
+        full = kind != "deficit"
         got = check_k2(g).certificate.get("rainbow_tuple")
         assert got == ([list(e) for e in expected] if full and expected else None)
-        if cls.kind in cases:
-            cases[cls.kind] += 1
-        elif cls.kind == "other":
+        if kind in cases:
+            cases[kind] += 1
+        elif kind == "other":
             cases["surplus>2"] += 1
         found += expected is not None
         first = next((e for e in g.colour_class(1) if e in redundant), None)
@@ -438,6 +444,41 @@ def test_check_k2_nested_circuit(nested_circuit_k2):
 def test_check_k2_wrong_k(quad_rigid_k1):
     with pytest.raises(ValueError):
         check_k2(quad_rigid_k1)
+
+
+def test_check_k2_verdict_invariants():
+    # 1500 graphs with m from 2n - 3 to 2n + 1, around Laman+2 (2n - 1)
+    branches = {"isostatic": 0, "rigid surplus>2": 0, "deficiency": 0,
+                "failing[0]": 0, "class-all-bridges surplus>2": 0}
+    for i in range(1500):
+        n = 5 + i % 10
+        m = min(n * (n - 1) // 2, 2 * n - 3 + i % 5)
+        g = random_coloured_graph(n, 2, seed=i, m=m)
+        verdict = check_k2(g)
+        ranks, diagnosis = verdict.ranks, verdict.certificate["diagnosis"]
+        failing, target = diagnosis["failing"], ranks["target_rank"]
+        assert diagnosis["laman_plus_2"] == (ranks["classification"] == "laman+2")
+        if verdict.rigid:
+            assert verdict.witness is None
+            assert verdict.isostatic == (not failing)
+            branches["isostatic" if verdict.isostatic else "rigid surplus>2"] += 1
+            continue
+        assert failing and verdict.isostatic is False
+        bridges = [f for f in failing if f.startswith("class-all-bridges:")]
+        if verdict.witness.startswith("deficiency:"):
+            assert verdict.witness == f"deficiency:{target - ranks['rank23']}"
+            branches["deficiency"] += 1
+        elif verdict.witness == "no-rainbow-redundant-pair":
+            assert g.m > target + 2 and not bridges
+        else:
+            assert verdict.witness in failing
+            if g.m > target + 2:
+                assert verdict.witness == bridges[0]
+                branches["class-all-bridges surplus>2"] += 1
+            else:
+                assert verdict.witness == failing[0]
+                branches["failing[0]"] += 1
+    assert min(branches.values()) >= 5, branches
 
 
 def test_rainbow_pair_seven_fixture(seven_rigid_k2):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from coordrig import (
+    GraphError,
     build,
     check_equivalent,
     colour_class_load,
@@ -290,6 +291,12 @@ def test_edge_load_and_resolution():
     assert np.allclose(R.T @ rho, f, atol=1e-9)
 
 
+def test_edge_load_missing_edge(quad_rigid_k1):
+    p = random_configuration(4, 2, seed=14)
+    with pytest.raises(GraphError, match=r"edge \(0, 9\) is not in the graph"):
+        edge_load(quad_rigid_k1, p, (0, 9))
+
+
 def test_resolve_zero_load_is_zero():
     p = random_configuration(4, 2, seed=15)
     rho = resolve_load(K4, p, np.zeros(8))
@@ -420,8 +427,6 @@ def test_equivalence_fixture(square_k1):
 def test_matrix_dimension_mismatch_errors():
     with pytest.raises(ValueError, match="expected 3 points"):
         rigidity_matrix(TRIANGLE, [[0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(ValueError, match="expected dimension 3"):
-        rigidity_matrix(TRIANGLE, random_configuration(3, 2, seed=1), d=3)
     g = build(2, 1, [(0, 1, 1)])
     with pytest.raises(ValueError, match="length k"):
         check_equivalent(g, ([[0, 0], [1, 0]], []), ([[0, 0], [1, 0]], [0.0]), 1e-6)
