@@ -10,7 +10,8 @@ Each check lives in one place.  ``parse_coloured_graph`` checks only the
 JSON document's shape, ``build`` sorts the triples without coercing them,
 and ``validate``, which every ``ColouredGraph`` runs, checks every value
 once: the graph, the placement ``coords`` and the offsets ``r``.  The graph
-then answers edge positions and colours from one edge -> position map.
+then answers edge positions and colours from one edge -> position map, and
+its colour classes from tuples built once.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ class ColouredGraph:
     _position: dict[tuple[int, int], int] = field(
         init=False, repr=False, compare=False, hash=False, default_factory=dict
     )
+    _classes: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False, hash=False, default=()
+    )
 
     def __post_init__(self) -> None:
         validate(self.n, self.edges, self.colours, self.k, self.coords, self.r)
@@ -52,6 +56,10 @@ class ColouredGraph:
         if self.r is not None:
             object.__setattr__(self, "r", tuple(map(float, self.r)))
         object.__setattr__(self, "_position", {e: i for i, e in enumerate(self.edges)})
+        classes = [[] for _ in range(self.k + 1)]
+        for e, c in zip(self.edges, self.colours):
+            classes[c].append(e)
+        object.__setattr__(self, "_classes", tuple(map(tuple, classes)))
 
     @property
     def m(self) -> int:
@@ -67,7 +75,7 @@ class ColouredGraph:
         """Edges of class i (i = 0 gives the uncoloured edges)."""
         if not 0 <= i <= self.k:
             raise GraphError(f"colour class {i} out of range 0..{self.k}")
-        return tuple(e for e, c in zip(self.edges, self.colours) if c == i)
+        return self._classes[i]
 
     def isolated_vertices(self) -> tuple[int, ...]:
         seen = set()

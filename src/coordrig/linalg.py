@@ -5,7 +5,9 @@
 in canonical edge order; from them come motions, stresses, load
 resolutions and the projection Gram matrix of the coordination criterion.
 ``modular_matrix`` returns the same matrix as a tuple of int rows over
-GF(q), with q fixed at MODULUS = 2^61 - 1, for exact ranks and kernels.
+GF(q), with q fixed at MODULUS = 2^30 - 35, for exact ranks and kernels:
+the largest prime below 2^30, so that every entry, pivot inverse and
+multiplier is a one-digit CPython int.
 Random sampling always takes an explicit seed and parallel trials must
 derive their seeds as root_seed + trial_index.
 """
@@ -19,7 +21,7 @@ import numpy as np
 
 from .cgraph import ColouredGraph
 
-MODULUS = (1 << 61) - 1  # Mersenne prime
+MODULUS = (1 << 30) - 35  # the largest prime below 2^30
 
 Edge = tuple[int, int]
 
@@ -86,13 +88,19 @@ def coordinated_matrix(g: ColouredGraph, p) -> np.ndarray:
     return np.hstack([rigidity_matrix(g, p), indicator_matrix(g)])
 
 
-def modular_matrix(g: ColouredGraph, p, d: int, k: int = 0) -> tuple[tuple[int, ...], ...]:
+def modular_matrix(
+    g: ColouredGraph, p, d: int, k: int = 0, positions=None
+) -> tuple[tuple[int, ...], ...]:
     """R(p) over GF(MODULUS) at an integer configuration, as a tuple of int
-    rows, one per edge; with k = g.k the k class-indicator columns follow."""
+    rows, one per edge, or one per edge position in ``positions`` in that
+    order; with k = g.k the k class-indicator columns follow."""
     q = MODULUS
     n = g.n
+    if positions is None:
+        positions = range(g.m)
     rows = []
-    for (i, j), c in zip(g.edges, g.colours):
+    for e in positions:
+        (i, j), c = g.edges[e], g.colours[e]
         r = [0] * (d * n + k)
         for a in range(d):
             diff = (p[i][a] - p[j][a]) % q

@@ -224,6 +224,17 @@ def test_random_graph_round_trip(seed):
     assert all(c for c in range(1, g.k + 1) if g.colour_class(c))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=4))
+def test_colour_classes_match_a_scan(seed, k):
+    g = random_coloured_graph(7, k, seed=seed)
+    for h in (g, subgraph_by_colours(g, set(range(0, k + 1, 2)))):
+        for i in range(h.k + 1):
+            assert h.colour_class(i) == tuple(
+                e for e, c in zip(h.edges, h.colours) if c == i
+            )
+
+
 def test_edge_index_missing_edge(quad_rigid_k1):
     with pytest.raises(GraphError, match=r"edge \(0, 9\) is not in the graph"):
         quad_rigid_k1.edge_index((0, 9))

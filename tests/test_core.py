@@ -157,7 +157,9 @@ def test_union_and_oracle_work_on_the_core(inserted, monkeypatch):
 
     monkeypatch.setattr(linalg, "modular_nullspace", recording_nullspace)
     generic._RankOracle(g, OracleParams(d=2, trials=2, seed=5))
-    assert widths == [g.m - len(stripped)] * 2
+    # trials after one that reaches both rank caps are not eliminated
+    assert 1 <= len(widths) <= 2
+    assert widths == [g.m - len(stripped)] * len(widths)
 
 
 def test_class_made_only_of_coloops():

@@ -14,10 +14,12 @@ from coordrig import (
     generic_rank,
     is_redundant_set,
     rainbow_stress_certificates,
+    rank_summary,
     sparsity_rank,
 )
 from coordrig.corpus import random_coloured_graph, random_corpus
 from coordrig.linalg import random_configuration
+from conftest import load_fixture
 from oracles import brute_rainbow_tuple
 
 K4 = build(4, 0, [(u, v, 0) for u in range(4) for v in range(u + 1, 4)])
@@ -147,6 +149,80 @@ def test_rigid_tuple_is_checked_by_one_elimination(monkeypatch, seven_rigid_k2):
     v = decide_generic_coordinated_rigidity(seven_rigid_k2, params(trials=3))
     assert v.rigid
     assert removed == [seven_rigid_k2.k]
+
+
+@pytest.fixture
+def nullspaces(monkeypatch):
+    """A list that gets one entry per ``modular_nullspace`` call."""
+    calls = []
+    nullspace = linalg.modular_nullspace
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return nullspace(rows, ncols)
+
+    monkeypatch.setattr(linalg, "modular_nullspace", counted)
+    return calls
+
+
+# K4 with a pendant edge: rank 6 of the cap 7, so every trial stays short
+K4_PENDANT = build(5, 1, [(u, v, 0) for u, v in K4.edges] + [(3, 4, 1)])
+# a path: independent, so its first trial reaches both caps, m and m
+PATH = build(4, 1, [(0, 1, 1), (1, 2, 0), (2, 3, 0)])
+
+
+def test_rigid_verdict_eliminates_one_trial(nullspaces, seven_rigid_k2):
+    v = decide_generic_coordinated_rigidity(seven_rigid_k2, params(trials=3))
+    assert v.rigid and v.ranks["trials"] == 3
+    assert len(nullspaces) == 1
+
+
+@pytest.mark.parametrize(
+    "g, witness, eliminations",
+    [
+        (K4_PENDANT, "underlying-flexible", 3),
+        (load_fixture("twin_blocks_k2"), "no-rainbow-redundant-tuple", 3),
+        (PATH, "underlying-flexible", 1),
+    ],
+    ids=["underlying-flexible", "no-rainbow-tuple", "independent"],
+)
+def test_flexible_verdict_eliminates_until_the_caps(
+    nullspaces, g, witness, eliminations
+):
+    v = decide_generic_coordinated_rigidity(g, params(trials=3))
+    assert v.witness == witness
+    assert len(nullspaces) == eliminations
+
+
+def test_keeps_rank_tries_every_trial(monkeypatch, seven_rigid_k2):
+    # two edges of the degree-3 vertex 3 are not redundant; the one
+    # eliminated trial does not settle that, so the rows of the two
+    # skipped trials are built and eliminated as well
+    oracle = generic._RankOracle(seven_rigid_k2, params(trials=3))
+    assert len(oracle.trials) == 1
+    built = []
+    matrix = linalg.modular_matrix
+
+    def counted(*args, **kwargs):
+        built.append(kwargs["positions"])
+        return matrix(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "modular_matrix", counted)
+    assert not oracle.keeps_rank([(0, 3), (1, 3)])
+    assert built == [oracle.core] * 2
+    assert oracle.keeps_rank([(0, 1), (4, 6)])
+    assert len(built) == 2  # each trial's rows are built once
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rank_summary_is_the_max_over_single_trials(d):
+    # a sampled rank is a lower bound, so stopping at the caps loses nothing
+    for s, g in enumerate(random_corpus(40, seed=5200 + d, k_range=(0, 3))):
+        got = rank_summary(g, OracleParams(d=d, trials=3, seed=s))
+        single = [
+            rank_summary(g, OracleParams(d=d, trials=1, seed=s + t)) for t in range(3)
+        ]
+        assert got == {key: max(r[key] for r in single) for key in got}
 
 
 def test_decide_fixtures(quad_rigid_k1, twin_blocks_k2, nested_circuit_k2):

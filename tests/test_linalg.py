@@ -141,6 +141,30 @@ def test_twin_blocks_coordinated_rank_short(twin_blocks_k2):
         assert modular_rank_rows(M) == 14 < 15
 
 
+def test_modulus_is_a_one_digit_prime():
+    # below 2^30, trial division by every d < 2^15 settles primality
+    assert 2 < MODULUS < 1 << 30
+    assert all(MODULUS % d for d in range(2, 1 << 15))
+
+
+@pytest.mark.parametrize("n, d, seed", [(1, 1, 0), (7, 2, 3), (40, 3, 11)])
+def test_modular_configuration_range(n, d, seed):
+    p = sample_modular_configuration(n, d, seed)
+    assert len(p) == n and all(len(row) == d for row in p)
+    assert all(type(x) is int and 1 <= x <= MODULUS - 1 for row in p for x in row)
+
+
+def test_modular_matrix_positions(seven_rigid_k2):
+    g = seven_rigid_k2
+    p = sample_modular_configuration(g.n, 2, seed=8)
+    full = modular_matrix(g, p, 2, k=g.k)
+    positions = [12, 0, 5, 6]
+    assert modular_matrix(g, p, 2, k=g.k, positions=positions) == tuple(
+        full[i] for i in positions
+    )
+    assert modular_matrix(g, p, 2, positions=[]) == ()
+
+
 def test_modular_nullspace_is_kernel():
     p = sample_modular_configuration(4, 2, seed=5)
     M = modular_matrix(K4, p, 2)
