@@ -18,8 +18,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import generic, linalg
 from .cgraph import GraphError, parse_coloured_graph, serialize
 from .corpus import random_coloured_graph
@@ -91,7 +89,7 @@ def _coords_for(g, args, d: int):
             raise CliError(
                 f"file coords have dimension {len(g.coords[0])}, expected {d}"
             )
-        return np.array(g.coords, dtype=float)
+        return linalg.as_points(g.coords, g.n)
     return linalg.random_configuration(g.n, d, args.seed)
 
 

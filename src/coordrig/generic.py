@@ -45,8 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cgraph import ColouredGraph, coloops
 from . import linalg
 from .linalg import MODULUS
@@ -284,6 +282,7 @@ def rainbow_stress_certificates(g: ColouredGraph, p, tup, tol: float = 1e-9):
     Exists whenever the tuple is redundant and the underlying framework is
     rigid at p; each returned stress is normalized to unit norm.
     """
+    import numpy as np
     basis = linalg.equilibrium_stresses(g, p)  # rows orthonormal
     if basis.size == 0:
         return None

@@ -8,6 +8,9 @@ resolutions and the projection Gram matrix of the coordination criterion.
 GF(q), with q fixed at MODULUS = 2^30 - 35, for exact ranks and kernels:
 the largest prime below 2^30, so that every entry, pivot inverse and
 multiplier is a one-digit CPython int.
+Each float routine imports numpy in its body, so numpy is loaded by the
+first float call and never by the exact routines or by code that uses
+only them.
 Random sampling always takes an explicit seed and parallel trials must
 derive their seeds as root_seed + trial_index.
 """
@@ -16,10 +19,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cgraph import ColouredGraph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MODULUS = (1 << 30) - 35  # the largest prime below 2^30
 
@@ -32,6 +37,7 @@ Edge = tuple[int, int]
 
 def as_points(p, n: int) -> np.ndarray:
     """Coerce to an (n, d) float array of finite points, one per vertex."""
+    import numpy as np
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != n:
         raise ValueError(f"expected {n} points, got array of shape {arr.shape}")
@@ -42,6 +48,7 @@ def as_points(p, n: int) -> np.ndarray:
 
 def random_configuration(n: int, d: int, seed: int) -> np.ndarray:
     """Deterministic float configuration with coordinates in (0, 1)."""
+    import numpy as np
     rng = random.Random(seed)
     return np.array([[rng.random() for _ in range(d)] for _ in range(n)])
 
@@ -58,6 +65,7 @@ def sample_modular_configuration(n: int, d: int, seed: int):
 
 def indicator_matrix(g: ColouredGraph) -> np.ndarray:
     """The m x k matrix whose columns are the class characteristic vectors."""
+    import numpy as np
     ind = np.zeros((g.m, g.k))
     for row, c in enumerate(g.colours):
         if c >= 1:
@@ -72,19 +80,22 @@ def rigidity_matrix(g: ColouredGraph, p) -> np.ndarray:
     p(j) - p(i) on j's block; the kernel is the space of infinitesimal
     motions of (G, p).  An edge with coincident endpoints gives a zero row.
     """
+    import numpy as np
     pts = as_points(p, g.n)
     d = pts.shape[1]
-    R = np.zeros((g.m, d * g.n))
-    for row, (i, j) in enumerate(g.edges):
-        diff = pts[i] - pts[j]
-        R[row, d * i : d * i + d] = diff
-        R[row, d * j : d * j + d] = -diff
-    return R
+    R = np.zeros((g.m, g.n, d))  # R[row, i] is vertex i's column block
+    rows = np.arange(g.m)
+    I, J = np.array(g.edges, dtype=int).reshape(g.m, 2).T
+    diff = pts[I] - pts[J]
+    R[rows, I] = diff
+    R[rows, J] = -diff
+    return R.reshape(g.m, d * g.n)
 
 
 def coordinated_matrix(g: ColouredGraph, p) -> np.ndarray:
     """The m x (dn + k) float matrix [R(p) | 1(c)]: R(p) followed by the k
     class-indicator columns (R(p) itself when k = 0)."""
+    import numpy as np
     return np.hstack([rigidity_matrix(g, p), indicator_matrix(g)])
 
 
@@ -119,12 +130,14 @@ def modular_matrix(
 def _numerical_rank(s: np.ndarray, shape, tol: float | None = None) -> int:
     """Number of singular values ``s`` (descending) of a matrix of ``shape``
     above ``tol``, by default the standard cut max(shape) * eps * s[0]."""
+    import numpy as np
     if tol is None:
         tol = max(shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     return int(np.sum(s > tol))
 
 
 def float_rank(A: np.ndarray, tol: float | None = None) -> int:
+    import numpy as np
     if A.size == 0:
         return 0
     return _numerical_rank(np.linalg.svd(A, compute_uv=False), A.shape, tol)
@@ -205,6 +218,7 @@ def modular_nullspace(rows, ncols: int) -> list[list[int]]:
 
 def _svd_spaces(A: np.ndarray, tol: float | None = None):
     """(rank, left-null basis as columns, right-null basis as columns)."""
+    import numpy as np
     m, c = A.shape
     if m == 0:
         return 0, np.zeros((0, 0)), np.eye(c)
@@ -225,6 +239,7 @@ def trivial_motion_generators(p: np.ndarray, k: int = 0) -> np.ndarray:
     space; its dimension is computed, never assumed, so degenerate
     configurations are handled correctly.
     """
+    import numpy as np
     n, d = p.shape
     gens = []
     for a in range(d):
@@ -265,9 +280,11 @@ class MotionReport:
 
 def infinitesimal_motions(g: ColouredGraph, p, tol: float | None = None) -> MotionReport:
     """Basis of the motion space M+(p) with its trivial/nontrivial split."""
+    import numpy as np
     pts = as_points(p, g.n)
     M = coordinated_matrix(g, pts)
-    zero = [e for e, row in zip(g.edges, M[:, : pts.size]) if not row.any()]
+    nonzero = M[:, : pts.size].any(axis=1)
+    zero = [e for e, nz in zip(g.edges, nonzero) if not nz]
     if zero:
         raise ValueError(
             f"zero-length edges {zero}: motion analysis "
@@ -312,6 +329,7 @@ def equilibrium_stresses(g: ColouredGraph, p, tol: float | None = None) -> np.nd
 
 def edge_load(g: ColouredGraph, p, edge: Edge) -> np.ndarray:
     """The equilibrium load of one edge: p(i)-p(j) at i, p(j)-p(i) at j."""
+    import numpy as np
     pts = as_points(p, g.n)
     d = pts.shape[1]
     f = np.zeros(d * g.n)
@@ -323,6 +341,7 @@ def edge_load(g: ColouredGraph, p, edge: Edge) -> np.ndarray:
 
 def colour_class_load(g: ColouredGraph, p, i: int) -> np.ndarray:
     """Sum of the edge loads over colour class i (1 <= i <= k)."""
+    import numpy as np
     if not 1 <= i <= g.k:
         raise ValueError(f"colour class index {i} out of range 1..{g.k}")
     pts = as_points(p, g.n)
@@ -335,6 +354,7 @@ def colour_class_load(g: ColouredGraph, p, i: int) -> np.ndarray:
 
 def is_equilibrium_load(p: np.ndarray, f: np.ndarray, tol: float = 1e-9) -> bool:
     """No net force and no net torque, to tolerance."""
+    import numpy as np
     n, d = p.shape
     fv = f.reshape(n, d)
     scale = 1.0 + float(np.abs(fv).sum())
@@ -355,6 +375,7 @@ def resolve_load(g: ColouredGraph, p, f, tol: float = 1e-9):
     when f lies outside the resolvable space (the row space of R(p)).
     Raises if f is not an equilibrium load.
     """
+    import numpy as np
     pts = as_points(p, g.n)
     f = np.asarray(f, dtype=float).reshape(-1)
     if f.shape[0] != pts.size:
@@ -387,6 +408,7 @@ def check_equivalent(g: ColouredGraph, placement_a, placement_b, tol: float):
     length + offset(l).  Returns (equivalent, residuals) with one residual
     per edge in canonical order.
     """
+    import numpy as np
     pa, ra = placement_a
     pb, rb = placement_b
     pa = as_points(pa, g.n)

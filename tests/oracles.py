@@ -7,15 +7,17 @@ the union rank by exhausting the min-formula over every subset,
 rainbow tuples by enumerating the class product with row-removal ranks,
 and plane rainbow pairs by a fresh (2,3) rank of every E - e - f.
 
-Two are earlier implementations kept as references for the faster code
+Three are earlier implementations kept as references for the faster code
 that replaced them: the union rank that replays a fresh game on E minus T
-in every augmentation round, and GF(q) elimination to reduced echelon
-form.
+in every augmentation round, GF(q) elimination to reduced echelon form,
+and the float rigidity matrix built one edge row at a time.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
+
+import numpy as np
 
 from coordrig.laman import UnionRankReport, _augment, _plane_target, transversal_rank
 from coordrig.linalg import (
@@ -222,3 +224,15 @@ def reduced_echelon_nullspace(rows, ncols: int):
             vec[pc] = (-row[fc]) % MODULUS
         basis.append(vec)
     return basis
+
+
+def loop_rigidity_matrix(g, pts):
+    """Float R(p) filled one edge row at a time: p(i) - p(j) on i's column
+    block and p(j) - p(i) on j's."""
+    d = pts.shape[1]
+    R = np.zeros((g.m, d * g.n))
+    for row, (i, j) in enumerate(g.edges):
+        diff = pts[i] - pts[j]
+        R[row, d * i : d * i + d] = diff
+        R[row, d * j : d * j + d] = -diff
+    return R

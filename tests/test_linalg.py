@@ -32,7 +32,11 @@ from coordrig.linalg import (
 )
 
 from conftest import FIXTURE_NAMES, load_fixture
-from oracles import reduced_echelon, reduced_echelon_nullspace
+from oracles import (
+    loop_rigidity_matrix,
+    reduced_echelon,
+    reduced_echelon_nullspace,
+)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 K4 = build(4, 0, [(u, v, 0) for u in range(4) for v in range(u + 1, 4)])
@@ -113,6 +117,32 @@ def test_row_support_only_on_endpoints_and_class(seven_rigid_k2):
         assert support <= allowed
         if c >= 1:
             assert M[row, 2 * g.n + c - 1] == 1.0
+
+
+def _same_bytes(a, b):
+    # array_equal alone would let -0.0 stand for 0.0
+    return np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rigidity_matrix_matches_edge_loop(d):
+    # the same IEEE subtraction per entry, so the bytes agree, signed zeros
+    # included; every third configuration puts vertices 0 and 1 together,
+    # and the last graph has no edges
+    graphs = random_corpus(40, seed=100 * d, n_range=(2, 9)) + [build(4, 0, [])]
+    for i, g in enumerate(graphs):
+        p = random_configuration(g.n, d, seed=i)
+        if i % 3 == 0:
+            p[1] = p[0]
+        assert _same_bytes(rigidity_matrix(g, p), loop_rigidity_matrix(g, p))
+
+
+def test_rigidity_matrix_coincident_points():
+    g = build(3, 0, [(0, 1, 0), (0, 2, 0), (1, 2, 0)])
+    p = np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]])
+    R = rigidity_matrix(g, p)
+    assert not R[0].any()  # the edge of coincident endpoints is a zero row
+    assert _same_bytes(R, loop_rigidity_matrix(g, p))
 
 
 def test_k0_coordinated_equals_rigidity():

@@ -73,3 +73,33 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused, f"unused imports in src/coordrig: {unused}"
+
+
+def _runs_on_import(node):
+    # every statement that runs when the module is imported: function
+    # bodies wait for a call and an ``if TYPE_CHECKING:`` block never runs
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
+            continue
+        yield child
+        yield from _runs_on_import(child)
+
+
+def test_numpy_is_imported_only_inside_functions():
+    # only the float routines need numpy, and loading it takes most of a
+    # cold start, so importing coordrig must not load it
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in _runs_on_import(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"numpy imported at module level: {found}"
