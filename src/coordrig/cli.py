@@ -66,10 +66,15 @@ def _emit(payload: dict, compact: bool) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _round(x, nd: int = 12):
+def _round(x):
     if isinstance(x, (list, tuple)):
-        return [_round(v, nd) for v in x]
-    return round(float(x), nd)
+        return [_round(v) for v in x]
+    return round(float(x), 12)
+
+
+def _header(g, args) -> dict:
+    """The n, m, k, d and seed that open the float and rank payloads."""
+    return {"n": g.n, "m": g.m, "k": g.k, "d": args.dim, "seed": args.seed}
 
 
 def _write(path, text: str) -> None:
@@ -98,12 +103,12 @@ def cmd_check(args) -> int:
     method = args.method
     if method == "combinatorial" and args.dim != 2:
         raise CliError("combinatorial decisions are only available for --dim 2")
+    params = _oracle_params(args)
     if method == "auto":
         method = "combinatorial" if args.dim == 2 else "numeric"
     if method == "combinatorial":
         verdict = decide_plane(g)
     else:
-        params = _oracle_params(args)
         verdict = decide_generic_coordinated_rigidity(g, params)
     _emit(verdict.to_json(), args.json)
     return 0 if verdict.rigid else 1
@@ -124,12 +129,7 @@ def cmd_motions(args) -> int:
         report = linalg.infinitesimal_motions(g, p, tol=tol)
     except ValueError as exc:
         raise CliError(str(exc))
-    payload = {
-        "n": g.n,
-        "m": g.m,
-        "k": g.k,
-        "d": args.dim,
-        "seed": args.seed,
+    payload = _header(g, args) | {
         "coords": _round(p.tolist()),
         "nullity": report.nullity,
         "trivial_dim": report.trivial_dim,
@@ -150,12 +150,7 @@ def cmd_stresses(args) -> int:
     tol = _tol(args)
     p = _coords_for(g, args, args.dim)
     basis = linalg.equilibrium_stresses(g, p, tol=tol)
-    payload = {
-        "n": g.n,
-        "m": g.m,
-        "k": g.k,
-        "d": args.dim,
-        "seed": args.seed,
+    payload = _header(g, args) | {
         "coords": _round(p.tolist()),
         "edges": [list(e) for e in g.edges],
         "dim_stress_space": int(basis.shape[0]),
@@ -209,14 +204,7 @@ def cmd_draw(args) -> int:
 def cmd_rank(args) -> int:
     g = _load(args.file)
     params = _oracle_params(args)
-    payload = {
-        "n": g.n,
-        "m": g.m,
-        "k": g.k,
-        "d": args.dim,
-        "seed": args.seed,
-        "trials": args.trials,
-    }
+    payload = _header(g, args) | {"trials": args.trials}
     payload.update(generic.rank_summary(g, params))
     if args.dim == 2:
         # removing T keeps the rank, so E minus T's basis has r(E) edges
@@ -242,9 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="root seed (default: COORDRIG_SEED or 0)")
+    def common(p, seed=True):
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="root seed (default: COORDRIG_SEED or 0)")
         p.add_argument("--json", action="store_true",
                        help="compact single-line JSON output")
 
@@ -285,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("draw", help="render the graph to SVG")
     p.add_argument("file")
     p.add_argument("--out", default=None)
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=cmd_draw)
 
     p = sub.add_parser("rank", help="rank report across all engines")
@@ -309,7 +298,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.seed is None:
+        if "seed" in args and args.seed is None:
             args.seed = _default_seed()
         return args.func(args)
     except (CliError, generic.BackendError, MemoryError) as exc:

@@ -17,6 +17,8 @@ from .cgraph import ColouredGraph, serialize
 
 _DASHES = ["8,6", "2,5", "10,4,2,4", "6,3,1,3"]
 _LAYOUT_STEPS = 120
+_SIZE = 480
+_MARGIN = 30
 
 
 def edge_style(colour: int) -> tuple[str, str | None]:
@@ -68,7 +70,7 @@ def spring_layout(g: ColouredGraph) -> list[tuple[float, float]]:
     return pos
 
 
-def render_svg(g: ColouredGraph, size: int = 480, margin: int = 30) -> str:
+def render_svg(g: ColouredGraph) -> str:
     """SVG document for the graph, using its own coords when 2-dimensional."""
     if g.coords is not None and len(g.coords[0]) == 2:
         pos = [tuple(p) for p in g.coords]
@@ -81,13 +83,13 @@ def render_svg(g: ColouredGraph, size: int = 480, margin: int = 30) -> str:
     span = max(span_x, span_y)
 
     def to_px(p):
-        x = margin + (p[0] - min(xs)) / span * (size - 2 * margin)
-        y = size - margin - (p[1] - min(ys)) / span * (size - 2 * margin)
+        x = _MARGIN + (p[0] - min(xs)) / span * (_SIZE - 2 * _MARGIN)
+        y = _SIZE - _MARGIN - (p[1] - min(ys)) / span * (_SIZE - 2 * _MARGIN)
         return round(x, 2), round(y, 2)
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
+        f'viewBox="0 0 {_SIZE} {_SIZE}">',
     ]
     for (u, v), c in zip(g.edges, g.colours):
         (x1, y1), (x2, y2) = to_px(pos[u]), to_px(pos[v])

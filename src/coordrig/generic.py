@@ -118,13 +118,15 @@ class _RankOracle:
     and keeps that rank, the stress basis S (one row per stress, one entry
     per core edge) and the columns of S·I.  ``core`` maps a core position
     to the edge's position in ``g.edges``; ``classes`` holds core
-    positions.
+    positions.  ``trivial`` is the generic trivial dimension t, and
+    ``target`` and ``coordinated_target`` are the rigidity targets dn - t
+    and dn + k - t of rank R(p) and rank[R(p) | I].
 
     Trials are eliminated in order only while the best rank or coordinated
-    rank is below its cap, min(m, dn - t) or min(m, dn + k - t) with t the
-    generic trivial dimension.  No sample exceeds the generic rank, so no
-    later trial can raise either maximum; ``trials`` holds the trials
-    eliminated, at most ``params.trials`` of them.
+    rank is below its cap, min(m, target) or min(m, coordinated_target).
+    No sample exceeds the generic rank, so no later trial can raise either
+    maximum; ``trials`` holds the trials eliminated, at most
+    ``params.trials`` of them.
     """
 
     def __init__(self, g: ColouredGraph, params: OracleParams):
@@ -138,8 +140,10 @@ class _RankOracle:
             if c:
                 self.classes[c - 1].append(j)
         self._rows = [None] * params.trials
-        trivial, dn = _trivial_dim(g.n, params.d), params.d * g.n
-        rank_cap, coordinated_cap = min(g.m, dn - trivial), min(g.m, dn + g.k - trivial)
+        self.trivial = _trivial_dim(g.n, params.d)
+        self.target = params.d * g.n - self.trivial
+        self.coordinated_target = self.target + g.k
+        rank_cap, coordinated_cap = min(g.m, self.target), min(g.m, self.coordinated_target)
         self.trials = []
         self.rank_full = self.coordinated_rank = 0
         for t in range(params.trials):
@@ -221,15 +225,12 @@ def _rank_fields(oracle: _RankOracle) -> dict:
     """The oracle's sampled ranks of R(p) and [R(p) | I] with their
     rigidity targets dn - t and dn + k - t, t the generic trivial
     dimension."""
-    g, d = oracle.g, oracle.params.d
-    trivial = _trivial_dim(g.n, d)
-    dn = d * g.n
     return {
         "generic_rank": oracle.rank_full,
-        "target_rank": dn - trivial,
+        "target_rank": oracle.target,
         "coordinated_rank": oracle.coordinated_rank,
-        "coordinated_target": dn + g.k - trivial,
-        "trivial_dim": trivial,
+        "coordinated_target": oracle.coordinated_target,
+        "trivial_dim": oracle.trivial,
     }
 
 
@@ -320,15 +321,14 @@ def decide_generic_coordinated_rigidity(
     """
     oracle = _RankOracle(g, params)
     ranks = _ranks(g, **_rank_fields(oracle), trials=params.trials)
-    rank_full, coord_rank = oracle.rank_full, oracle.coordinated_rank
-    coord_target = ranks["coordinated_target"]
+    coord_rank, coord_target = oracle.coordinated_rank, oracle.coordinated_target
     bound = min(g.m, coord_target)
     if coord_rank > bound:
         raise BackendError(
             f"sampled coordinated rank {coord_rank} exceeds the matroid-union "
             f"bound {bound} (seed {params.seed})"
         )
-    underlying_rigid = rank_full == ranks["target_rank"]
+    underlying_rigid = oracle.rank_full == oracle.target
     rigid = underlying_rigid and coord_rank == coord_target
     if rigid:
         witness = None

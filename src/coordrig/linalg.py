@@ -4,6 +4,11 @@
 ``coordinated_matrix`` returns [R(p) | 1(c)] as an m x (dn + k) array, rows
 in canonical edge order; from them come motions, stresses, load
 resolutions and the projection Gram matrix of the coordination criterion.
+One private row builder fills R(p) and the loads: an edge's load is its
+row of R(p) and a class's load the sum of its rows, so a load never
+builds the whole matrix.  A load is in equilibrium when it is orthogonal
+to the trivial motions, the rows of ``trivial_motion_generators``: the
+translations give the net force and the rotations the net torque.
 ``modular_matrix`` returns the same matrix as a tuple of int rows over
 GF(q), with q fixed at MODULUS = 2^30 - 35, for exact ranks and kernels:
 the largest prime below 2^30, so that every entry, pivot inverse and
@@ -17,6 +22,8 @@ derive their seeds as root_seed + trial_index.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -73,6 +80,20 @@ def indicator_matrix(g: ColouredGraph) -> np.ndarray:
     return ind
 
 
+def _rigidity_rows(pts: np.ndarray, edges) -> np.ndarray:
+    """The rows of R(p) for ``edges``, in that order: p(i) - p(j) on i's
+    column block and p(j) - p(i) on j's."""
+    import numpy as np
+    n, d = pts.shape
+    I, J = np.array(edges, dtype=int).reshape(-1, 2).T
+    R = np.zeros((len(I), n, d))  # R[row, i] is vertex i's column block
+    rows = np.arange(len(I))
+    diff = pts[I] - pts[J]
+    R[rows, I] = diff
+    R[rows, J] = -diff
+    return R.reshape(len(I), d * n)
+
+
 def rigidity_matrix(g: ColouredGraph, p) -> np.ndarray:
     """The m x dn float rigidity matrix R(p) of the underlying bar framework.
 
@@ -80,16 +101,7 @@ def rigidity_matrix(g: ColouredGraph, p) -> np.ndarray:
     p(j) - p(i) on j's block; the kernel is the space of infinitesimal
     motions of (G, p).  An edge with coincident endpoints gives a zero row.
     """
-    import numpy as np
-    pts = as_points(p, g.n)
-    d = pts.shape[1]
-    R = np.zeros((g.m, g.n, d))  # R[row, i] is vertex i's column block
-    rows = np.arange(g.m)
-    I, J = np.array(g.edges, dtype=int).reshape(g.m, 2).T
-    diff = pts[I] - pts[J]
-    R[rows, I] = diff
-    R[rows, J] = -diff
-    return R.reshape(g.m, d * g.n)
+    return _rigidity_rows(as_points(p, g.n), g.edges)
 
 
 def coordinated_matrix(g: ColouredGraph, p) -> np.ndarray:
@@ -241,19 +253,13 @@ def trivial_motion_generators(p: np.ndarray, k: int = 0) -> np.ndarray:
     """
     import numpy as np
     n, d = p.shape
-    gens = []
+    gens = np.zeros((math.comb(d + 1, 2), d * n + k))
     for a in range(d):
-        vec = np.zeros(d * n + k)
-        vec[a : d * n : d] = 1.0
-        gens.append(vec)
-    for a in range(d):
-        for b in range(a + 1, d):
-            vec = np.zeros(d * n + k)
-            for i in range(n):
-                vec[d * i + b] = p[i, a]
-                vec[d * i + a] = -p[i, b]
-            gens.append(vec)
-    return np.array(gens)
+        gens[a, a : d * n : d] = 1.0
+    for row, (a, b) in enumerate(itertools.combinations(range(d), 2), start=d):
+        gens[row, b : d * n : d] = p[:, a]
+        gens[row, a : d * n : d] = -p[:, b]
+    return gens
 
 
 @dataclass(frozen=True)
@@ -270,8 +276,6 @@ class MotionReport:
     trivial_dim: int
     nontrivial_dim: int
     nontrivial_basis: np.ndarray
-    d: int
-    k: int
 
     @property
     def nullity(self) -> int:
@@ -313,8 +317,6 @@ def infinitesimal_motions(g: ColouredGraph, p, tol: float | None = None) -> Moti
         trivial_dim=t_dim,
         nontrivial_dim=nt_dim,
         nontrivial_basis=nontrivial,
-        d=pts.shape[1],
-        k=g.k,
     )
 
 
@@ -328,44 +330,29 @@ def equilibrium_stresses(g: ColouredGraph, p, tol: float | None = None) -> np.nd
 
 
 def edge_load(g: ColouredGraph, p, edge: Edge) -> np.ndarray:
-    """The equilibrium load of one edge: p(i)-p(j) at i, p(j)-p(i) at j."""
-    import numpy as np
-    pts = as_points(p, g.n)
-    d = pts.shape[1]
-    f = np.zeros(d * g.n)
-    i, j = g.edges[g.edge_index(edge)]
-    f[d * i : d * i + d] = pts[i] - pts[j]
-    f[d * j : d * j + d] = pts[j] - pts[i]
-    return f
+    """The equilibrium load of one edge, its row of R(p): p(i)-p(j) at i,
+    p(j)-p(i) at j."""
+    return _rigidity_rows(as_points(p, g.n), [g.edges[g.edge_index(edge)]])[0]
 
 
 def colour_class_load(g: ColouredGraph, p, i: int) -> np.ndarray:
-    """Sum of the edge loads over colour class i (1 <= i <= k)."""
-    import numpy as np
+    """Sum of the edge loads over colour class i (1 <= i <= k): the sum of
+    the class's rows of R(p)."""
     if not 1 <= i <= g.k:
         raise ValueError(f"colour class index {i} out of range 1..{g.k}")
-    pts = as_points(p, g.n)
-    d = pts.shape[1]
-    f = np.zeros(d * g.n)
-    for e in g.colour_class(i):
-        f += edge_load(g, pts, e)
-    return f
+    return _rigidity_rows(as_points(p, g.n), g.colour_class(i)).sum(axis=0)
 
 
 def is_equilibrium_load(p: np.ndarray, f: np.ndarray, tol: float = 1e-9) -> bool:
-    """No net force and no net torque, to tolerance."""
+    """No net force and no net torque, to tolerance: f is orthogonal to the
+    d translations and to the C(d, 2) rotations at p."""
     import numpy as np
-    n, d = p.shape
-    fv = f.reshape(n, d)
-    scale = 1.0 + float(np.abs(fv).sum())
-    if np.any(np.abs(fv.sum(axis=0)) > tol * scale):
+    d = p.shape[1]
+    moments = np.abs(trivial_motion_generators(p) @ np.ravel(f))
+    bound = tol * (1.0 + float(np.abs(f).sum()))
+    if np.any(moments[:d] > bound):  # net force
         return False
-    for a in range(d):
-        for b in range(a + 1, d):
-            torque = float(np.sum(fv[:, a] * p[:, b] - fv[:, b] * p[:, a]))
-            if abs(torque) > tol * scale * (1.0 + float(np.abs(p).max())):
-                return False
-    return True
+    return not np.any(moments[d:] > bound * (1.0 + float(np.abs(p).max())))
 
 
 def resolve_load(g: ColouredGraph, p, f, tol: float = 1e-9):

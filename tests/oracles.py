@@ -7,10 +7,12 @@ the union rank by exhausting the min-formula over every subset,
 rainbow tuples by enumerating the class product with row-removal ranks,
 and plane rainbow pairs by a fresh (2,3) rank of every E - e - f.
 
-Three are earlier implementations kept as references for the faster code
+The rest are earlier implementations kept as references for the code
 that replaced them: the union rank that replays a fresh game on E minus T
 in every augmentation round, GF(q) elimination to reduced echelon form,
-and the float rigidity matrix built one edge row at a time.
+the float rigidity matrix built one edge row at a time, the trivial motion
+generators filled one vertex at a time, edge and class loads written out
+per edge, and the equilibrium test as explicit force and torque sums.
 """
 
 from __future__ import annotations
@@ -236,3 +238,56 @@ def loop_rigidity_matrix(g, pts):
         R[row, d * i : d * i + d] = diff
         R[row, d * j : d * j + d] = -diff
     return R
+
+
+def loop_trivial_motion_generators(p, k: int = 0):
+    """The d translations, then the rotations (a, b) for a < b, each filled
+    one vertex at a time: p(i)_a on coordinate b and -p(i)_b on a."""
+    n, d = p.shape
+    gens = []
+    for a in range(d):
+        vec = np.zeros(d * n + k)
+        vec[a : d * n : d] = 1.0
+        gens.append(vec)
+    for a in range(d):
+        for b in range(a + 1, d):
+            vec = np.zeros(d * n + k)
+            for i in range(n):
+                vec[d * i + b] = p[i, a]
+                vec[d * i + a] = -p[i, b]
+            gens.append(vec)
+    return np.array(gens)
+
+
+def loop_edge_load(g, pts, edge):
+    """p(i) - p(j) at i and p(j) - p(i) at j, each written out."""
+    d = pts.shape[1]
+    f = np.zeros(d * g.n)
+    i, j = edge
+    f[d * i : d * i + d] = pts[i] - pts[j]
+    f[d * j : d * j + d] = pts[j] - pts[i]
+    return f
+
+
+def loop_colour_class_load(g, pts, c):
+    """The edge loads of class c added one at a time to a zero vector."""
+    f = np.zeros(pts.shape[1] * g.n)
+    for e in g.colour_class(c):
+        f += loop_edge_load(g, pts, e)
+    return f
+
+
+def loop_is_equilibrium_load(p, f, tol: float = 1e-9) -> bool:
+    """Net force per axis, then net torque per coordinate plane (a, b),
+    each against its tolerance."""
+    n, d = p.shape
+    fv = f.reshape(n, d)
+    scale = 1.0 + float(np.abs(fv).sum())
+    if np.any(np.abs(fv.sum(axis=0)) > tol * scale):
+        return False
+    for a in range(d):
+        for b in range(a + 1, d):
+            torque = float(np.sum(fv[:, a] * p[:, b] - fv[:, b] * p[:, a]))
+            if abs(torque) > tol * scale * (1.0 + float(np.abs(p).max())):
+                return False
+    return True

@@ -253,6 +253,7 @@ def test_gen_tiny_exit_two(tmp_path):
         ("stresses", "FILE", "--tol", "nan"),
         ("stresses", "FILE", "--tol", "inf"),
         ("stresses", "FILE", "--tol", "-1"),
+        ("check", "FILE", "--trials", "0"),
     ],
 )
 def test_usage_errors_exit_two(tmp_path, argv):
@@ -326,6 +327,15 @@ def test_draw_default_output_name(tmp_path):
     assert code == 0
     assert json.loads(out)["out"] == str(tmp_path / "g.svg")
     assert (tmp_path / "g.svg").exists()
+
+
+def test_draw_ignores_the_seed(tmp_path):
+    # draw takes no seed, so a malformed COORDRIG_SEED must not stop it
+    path = str(fixture_path("seven_rigid_k2"))
+    plain, bad = tmp_path / "plain.svg", tmp_path / "bad.svg"
+    assert run_cli("draw", path, "--out", str(plain))[0] == 0
+    assert run_cli("draw", path, "--out", str(bad), env_seed="abc")[0] == 0
+    assert bad.read_bytes() == plain.read_bytes()
 
 
 def test_rank_report():

@@ -33,7 +33,11 @@ from coordrig.linalg import (
 
 from conftest import FIXTURE_NAMES, load_fixture
 from oracles import (
+    loop_colour_class_load,
+    loop_edge_load,
+    loop_is_equilibrium_load,
     loop_rigidity_matrix,
+    loop_trivial_motion_generators,
     reduced_echelon,
     reduced_echelon_nullspace,
 )
@@ -302,6 +306,67 @@ def test_trivial_dim_is_computed_not_assumed():
     pp = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
     report = infinitesimal_motions(path, pp)
     assert report.trivial_dim == float_rank(trivial_motion_generators(pp)) == 3
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_trivial_generators_match_vertex_loop(d):
+    # the same entries written by strided slices, so the bytes agree, signed
+    # zeros included; every third configuration puts vertices 0 and 1
+    # together and every fourth puts vertex 0 at the origin
+    for i, n in enumerate(range(1, 13)):
+        p = random_configuration(n, d, seed=i)
+        if i % 3 == 0 and n > 1:
+            p[1] = p[0]
+        if i % 4 == 0:
+            p[0] = 0.0
+        for k in (0, 2):
+            assert _same_bytes(trivial_motion_generators(p, k),
+                               loop_trivial_motion_generators(p, k))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_loads_match_per_edge_formula(d):
+    # a load is read from the rows of R(p), which write -(p(i) - p(j)) for
+    # p(j) - p(i) and start a class sum at its first row, not at a zero
+    # vector; the values agree exactly, but a zero may differ in sign, which
+    # array_equal does not see
+    for i, g in enumerate(random_corpus(40, seed=200 * d, n_range=(2, 9))):
+        p = random_configuration(g.n, d, seed=i)
+        if i % 3 == 0:
+            p[1] = p[0]
+        for e in g.edges:
+            assert np.array_equal(edge_load(g, p, e), loop_edge_load(g, p, e))
+        for c in range(1, g.k + 1):
+            assert np.array_equal(colour_class_load(g, p, c),
+                                  loop_colour_class_load(g, p, c))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_equilibrium_matches_force_and_torque_loops(d, tol):
+    # edge and class loads are in equilibrium; a load moved off it along one
+    # net force or torque component, by 0.5x or 2x that component's bound,
+    # is accepted or rejected alike by both tests; coordinates up to 10 make
+    # the torque bound ten times the force bound, so the two are told apart
+    for i, g in enumerate(random_corpus(12, seed=300 * d, n_range=(d + 2, 9))):
+        p = 10 * random_configuration(g.n, d, seed=i)
+        loads = [edge_load(g, p, e) for e in g.edges]
+        loads += [colour_class_load(g, p, c) for c in range(1, g.k + 1)]
+        for f in loads:
+            assert is_equilibrium_load(p, f, tol)
+            assert loop_is_equilibrium_load(p, f, tol)
+        G = trivial_motion_generators(p)
+        f = loads[0]
+        force = tol * (1.0 + np.abs(f).sum())
+        torque = force * (1.0 + np.abs(p).max())
+        for j in range(G.shape[0]):
+            for factor in (0.5, 2.0):
+                moments = np.zeros(G.shape[0])
+                moments[j] = factor * (force if j < d else torque)
+                moved = f + G.T @ np.linalg.solve(G @ G.T, moments)
+                expected = factor < 1
+                assert is_equilibrium_load(p, moved, tol) == expected
+                assert loop_is_equilibrium_load(p, moved, tol) == expected
 
 
 def test_stress_triangle_empty():
