@@ -68,8 +68,8 @@ class ColouredGraph:
     def colour_of(self, edge: tuple[int, int]) -> int:
         try:
             return self.colours[self._position[edge]]
-        except KeyError:
-            raise GraphError(f"edge {edge} is not in the graph") from None
+        except (KeyError, TypeError):  # TypeError: unhashable, as a list
+            raise GraphError(f"edge {edge!r} is not in the graph") from None
 
     def colour_class(self, i: int) -> tuple[tuple[int, int], ...]:
         """Edges of class i (i = 0 gives the uncoloured edges)."""
@@ -86,11 +86,11 @@ class ColouredGraph:
 
     def edge_index(self, edge: tuple[int, int]) -> int:
         """Position of an edge in canonical order; ``GraphError`` for an
-        edge that is not in the graph."""
+        edge that is not in the graph, or is not a hashable (u, v) tuple."""
         try:
             return self._position[edge]
-        except KeyError:
-            raise GraphError(f"edge {edge} is not in the graph") from None
+        except (KeyError, TypeError):  # TypeError: unhashable, as a list
+            raise GraphError(f"edge {edge!r} is not in the graph") from None
 
 
 def coloops(g: ColouredGraph, d: int) -> frozenset[tuple[int, int]]:

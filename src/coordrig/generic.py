@@ -4,19 +4,26 @@ Ranks are evaluated exactly over GF(q) at random integer configurations p.
 Every edge at a vertex of degree <= d is a coloop of the generic
 d-dimensional rigidity matroid, because every circuit has minimum degree
 d + 1; peeling such vertices repeatedly (``cgraph.coloops``) leaves the
-(d+1)-core.  The coloops C lie in every basis and on no circuit, so each
-trial eliminates only the core rows, R_core(p)ᵀ, once, and keeps
-rank R(p) = |C| + rank R_core(p) and a basis S of the equilibrium
-stresses (the left kernel of R(p), which vanishes on C).  At a generic p
-the coloop columns of R(p)ᵀ are pivots, so S is the same vector set as
-the full elimination gives.  The projection criterion reads everything
-else from that pair:
+(d+1)-core.  The coloops C lie in every basis and on no circuit, and every
+equilibrium stress (a vector of the left kernel of R(p)) vanishes on them.
+The projection criterion reads the stresses only on the coloured edges:
 
 * rank[R(p) | I] = rank R(p) + rank(S·I), with I the m x k class-indicator
-  matrix;
+  matrix and S a basis of the stresses;
 * a rainbow tuple T (one edge per coordination class) is redundant iff
   the columns of S on T are independent; one is found by self-reduction
   of S·I, one class at a time.
+
+Each of these ranks is a rank of columns of S on coloured edges, so it
+depends only on the row space of S cut to those columns: the projection
+of the stress space onto the coloured edges.  A trial therefore
+eliminates R_core(p)ᵀ once, its columns (one per core edge) ordered
+uncoloured first.  The pivots give rank R(p) = |C| + rank R_core(p).  The
+echelon rows with a pivot in an uncoloured column can be solved for that
+pivot whatever the coloured entries are, so the projection is the kernel
+of N, the other echelon rows cut to the coloured columns, and S_C, a
+basis of ker N, stands for S in every rank above.  The ranks, the tuple
+and the verdict are those the full S gives, at every sample.
 
 The targets subtract the generic trivial dimension, a closed form in n
 and d (``_trivial_dim``).  The error is one-sided.  A sampled rank never
@@ -30,14 +37,18 @@ Schwartz-Zippel this happens with probability at most r/(q - 1) per
 trial: with q = 2^30 - 35 and r <= dn, about 1.8·10⁻⁶ at d = 3,
 n = 640.
 
-Sampling stops once a trial reaches both caps, min(m, dn - t) for
-rank R(p) and min(m, dn + k - t) for rank[R(p) | I], t the trivial
-dimension: no later trial can raise either maximum.  ``trials`` is
-therefore an upper bound.  A rigid verdict stops at the trial that
-shows it rigid, the first one except at an unlucky sample.  A flexible
-one stops early only when the ranks reach min(m, dn - t) and m, as on an
-independent graph; otherwise it takes every trial and keeps the bound
-above.
+Sampling stops once a trial reaches both caps, upper bounds on the generic
+ranks read from the core.  R_core(p) is block-diagonal over the core's
+connected components, so rank R(p) is at most |C| + Σᵢ min(mᵢ, d·nᵢ - tᵢ)
+over the components, tᵢ the trivial dimension of nᵢ points; rank[R(p) | I]
+is at most m and at most that cap plus the number of classes with an edge
+in the core, since a class inside C has a zero column in S·I.  No later
+trial can raise either maximum, so ``trials`` is an upper bound on the
+trials eliminated.  A rigid verdict stops at the trial that shows it
+rigid, the first one except at an unlucky sample.  A flexible one stops
+when its sampled ranks reach the caps, and otherwise takes every trial
+and keeps the bound above.  When a cap is below its target, no sample can
+reach the target, so that flexible verdict is certain.
 """
 
 from __future__ import annotations
@@ -114,16 +125,20 @@ class _RankOracle:
     rule, so parallel evaluation schemes must reproduce exactly what the
     sequential loop does.  Only the core rows are eliminated: the coloops
     C of the d-dimensional rigidity matroid are dropped and rank R(p) is
-    counted as |C| + rank R_core(p).  A trial eliminates R_core(p)ᵀ once
-    and keeps that rank, the stress basis S (one row per stress, one entry
-    per core edge) and the columns of S·I.  ``core`` maps a core position
-    to the edge's position in ``g.edges``; ``classes`` holds core
-    positions.  ``trivial`` is the generic trivial dimension t, and
-    ``target`` and ``coordinated_target`` are the rigidity targets dn - t
-    and dn + k - t of rank R(p) and rank[R(p) | I].
+    counted as |C| + rank R_core(p).  ``core`` maps a core position to the
+    edge's position in ``g.edges``, the uncoloured edges first and then
+    ``coloured``; ``classes`` holds positions in ``coloured``.  A trial
+    eliminates R_core(p)ᵀ once (``linalg.modular_projection``) and keeps
+    that rank, the projected stress basis S_C (one row per vector, one
+    entry per coloured core edge, a basis of ker N) and the columns of
+    S_C·I.  ``trivial`` is the generic trivial dimension t, and ``target``
+    and ``coordinated_target`` are the rigidity targets dn - t and
+    dn + k - t of rank R(p) and rank[R(p) | I].
 
     Trials are eliminated in order only while the best rank or coordinated
-    rank is below its cap, min(m, target) or min(m, coordinated_target).
+    rank is below its cap.  ``rank_cap`` is |C| plus, over the connected
+    components of the core, min(mᵢ, d·nᵢ - tᵢ); ``coordinated_cap`` is
+    min(m, rank_cap + k_core), k_core the classes with an edge in the core.
     No sample exceeds the generic rank, so no later trial can raise either
     maximum; ``trials`` holds the trials eliminated, at most
     ``params.trials`` of them.
@@ -133,29 +148,35 @@ class _RankOracle:
         self.g = g
         self.params = params
         self.stripped = coloops(g, params.d)
-        self.core = [i for i, e in enumerate(g.edges) if e not in self.stripped]
-        self.classes = [[] for _ in range(g.k)]  # core positions of classes 1..k
-        for j, i in enumerate(self.core):
-            c = g.colours[i]
-            if c:
-                self.classes[c - 1].append(j)
+        core = [i for i, e in enumerate(g.edges) if e not in self.stripped]
+        self.coloured = [i for i in core if g.colours[i]]
+        self.core = [i for i in core if not g.colours[i]] + self.coloured
+        self.classes = [[] for _ in range(g.k)]  # coloured positions of classes 1..k
+        for j, i in enumerate(self.coloured):
+            self.classes[g.colours[i] - 1].append(j)
         self._rows = [None] * params.trials
         self.trivial = _trivial_dim(g.n, params.d)
         self.target = params.d * g.n - self.trivial
         self.coordinated_target = self.target + g.k
-        rank_cap, coordinated_cap = min(g.m, self.target), min(g.m, self.coordinated_target)
+        self.rank_cap = len(self.stripped) + _component_cap(
+            [g.edges[i] for i in core], params.d
+        )
+        k_core = sum(1 for idx in self.classes if idx)
+        self.coordinated_cap = min(g.m, self.rank_cap + k_core)
+        plain = len(self.core) - len(self.coloured)
         self.trials = []
         self.rank_full = self.coordinated_rank = 0
         for t in range(params.trials):
-            rows = self.rows(t)
-            stresses = linalg.modular_nullspace(list(zip(*rows)), len(rows))
+            core_rank, projected = linalg.modular_projection(zip(*self.rows(t)), plain)
+            stresses = linalg.modular_nullspace(projected, len(self.coloured))
             cols = [self.stress_column(stresses, idx) for idx in self.classes]
-            rank = len(self.stripped) + len(rows) - len(stresses)
+            rank = len(self.stripped) + core_rank
             coordinated = rank + linalg.modular_rank_rows(cols)  # rank[R(p) | I]
             self.trials.append((rank, coordinated, stresses, cols))
             self.rank_full = max(self.rank_full, rank)
             self.coordinated_rank = max(self.coordinated_rank, coordinated)
-            if self.rank_full >= rank_cap and self.coordinated_rank >= coordinated_cap:
+            if (self.rank_full >= self.rank_cap
+                    and self.coordinated_rank >= self.coordinated_cap):
                 break
 
     def rows(self, t: int) -> tuple[tuple[int, ...], ...]:
@@ -167,7 +188,8 @@ class _RankOracle:
         return self._rows[t]
 
     def stress_column(self, stresses, idx) -> list[int]:
-        """Column of S·1_idx: each stress summed over the edge rows idx."""
+        """Column of S_C·1_idx: each vector summed over the coloured
+        positions idx."""
         return [sum(w[i] for i in idx) % MODULUS for w in stresses]
 
     def keeps_rank(self, edges) -> bool:
@@ -211,6 +233,32 @@ def _trivial_dim(n: int, d: int) -> int:
     return math.comb(d + 1, 2) - math.comb(max(d + 1 - n, 0), 2)
 
 
+def _component_cap(edges, d: int) -> int:
+    """Σ min(mᵢ, d·nᵢ - tᵢ) over the connected components of ``edges``, an
+    upper bound on their generic rank in dimension d; O(m)."""
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    seen: set[int] = set()
+    cap = 0
+    for root in adj:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack, nv, degrees = [root], 0, 0
+        while stack:
+            v = stack.pop()
+            nv += 1
+            degrees += len(adj[v])
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        cap += min(degrees // 2, d * nv - _trivial_dim(nv, d))
+    return cap
+
+
 def _ranks(g: ColouredGraph, **fields) -> dict:
     """A verdict's ``ranks``: n and m, then ``fields``, then the isolated
     vertices when there are any."""
@@ -241,7 +289,8 @@ def rank_summary(g: ColouredGraph, params: OracleParams) -> dict:
 
 
 def find_rainbow_redundant_tuple(g: ColouredGraph, params: OracleParams, _oracle=None):
-    """A redundant rainbow tuple read from the stress basis S, or None.
+    """A redundant rainbow tuple read from the projected stress basis S_C,
+    or None.
 
     The k-minors of S·I are multilinear in its columns, the class sums of
     the edge columns of S, so S·I has rank k iff some rainbow tuple has
@@ -266,7 +315,7 @@ def find_rainbow_redundant_tuple(g: ColouredGraph, params: OracleParams, _oracle
             trial_cols = cols[:c] + [oracle.stress_column(stresses, [i])] + cols[c + 1 :]
             if linalg.modular_rank_rows(trial_cols) == g.k:
                 cols = trial_cols
-                tup.append(g.edges[oracle.core[i]])
+                tup.append(g.edges[oracle.coloured[i]])
                 break
         else:
             raise BackendError(

@@ -202,6 +202,19 @@ def modular_rank_rows(rows, *, row_subset=None) -> int:
     return len(_row_reduce(rows)[0])
 
 
+def modular_projection(rows, start: int) -> tuple[int, list[list[int]]]:
+    """Rank over GF(MODULUS) of ``rows``, and a matrix N whose kernel is
+    the projection of their kernel onto the columns from ``start`` on.
+
+    One forward pass.  An echelon row whose pivot lies left of ``start``
+    can be solved for its pivot entry whatever the entries from ``start``
+    on are, so a vector there extends to the kernel iff the other echelon
+    rows, cut to those columns, vanish on it; N is those rows.
+    """
+    pivots, echelon = _row_reduce(rows)
+    return len(pivots), [row[start:] for c, row in zip(pivots, echelon) if c >= start]
+
+
 def modular_nullspace(rows, ncols: int) -> list[list[int]]:
     """Kernel basis over GF(MODULUS) in reduced echelon form.
 
@@ -345,8 +358,11 @@ def colour_class_load(g: ColouredGraph, p, i: int) -> np.ndarray:
 
 def is_equilibrium_load(p: np.ndarray, f: np.ndarray, tol: float = 1e-9) -> bool:
     """No net force and no net torque, to tolerance: f is orthogonal to the
-    d translations and to the C(d, 2) rotations at p."""
+    d translations and to the C(d, 2) rotations at p.  A load with a NaN or
+    infinite entry is not, since no bound can be compared with it."""
     import numpy as np
+    if not np.all(np.isfinite(f)):
+        return False
     d = p.shape[1]
     moments = np.abs(trivial_motion_generators(p) @ np.ravel(f))
     bound = tol * (1.0 + float(np.abs(f).sum()))

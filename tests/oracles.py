@@ -10,6 +10,7 @@ and plane rainbow pairs by a fresh (2,3) rank of every E - e - f.
 The rest are earlier implementations kept as references for the code
 that replaced them: the union rank that replays a fresh game on E minus T
 in every augmentation round, GF(q) elimination to reduced echelon form,
+the stress basis over every core edge with the rainbow tuple read from it,
 the float rigidity matrix built one edge row at a time, the trivial motion
 generators filled one vertex at a time, edge and class loads written out
 per edge, and the equilibrium test as explicit force and torque sums.
@@ -21,6 +22,7 @@ from itertools import combinations, product
 
 import numpy as np
 
+from coordrig.cgraph import coloops
 from coordrig.laman import UnionRankReport, _augment, _plane_target, transversal_rank
 from coordrig.linalg import (
     MODULUS,
@@ -226,6 +228,56 @@ def reduced_echelon_nullspace(rows, ncols: int):
             vec[pc] = (-row[fc]) % MODULUS
         basis.append(vec)
     return basis
+
+
+def core_stress_bases(g, params, trials: int):
+    """The core positions in canonical order and, for trials 0..trials-1,
+    the stress basis over every core edge: the kernel of the whole
+    R_core(p)ᵀ, read off its reduced echelon form."""
+    stripped = coloops(g, params.d)
+    core = [i for i, e in enumerate(g.edges) if e not in stripped]
+    bases = []
+    for t in range(trials):
+        p = sample_modular_configuration(g.n, params.d, params.seed + t)
+        rows = modular_matrix(g, p, params.d, positions=core)
+        bases.append(reduced_echelon_nullspace(list(zip(*rows)), len(core)))
+    return core, bases
+
+
+def full_stress_rainbow_tuple(g, params, trials: int):
+    """The rainbow tuple read from the full core stress bases of
+    ``core_stress_bases``: in the first trial at the largest rank where S·I
+    has rank k, each class in turn takes the column of its first edge that
+    keeps rank k.  None when no trial has S·I of rank k, or a class has no
+    such edge."""
+    core, bases = core_stress_bases(g, params, trials)
+    classes = [[j for j, i in enumerate(core) if g.colours[i] == c]
+               for c in range(1, g.k + 1)]
+
+    def column(basis, idx):
+        return [sum(w[j] for j in idx) % MODULUS for w in basis]
+
+    def rank(cols) -> int:
+        return len(reduced_echelon(cols)[0])
+
+    fewest = min(len(basis) for basis in bases)  # the largest rank
+    for basis in bases:
+        cols = [column(basis, idx) for idx in classes]
+        if len(basis) == fewest and rank(cols) == g.k:
+            break
+    else:
+        return None
+    tup = []
+    for c, idx in enumerate(classes):
+        for j in idx:
+            swapped = cols[:c] + [column(basis, [j])] + cols[c + 1 :]
+            if rank(swapped) == g.k:
+                cols = swapped
+                tup.append(g.edges[core[j]])
+                break
+        else:
+            return None
+    return tuple(tup)
 
 
 def loop_rigidity_matrix(g, pts):

@@ -245,6 +245,13 @@ def test_colour_of_missing_edge(quad_rigid_k1):
         quad_rigid_k1.colour_of((0, 9))
 
 
+def test_list_edge_is_a_graph_error(quad_rigid_k1):
+    # a list is not hashable, so it cannot be a key of the position map
+    for lookup in (quad_rigid_k1.edge_index, quad_rigid_k1.colour_of):
+        with pytest.raises(GraphError, match=r"edge \[0, 1\] is not in the graph"):
+            lookup([0, 1])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10**6),

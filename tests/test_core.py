@@ -159,7 +159,8 @@ def test_union_and_oracle_work_on_the_core(inserted, monkeypatch):
     generic._RankOracle(g, OracleParams(d=2, trials=2, seed=5))
     # trials after one that reaches both rank caps are not eliminated
     assert 1 <= len(widths) <= 2
-    assert widths == [g.m - len(stripped)] * len(widths)
+    coloured_core = [e for e in g.edges if e not in stripped and g.colour_of(e)]
+    assert widths == [len(coloured_core)] * len(widths)
 
 
 def test_class_made_only_of_coloops():

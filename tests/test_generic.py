@@ -18,9 +18,15 @@ from coordrig import (
     sparsity_rank,
 )
 from coordrig.corpus import random_coloured_graph, random_corpus
+from coordrig.laman import decide_plane, union_rank_d2
 from coordrig.linalg import random_configuration
 from conftest import load_fixture
-from oracles import brute_rainbow_tuple
+from oracles import (
+    brute_rainbow_tuple,
+    core_stress_bases,
+    full_stress_rainbow_tuple,
+    reduced_echelon,
+)
 
 K4 = build(4, 0, [(u, v, 0) for u in range(4) for v in range(u + 1, 4)])
 TRIANGLE = build(3, 0, [(0, 1, 0), (0, 2, 0), (1, 2, 0)])
@@ -165,8 +171,18 @@ def nullspaces(monkeypatch):
     return calls
 
 
-# K4 with a pendant edge: rank 6 of the cap 7, so every trial stays short
+# K4 with a pendant edge of class 1: the edge is a coloop, so the core K4
+# caps the rank at 1 + 5 = 6, no class has a core edge, and the first
+# trial reaches both caps
 K4_PENDANT = build(5, 1, [(u, v, 0) for u, v in K4.edges] + [(3, 4, 1)])
+# two K4s sharing vertex 3, one edge of class 1: one core component caps
+# the rank at 2·7 - 3 = 11, but it is 10, so every trial stays short
+TWIN_K4 = build(
+    7, 1, [(u, v, int((u, v) == (0, 1))) for u, v in K4.edges]
+    + [(u + 3, v + 3, 0) for u, v in K4.edges]
+)
+# K4 uncoloured, and class 1 is the two edges of a degree-2 vertex
+CLASS_OF_COLOOPS = build(5, 1, [(u, v, 0) for u, v in K4.edges] + [(0, 4, 1), (1, 4, 1)])
 # a path: independent, so its first trial reaches both caps, m and m
 PATH = build(4, 1, [(0, 1, 1), (1, 2, 0), (2, 3, 0)])
 
@@ -180,11 +196,12 @@ def test_rigid_verdict_eliminates_one_trial(nullspaces, seven_rigid_k2):
 @pytest.mark.parametrize(
     "g, witness, eliminations",
     [
-        (K4_PENDANT, "underlying-flexible", 3),
+        (K4_PENDANT, "underlying-flexible", 1),
         (load_fixture("twin_blocks_k2"), "no-rainbow-redundant-tuple", 3),
         (PATH, "underlying-flexible", 1),
+        (TWIN_K4, "underlying-flexible", 3),
     ],
-    ids=["underlying-flexible", "no-rainbow-tuple", "independent"],
+    ids=["underlying-flexible", "no-rainbow-tuple", "independent", "below-the-cap"],
 )
 def test_flexible_verdict_eliminates_until_the_caps(
     nullspaces, g, witness, eliminations
@@ -192,6 +209,54 @@ def test_flexible_verdict_eliminates_until_the_caps(
     v = decide_generic_coordinated_rigidity(g, params(trials=3))
     assert v.witness == witness
     assert len(nullspaces) == eliminations
+
+
+def test_caps_bound_the_exact_plane_ranks():
+    # at d = 2 the (2,3) game and the union rank are exact: no sample
+    # exceeds them, and no cap is below them, so a cap below its target
+    # proves the graph flexible
+    proofs = 0
+    for s, g in enumerate(random_corpus(200, seed=6100, n_range=(4, 16), k_range=(0, 4))):
+        oracle = generic._RankOracle(g, params(trials=3, seed=s))
+        exact = sparsity_rank(g)[0]
+        union = union_rank_d2(g).union_rank
+        assert oracle.rank_full <= exact <= oracle.rank_cap
+        assert oracle.coordinated_rank <= union <= oracle.coordinated_cap
+        if (oracle.rank_cap < oracle.target
+                or oracle.coordinated_cap < oracle.coordinated_target):
+            proofs += 1
+            assert not decide_plane(g).rigid
+    assert proofs >= 50
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_projected_stresses_span_the_full_projection(d):
+    # S_C from ker N has the row space of the full stress basis cut to the
+    # coloured core edges, so every rank read from it, and the tuple, agree
+    graphs = random_corpus(100, seed=7300 + d, n_range=(4, 14), k_range=(0, 4))
+    rng = random.Random(d)  # denser graphs, whose cores at d = 3 are not empty
+    for s in range(30):
+        n = rng.randint(7, 14)
+        graphs.append(random_coloured_graph(n, rng.randint(1, 4), seed=s, m=3 * n))
+    graphs += [K4_PENDANT, CLASS_OF_COLOOPS, TWIN_K4]
+    seen = {"no coloured core edge": 0, "class of coloops": 0, "tuple": 0}
+    for s, g in enumerate(graphs):
+        p = params(d=d, trials=3, seed=s)
+        oracle = generic._RankOracle(g, p)
+        core, bases = core_stress_bases(g, p, len(oracle.trials))
+        coloured = [j for j, i in enumerate(core) if g.colours[i]]
+        assert oracle.coloured == [core[j] for j in coloured]
+        for (rank, _, stresses, _), basis in zip(oracle.trials, bases):
+            assert rank == len(oracle.stripped) + len(core) - len(basis)
+            projected = [[w[j] for j in coloured] for w in basis]
+            assert reduced_echelon(stresses) == reduced_echelon(projected)
+        if g.k:
+            tup = find_rainbow_redundant_tuple(g, p, _oracle=oracle)
+            assert tup == full_stress_rainbow_tuple(g, p, len(oracle.trials))
+            seen["tuple"] += tup is not None
+        seen["no coloured core edge"] += g.k > 0 and not coloured
+        seen["class of coloops"] += not all(oracle.classes)
+    assert all(seen.values()), seen
 
 
 def test_keeps_rank_tries_every_trial(monkeypatch, seven_rigid_k2):

@@ -416,6 +416,29 @@ def test_edge_load_missing_edge(quad_rigid_k1):
         edge_load(quad_rigid_k1, p, (0, 9))
 
 
+def test_edge_load_list_edge(quad_rigid_k1):
+    p = random_configuration(4, 2, seed=14)
+    with pytest.raises(GraphError, match=r"edge \[0, 1\] is not in the graph"):
+        edge_load(quad_rigid_k1, p, [0, 1])
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        [math.nan] * 6,
+        [math.inf, 0.0, -math.inf, 0.0, 0.0, 0.0],
+        [0.0, 0.0, math.nan, 0.0, 0.0, 0.0],
+    ],
+    ids=["nan", "inf", "one-nan"],
+)
+def test_non_finite_load_is_not_in_equilibrium(f):
+    # every bound comparison with NaN is False, so no bound can reject it
+    p = random_configuration(3, 2, seed=14)
+    assert not is_equilibrium_load(p, np.array(f))
+    with pytest.raises(ValueError, match="not an equilibrium load"):
+        resolve_load(TRIANGLE, p, f)
+
+
 def test_resolve_zero_load_is_zero():
     p = random_configuration(4, 2, seed=15)
     rho = resolve_load(K4, p, np.zeros(8))
