@@ -16,6 +16,13 @@ to the arc's tail leaves a valid game on the remaining accepted edges
 (Lee & Streinu 2008).  Re-inserting the rejected edges then gives the
 rank, the redundant edges and the circuits of the smaller edge set without
 replaying the whole game.
+
+A search marks the vertices it visits in lists that a game shares with
+its copies, with an integer stamp bumped once per search, so no dict or
+set is built per search and no list is cleared.  An accepted edge is paid
+for by its later endpoint when that one has a pebble, which spares the
+next edge in canonical order, usually at the same first endpoint, a
+search.  Neither choice changes any output: the payer only orients an arc.
 """
 
 from __future__ import annotations
@@ -56,7 +63,8 @@ class PebbleGame:
 
     Each vertex starts with kk pebbles; inserting an edge requires ll + 1
     pebbles gathered on its endpoints, after which one pebble pays for the
-    edge and the edge is oriented away from the paying endpoint.
+    edge and the edge is oriented away from the paying endpoint.  Every
+    vertex v keeps pebbles[v] + len(succ[v]) == kk.
     """
 
     def __init__(self, n: int, params: SparsityParams = PLANE) -> None:
@@ -65,15 +73,32 @@ class PebbleGame:
         self.pebbles = [params.kk] * n
         self.succ: list[list[int]] = [[] for _ in range(n)]
         self.accepted: list[Edge] = []
+        # [seen, parent, stamp]: seen[w] == stamp marks w as visited by the
+        # current search, and parent[w] is then its predecessor.  Made at the
+        # first search, so a game that never searches allocates nothing of
+        # length n, and shared with the game's copies.
+        self._visits: list | None = None
+
+    def _next_stamp(self) -> list:
+        """[seen, parent, stamp], with a stamp that no earlier search of
+        this game or of a game sharing the lists used."""
+        visits = self._visits
+        if visits is None:
+            visits = self._visits = [[0] * self.n, [0] * self.n, 0]
+        visits[2] += 1
+        return visits
 
     def copy(self) -> PebbleGame:
         """An independent game in the same state, made without replaying
-        any insertion."""
+        any insertion.  The twin shares the visit lists together with
+        its stamp counter, so no search of either game takes the other's
+        marks for its own, as shared lists with separate counters would."""
         twin = object.__new__(type(self))
         twin.n, twin.params = self.n, self.params
         twin.pebbles = list(self.pebbles)
         twin.succ = [list(s) for s in self.succ]
         twin.accepted = list(self.accepted)
+        twin._visits = self._visits
         return twin
 
     def delete(self, edge: Edge) -> None:
@@ -94,17 +119,21 @@ class PebbleGame:
 
         Depth-first over the edge orientations in stored order, testing
         each vertex for a free pebble when it is discovered; the endpoints
-        of the pending edge (``start`` and ``other``) never donate.
-        Returns False when no free pebble is reachable.
+        of the pending edge (``start`` and ``other``) never donate.  A
+        vertex is visited when it carries this search's stamp, and its
+        ``parent`` entry, written at the same time, leads back to
+        ``start``.  Returns False when no free pebble is reachable.
         """
         pebbles, succ = self.pebbles, self.succ
-        parent = {start: start}
+        seen, parent, stamp = self._next_stamp()
+        seen[start] = stamp
         stack = [start]
         while stack:
             v = stack.pop()
             for w in succ[v]:
-                if w in parent:
+                if seen[w] == stamp:
                     continue
+                seen[w] = stamp
                 parent[w] = v
                 if pebbles[w] and w != other:
                     pebbles[w] -= 1
@@ -119,7 +148,15 @@ class PebbleGame:
         return False
 
     def try_insert(self, edge: Edge) -> bool:
-        """Accept ``edge`` if it is independent over the accepted set."""
+        """Accept ``edge`` if it is independent over the accepted set.
+
+        With ll + 1 pebbles on the endpoints u < v, v pays when it has a
+        pebble and u only otherwise: the next edge in canonical order
+        usually starts at u again and finds u's pebbles in place, which
+        saves it a search.  The payer sets only the arc's direction; the
+        accepted set is the greedy basis and each circuit the minimal tight
+        set spanning its edge, so neither depends on it.
+        """
         u, v = edge
         pebbles = self.pebbles
         need = self.params.ll + 1
@@ -133,12 +170,12 @@ class PebbleGame:
             u_live = False
             if not self._find_pebble(v, u):
                 return False
-        if pebbles[u] > 0:
-            pebbles[u] -= 1
-            self.succ[u].append(v)
-        else:
+        if pebbles[v]:
             pebbles[v] -= 1
             self.succ[v].append(u)
+        else:
+            pebbles[u] -= 1
+            self.succ[u].append(v)
         self.accepted.append(edge)
         return True
 
@@ -162,20 +199,24 @@ class PebbleGame:
         still reachable from the endpoints are then the minimal tight set
         containing both, whichever pebbles the searches moved, and the
         accepted edges inside it together with the rejected edge form the
-        unique circuit.  They are read by a scan of the accepted edges,
-        which come in nearly canonical order, so the sort is nearly linear;
-        the region's own arcs come in hash order, and sorting them costs
-        more than the scan saves when, as is typical, the region holds a
-        third of the vertices or more.
+        unique circuit.  The region is marked with a fresh search stamp,
+        and its edges are read by a scan of the accepted edges, which come
+        in nearly canonical order, so the sort is nearly linear; collecting
+        the region's own arcs and sorting them costs more than the scan
+        saves when, as is typical, the region holds a third of the vertices
+        or more.
         """
-        region = set(edge)
-        stack = list(edge)
+        succ = self.succ
+        seen, _, stamp = self._next_stamp()
+        u, v = edge
+        seen[u] = seen[v] = stamp
+        stack = [u, v]
         while stack:
-            for w in self.succ[stack.pop()]:
-                if w not in region:
-                    region.add(w)
+            for w in succ[stack.pop()]:
+                if seen[w] != stamp:
+                    seen[w] = stamp
                     stack.append(w)
-        inside = [e for e in self.accepted if e[0] in region and e[1] in region]
+        inside = [e for e in self.accepted if seen[e[0]] == stamp and seen[e[1]] == stamp]
         inside.append(edge)
         inside.sort()
         return tuple(inside)

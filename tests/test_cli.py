@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -434,3 +435,18 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["decision"] == "rigid"
+
+
+@pytest.mark.parametrize("name, code", [("seven_rigid_k2", 0), ("twin_blocks_k2", 1)])
+def test_python_dash_m_coordrig_is_the_cli(name, code):
+    # without coordrig/__main__.py, `python -m coordrig` exits 1, which a
+    # caller reads as "flexible"
+    argv = ["check", str(fixture_path(name))]
+    env = dict(os.environ)
+    env.pop("COORDRIG_SEED", None)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "coordrig", *argv],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == run_cli(*argv)[:2]
+    assert proc.returncode == code

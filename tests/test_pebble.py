@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coordrig import pebble, redundant_edges_d2, sparsity_rank
+from coordrig import build, henneberg_k1_sample, pebble, redundant_edges_d2, sparsity_rank
 from coordrig.corpus import random_coloured_graph
-from coordrig.laman import laman_kind
+from coordrig.laman import _rainbow_pair_general, laman_kind
 from coordrig.pebble import (
     PLANE,
     PLANE_LOOSE,
@@ -355,3 +355,131 @@ def test_failed_side_skip_keeps_every_state():
             assert new <= old
             saved += old - new
     assert saved >= 100
+
+
+def _dense_graph(seed):
+    """A random plane graph a little denser than 2n - 3."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 20)
+    m = min(n * (n - 1) // 2, rng.randint(2 * n - 3, 2 * n + 5))
+    return random_coloured_graph(n, 0, seed=seed, m=m)
+
+
+@pytest.mark.parametrize("params", [PLANE, PLANE_LOOSE])
+def test_interleaved_copies_play_fresh_games(params):
+    # a game and its copies share the visit lists and one stamp counter;
+    # lists shared under separate counters would let one game take another
+    # game's marks for its own, so searches of the three alternate here
+    for seed in range(30):
+        g = _dense_graph(seed)
+        half = len(g.edges) // 2
+        game = PebbleGame(g.n, params)
+        game.insert_all(g.edges[:half])
+        twin = game.copy()
+        triplet = twin.copy()
+        players = [(game, {}), (twin, {}), (triplet, {})]
+        for e in g.edges[half:]:
+            for player, circuits in players:
+                if not player.try_insert(e):
+                    circuits[e] = player.rejection_circuit(e)
+        accepted, fresh = run_game(g, params)
+        for player, circuits in players:
+            assert tuple(player.accepted) == accepted
+            assert circuits == {e: c for e, c in fresh.items() if e in g.edges[half:]}
+
+
+@pytest.mark.parametrize("params", [PLANE, PLANE_LOOSE])
+def test_rainbow_pair_copies_play_fresh_games(monkeypatch, params):
+    # ``_rainbow_pair_general`` copies one searched game once per redundant
+    # accepted edge of class 1; class 2 is a pendant edge, on no circuit, so
+    # it never stops early and every copy deletes its edge and replays the
+    # rejected edges
+    played = []  # (copy, deleted edge, circuits of the replay)
+    delete, insert_all = PebbleGame.delete, PebbleGame.insert_all
+
+    def recording_delete(game, edge):
+        played.append([game, edge, None])
+        delete(game, edge)
+
+    def recording_insert_all(game, edges):
+        circuits = insert_all(game, edges)
+        if played and played[-1][0] is game:
+            played[-1][2] = circuits
+        return circuits
+
+    monkeypatch.setattr(PebbleGame, "delete", recording_delete)
+    monkeypatch.setattr(PebbleGame, "insert_all", recording_insert_all)
+    copies = 0
+    for seed in range(20):
+        g = _dense_graph(seed)
+        g = build(g.n + 1, 2, [(u, v, (u + v + seed) % 2) for u, v in g.edges]
+                  + [(0, g.n, 2)])
+        game = PebbleGame(g.n, params)
+        circuits = game.insert_all(g.edges)
+        redundant = {e for c in circuits.values() for e in c}
+        del played[:]
+        assert _rainbow_pair_general(g, game, circuits, redundant) is None
+        for twin, e, twin_circuits in played:
+            accepted, fresh = run_game(([x for x in g.edges if x != e], g.n), params)
+            assert set(twin.accepted) == set(accepted)
+            assert twin_circuits == fresh
+        copies += len(played)
+    assert copies >= 40
+
+
+@pytest.mark.parametrize("params", [PLANE, PLANE_LOOSE])
+def test_every_vertex_keeps_kk_pebbles_or_arcs(params):
+    # a pebble either lies on its vertex or pays for one arc leaving it
+    rng = random.Random(31)
+    for seed in range(30):
+        g = _dense_graph(seed)
+        game = PebbleGame(g.n, params)
+        for step in range(60):
+            action = rng.random()
+            if action < 0.6:
+                e = rng.choice(g.edges)
+                if e not in game.accepted and not game.try_insert(e):
+                    game.rejection_circuit(e)
+            elif action < 0.9 and game.accepted:
+                game.delete(rng.choice(game.accepted))
+            else:
+                game = game.copy()
+            assert all(game.pebbles[v] + len(game.succ[v]) == params.kk
+                       for v in range(g.n))
+            assert min(game.pebbles) >= 0
+
+
+class FirstEndpointPays(PebbleGame):
+    """The earlier payer rule: u pays for (u, v) whenever it has a pebble."""
+
+    def try_insert(self, edge):
+        if not super().try_insert(edge):
+            return False
+        u, v = edge
+        if self.succ[v] and self.succ[v][-1] == u and self.pebbles[u]:
+            # v paid just now: take its pebble back and let u pay
+            self.succ[v].pop()
+            self.pebbles[v] += 1
+            self.succ[u].append(v)
+            self.pebbles[u] -= 1
+        return True
+
+
+def test_later_endpoint_pays_saves_searches():
+    # consecutive edges in canonical order share u; keeping u's pebbles
+    # spares the next edge a search, and no output depends on the payer
+    first_pays = later_pays = 0
+    for seed in range(40):
+        g = henneberg_k1_sample(6 + seed % 25, seed=seed)
+        rng = random.Random(seed)
+        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                 if (u, v) not in g.edges]
+        extra = [(u, v, 0) for u, v in rng.sample(pairs, 3)]
+        g = build(g.n, 1, [(u, v, c) for (u, v), c in zip(g.edges, g.colours)] + extra)
+        for params in (PLANE, PLANE_LOOSE):
+            old, old_state = _counted_game(FirstEndpointPays, g, params)
+            new, new_state = _counted_game(PebbleGame, g, params)
+            assert new_state[2:] == old_state[2:]  # accepted edges and circuits
+            first_pays += old
+            later_pays += new
+    assert later_pays < first_pays
