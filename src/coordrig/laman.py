@@ -104,15 +104,18 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
     circuit, so T avoids them, and the game is played on the core E minus
     C alone.  One game, played on the core in canonical order, stays live
     on the core minus T: after each path it deletes the entering edges it
-    had accepted and re-inserts, in canonical order, the other rejected
-    edges and the edges leaving T, whose circuits are the next round's
-    sources.  The round whose T holds every colour, or which finds no
-    path, is the witness, so a call plays one game.  ``transversal`` is T
-    in canonical order and ``independent_rigidity`` the canonical basis of
-    E minus T, C together with the game's basis, so the witness is
-    deterministic.  The coordinated framework is generically rigid in the
-    plane iff union_rank = t + k, and generically isostatic iff
-    additionally m = t + k, where t is 2n - 3 (0 for a single vertex).
+    had accepted and re-inserts, in canonical order, the edges leaving T
+    and the rejected edges whose circuit met a deleted edge.  Every other
+    circuit lies in the remaining basis, so its edge would be rejected
+    again with the same circuit and change no other insert; it is kept.
+    The circuits are the next round's sources.  The round whose T holds
+    every colour, or which finds no path, is the witness, so a call plays
+    one game.  ``transversal`` is T in canonical order and
+    ``independent_rigidity`` the canonical basis of E minus T, C together
+    with the game's basis, so the witness is deterministic.  The
+    coordinated framework is generically rigid in the plane iff
+    union_rank = t + k, and generically isostatic iff additionally
+    m = t + k, where t is 2n - 3 (0 for a single vertex).
     """
     held: dict[int, Edge] = {}  # colour -> the edge of T that holds it
     stripped = coloops(g, 2)
@@ -125,14 +128,23 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
             break
         after = set(held.values())
         entering = after - before
-        for e in sorted(entering):
-            if e not in circuits:
-                game.delete(e)
-        # deletion leaves a valid game on the rest of the basis; every edge
-        # of the new E minus T outside it goes back in, so all circuits are
-        # fresh and the accepted set is a basis again
-        circuits = game.insert_all(sorted(
-            [e for e in circuits if e not in entering] + list(before - after)))
+        deleted = {e for e in entering if e not in circuits}
+        for e in sorted(deleted):
+            game.delete(e)
+        # deletion leaves a valid game on the rest of the basis; a circuit
+        # avoiding the deleted edges still lies in it, so only the edges of
+        # broken circuits and those leaving T go back in
+        kept = {}
+        redo = list(before - after)
+        for e, circuit in circuits.items():
+            if e in entering:
+                continue
+            if deleted.isdisjoint(circuit):
+                kept[e] = circuit
+            else:
+                redo.append(e)
+        kept.update(game.insert_all(sorted(redo)))
+        circuits = kept
     transversal = tuple(sorted(held.values()))
     if transversal_rank(g, transversal) != len(transversal):
         raise RuntimeError("union invariant broken: T is not rainbow")

@@ -15,13 +15,20 @@ A game can be copied (``PebbleGame.copy``) and can drop an accepted edge
 to the arc's tail leaves a valid game on the remaining accepted edges
 (Lee & Streinu 2008).  Re-inserting the rejected edges then gives the
 rank, the redundant edges and the circuits of the smaller edge set without
-replaying the whole game.
+replaying the whole game; a rejected edge whose circuit avoids the deleted
+edges keeps that circuit and need not go back in.
 
-A search marks the vertices it visits in lists that a game shares with
-its copies, with an integer stamp bumped once per search, so no dict or
-set is built per search and no list is cleared.  An accepted edge is paid
-for by its later endpoint when that one has a pebble, which spares the
-next edge in canonical order, usually at the same first endpoint, a
+A search is seeded with both endpoints of the pending edge and moves a
+free pebble to whichever endpoint its path starts from, so an edge is
+rejected by its first failed search.  That search has then marked every
+vertex reachable from the endpoints, which is the minimal tight set
+spanning the edge (Lee & Streinu 2008), and the circuit is read from its
+marks without a second walk.  Searches mark visits in lists that a game
+shares with its copies, with an integer stamp bumped once per search, so
+no dict or set is built per search and no list is cleared; the lists grow
+in place to the largest endpoint inserted, not to n.  An accepted edge is
+paid for by its later endpoint when that one has a pebble, which spares
+the next edge in canonical order, usually at the same first endpoint, a
 search.  Neither choice changes any output: the payer only orients an arc.
 """
 
@@ -74,31 +81,27 @@ class PebbleGame:
         self.succ: list[list[int]] = [[] for _ in range(n)]
         self.accepted: list[Edge] = []
         # [seen, parent, stamp]: seen[w] == stamp marks w as visited by the
-        # current search, and parent[w] is then its predecessor.  Made at the
-        # first search, so a game that never searches allocates nothing of
-        # length n, and shared with the game's copies.
-        self._visits: list | None = None
-
-    def _next_stamp(self) -> list:
-        """[seen, parent, stamp], with a stamp that no earlier search of
-        this game or of a game sharing the lists used."""
-        visits = self._visits
-        if visits is None:
-            visits = self._visits = [[0] * self.n, [0] * self.n, 0]
-        visits[2] += 1
-        return visits
+        # current search, and parent[w] is then its predecessor.  Shared
+        # with the game's copies, and grown in place to cover the largest
+        # endpoint inserted (``_top``), the only vertices a search can reach.
+        self._visits: list = [[], [], 0]
+        self._top = -1
+        # (edge, stamp) of the last try_insert if it rejected its edge
+        self._rejected: tuple[Edge, int] | None = None
 
     def copy(self) -> PebbleGame:
         """An independent game in the same state, made without replaying
         any insertion.  The twin shares the visit lists together with
         its stamp counter, so no search of either game takes the other's
-        marks for its own, as shared lists with separate counters would."""
+        marks for its own, as shared lists with separate counters would,
+        and a growth of the lists made by one serves both."""
         twin = object.__new__(type(self))
         twin.n, twin.params = self.n, self.params
         twin.pebbles = list(self.pebbles)
         twin.succ = [list(s) for s in self.succ]
         twin.accepted = list(self.accepted)
-        twin._visits = self._visits
+        twin._visits, twin._top = self._visits, self._top
+        twin._rejected = None
         return twin
 
     def delete(self, edge: Edge) -> None:
@@ -113,36 +116,46 @@ class PebbleGame:
             self.succ[v].remove(u)
             self.pebbles[v] += 1
         self.accepted.remove(edge)
+        self._rejected = None
 
-    def _find_pebble(self, start: int, other: int) -> bool:
-        """Move one pebble to ``start`` along a reversed search path.
+    def _find_pebble(self, u: int, v: int) -> bool:
+        """Move one free pebble to u or v along a reversed search path.
 
-        Depth-first over the edge orientations in stored order, testing
-        each vertex for a free pebble when it is discovered; the endpoints
-        of the pending edge (``start`` and ``other``) never donate.  A
-        vertex is visited when it carries this search's stamp, and its
-        ``parent`` entry, written at the same time, leads back to
-        ``start``.  Returns False when no free pebble is reachable.
+        One depth-first search seeded with both endpoints of the pending
+        edge, over the edge orientations in stored order, testing each
+        vertex for a free pebble when it is discovered; the endpoints are
+        marked before the search starts, so neither donates.  A vertex is
+        visited when it carries this search's stamp, and its ``parent``
+        entry, written at the same time, leads back to the endpoint its
+        path started from, which receives the pebble.  Returns False when
+        no free pebble is reachable; the stamp then marks exactly the
+        vertices reachable from u and v.
         """
         pebbles, succ = self.pebbles, self.succ
-        seen, parent, stamp = self._next_stamp()
-        seen[start] = stamp
-        stack = [start]
+        visits = self._visits
+        seen, parent = visits[0], visits[1]
+        if len(seen) <= self._top:
+            extra = [0] * (self._top + 1 - len(seen))
+            seen.extend(extra)
+            parent.extend(extra)
+        stamp = visits[2] = visits[2] + 1
+        seen[u] = seen[v] = stamp
+        stack = [u, v]
         while stack:
-            v = stack.pop()
-            for w in succ[v]:
+            x = stack.pop()
+            for w in succ[x]:
                 if seen[w] == stamp:
                     continue
                 seen[w] = stamp
-                parent[w] = v
-                if pebbles[w] and w != other:
+                parent[w] = x
+                if pebbles[w]:
                     pebbles[w] -= 1
-                    pebbles[start] += 1
-                    while w != start:
-                        u = parent[w]
-                        succ[u].remove(w)
-                        succ[w].append(u)
-                        w = u
+                    while w != u and w != v:
+                        x = parent[w]
+                        succ[x].remove(w)
+                        succ[w].append(x)
+                        w = x
+                    pebbles[w] += 1
                     return True
                 stack.append(w)
         return False
@@ -150,7 +163,10 @@ class PebbleGame:
     def try_insert(self, edge: Edge) -> bool:
         """Accept ``edge`` if it is independent over the accepted set.
 
-        With ll + 1 pebbles on the endpoints u < v, v pays when it has a
+        Two-sided searches gather ll + 1 pebbles on the endpoints u < v;
+        the first search that fails rejects the edge, so a rejection costs
+        one failed search, and its stamp marks the region that
+        ``rejection_circuit`` reads.  Once accepted, v pays when it has a
         pebble and u only otherwise: the next edge in canonical order
         usually starts at u again and finds u's pebbles in place, which
         saves it a search.  The payer sets only the arc's direction; the
@@ -158,18 +174,16 @@ class PebbleGame:
         set spanning its edge, so neither depends on it.
         """
         u, v = edge
+        top = self._top
+        if u > top or v > top:
+            self._top = u if u > v else v
         pebbles = self.pebbles
         need = self.params.ll + 1
-        u_live = True
         while pebbles[u] + pebbles[v] < need:
-            # a failed search from u leaves no free pebble reachable from u;
-            # a later path from v avoids that region (it would end inside
-            # it), so u's searches keep failing for the rest of this insert
-            if u_live and self._find_pebble(u, v):
-                continue
-            u_live = False
-            if not self._find_pebble(v, u):
+            if not self._find_pebble(u, v):
+                self._rejected = (edge, self._visits[2])
                 return False
+        self._rejected = None
         if pebbles[v]:
             pebbles[v] -= 1
             self.succ[v].append(u)
@@ -195,27 +209,30 @@ class PebbleGame:
     def rejection_circuit(self, edge: Edge) -> tuple[Edge, ...]:
         """Fundamental circuit of a just-rejected edge.
 
-        Valid immediately after ``try_insert`` returned False: the vertices
-        still reachable from the endpoints are then the minimal tight set
-        containing both, whichever pebbles the searches moved, and the
-        accepted edges inside it together with the rejected edge form the
-        unique circuit.  The region is marked with a fresh search stamp,
-        and its edges are read by a scan of the accepted edges, which come
-        in nearly canonical order, so the sort is nearly linear; collecting
-        the region's own arcs and sorting them costs more than the scan
-        saves when, as is typical, the region holds a third of the vertices
-        or more.
+        Valid only immediately after ``try_insert(edge)`` returned False:
+        its failed search marked the vertices reachable from the endpoints,
+        which are then the minimal tight set containing both (Lee & Streinu
+        2008), and the accepted edges inside it together with the rejected
+        edge form the unique circuit.  No search runs here; the edges are
+        read by a scan of the accepted edges, which come in nearly
+        canonical order, so the sort is nearly linear; collecting the
+        region's own arcs and sorting them costs more than the scan saves
+        when, as is typical, the region holds a third of the vertices or
+        more.  Raises RuntimeError when ``edge`` is not the edge the last
+        ``try_insert`` of this game rejected, or when a game sharing the
+        visit lists has searched since, because the marks then belong to
+        another region.
         """
-        succ = self.succ
-        seen, _, stamp = self._next_stamp()
-        u, v = edge
-        seen[u] = seen[v] = stamp
-        stack = [u, v]
-        while stack:
-            for w in succ[stack.pop()]:
-                if seen[w] != stamp:
-                    seen[w] = stamp
-                    stack.append(w)
+        rejected = self._rejected
+        if rejected is None or rejected[0] != edge:
+            raise RuntimeError(
+                f"no circuit to read for {edge}: it is not the edge the last "
+                "try_insert of this game rejected")
+        seen, _, stamp = self._visits
+        if rejected[1] != stamp:
+            raise RuntimeError(
+                f"stale circuit read for {edge}: a game sharing the visit "
+                "lists has searched since it was rejected")
         inside = [e for e in self.accepted if seen[e[0]] == stamp and seen[e[1]] == stamp]
         inside.append(edge)
         inside.sort()

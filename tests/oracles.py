@@ -9,7 +9,9 @@ and plane rainbow pairs by a fresh (2,3) rank of every E - e - f.
 
 The rest are earlier implementations kept as references for the code
 that replaced them: the union rank that replays a fresh game on E minus T
-in every augmentation round, GF(q) elimination to reduced echelon form,
+in every augmentation round, the pebble game that searched from one
+endpoint at a time and walked a rejected edge's region again for its
+circuit, GF(q) elimination to reduced echelon form,
 the stress basis over every core edge with the rainbow tuple read from it,
 the float rigidity matrix built one edge row at a time, the trivial motion
 generators filled one vertex at a time, edge and class loads written out
@@ -188,6 +190,88 @@ def replay_union_rank(g) -> UnionRankReport:
         transversal=transversal,
         deficiency=(_plane_target(g.n) + g.k) - rank,
     )
+
+
+class OneSidedPebbleGame:
+    """The (kk, ll) pebble game whose searches start at one endpoint.
+
+    ``try_insert`` gathers pebbles on u until a search from u fails, then
+    on v; the edge is rejected when a search from v fails too, and
+    ``rejection_circuit`` walks the region reachable from both endpoints
+    again.  Visits are stamped in two lists of length n.
+    """
+
+    def __init__(self, n: int, params=PLANE) -> None:
+        self.n, self.params = n, params
+        self.pebbles = [params.kk] * n
+        self.succ = [[] for _ in range(n)]
+        self.accepted = []
+        self.seen, self.parent, self.stamp = [0] * n, [0] * n, 0
+
+    def _find_pebble(self, start: int, other: int) -> bool:
+        pebbles, succ, seen, parent = self.pebbles, self.succ, self.seen, self.parent
+        self.stamp += 1
+        stamp = self.stamp
+        seen[start] = stamp
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in succ[v]:
+                if seen[w] == stamp:
+                    continue
+                seen[w] = stamp
+                parent[w] = v
+                if pebbles[w] and w != other:
+                    pebbles[w] -= 1
+                    pebbles[start] += 1
+                    while w != start:
+                        u = parent[w]
+                        succ[u].remove(w)
+                        succ[w].append(u)
+                        w = u
+                    return True
+                stack.append(w)
+        return False
+
+    def try_insert(self, edge) -> bool:
+        u, v = edge
+        pebbles = self.pebbles
+        u_live = True
+        while pebbles[u] + pebbles[v] < self.params.ll + 1:
+            if u_live and self._find_pebble(u, v):
+                continue
+            u_live = False
+            if not self._find_pebble(v, u):
+                return False
+        if pebbles[v]:
+            pebbles[v] -= 1
+            self.succ[v].append(u)
+        else:
+            pebbles[u] -= 1
+            self.succ[u].append(v)
+        self.accepted.append(edge)
+        return True
+
+    def rejection_circuit(self, edge):
+        self.stamp += 1
+        seen, stamp = self.seen, self.stamp
+        u, v = edge
+        seen[u] = seen[v] = stamp
+        stack = [u, v]
+        while stack:
+            for w in self.succ[stack.pop()]:
+                if seen[w] != stamp:
+                    seen[w] = stamp
+                    stack.append(w)
+        inside = [e for e in self.accepted if seen[e[0]] == stamp and seen[e[1]] == stamp]
+        return tuple(sorted(inside + [edge]))
+
+    def insert_all(self, edges):
+        circuits = {}
+        for e in edges:
+            if not self.try_insert(e):
+                circuits[e] = self.rejection_circuit(e)
+        return circuits
 
 
 def reduced_echelon(rows):

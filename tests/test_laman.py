@@ -27,6 +27,7 @@ from coordrig.cgraph import coloops
 from coordrig.corpus import random_coloured_graph, random_corpus
 from coordrig.pebble import PLANE, PebbleGame, run_game
 
+from conftest import FIXTURE_NAMES, load_fixture
 from oracles import (
     brute_circuits,
     brute_rainbow_pair,
@@ -183,6 +184,68 @@ def test_live_union_matches_per_round_replay(monkeypatch):
         rigid += rep.deficiency == 0
     assert short >= 25 and rigid >= 100
     assert sum(1 for x in swaps if x) >= 15
+
+
+def _full_reinsert_union(g):
+    """T and the rigidity part of the union loop that re-inserts every
+    rejected edge of E minus T after each path, so that every circuit is
+    computed afresh."""
+    held = {}
+    stripped = coloops(g, 2)
+    core = [e for e in g.edges if e not in stripped]
+    game = PebbleGame(g.n)
+    circuits = game.insert_all(core)
+    while len(held) < g.k:
+        before = set(held.values())
+        if not laman._augment(g, held, game, circuits):
+            break
+        after = set(held.values())
+        entering = after - before
+        for e in sorted(entering):
+            if e not in circuits:
+                game.delete(e)
+        circuits = game.insert_all(sorted(
+            [e for e in circuits if e not in entering] + list(before - after)))
+    transversal = tuple(sorted(held.values()))
+    basis = laman._canonical_basis(core, set(transversal), game, circuits)
+    return transversal, tuple(sorted(stripped.union(basis)))
+
+
+def test_union_rounds_keep_unbroken_circuits(monkeypatch):
+    # a circuit that avoids the deleted basis edges still lies in the game's
+    # basis, so keeping it gives every augmentation the circuits and basis
+    # a full re-insert gives, with fewer edges inserted
+    rounds = []
+    inserted = []
+    augment, insert_all = laman._augment, PebbleGame.insert_all
+
+    def recording_augment(g, held, game, circuits):
+        rounds.append((dict(held), dict(circuits), list(game.accepted)))
+        return augment(g, held, game, circuits)
+
+    def counting_insert_all(game, edges):
+        edges = list(edges)
+        inserted.append(len(edges))
+        return insert_all(game, edges)
+
+    monkeypatch.setattr(laman, "_augment", recording_augment)
+    monkeypatch.setattr(PebbleGame, "insert_all", counting_insert_all)
+    graphs = [load_fixture(name) for name in FIXTURE_NAMES]
+    graphs += random_corpus(120, 777, n_range=(20, 60), k_range=(3, 6))
+    live = full = later_rounds = 0
+    for i, g in enumerate(graphs):
+        del rounds[:], inserted[:]
+        transversal, rigidity = _full_reinsert_union(g)
+        expected, full_inserts = list(rounds), sum(inserted)
+        del rounds[:], inserted[:]
+        rep = union_rank_d2(g)
+        assert (rep.transversal, rep.independent_rigidity) == (transversal, rigidity), f"instance {i}"
+        assert rounds == expected, f"instance {i}"
+        live += sum(inserted)
+        full += full_inserts
+        later_rounds += len(rounds) - 1
+    assert later_rounds >= 100
+    assert live < full
 
 
 def test_canonical_basis_replays_only_a_non_greedy_basis(pebble_games):

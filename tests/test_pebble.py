@@ -15,7 +15,7 @@ from coordrig.pebble import (
     run_game,
 )
 
-from oracles import brute_circuits, brute_rank, brute_sparse
+from oracles import OneSidedPebbleGame, brute_circuits, brute_rank, brute_sparse
 
 K4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
 TRIANGLE = [(0, 1), (0, 2), (1, 2)]
@@ -304,57 +304,108 @@ def test_delete_returns_the_pebble_to_the_tail():
     assert game.accepted == []
 
 
-class SearchBothSides(PebbleGame):
-    """The earlier insert loop, which searched from both endpoints on every
-    round, even from one whose last search had failed."""
+def _played(cls, g, params):
+    """The outcome of every search, the game and the circuits of a game of
+    ``cls`` played on g."""
+    found = []
+    game = cls(g.n, params)
+    find = game._find_pebble
 
-    def try_insert(self, edge):
-        u, v = edge
-        while self.pebbles[u] + self.pebbles[v] < self.params.ll + 1:
-            if not (self._find_pebble(u, v) or self._find_pebble(v, u)):
-                return False
-        return super().try_insert(edge)
+    def counting_find(u, v):
+        found.append(find(u, v))
+        return found[-1]
+
+    game._find_pebble = counting_find
+    circuits = game.insert_all(g.edges)
+    return found, game, circuits
 
 
 def _counted_game(cls, g, params):
     """Searches made and final state of a game of ``cls`` on g."""
-    calls = []
-    game = cls(g.n, params)
-    find = game._find_pebble
-
-    def counting_find(start, other):
-        calls.append(start)
-        return find(start, other)
-
-    game._find_pebble = counting_find
-    circuits = game.insert_all(g.edges)
-    return len(calls), (game.pebbles, game.succ, game.accepted, circuits)
+    found, game, circuits = _played(cls, g, params)
+    return len(found), (game.pebbles, game.succ, game.accepted, circuits)
 
 
-@pytest.mark.parametrize("fixture", ["seven_rigid_k2", "nested_circuit_k2"])
-def test_failed_side_is_not_searched_again(request, fixture):
-    # a failed search from u leaves no free pebble reachable from u for the
-    # rest of the insert, so searching it again changes nothing
-    g = request.getfixturevalue(fixture)
-    old, old_state = _counted_game(SearchBothSides, g, PLANE)
-    new, new_state = _counted_game(PebbleGame, g, PLANE)
-    assert new_state == old_state
-    assert new == old - 1
-
-
-def test_failed_side_skip_keeps_every_state():
-    saved = 0
+@pytest.mark.parametrize("params", [PLANE, PLANE_LOOSE])
+def test_two_sided_search_fails_once_per_rejection(params):
+    # a search seeded with both endpoints fails only when no free pebble is
+    # reachable from either, which rejects the edge; the one-sided kernel
+    # also failed from an endpoint already holding kk pebbles, and walked
+    # the region again for the circuit
+    old_total = new_total = rejected = 0
     for seed in range(40):
         n = 6 + seed % 12
         m = min(n * (n - 1) // 2, 2 * n + seed % 9)
         g = random_coloured_graph(n, 0, seed=seed, m=m)
-        for params in (PLANE, PLANE_LOOSE):
-            old, old_state = _counted_game(SearchBothSides, g, params)
-            new, new_state = _counted_game(PebbleGame, g, params)
-            assert new_state == old_state
-            assert new <= old
-            saved += old - new
-    assert saved >= 100
+        old, oracle, old_circuits = _played(OneSidedPebbleGame, g, params)
+        new, game, circuits = _played(PebbleGame, g, params)
+        assert game.accepted == oracle.accepted
+        assert circuits == old_circuits
+        assert new.count(False) == len(circuits)
+        old_total += len(old)
+        new_total += len(new)
+        rejected += len(circuits)
+    assert new_total <= old_total
+    assert rejected >= 100
+
+
+def test_circuit_read_needs_the_edge_just_rejected():
+    game = PebbleGame(5, PLANE)
+    with pytest.raises(RuntimeError, match="not the edge"):
+        game.rejection_circuit((2, 3))  # nothing rejected yet
+    game.insert_all(K4[:5])
+    assert not game.try_insert((2, 3))
+    with pytest.raises(RuntimeError, match="not the edge"):
+        game.rejection_circuit((0, 1))
+    assert game.rejection_circuit((2, 3)) == tuple(K4)
+    # any later insert or delete ends the read, even one that moved no
+    # pebble and left the marks in place
+    assert game.try_insert((0, 4))
+    with pytest.raises(RuntimeError, match="not the edge"):
+        game.rejection_circuit((2, 3))
+    assert not game.try_insert((2, 3))
+    game.delete((0, 4))
+    with pytest.raises(RuntimeError, match="not the edge"):
+        game.rejection_circuit((2, 3))
+
+
+def test_circuit_read_after_a_shared_search_raises():
+    game = PebbleGame(4, PLANE)
+    game.insert_all(K4[:5])
+    assert not game.try_insert((2, 3))
+    twin = game.copy()
+    with pytest.raises(RuntimeError, match="not the edge"):
+        twin.rejection_circuit((2, 3))  # a copy starts with no rejection
+    assert not twin.try_insert((2, 3))  # searches with the shared stamps
+    with pytest.raises(RuntimeError, match="searched since"):
+        game.rejection_circuit((2, 3))
+    assert twin.rejection_circuit((2, 3)) == tuple(K4)
+
+
+def test_visit_lists_cover_only_the_inserted_endpoints():
+    # a few edges on small labels in a large game make short visit lists;
+    # they grow in place, so a game and its copies go on sharing them
+    n = 100_000
+    game = PebbleGame(n, PLANE)
+    assert game.insert_all(K4) == {(2, 3): tuple(K4)}
+    seen, parent, _ = game._visits
+    assert len(seen) == len(parent) == 4
+    twin = game.copy()
+    far = [(0, 9), (1, 9), (2, 9), (3, 9), (8, 9)]
+    twin_circuits = twin.insert_all(far)
+    assert twin._visits[0] is seen and twin._visits[1] is parent
+    assert len(seen) == len(parent) == 10
+    assert game._visits[0] is seen  # the original sees its twin's growth
+    # both play on over the grown lists as fresh games do
+    more = [(1, 8), (2, 8), (3, 8)] + far
+    circuits = game.insert_all(more)
+    accepted, fresh = run_game((K4 + more, n))
+    assert tuple(game.accepted) == accepted
+    assert circuits == {e: c for e, c in fresh.items() if e in more}
+    accepted, fresh = run_game((K4 + far, n))
+    assert tuple(twin.accepted) == accepted
+    assert twin_circuits == {e: c for e, c in fresh.items() if e in far}
+    assert len(seen) == 10
 
 
 def _dense_graph(seed):
