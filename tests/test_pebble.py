@@ -349,6 +349,21 @@ def test_two_sided_search_fails_once_per_rejection(params):
     assert rejected >= 100
 
 
+@pytest.mark.parametrize("fixture", ["seven_rigid_k2", "nested_circuit_k2"])
+def test_failed_side_is_not_searched_again(request, fixture):
+    # one search seeded with both endpoints covers both sides, so a rejected
+    # edge costs one failed search and no side is searched a second time
+    g = request.getfixturevalue(fixture)
+    old, oracle, old_circuits = _played(OneSidedPebbleGame, g, PLANE)
+    new, game, circuits = _played(PebbleGame, g, PLANE)
+    assert game.accepted == oracle.accepted
+    assert circuits == old_circuits
+    assert circuits
+    assert new.count(False) == len(circuits)
+    assert old.count(False) > len(circuits)
+    assert len(new) < len(old)
+
+
 def test_circuit_read_needs_the_edge_just_rejected():
     game = PebbleGame(5, PLANE)
     with pytest.raises(RuntimeError, match="not the edge"):
