@@ -14,7 +14,11 @@ The games below are played on the core only.
 The one- and two-class deciders play one (2,3) game, uncoloured edges
 first: its first phase is the game on the uncoloured subgraph G0, so G0's
 sparsity and circuit come from the same game as the rank, the Laman+p
-kind and the redundant edges.
+kind and the redundant edges.  The two-class decider's (2,2) counts go
+on from a copy of that first phase: kk is 2 in both counts and a
+(2,3)-sparse set is (2,2)-sparse, so the copy is a valid (2,2) game on
+G0's (2,3)-basis, and only G0's (2,3)-rejected edges and the classes are
+inserted into it.
 
 For any number of classes the decider uses the rank of the union of the
 plane rigidity matroid M with the colour partition matroid P (uncoloured
@@ -25,7 +29,7 @@ shortest augmenting paths.  One game on the core stays live on the core
 minus T: every arc is read from it, each path moves T by deleting and
 re-inserting edges (Lee & Streinu 2008), and the game is the witness.
 The k = 2 pair search works on copies of the decider's game, with one
-edge deleted, and the two (2,2) counts on copies of one game on G0.
+edge deleted, and the two (2,2) counts on copies of its G0 phase.
 
 Also houses the inductive generator for one-class isostatic graphs used to
 build test corpora.
@@ -230,21 +234,29 @@ def _augment(g: ColouredGraph, held: dict[int, Edge], game: PebbleGame,
 
 
 def _plane_game(g: ColouredGraph, stripped):
-    """One (2,3) game on the core of g, g minus its coloops ``stripped``,
-    uncoloured edges first, each group in canonical order: the (2,3)-rank
-    (|stripped| plus the game's), its ``laman_kind``, the circuit of each
-    rejected edge, the redundant edges (their union), G0's first circuit
-    (None when G0 is Laman-sparse), read from the first phase, which is
-    the game on G0's core, and the game itself for the pair search.
-    Coloops lie on no circuit, so none of these changes."""
-    core = [e for e in g.edges if e not in stripped]
-    core.sort(key=lambda e: g.colour_of(e) > 0)  # stable sort
+    """One (2,3) game on the core of g, g minus its coloops ``stripped``:
+    G0's edges, then the coloured ones, each group in canonical order.
+    Returns the (2,3)-rank (|stripped| plus the game's), its
+    ``laman_kind``, the circuit of each rejected edge, the redundant edges
+    (their union), G0's first circuit (None when G0 is Laman-sparse), read
+    from the first phase, which is the game on G0's core, the game itself
+    for the pair search, and, for two classes, a copy of the game taken
+    after the first phase together with G0's rejected edges, from which
+    the (2,2) counts go on (else None).  Coloops lie on no circuit, so
+    none of these changes."""
+    g0, coloured = [], []
+    for e, c in zip(g.edges, g.colours):
+        if e not in stripped:
+            (coloured if c else g0).append(e)
     game = PebbleGame(g.n)
-    circuits = game.insert_all(core)
+    circuits = game.insert_all(g0)
+    g0_circuit = next(iter(circuits.values()), None)
+    g0_phase = (game.copy(), list(circuits)) if g.k == 2 else None
+    circuits.update(game.insert_all(coloured))
     redundant = {e for circuit in circuits.values() for e in circuit}
-    g0_circuit = next((c for e, c in circuits.items() if not g.colour_of(e)), None)
     rank = len(stripped) + len(game.accepted)
-    return rank, laman_kind(g.n, g.m, rank), circuits, redundant, g0_circuit, game
+    return (rank, laman_kind(g.n, g.m, rank), circuits, redundant, g0_circuit, game,
+            g0_phase)
 
 
 def check_k1(g: ColouredGraph) -> RigidityVerdict:
@@ -258,7 +270,7 @@ def check_k1(g: ColouredGraph) -> RigidityVerdict:
     """
     if g.k != 1:
         raise ValueError(f"one-class decider called with k={g.k}")
-    rank, kind, circuits, redundant, g0_circuit, _ = _plane_game(g, coloops(g, 2))
+    rank, kind, circuits, redundant, g0_circuit, _, _ = _plane_game(g, coloops(g, 2))
     target = _plane_target(g.n)
     cert_edges = [e for e in g.colour_class(1) if e in redundant]
     rigid = rank == target and bool(cert_edges)
@@ -299,7 +311,7 @@ def rainbow_pair_k2(g: ColouredGraph):
     """
     if g.k != 2:
         raise ValueError(f"rainbow pair search called with k={g.k}")
-    _, kind, circuits, redundant, _, game = _plane_game(g, coloops(g, 2))
+    _, kind, circuits, redundant, _, game, _ = _plane_game(g, coloops(g, 2))
     if kind != "laman+2":
         return None
     return _rainbow_pair_general(g, game, circuits, redundant)
@@ -321,14 +333,14 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     if g.k != 2:
         raise ValueError(f"two-class decider called with k={g.k}")
     stripped = coloops(g, 2)
-    rank, kind, circuits, redundant, g0_circuit, game = _plane_game(g, stripped)
+    rank, kind, circuits, redundant, g0_circuit, game, g0_phase = _plane_game(g, stripped)
     target = _plane_target(g.n)
     if rank < target:
         redundant = set()
     classes = {i: g.colour_class(i) for i in (1, 2)}
     class_red = {i: [e for e in classes[i] if e in redundant] for i in (1, 2)}
     g0_sparse = g0_circuit is None
-    sub_22 = _one_class_22_sparse(g, stripped)
+    sub_22 = _one_class_22_sparse(g, stripped, *g0_phase)
 
     failing = [] if kind == "laman+2" else ["not-laman-plus-2"]
     failing += [f"class-all-bridges:{i}" for i in (1, 2) if not class_red[i]]
@@ -380,14 +392,22 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     )
 
 
-def _one_class_22_sparse(g: ColouredGraph, stripped) -> dict[int, bool]:
-    """Whether G0 plus class i is (2,2)-sparse, for i = 1, 2: one (2,2)
-    game on G0, copied for each class, each copy stopping at its first
-    rejection.  The coloops ``stripped`` of g are skipped: (2,2) circuits
-    also have minimum degree 3, and a coloop of g is one of every
-    subgraph."""
-    game = PebbleGame(g.n, PLANE_LOOSE)
-    g0_sparse = all(game.try_insert(e) for e in g.colour_class(0) if e not in stripped)
+def _one_class_22_sparse(g: ColouredGraph, stripped, game: PebbleGame,
+                         g0_rejected) -> dict[int, bool]:
+    """Whether G0 plus class i is (2,2)-sparse, for i = 1, 2.
+
+    ``game`` is the (2,3) game on G0's core and ``g0_rejected`` the edges
+    it rejected, both from ``_plane_game``.  Its accepted set is
+    (2,3)-sparse, hence (2,2)-sparse, and kk is 2 in both counts, so the
+    game is a valid (2,2) game on that set (Lee & Streinu 2008): switched
+    to the (2,2) count, it re-inserts the rejected edges, and G0 is
+    (2,2)-sparse iff all of them go in.  The result is copied for each
+    class, each copy stopping at its first rejection; no circuit is read,
+    and the (2,3) circuits were all read before these searches.  The
+    coloops ``stripped`` of g are skipped: (2,2) circuits also have
+    minimum degree 3, and a coloop of g is one of every subgraph."""
+    game.params = PLANE_LOOSE
+    g0_sparse = all(game.try_insert(e) for e in g0_rejected)
     sub_22 = {}
     for i in (1, 2):
         trial = game.copy()

@@ -25,11 +25,22 @@ vertex reachable from the endpoints, which is the minimal tight set
 spanning the edge (Lee & Streinu 2008), and the circuit is read from its
 marks without a second walk.  Searches mark visits in lists that a game
 shares with its copies, with an integer stamp bumped once per search, so
-no dict or set is built per search and no list is cleared; the lists grow
-in place to the largest endpoint inserted, not to n.  An accepted edge is
-paid for by its later endpoint when that one has a pebble, which spares
-the next edge in canonical order, usually at the same first endpoint, a
-search.  Neither choice changes any output: the payer only orients an arc.
+no dict or set is built per search and no list is cleared.  These lists
+and the per-vertex ones (pebbles, arcs, degrees) grow in place to the
+largest endpoint inserted, not to n.
+
+Most inserts make no search at all.  An edge with an endpoint of
+accepted degree below kk, and parallel to no accepted edge, is
+independent (Henneberg's 0-extension: a vertex set holding both
+endpoints loses at most kk spanned edges with that endpoint, so it spans
+at most kk*n' - ll, and the two endpoints alone span one edge, at most
+2*kk - ll), and that endpoint, whose out-degree is below kk, has a free
+pebble to pay with.  Otherwise an accepted edge is paid for by its later
+endpoint when that one has a pebble, which spares the next edge in
+canonical order, usually at the same first endpoint, a search.  None of
+this changes any output: the pebble game is exact from any valid
+orientation (Lee & Streinu 2008), so the payer only orients an arc, and
+a rejection still costs one failed search whose marks give the circuit.
 """
 
 from __future__ import annotations
@@ -71,14 +82,17 @@ class PebbleGame:
     Each vertex starts with kk pebbles; inserting an edge requires ll + 1
     pebbles gathered on its endpoints, after which one pebble pays for the
     edge and the edge is oriented away from the paying endpoint.  Every
-    vertex v keeps pebbles[v] + len(succ[v]) == kk.
+    vertex v keeps pebbles[v] + len(succ[v]) == kk, and deg[v] is its
+    number of accepted edges.  The three lists cover the vertices up to the
+    largest endpoint inserted and grow as later endpoints arrive.
     """
 
     def __init__(self, n: int, params: SparsityParams = PLANE) -> None:
         self.n = n
         self.params = params
-        self.pebbles = [params.kk] * n
-        self.succ: list[list[int]] = [[] for _ in range(n)]
+        self.pebbles: list[int] = []
+        self.succ: list[list[int]] = []
+        self.deg: list[int] = []
         self.accepted: list[Edge] = []
         # [seen, parent, stamp]: seen[w] == stamp marks w as visited by the
         # current search, and parent[w] is then its predecessor.  Shared
@@ -91,14 +105,16 @@ class PebbleGame:
 
     def copy(self) -> PebbleGame:
         """An independent game in the same state, made without replaying
-        any insertion.  The twin shares the visit lists together with
-        its stamp counter, so no search of either game takes the other's
-        marks for its own, as shared lists with separate counters would,
-        and a growth of the lists made by one serves both."""
+        any insertion: pebbles, arcs and degrees are copied.  The twin
+        shares the visit lists together with their stamp counter, so no
+        search of either game takes the other's marks for its own, as
+        shared lists with separate counters would, and a growth of the
+        lists made by one serves both."""
         twin = object.__new__(type(self))
         twin.n, twin.params = self.n, self.params
         twin.pebbles = list(self.pebbles)
         twin.succ = [list(s) for s in self.succ]
+        twin.deg = list(self.deg)
         twin.accepted = list(self.accepted)
         twin._visits, twin._top = self._visits, self._top
         twin._rejected = None
@@ -115,8 +131,26 @@ class PebbleGame:
         else:
             self.succ[v].remove(u)
             self.pebbles[v] += 1
+        self.deg[u] -= 1
+        self.deg[v] -= 1
         self.accepted.remove(edge)
         self._rejected = None
+
+    def _raise_top(self, top: int) -> None:
+        """Make ``top`` the largest endpoint inserted, growing the vertex
+        lists to cover it.  They at least double (up to n), so a game
+        whose endpoints arrive in increasing order grows them a
+        logarithmic number of times."""
+        if top >= self.n:
+            raise ValueError(f"endpoint {top} out of range for a game on {self.n} vertices")
+        self._top = top
+        have = len(self.pebbles)
+        if top < have:
+            return
+        extra = max(top + 1, min(2 * have, self.n)) - have
+        self.pebbles.extend([self.params.kk] * extra)
+        self.succ.extend([] for _ in range(extra))
+        self.deg.extend([0] * extra)
 
     def _find_pebble(self, u: int, v: int) -> bool:
         """Move one free pebble to u or v along a reversed search path.
@@ -163,33 +197,39 @@ class PebbleGame:
     def try_insert(self, edge: Edge) -> bool:
         """Accept ``edge`` if it is independent over the accepted set.
 
-        Two-sided searches gather ll + 1 pebbles on the endpoints u < v;
-        the first search that fails rejects the edge, so a rejection costs
-        one failed search, and its stamp marks the region that
-        ``rejection_circuit`` reads.  Once accepted, v pays when it has a
-        pebble and u only otherwise: the next edge in canonical order
-        usually starts at u again and finds u's pebbles in place, which
-        saves it a search.  The payer sets only the arc's direction; the
-        accepted set is the greedy basis and each circuit the minimal tight
-        set spanning its edge, so neither depends on it.
+        An endpoint of accepted degree below kk certifies the edge, unless
+        an accepted edge joins the same endpoints, and pays for it with its
+        free pebble, with no search: the later endpoint v when v qualifies.
+        Otherwise two-sided searches gather ll + 1 pebbles on the endpoints
+        u < v; the first search that fails rejects the edge, so a rejection
+        costs one failed search, and its stamp marks the region that
+        ``rejection_circuit`` reads.  Such an edge, once accepted, is paid
+        for by v when it has a pebble and by u only otherwise: the next
+        edge in canonical order usually starts at u again and finds u's
+        pebbles in place, which saves it a search.  The certificate and the
+        payer set only the arc's direction; the accepted set is the greedy
+        basis and each circuit the minimal tight set spanning its edge, so
+        neither depends on them.
         """
         u, v = edge
-        top = self._top
-        if u > top or v > top:
-            self._top = u if u > v else v
-        pebbles = self.pebbles
-        need = self.params.ll + 1
-        while pebbles[u] + pebbles[v] < need:
-            if not self._find_pebble(u, v):
-                self._rejected = (edge, self._visits[2])
-                return False
-        self._rejected = None
-        if pebbles[v]:
-            pebbles[v] -= 1
-            self.succ[v].append(u)
+        if u > self._top or v > self._top:
+            self._raise_top(u if u > v else v)
+        pebbles, deg, succ = self.pebbles, self.deg, self.succ
+        kk = self.params.kk
+        if (deg[v] < kk or deg[u] < kk) and v not in succ[u] and u not in succ[v]:
+            tail, head = (v, u) if deg[v] < kk else (u, v)
         else:
-            pebbles[u] -= 1
-            self.succ[u].append(v)
+            need = self.params.ll + 1
+            while pebbles[u] + pebbles[v] < need:
+                if not self._find_pebble(u, v):
+                    self._rejected = (edge, self._visits[2])
+                    return False
+            tail, head = (v, u) if pebbles[v] else (u, v)
+        self._rejected = None
+        pebbles[tail] -= 1
+        succ[tail].append(head)
+        deg[u] += 1
+        deg[v] += 1
         self.accepted.append(edge)
         return True
 

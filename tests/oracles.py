@@ -11,7 +11,8 @@ The rest are earlier implementations kept as references for the code
 that replaced them: the union rank that replays a fresh game on E minus T
 in every augmentation round, the pebble game that searched from one
 endpoint at a time and walked a rejected edge's region again for its
-circuit, GF(q) elimination to reduced echelon form,
+circuit, the two-sided game that searched for every edge, whatever its
+endpoints' degrees, GF(q) elimination to reduced echelon form,
 the stress basis over every core edge with the rainbow tuple read from it,
 the float rigidity matrix built one edge row at a time, the trivial motion
 generators filled one vertex at a time, edge and class loads written out
@@ -92,20 +93,20 @@ def brute_union_rank(g) -> int:
     """min over F of |E \\ F| + pebble_rank(F) + transversal_rank(F).
 
     Exhausts every subset F via depth-first include/exclude decisions,
-    keeping a running pebble game (with snapshot/undo) so each subset costs
-    one insertion.
+    keeping a running pebble game (a copy taken before each insertion is
+    put back after it) so each subset costs one insertion.
     """
     m = g.m
     best = m + 1_000_000
     game = PebbleGame(g.n, PLANE)
 
     def recurse(i: int, rank_f: int, colours: set[int], size_f: int) -> None:
-        nonlocal best
+        nonlocal best, game
         if i == m:
             best = min(best, (m - size_f) + rank_f + len(colours))
             return
         recurse(i + 1, rank_f, colours, size_f)
-        state = (list(game.pebbles), [list(s) for s in game.succ], len(game.accepted))
+        saved = game.copy()
         gained = 1 if game.try_insert(g.edges[i]) else 0
         c = g.colours[i]
         added = c > 0 and c not in colours
@@ -114,8 +115,7 @@ def brute_union_rank(g) -> int:
         recurse(i + 1, rank_f + gained, colours, size_f + 1)
         if added:
             colours.remove(c)
-        game.pebbles, game.succ, size = state
-        del game.accepted[size:]
+        game = saved
 
     recurse(0, 0, set(), 0)
     return best
@@ -263,6 +263,76 @@ class OneSidedPebbleGame:
                 if seen[w] != stamp:
                     seen[w] = stamp
                     stack.append(w)
+        inside = [e for e in self.accepted if seen[e[0]] == stamp and seen[e[1]] == stamp]
+        return tuple(sorted(inside + [edge]))
+
+    def insert_all(self, edges):
+        circuits = {}
+        for e in edges:
+            if not self.try_insert(e):
+                circuits[e] = self.rejection_circuit(e)
+        return circuits
+
+
+class TwoSidedPebbleGame:
+    """The (kk, ll) pebble game that searches for every edge.
+
+    ``try_insert`` runs searches seeded with both endpoints until ll + 1
+    pebbles sit on them, whatever their degrees; the first failed search
+    rejects the edge and its marks are the region ``rejection_circuit``
+    reads.  The later endpoint pays when it has a pebble.  Visits are
+    stamped in two lists of length n.
+    """
+
+    def __init__(self, n: int, params=PLANE) -> None:
+        self.n, self.params = n, params
+        self.pebbles = [params.kk] * n
+        self.succ = [[] for _ in range(n)]
+        self.accepted = []
+        self.seen, self.parent, self.stamp = [0] * n, [0] * n, 0
+
+    def _find_pebble(self, u: int, v: int) -> bool:
+        pebbles, succ, seen, parent = self.pebbles, self.succ, self.seen, self.parent
+        self.stamp += 1
+        stamp = self.stamp
+        seen[u] = seen[v] = stamp
+        stack = [u, v]
+        while stack:
+            x = stack.pop()
+            for w in succ[x]:
+                if seen[w] == stamp:
+                    continue
+                seen[w] = stamp
+                parent[w] = x
+                if pebbles[w]:
+                    pebbles[w] -= 1
+                    while w != u and w != v:
+                        x = parent[w]
+                        succ[x].remove(w)
+                        succ[w].append(x)
+                        w = x
+                    pebbles[w] += 1
+                    return True
+                stack.append(w)
+        return False
+
+    def try_insert(self, edge) -> bool:
+        u, v = edge
+        pebbles = self.pebbles
+        while pebbles[u] + pebbles[v] < self.params.ll + 1:
+            if not self._find_pebble(u, v):
+                return False
+        if pebbles[v]:
+            pebbles[v] -= 1
+            self.succ[v].append(u)
+        else:
+            pebbles[u] -= 1
+            self.succ[u].append(v)
+        self.accepted.append(edge)
+        return True
+
+    def rejection_circuit(self, edge):
+        seen, stamp = self.seen, self.stamp
         inside = [e for e in self.accepted if seen[e[0]] == stamp and seen[e[1]] == stamp]
         return tuple(sorted(inside + [edge]))
 

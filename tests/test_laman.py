@@ -25,7 +25,7 @@ from coordrig import (
 from coordrig import laman
 from coordrig.cgraph import coloops
 from coordrig.corpus import random_coloured_graph, random_corpus
-from coordrig.pebble import PLANE, PebbleGame, run_game
+from coordrig.pebble import PLANE, PLANE_LOOSE, PebbleGame, run_game
 
 from conftest import FIXTURE_NAMES, load_fixture
 from oracles import (
@@ -277,8 +277,8 @@ def test_canonical_basis_replays_only_a_non_greedy_basis(pebble_games):
         (union_rank_d2, None, 1),
         # one game on E, whose first phase is the uncoloured subgraph's game
         (check_k1, "quad_rigid_k1", 1),
-        # that game and one (2,2) game on G0, copied for each class; the
-        # pair search works on copies of the game on E
+        # that game alone: the (2,2) counts go on from a copy of its G0
+        # phase, and the pair search works on copies of the game on E
         (check_k2, "seven_rigid_k2", 2),
         # no pair search: G0 is not Laman-sparse
         (check_k2, "nested_circuit_k2", 2),
@@ -293,6 +293,57 @@ def test_pebble_games_per_decision(pebble_games, request, decide, fixture, most)
     assert len(pebble_games) <= most
 
 
+def _fresh_22_sparse(g, stripped, *_):
+    """Whether G0 plus class i is (2,2)-sparse, for i = 1, 2, from a fresh
+    (2,2) game on G0's core, copied for each class."""
+    game = PebbleGame(g.n, PLANE_LOOSE)
+    g0_sparse = all(game.try_insert(e) for e in g.colour_class(0) if e not in stripped)
+    sub_22 = {}
+    for i in (1, 2):
+        trial = game.copy()
+        sub_22[i] = g0_sparse and all(
+            trial.try_insert(e) for e in g.colour_class(i) if e not in stripped)
+    return sub_22
+
+
+def test_22_counts_continue_the_g0_phase():
+    # the (2,3) game's state after G0 is a valid (2,2) game on G0's basis;
+    # re-inserting G0's (2,3)-rejected edges in it must decide the (2,2)
+    # counts as a fresh (2,2) game does
+    cases = {"g0 not (2,3)-sparse": 0, "g0 not (2,2)-sparse": 0, "side not sparse": 0,
+             "both sparse": 0}
+    for i in range(600):
+        n = 5 + i % 12
+        dense = n if i % 3 == 0 else 0  # G0 of about 4n/3 edges or more
+        m = min(n * (n - 1) // 2, 2 * n - 4 + i % 9 + dense)
+        g = random_coloured_graph(n, 2, seed=i, m=m)
+        stripped = coloops(g, 2)
+        *_, g0_circuit, _, g0_phase = laman._plane_game(g, stripped)
+        twin, g0_rejected = g0_phase
+        expected = _fresh_22_sparse(g, stripped)
+        assert laman._one_class_22_sparse(g, stripped, twin, g0_rejected) == expected
+        g0_core = [e for e in g.colour_class(0) if e not in stripped]
+        g0_22 = not run_game((g0_core, g.n), PLANE_LOOSE)[1]
+        cases["g0 not (2,3)-sparse"] += g0_circuit is not None
+        cases["g0 not (2,2)-sparse"] += not g0_22
+        cases["side not sparse"] += g0_22 and not all(expected.values())
+        cases["both sparse"] += all(expected.values())
+    assert min(cases.values()) >= 40, cases
+
+
+@pytest.mark.parametrize("fixture", ["seven_rigid_k2", "nested_circuit_k2"])
+def test_check_k2_plays_one_game_fewer(pebble_games, monkeypatch, request, fixture):
+    # the (2,2) counts used to play a fresh (2,2) game on G0; they now go
+    # on from a copy of the (2,3) game's G0 phase, with the same verdict
+    g = request.getfixturevalue(fixture)
+    verdict = check_k2(g)
+    assert len(pebble_games) == 1
+    monkeypatch.setattr(laman, "_one_class_22_sparse", _fresh_22_sparse)
+    del pebble_games[:]
+    assert check_k2(g) == verdict
+    assert len(pebble_games) == 2
+
+
 def test_rainbow_pair_matches_fresh_games():
     # the pair search reads E - e from copies of the decider's game; a
     # fresh (2,3) game on every E - e - f must find the same pair
@@ -303,7 +354,7 @@ def test_rainbow_pair_matches_fresh_games():
         m = min(n * (n - 1) // 2, 2 * n - 4 + i % 7)
         g = random_coloured_graph(n, 2, seed=i, m=m)
         expected = brute_rainbow_pair(g)
-        rank, kind, circuits, redundant, _, game = laman._plane_game(g, coloops(g, 2))
+        rank, kind, circuits, redundant, _, game, _ = laman._plane_game(g, coloops(g, 2))
         # the game on the whole of E has the same rank, kind and circuits
         assert laman._plane_game(g, frozenset())[:3] == (rank, kind, circuits)
         assert laman._rainbow_pair_general(g, game, circuits, redundant) == expected

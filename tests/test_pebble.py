@@ -15,7 +15,13 @@ from coordrig.pebble import (
     run_game,
 )
 
-from oracles import OneSidedPebbleGame, brute_circuits, brute_rank, brute_sparse
+from oracles import (
+    OneSidedPebbleGame,
+    TwoSidedPebbleGame,
+    brute_circuits,
+    brute_rank,
+    brute_sparse,
+)
 
 K4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
 TRIANGLE = [(0, 1), (0, 2), (1, 2)]
@@ -283,15 +289,16 @@ def test_copy_is_independent_of_original(params):
     g = random_coloured_graph(12, 0, seed=5, m=24)
     game = PebbleGame(g.n, params)
     circuits = game.insert_all(g.edges)
-    state = (list(game.pebbles), [list(s) for s in game.succ], list(game.accepted))
+    state = (list(game.pebbles), [list(s) for s in game.succ], list(game.deg),
+             list(game.accepted))
     twin = game.copy()
     assert type(twin) is PebbleGame
-    assert (twin.pebbles, twin.succ, twin.accepted) == state
+    assert (twin.pebbles, twin.succ, twin.deg, twin.accepted) == state
     for e in twin.accepted[:5]:
         twin.delete(e)
     twin.insert_all(circuits)
-    assert (twin.pebbles, twin.succ, twin.accepted) != state
-    assert (game.pebbles, game.succ, game.accepted) == state
+    assert (twin.pebbles, twin.succ, twin.deg, twin.accepted) != state
+    assert (game.pebbles, game.succ, game.deg, game.accepted) == state
 
 
 def test_delete_returns_the_pebble_to_the_tail():
@@ -318,12 +325,6 @@ def _played(cls, g, params):
     game._find_pebble = counting_find
     circuits = game.insert_all(g.edges)
     return found, game, circuits
-
-
-def _counted_game(cls, g, params):
-    """Searches made and final state of a game of ``cls`` on g."""
-    found, game, circuits = _played(cls, g, params)
-    return len(found), (game.pebbles, game.succ, game.accepted, circuits)
 
 
 @pytest.mark.parametrize("params", [PLANE, PLANE_LOOSE])
@@ -493,48 +494,114 @@ def test_rainbow_pair_copies_play_fresh_games(monkeypatch, params):
     assert copies >= 40
 
 
+def _random_play(params, seed):
+    """A game after each step of random inserts, deletes and copies on a
+    dense graph, with the set of vertices the steps touched."""
+    rng = random.Random(seed)
+    g = _dense_graph(seed)
+    game = PebbleGame(g.n, params)
+    touched = set()
+    for step in range(60):
+        action = rng.random()
+        if action < 0.6:
+            e = rng.choice(g.edges)
+            touched.update(e)
+            if e not in game.accepted and not game.try_insert(e):
+                game.rejection_circuit(e)
+        elif action < 0.9 and game.accepted:
+            game.delete(rng.choice(game.accepted))
+        else:
+            game = game.copy()
+        yield game, touched
+
+
 @pytest.mark.parametrize("params", [PLANE, PLANE_LOOSE])
 def test_every_vertex_keeps_kk_pebbles_or_arcs(params):
-    # a pebble either lies on its vertex or pays for one arc leaving it
-    rng = random.Random(31)
+    # a pebble either lies on its vertex or pays for one arc leaving it;
+    # the lists cover every vertex an edge touched, and no other vertex
+    # holds an arc
     for seed in range(30):
-        g = _dense_graph(seed)
-        game = PebbleGame(g.n, params)
-        for step in range(60):
-            action = rng.random()
-            if action < 0.6:
-                e = rng.choice(g.edges)
-                if e not in game.accepted and not game.try_insert(e):
-                    game.rejection_circuit(e)
-            elif action < 0.9 and game.accepted:
-                game.delete(rng.choice(game.accepted))
-            else:
-                game = game.copy()
+        for game, touched in _random_play(params, seed):
+            assert len(game.pebbles) == len(game.succ) > max(touched, default=-1)
             assert all(game.pebbles[v] + len(game.succ[v]) == params.kk
-                       for v in range(g.n))
-            assert min(game.pebbles) >= 0
+                       for v in range(len(game.pebbles)))
+            assert not any(game.succ[v] for v in range(len(game.succ)) if v not in touched)
+            assert min(game.pebbles, default=0) >= 0
 
 
-class FirstEndpointPays(PebbleGame):
-    """The earlier payer rule: u pays for (u, v) whenever it has a pebble."""
-
-    def try_insert(self, edge):
-        if not super().try_insert(edge):
-            return False
-        u, v = edge
-        if self.succ[v] and self.succ[v][-1] == u and self.pebbles[u]:
-            # v paid just now: take its pebble back and let u pay
-            self.succ[v].pop()
-            self.pebbles[v] += 1
-            self.succ[u].append(v)
-            self.pebbles[u] -= 1
-        return True
+@pytest.mark.parametrize("params", [PLANE, PLANE_LOOSE])
+def test_degrees_match_the_accepted_edges(params):
+    # try_insert raises both endpoints' degrees, delete lowers them and
+    # copy copies them, whatever the sequence
+    for seed in range(30):
+        for game, _ in _random_play(params, seed):
+            recount = [0] * len(game.deg)
+            for u, v in game.accepted:
+                recount[u] += 1
+                recount[v] += 1
+            assert game.deg == recount
 
 
-def test_later_endpoint_pays_saves_searches():
-    # consecutive edges in canonical order share u; keeping u's pebbles
-    # spares the next edge a search, and no output depends on the payer
-    first_pays = later_pays = 0
+def test_vertex_lists_cover_only_the_inserted_endpoints():
+    # K4 in a game on 100 000 vertices makes lists of four vertices, and a
+    # later endpoint grows them in place
+    game = PebbleGame(100_000, PLANE)
+    assert game.insert_all(K4) == {(2, 3): tuple(K4)}
+    assert len(game.pebbles) == len(game.succ) == len(game.deg) == 4
+    assert game.try_insert((3, 40))
+    assert len(game.pebbles) == len(game.succ) == len(game.deg) == 41
+    assert game.deg[40] == 1 and game.pebbles[39] == 2 and game.succ[39] == []
+    with pytest.raises(ValueError, match="out of range"):
+        game.try_insert((3, 100_000))
+    assert len(game.pebbles) == 41
+
+
+@pytest.mark.parametrize("params,copies", [(PLANE, 1), (PLANE_LOOSE, 2),
+                                           (SparsityParams(1, 1), 1)])
+def test_parallel_edges_are_searched(params, copies):
+    # two endpoints of low degree certify an edge only when no accepted
+    # edge joins them: a multigraph keeps at most 2*kk - ll copies of an
+    # edge, as the game that searches for every edge finds
+    edges = [(0, 1)] * 3 + [(0, 2), (1, 2), (1, 2)]
+    game, oracle = PebbleGame(3, params), TwoSidedPebbleGame(3, params)
+    assert game.insert_all(edges) == oracle.insert_all(edges)
+    assert game.accepted == oracle.accepted
+    assert game.accepted.count((0, 1)) == copies
+
+
+def _degree_play(cls, g, params):
+    """Searches per insert of a game of ``cls`` on g, each with the least
+    accepted degree of the edge's endpoints before it, and the game's
+    accepted edges and circuits."""
+    game = cls(g.n, params)
+    find = game._find_pebble
+    found = []
+
+    def counting_find(u, v):
+        found.append(find(u, v))
+        return found[-1]
+
+    game._find_pebble = counting_find
+    deg = [0] * g.n
+    inserts, circuits = [], {}
+    for e in g.edges:
+        before = len(found)
+        if game.try_insert(e):
+            deg[e[0]] += 1
+            deg[e[1]] += 1
+        else:
+            circuits[e] = game.rejection_circuit(e)
+        inserts.append((min(deg[e[0]], deg[e[1]]), found[before:]))
+    return inserts, game.accepted, circuits
+
+
+@pytest.mark.parametrize("params", [PLANE, PLANE_LOOSE])
+def test_degree_certified_inserts_save_searches(params):
+    # an endpoint of accepted degree below kk makes its edge independent
+    # (a 0-extension) and holds a free pebble to pay with, so such an
+    # insert makes no search; every other insert searches as the
+    # two-sided game does, and no output depends on which arcs result
+    oracle_total = total = certified = rejected = 0
     for seed in range(40):
         g = henneberg_k1_sample(6 + seed % 25, seed=seed)
         rng = random.Random(seed)
@@ -542,10 +609,18 @@ def test_later_endpoint_pays_saves_searches():
                  if (u, v) not in g.edges]
         extra = [(u, v, 0) for u, v in rng.sample(pairs, 3)]
         g = build(g.n, 1, [(u, v, c) for (u, v), c in zip(g.edges, g.colours)] + extra)
-        for params in (PLANE, PLANE_LOOSE):
-            old, old_state = _counted_game(FirstEndpointPays, g, params)
-            new, new_state = _counted_game(PebbleGame, g, params)
-            assert new_state[2:] == old_state[2:]  # accepted edges and circuits
-            first_pays += old
-            later_pays += new
-    assert later_pays < first_pays
+        old, old_accepted, old_circuits = _degree_play(TwoSidedPebbleGame, g, params)
+        new, accepted, circuits = _degree_play(PebbleGame, g, params)
+        assert accepted == old_accepted
+        assert circuits == old_circuits
+        searches = [s for _, s in new]
+        assert sum(s.count(False) for s in searches) == len(circuits)
+        assert all(s.count(False) == 1 for s, e in zip(searches, g.edges) if e in circuits)
+        low = [s for d, s in new if d < params.kk]
+        assert not any(low)
+        oracle_total += sum(len(s) for _, s in old)
+        total += sum(len(s) for s in searches)
+        certified += len(low)
+        rejected += len(circuits)
+    assert total < oracle_total
+    assert certified >= 500 and rejected >= 100
