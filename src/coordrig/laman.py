@@ -14,11 +14,15 @@ The games below are played on the core only.
 The one- and two-class deciders play one (2,3) game, uncoloured edges
 first: its first phase is the game on the uncoloured subgraph G0, so G0's
 sparsity and circuit come from the same game as the rank, the Laman+p
-kind and the redundant edges.  The two-class decider's (2,2) counts go
-on from a copy of that first phase: kk is 2 in both counts and a
-(2,3)-sparse set is (2,2)-sparse, so the copy is a valid (2,2) game on
-G0's (2,3)-basis, and only G0's (2,3)-rejected edges and the classes are
-inserted into it.
+kind and the redundant edges.  Their verdicts read only which coloured
+edges are redundant, one circuit and one pair, so only the first
+rejection's circuit is read in full (G0's first circuit, or the one
+circuit of an isostatic one-class graph); a later rejection keeps just
+the accepted coloured edges on its circuit, none in the G0 phase.  The
+two-class decider's (2,2) counts go on from a copy of that first phase:
+kk is 2 in both counts and a (2,3)-sparse set is (2,2)-sparse, so the
+copy is a valid (2,2) game on G0's (2,3)-basis, and only G0's
+(2,3)-rejected edges and the classes are inserted into it.
 
 For any number of classes the decider uses the rank of the union of the
 plane rigidity matroid M with the colour partition matroid P (uncoloured
@@ -28,8 +32,10 @@ r(E).  T is a matroid intersection of M* with P, grown by at most k
 shortest augmenting paths.  One game on the core stays live on the core
 minus T: every arc is read from it, each path moves T by deleting and
 re-inserting edges (Lee & Streinu 2008), and the game is the witness.
-The k = 2 pair search works on copies of the decider's game, with one
-edge deleted, and the two (2,2) counts on copies of its G0 phase.
+The k = 2 pair search tests the first candidate pair by rank restoration
+on a copy of the decider's game with the pair deleted, falling back to a
+copy with one edge deleted that replays E - e, and the two (2,2) counts
+go on from copies of its G0 phase.
 
 Also houses the inductive generator for one-class isostatic graphs used to
 build test corpora.
@@ -237,22 +243,40 @@ def _plane_game(g: ColouredGraph, stripped):
     """One (2,3) game on the core of g, g minus its coloops ``stripped``:
     G0's edges, then the coloured ones, each group in canonical order.
     Returns the (2,3)-rank (|stripped| plus the game's), its
-    ``laman_kind``, the circuit of each rejected edge, the redundant edges
-    (their union), G0's first circuit (None when G0 is Laman-sparse), read
-    from the first phase, which is the game on G0's core, the game itself
-    for the pair search, and, for two classes, a copy of the game taken
-    after the first phase together with G0's rejected edges, from which
-    the (2,2) counts go on (else None).  Coloops lie on no circuit, so
-    none of these changes."""
+    ``laman_kind``, the circuits of the rejected edges as far as the
+    verdicts read them, the redundant edges among them (their union),
+    G0's first circuit (None when G0 is Laman-sparse), read from the first
+    phase, which is the game on G0's core, the game itself for the pair
+    search, and, for two classes, a copy of the game taken after the
+    first phase together with G0's rejected edges, from which the (2,2)
+    counts go on (else None).  Coloops lie on no circuit, so none of these
+    changes.
+
+    The verdicts read which coloured edges are redundant, G0's first
+    circuit and the circuit of an isostatic one-class graph, its only one.
+    So only the first rejection's circuit is read in full.  A later
+    rejection in the G0 phase maps to itself alone: no coloured edge is
+    accepted yet, so its circuit has none.  A later rejection in the
+    coloured phase maps to itself and the accepted coloured edges on its
+    circuit, read by ``rejection_circuit`` from the coloured part of the
+    accepted edges.  Every circuit's coloured edges are thus in its entry,
+    and every redundant coloured edge is in ``redundant``."""
     g0, coloured = [], []
     for e, c in zip(g.edges, g.colours):
         if e not in stripped:
             (coloured if c else g0).append(e)
     game = PebbleGame(g.n)
-    circuits = game.insert_all(g0)
+    circuits = {}
+    for e in g0:
+        if not game.try_insert(e):
+            circuits[e] = (e,) if circuits else game.rejection_circuit(e)
     g0_circuit = next(iter(circuits.values()), None)
     g0_phase = (game.copy(), list(circuits)) if g.k == 2 else None
-    circuits.update(game.insert_all(coloured))
+    base = len(game.accepted)
+    for e in coloured:
+        if not game.try_insert(e):
+            among = game.accepted[base:] if circuits else None
+            circuits[e] = game.rejection_circuit(e, among)
     redundant = {e for circuit in circuits.values() for e in circuit}
     rank = len(stripped) + len(game.accepted)
     return (rank, laman_kind(g.n, g.m, rank), circuits, redundant, g0_circuit, game,
@@ -420,26 +444,62 @@ def _rainbow_pair_general(g: ColouredGraph, game, circuits, redundant):
     """Rainbow redundant pair search for rank-full graphs of any surplus.
 
     {e, f} is jointly redundant iff e is redundant and f stays redundant
-    after e is removed.  The redundant edges of E - e are read from the
-    plane game on E: if e was rejected they are the other rejections'
-    circuits; otherwise a copy of the game deletes e, which leaves a valid
-    game on the rest of the basis, and re-inserts the rejected edges.
+    after e is removed, so f is a redundant class-2 edge, a candidate.
+    ``game`` is the plane game on E and ``circuits`` its rejection
+    circuits, of which only the coloured edges are read (``_plane_game``).
+    For each redundant class-1 edge e in canonical order: if e was
+    rejected, the redundant edges of E - e are the other rejections'
+    circuits.  Otherwise the first candidate f is tested by rank
+    restoration (``_rank_restored``): f is redundant in E - e exactly when
+    E - e - f keeps the rank, and, being first, is then the pair's f.
+    Only when the test fails is E - e replayed: a copy of the game deletes
+    e, which leaves a valid game on the rest of the basis, and re-inserts
+    the rejected edges whose circuit holds e; the other circuits lie in
+    the rest of the basis and are kept.
     """
-    class2 = g.colour_class(2)
+    candidates = [f for f in g.colour_class(2) if f in redundant]
+    if not candidates:
+        return None
     for e in g.colour_class(1):
         if e not in redundant:
             continue
         if e in circuits:
             rest = [c for x, c in circuits.items() if x != e]
+        elif _rank_restored(game, circuits, (e, candidates[0])):
+            return (e, candidates[0])
         else:
             trial = game.copy()
             trial.delete(e)
-            rest = trial.insert_all(circuits).values()
+            rest = [c for c in circuits.values() if e not in c]
+            rest += trial.insert_all([x for x, c in circuits.items() if e in c]).values()
         sub_red = {x for circuit in rest for x in circuit}
-        for f in class2:
+        for f in candidates:
             if f in sub_red:
                 return (e, f)
     return None
+
+
+def _rank_restored(game, circuits, pair) -> bool:
+    """Whether E minus the two edges of ``pair`` keeps the rank of E.
+
+    ``game`` is a game on E and ``circuits`` its rejection circuits, each
+    holding at least its own edge and any edge of ``pair`` on it.  A copy
+    deletes the pair's accepted edges, which leaves a valid game on the
+    rest of the basis (Lee & Streinu 2008), and re-inserts in the game's
+    order the other rejected edges whose circuit meets a deleted edge,
+    until the rank is back.  Every other rejected edge keeps its circuit
+    in the rest of the basis and would be rejected again."""
+    rank = len(game.accepted)
+    trial = game.copy()
+    deleted = [x for x in pair if x not in circuits]
+    for x in deleted:
+        trial.delete(x)
+    for x, circuit in circuits.items():
+        if len(trial.accepted) == rank:
+            return True
+        if x not in pair and any(y in circuit for y in deleted):
+            trial.try_insert(x)
+    return len(trial.accepted) == rank
 
 
 def check_union(g: ColouredGraph) -> RigidityVerdict:

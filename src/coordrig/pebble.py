@@ -246,8 +246,9 @@ class PebbleGame:
                 circuits[e] = self.rejection_circuit(e)
         return circuits
 
-    def rejection_circuit(self, edge: Edge) -> tuple[Edge, ...]:
-        """Fundamental circuit of a just-rejected edge.
+    def rejection_circuit(self, edge: Edge, among=None) -> tuple[Edge, ...]:
+        """Fundamental circuit of a just-rejected edge, or its part in
+        ``among``.
 
         Valid only immediately after ``try_insert(edge)`` returned False:
         its failed search marked the vertices reachable from the endpoints,
@@ -258,10 +259,13 @@ class PebbleGame:
         canonical order, so the sort is nearly linear; collecting the
         region's own arcs and sorting them costs more than the scan saves
         when, as is typical, the region holds a third of the vertices or
-        more.  Raises RuntimeError when ``edge`` is not the edge the last
-        ``try_insert`` of this game rejected, or when a game sharing the
-        visit lists has searched since, because the marks then belong to
-        another region.
+        more.  ``among``, a sequence of accepted edges, narrows the scan
+        to those edges: the result is then ``edge`` with the edges of
+        ``among`` on its circuit, for a caller that reads only some of
+        them (the plane deciders read only the coloured ones).  Raises
+        RuntimeError when ``edge`` is not the edge the last ``try_insert``
+        of this game rejected, or when a game sharing the visit lists has
+        searched since, because the marks then belong to another region.
         """
         rejected = self._rejected
         if rejected is None or rejected[0] != edge:
@@ -273,17 +277,29 @@ class PebbleGame:
             raise RuntimeError(
                 f"stale circuit read for {edge}: a game sharing the visit "
                 "lists has searched since it was rejected")
-        inside = [e for e in self.accepted if seen[e[0]] == stamp and seen[e[1]] == stamp]
+        if among is None:
+            among = self.accepted
+        inside = [e for e in among if seen[e[0]] == stamp and seen[e[1]] == stamp]
         inside.append(edge)
         inside.sort()
         return tuple(inside)
 
 
 def _edges_of(g) -> tuple[tuple[Edge, ...], int]:
+    """The edges and vertex count of a ColouredGraph or of an (edges, n)
+    pair.  A ColouredGraph was validated when it was built; a plain edge
+    list is checked here, since the game would take a negative endpoint
+    for an index from the end of its lists and play a loop as an edge."""
     if isinstance(g, ColouredGraph):
         return g.edges, g.n
     edges, n = g
-    return tuple(edges), n
+    edges = tuple(edges)
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"edge {(u, v)} is a loop")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge {(u, v)} has an endpoint outside 0..{n - 1}")
+    return edges, n
 
 
 def run_game(g, params: SparsityParams = PLANE):

@@ -149,13 +149,14 @@ def brute_rainbow_tuple(g, params):
     return None
 
 
-def brute_rainbow_pair(g):
+def brute_rainbow_pair(g, params=PLANE):
     """First redundant class-1 edge e, in canonical order, with the first
-    class-2 edge f such that the (2,3)-rank of E - e - f equals that of E;
-    None when there is no such pair.  Every rank is a fresh game."""
+    class-2 edge f such that the rank of E - e - f in the ``params`` count
+    matroid ((2,3) by default) equals that of E; None when there is no
+    such pair.  Every rank is a fresh game."""
 
     def rank_without(*drop) -> int:
-        return sparsity_rank(([x for x in g.edges if x not in drop], g.n))[0]
+        return sparsity_rank(([x for x in g.edges if x not in drop], g.n), params)[0]
 
     full = rank_without()
     for e in g.colour_class(1):

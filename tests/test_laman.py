@@ -344,11 +344,22 @@ def test_check_k2_plays_one_game_fewer(pebble_games, monkeypatch, request, fixtu
     assert len(pebble_games) == 2
 
 
-def test_rainbow_pair_matches_fresh_games():
+def test_rainbow_pair_matches_fresh_games(monkeypatch):
     # the pair search reads E - e from copies of the decider's game; a
-    # fresh (2,3) game on every E - e - f must find the same pair
+    # fresh (2,3) game on every E - e - f must find the same pair.  An
+    # accepted e is settled by the rank-restoration test of the first
+    # candidate or falls back to a replay of E - e; both must occur often
     cases = {"laman+2": 0, "surplus>2": 0, "deficit": 0, "e rejected": 0}
     found = 0
+    tests = []
+    rank_restored = laman._rank_restored
+
+    def recording_rank_restored(*args):
+        tests.append(rank_restored(*args))
+        return tests[-1]
+
+    monkeypatch.setattr(laman, "_rank_restored", recording_rank_restored)
+    restored = fell_back = 0
     for i in range(500):
         n = 5 + i % 9
         m = min(n * (n - 1) // 2, 2 * n - 4 + i % 7)
@@ -357,7 +368,10 @@ def test_rainbow_pair_matches_fresh_games():
         rank, kind, circuits, redundant, _, game, _ = laman._plane_game(g, coloops(g, 2))
         # the game on the whole of E has the same rank, kind and circuits
         assert laman._plane_game(g, frozenset())[:3] == (rank, kind, circuits)
+        del tests[:]
         assert laman._rainbow_pair_general(g, game, circuits, redundant) == expected
+        restored += tests.count(True)
+        fell_back += tests.count(False)
         assert rainbow_pair_k2(g) == (expected if kind == "laman+2" else None)
         full = kind != "deficit"
         got = check_k2(g).certificate.get("rainbow_tuple")
@@ -371,6 +385,84 @@ def test_rainbow_pair_matches_fresh_games():
         cases["e rejected"] += first in circuits
     assert min(cases.values()) >= 40, cases
     assert 100 <= found <= 400
+    assert restored >= 150 and fell_back >= 80, (restored, fell_back)
+
+
+def _two_phase_graphs(g0_rejections, coloured_rejections, count):
+    """Rank-full two-class graphs on six vertices whose plane game rejects
+    at least the given numbers of edges in its G0 and coloured phases."""
+    pairs = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+    rng = random.Random(11)
+    out = []
+    while len(out) < count:
+        colours = [1, 2] + [rng.choice((0, 0, 0, 0, 1, 2)) for _ in range(10)]
+        rng.shuffle(colours)
+        g = build(6, 2, [(u, v, c) for (u, v), c in zip(rng.sample(pairs, 12), colours)])
+        rank, _, circuits, _, _, _, g0_phase = laman._plane_game(g, coloops(g, 2))
+        in_g0 = len(g0_phase[1])
+        if (rank == 9 and in_g0 >= g0_rejections
+                and len(circuits) - in_g0 >= coloured_rejections):
+            out.append(g)
+    return out
+
+
+def test_check_k2_redundant_classes_match_brute_circuits():
+    # the decider reads a later rejection's circuit only for its coloured
+    # edges (G0-phase rejections after the first not at all); the redundant
+    # coloured edges must still be those on some circuit
+    for g in _two_phase_graphs(2, 1, 2) + _two_phase_graphs(1, 2, 1):
+        on_circuit = {e for c in brute_circuits(g.edges, g.n) for e in c}
+        diagnosis = check_k2(g).certificate["diagnosis"]
+        for i in (1, 2):
+            red = [e for e in g.colour_class(i) if e in on_circuit]
+            bridges = [e for e in g.colour_class(i) if e not in on_circuit]
+            assert diagnosis["class_redundant"][str(i)] == [list(e) for e in red]
+            assert diagnosis["class_bridges"][str(i)] == [list(e) for e in bridges]
+
+
+def test_k1_circuit_read_in_full_when_only_a_coloured_edge_is_rejected():
+    # with G0 Laman-sparse the one rejection comes in the coloured phase;
+    # being the first, its circuit is read in full for the diagnosis
+    graphs = [K4_ONE_COLOURED]
+    for seed in range(40):
+        g = henneberg_k1_sample(6 + seed % 10, seed=seed)
+        if run_game((g.colour_class(0), g.n))[1] == {}:
+            graphs.append(g)
+    assert len(graphs) >= 10
+    for g in graphs:
+        verdict = check_k1(g)
+        assert verdict.rigid and verdict.isostatic
+        (circuit,) = run_game(g)[1].values()
+        assert verdict.certificate["diagnosis"]["circuit"] == [list(e) for e in circuit]
+        assert any(g.colour_of(e) == 0 for e in circuit)
+
+
+# an uncoloured K4 on 4, 5, 7, 8, whose rejected edge (7, 8) comes first
+# in the game's order and has a circuit avoiding the pair
+BRACED_BLOCK = [(4, 7, 0), (4, 8, 0), (5, 7, 0), (5, 8, 0), (7, 8, 0)]
+
+
+@pytest.mark.parametrize("extra", [[], BRACED_BLOCK], ids=["laman+2", "braced block"])
+def test_pair_search_makes_no_failed_search(seven_rigid_k2, monkeypatch, extra):
+    # deleting e = (0, 1) and f = (4, 6) and re-inserting the two rejected
+    # edges whose circuit holds one of them restores the rank, so no pebble
+    # search fails; a replay of E - e would re-insert (5, 6), whose circuit
+    # avoids e, and fail a search on it, and re-inserting (7, 8) would too
+    g = seven_rigid_k2
+    g = build(g.n + 2 * bool(extra), 2,
+              [(u, v, c) for (u, v), c in zip(g.edges, g.colours)] + extra)
+    _, kind, circuits, redundant, _, game, _ = laman._plane_game(g, coloops(g, 2))
+    assert kind == ("other" if extra else "laman+2")
+    found = []
+    find = PebbleGame._find_pebble
+
+    def counting_find(self, u, v):
+        found.append(find(self, u, v))
+        return found[-1]
+
+    monkeypatch.setattr(PebbleGame, "_find_pebble", counting_find)
+    assert laman._rainbow_pair_general(g, game, circuits, redundant) == ((0, 1), (4, 6))
+    assert False not in found
 
 
 def test_g0_read_from_the_game_on_e():

@@ -1,10 +1,11 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coordrig import build, henneberg_k1_sample, pebble, redundant_edges_d2, sparsity_rank
+from coordrig import build, henneberg_k1_sample, laman, pebble, redundant_edges_d2, sparsity_rank
 from coordrig.corpus import random_coloured_graph
 from coordrig.laman import _rainbow_pair_general, laman_kind
 from coordrig.pebble import (
@@ -19,6 +20,7 @@ from oracles import (
     OneSidedPebbleGame,
     TwoSidedPebbleGame,
     brute_circuits,
+    brute_rainbow_pair,
     brute_rank,
     brute_sparse,
 )
@@ -398,6 +400,50 @@ def test_circuit_read_after_a_shared_search_raises():
     assert twin.rejection_circuit((2, 3)) == tuple(K4)
 
 
+def test_circuit_read_among_given_edges():
+    # ``among`` narrows the read to the circuit's edges that it lists; the
+    # stale-read checks hold for it as for a full read
+    game = PebbleGame(5, PLANE)
+    game.insert_all(K4[:5] + [(3, 4)])
+    assert not game.try_insert((2, 3))
+    assert game.rejection_circuit((2, 3), [(3, 4), (1, 2), (0, 1)]) == ((0, 1), (1, 2), (2, 3))
+    assert game.rejection_circuit((2, 3), [(3, 4)]) == ((2, 3),)
+    assert game.rejection_circuit((2, 3), []) == ((2, 3),)
+    assert game.rejection_circuit((2, 3)) == tuple(K4)
+    twin = game.copy()
+    assert not twin.try_insert((2, 3))
+    with pytest.raises(RuntimeError, match="searched since"):
+        game.rejection_circuit((2, 3), [(0, 1)])
+    with pytest.raises(RuntimeError, match="not the edge"):
+        twin.rejection_circuit((0, 1), [(0, 1)])
+
+
+BAD_EDGE_LISTS = [
+    ([(0, 1), (0, 2), (1, 2), (-1, 0), (-1, 1)], "(-1, 0)", "outside 0..2"),
+    ([(0, 1), (0, 2), (1, 3)], "(1, 3)", "outside 0..2"),
+    ([(0, 1), (1, 1)], "(1, 1)", "loop"),
+]
+
+
+@pytest.mark.parametrize("edges,named,why", BAD_EDGE_LISTS)
+@pytest.mark.parametrize("call", [run_game, sparsity_rank, redundant_edges_d2])
+def test_plain_edge_lists_reject_bad_endpoints(call, edges, named, why):
+    # a negative endpoint would index the game's lists from the end, and a
+    # loop would be played as an edge; a plain list is checked before any
+    # game, and the error names the first bad edge
+    with pytest.raises(ValueError, match=re.escape(named) + ".*" + why):
+        call((edges, 3))
+
+
+def test_coloured_graph_edges_pass_through():
+    # a ColouredGraph was validated when built; its edge tuple goes to the
+    # game as it is, while a plain list of good edges is only made a tuple
+    g = build(4, 0, [(u, v, 0) for u, v in K4])
+    edges, n = pebble._edges_of(g)
+    assert edges is g.edges and n == 4
+    assert pebble._edges_of((iter(K4), 4)) == (tuple(K4), 4)
+
+
 def test_visit_lists_cover_only_the_inserted_endpoints():
     # a few edges on small labels in a large game make short visit lists;
     # they grow in place, so a game and its copies go on sharing them
@@ -457,12 +503,19 @@ def test_interleaved_copies_play_fresh_games(params):
 
 @pytest.mark.parametrize("params", [PLANE, PLANE_LOOSE])
 def test_rainbow_pair_copies_play_fresh_games(monkeypatch, params):
-    # ``_rainbow_pair_general`` copies one searched game once per redundant
-    # accepted edge of class 1; class 2 is a pendant edge, on no circuit, so
-    # it never stops early and every copy deletes its edge and replays the
-    # rejected edges
-    played = []  # (copy, deleted edge, circuits of the replay)
+    # ``_rainbow_pair_general`` tests each redundant accepted class-1 edge e
+    # with the first candidate f by rank restoration on a copy of one
+    # searched game; only when that fails does a second copy delete e and
+    # replay the rejected edges whose circuit holds e.  Every test must
+    # agree with fresh games on E - e - f, and every replay, with the
+    # circuits it keeps, must be the fresh game on E - e
+    tests, played = [], []  # (pair, restored); [copy, deleted edge, replayed circuits]
+    rank_restored = laman._rank_restored
     delete, insert_all = PebbleGame.delete, PebbleGame.insert_all
+
+    def recording_rank_restored(game, circuits, pair):
+        tests.append((pair, rank_restored(game, circuits, pair)))
+        return tests[-1][1]
 
     def recording_delete(game, edge):
         played.append([game, edge, None])
@@ -474,24 +527,36 @@ def test_rainbow_pair_copies_play_fresh_games(monkeypatch, params):
             played[-1][2] = circuits
         return circuits
 
+    monkeypatch.setattr(laman, "_rank_restored", recording_rank_restored)
     monkeypatch.setattr(PebbleGame, "delete", recording_delete)
     monkeypatch.setattr(PebbleGame, "insert_all", recording_insert_all)
-    copies = 0
-    for seed in range(20):
+    restored = replays = 0
+    for seed in range(40):
         g = _dense_graph(seed)
-        g = build(g.n + 1, 2, [(u, v, (u + v + seed) % 2) for u, v in g.edges]
-                  + [(0, g.n, 2)])
+        rng = random.Random(seed)
+        colours = [1, 2] + [rng.choice((0, 0, 1, 2)) for _ in g.edges[2:]]
+        rng.shuffle(colours)
+        g = build(g.n, 2, [(u, v, c) for (u, v), c in zip(g.edges, colours)])
         game = PebbleGame(g.n, params)
         circuits = game.insert_all(g.edges)
         redundant = {e for c in circuits.values() for e in c}
-        del played[:]
-        assert _rainbow_pair_general(g, game, circuits, redundant) is None
-        for twin, e, twin_circuits in played:
+        del tests[:], played[:]
+        assert _rainbow_pair_general(g, game, circuits, redundant) == brute_rainbow_pair(g, params)
+        full = len(game.accepted)
+        for pair, ok in tests:
+            accepted, _ = run_game(([x for x in g.edges if x not in pair], g.n), params)
+            assert ok == (len(accepted) == full)
+        replayed = [entry for entry in played if entry[2] is not None]
+        for twin, e, twin_circuits in replayed:
             accepted, fresh = run_game(([x for x in g.edges if x != e], g.n), params)
             assert set(twin.accepted) == set(accepted)
-            assert twin_circuits == fresh
-        copies += len(played)
-    assert copies >= 40
+            kept = {x: c for x, c in circuits.items() if e not in c}
+            assert kept.keys().isdisjoint(twin_circuits)  # kept, not replayed
+            assert {**kept, **twin_circuits} == fresh
+        assert len(replayed) == sum(not ok for _, ok in tests)
+        restored += len(tests) - len(replayed)
+        replays += len(replayed)
+    assert restored >= 20 and replays >= 10, (restored, replays)
 
 
 def _random_play(params, seed):
