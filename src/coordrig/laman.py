@@ -32,6 +32,12 @@ r(E).  T is a matroid intersection of M* with P, grown by at most k
 shortest augmenting paths.  One game on the core stays live on the core
 minus T: every arc is read from it, each path moves T by deleting and
 re-inserting edges (Lee & Streinu 2008), and the game is the witness.
+Uncoloured edges are loops of P and carry no exchange arc, so every
+circuit is read only on the game's accepted coloured edges.  The witness
+basis is the canonical greedy one iff every rejected edge is the last of
+its circuit: the first game is greedy, and a re-inserted rejected edge
+is checked by reading its circuit on the basis edges after it; only if a
+check fails is E minus T replayed.
 The k = 2 pair search tests the first candidate pair by rank restoration
 on a copy of the decider's game with the pair deleted, falling back to a
 copy with one edge deleted that replays E - e, and the two (2,2) counts
@@ -44,6 +50,7 @@ build test corpora.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -126,21 +133,33 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
     coordinated framework is generically rigid in the plane iff
     union_rank = t + k, and generically isostatic iff additionally
     m = t + k, where t is 2n - 3 (0 for a single vertex).
+
+    Uncoloured edges are loops of the colour partition matroid, so they
+    start and carry no exchange arc: each circuit is read only on the
+    game's accepted coloured edges, kept in a list beside the game
+    (``_insert_coloured``).  T is rainbow, so the deleted edges are
+    coloured and "met a deleted edge" reads only coloured edges.  Whether
+    the final basis is the canonical one is decided from a flag per held
+    circuit (``_canonical_basis``): true for the first game, which is
+    greedy, and read on the re-inserts from the basis edges after the
+    rejected edge.
     """
     held: dict[int, Edge] = {}  # colour -> the edge of T that holds it
     stripped = coloops(g, 2)
     core = [e for e in g.edges if e not in stripped]
     game = PebbleGame(g.n)
-    circuits = game.insert_all(core)
+    coloured: list[Edge] = []  # the game's accepted coloured edges
+    circuits, late = _insert_coloured(g, game, core, coloured)
     while len(held) < g.k:
         before = set(held.values())
-        if not _augment(g, held, game, circuits):
+        if not _augment(g, held, game, circuits, coloured):
             break
         after = set(held.values())
         entering = after - before
         deleted = {e for e in entering if e not in circuits}
         for e in sorted(deleted):
             game.delete(e)
+            coloured.remove(e)
         # deletion leaves a valid game on the rest of the basis; a circuit
         # avoiding the deleted edges still lies in it, so only the edges of
         # broken circuits and those leaving T go back in
@@ -153,7 +172,11 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
                 kept[e] = circuit
             else:
                 redo.append(e)
-        kept.update(game.insert_all(sorted(redo)))
+        late = {e for e in late if e in kept}  # re-inserted edges get new flags
+        redone, redone_late = _insert_coloured(g, game, sorted(redo), coloured,
+                                               sorted(game.accepted))
+        kept.update(redone)
+        late |= redone_late
         circuits = kept
     transversal = tuple(sorted(held.values()))
     if transversal_rank(g, transversal) != len(transversal):
@@ -161,7 +184,7 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
     # T is independent in M* iff the game on E minus T rejects every edge of T
     if any(game.try_insert(e) for e in transversal):
         raise RuntimeError("union invariant broken: removing T lowers the rank")
-    accepted = _canonical_basis(core, set(transversal), game, circuits)
+    accepted = _canonical_basis(core, set(transversal), game, late)
     rank = len(stripped) + len(accepted) + len(transversal)
     return UnionRankReport(
         union_rank=rank,
@@ -171,16 +194,46 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
     )
 
 
-def _canonical_basis(edges, tset, game: PebbleGame, circuits) -> tuple[Edge, ...]:
+def _insert_coloured(g: ColouredGraph, game: PebbleGame, edges, coloured,
+                     basis=None):
+    """Insert ``edges`` into ``game`` in order, appending each accepted
+    coloured edge to ``coloured``, the game's accepted coloured edges.
+
+    Returns {rejected edge e: e plus the edges of ``coloured`` on its
+    circuit}, read by ``rejection_circuit`` from ``coloured`` alone, and
+    the set of rejected edges that are not the last of their circuit.
+    That set is empty when ``basis`` is None, for a greedy game that
+    inserts every edge in canonical order.  Otherwise ``edges`` are in
+    canonical order and ``basis`` is the game's sorted accepted set before
+    the call: an edge accepted earlier in the call comes before e, so e
+    is the last of its circuit iff reading the circuit from the edges of
+    ``basis`` after e gives e alone.
+    """
+    colour_of = g.colour_of
+    circuits, late = {}, set()
+    for e in edges:
+        if game.try_insert(e):
+            if colour_of(e):
+                coloured.append(e)
+            continue
+        circuits[e] = game.rejection_circuit(e, coloured)
+        if basis is not None and len(
+                game.rejection_circuit(e, basis[bisect_right(basis, e):])) > 1:
+            late.add(e)
+    return circuits, late
+
+
+def _canonical_basis(edges, tset, game: PebbleGame, late) -> tuple[Edge, ...]:
     """The greedy basis of ``edges`` minus T in canonical order, from
-    ``game`` on that set and its rejection circuits.
+    ``game`` on that set and ``late``, its rejected edges that are not the
+    last edge of their circuit.
 
     A basis is the greedy one iff every edge outside it is the last edge
     of its fundamental circuit (cycle optimality), so the game's basis is
-    checked on the circuits at hand; only if it fails is ``edges`` minus T
+    returned when ``late`` is empty; only otherwise is ``edges`` minus T
     replayed in canonical order.
     """
-    if all(circuit[-1] == e for e, circuit in circuits.items()):
+    if not late:
         return tuple(sorted(game.accepted))
     replay = PebbleGame(game.n)
     replay.insert_all(e for e in edges if e not in tset)
@@ -188,22 +241,28 @@ def _canonical_basis(edges, tset, game: PebbleGame, circuits) -> tuple[Edge, ...
 
 
 def _augment(g: ColouredGraph, held: dict[int, Edge], game: PebbleGame,
-             circuits) -> bool:
+             circuits, among) -> bool:
     """Grow T = held.values() by one colour along a shortest exchange path.
 
     ``game`` is a game on E minus T, holding any basis B of it, and
-    ``circuits`` its rejection circuits; together they give every arc.
-    Sources are its redundant edges, the union of the circuits (adding one
-    to T keeps it independent in M*); an edge x outside T has an arc to the
-    edge of T holding x's colour; an edge y of T has arcs to the redundant
-    edges of (E minus T) + y, which are the sources plus the fundamental
-    circuit C(y, B), read by inserting y into the same game; sinks are
-    coloured edges whose colour T does not hold.  The new arcs of y are the
-    coloops of E minus T in C(y, B), those on a circuit with y, so no arc
-    depends on which basis the game holds.  Breadth-first in canonical
-    order, so the path found is deterministic.  Returns False when no path
-    exists, i.e. T is already largest; the game then still has the
-    accepted edges of E minus T.
+    ``circuits`` its rejection circuits, each read on the accepted edges
+    ``among`` (all of them, or only the coloured ones); together they give
+    every arc.  Sources are its redundant edges as read, the union of the
+    circuits (adding one to T keeps it independent in M*); an edge x
+    outside T has an arc to the edge of T holding x's colour; an edge y of
+    T has arcs to the redundant edges of (E minus T) + y, which are the
+    sources plus the fundamental circuit C(y, B), read from ``among`` by
+    inserting y into the same game; sinks are coloured edges whose colour
+    T does not hold.
+    The new arcs of y are the coloops of E minus T in C(y, B), those on a
+    circuit with y, so no arc depends on which basis the game holds.
+    Breadth-first in canonical order, so the path found is deterministic.
+    An uncoloured edge is a loop of the partition matroid: it is skipped
+    when popped, neither a sink nor the tail of an arc, so reading only
+    the coloured edges gives every coloured edge the same predecessor and
+    finds the same path.  Returns False when no path exists, i.e. T is
+    already largest; the game then still has the accepted edges of E
+    minus T.
     """
     tset = set(held.values())
     sources = sorted({e for circuit in circuits.values() for e in circuit})
@@ -214,7 +273,7 @@ def _augment(g: ColouredGraph, held: dict[int, Edge], game: PebbleGame,
         if x in tset:
             if game.try_insert(x):
                 raise RuntimeError("union invariant broken: removing T lowers the rank")
-            arcs = game.rejection_circuit(x)
+            arcs = game.rejection_circuit(x, among)
         else:
             colour = g.colour_of(x)
             if colour == 0:  # a loop of P: no exchange, not a sink

@@ -289,12 +289,16 @@ def _edges_of(g) -> tuple[tuple[Edge, ...], int]:
     """The edges and vertex count of a ColouredGraph or of an (edges, n)
     pair.  A ColouredGraph was validated when it was built; a plain edge
     list is checked here, since the game would take a negative endpoint
-    for an index from the end of its lists and play a loop as an edge."""
+    for an index from the end of its lists, play a loop as an edge, and
+    play True as vertex 1 or fail on a float or a string with an error
+    that does not name the edge.  An endpoint must be exactly an int."""
     if isinstance(g, ColouredGraph):
         return g.edges, g.n
     edges, n = g
     edges = tuple(edges)
     for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"edge {(u, v)} has an endpoint that is not an int")
         if u == v:
             raise ValueError(f"edge {(u, v)} is a loop")
         if not (0 <= u < n and 0 <= v < n):

@@ -170,13 +170,14 @@ def brute_rainbow_pair(g, params=PLANE):
 
 def replay_union_rank(g) -> UnionRankReport:
     """Plane union rank with a fresh game on E minus T, in canonical order,
-    for every augmentation round; the last round's game is the witness."""
+    for every augmentation round, reading every circuit in full; the last
+    round's game is the witness."""
     held = {}
     while True:
         tset = set(held.values())
         game = PebbleGame(g.n)
         circuits = game.insert_all(e for e in g.edges if e not in tset)
-        if len(held) == g.k or not _augment(g, held, game, circuits):
+        if len(held) == g.k or not _augment(g, held, game, circuits, game.accepted):
             break
     transversal = tuple(sorted(held.values()))
     if transversal_rank(g, transversal) != len(transversal):

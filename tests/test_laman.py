@@ -113,7 +113,7 @@ def test_union_invariant_check_fires(monkeypatch, twin_blocks_k2):
     bridge = g.colour_class(2)[0]
     assert bridge not in redundant_edges_d2(g)
 
-    def augment_with_bridge(g, held, game, circuits):
+    def augment_with_bridge(g, held, game, circuits, among):
         if held:
             return False
         held[2] = bridge
@@ -129,10 +129,12 @@ def test_augment_invariant_check_fires():
     # then not independent in M*, and the augmentation must say so
     g = build(5, 1, [(u, v, int((u, v) == (0, 1))) for u in range(4)
                      for v in range(u + 1, 4)] + [(0, 4, 1), (1, 4, 0)])
-    game = PebbleGame(g.n)
-    circuits = game.insert_all(e for e in g.edges if e != (0, 4))
+    game, coloured = PebbleGame(g.n), []
+    circuits, _ = laman._insert_coloured(g, game, [e for e in g.edges if e != (0, 4)],
+                                         coloured)
+    assert coloured == [(0, 1)]
     with pytest.raises(RuntimeError, match="lowers the rank"):
-        laman._augment(g, {1: (0, 4)}, game, circuits)
+        laman._augment(g, {1: (0, 4)}, game, circuits, coloured)
 
 
 def test_union_plays_one_game_per_round(pebble_games):
@@ -155,9 +157,9 @@ def test_live_union_matches_per_round_replay(monkeypatch):
     swaps = []
     augment = laman._augment
 
-    def counting_augment(g, held, game, circuits):
+    def counting_augment(g, held, game, circuits, among):
         before = set(held.values())
-        found = augment(g, held, game, circuits)
+        found = augment(g, held, game, circuits, among)
         swaps.append(len(before - set(held.values())))
         return found
 
@@ -186,10 +188,22 @@ def test_live_union_matches_per_round_replay(monkeypatch):
     assert sum(1 for x in swaps if x) >= 15
 
 
+def _coloured_entries(g, circuits):
+    """Each circuit cut to its rejected edge and its coloured edges, the
+    part of it that ``union_rank_d2`` reads."""
+    return {e: tuple(x for x in circuit if x == e or g.colour_of(x))
+            for e, circuit in circuits.items()}
+
+
+def _late(circuits):
+    """The rejected edges that are not the last edge of their circuit."""
+    return {e for e, circuit in circuits.items() if circuit[-1] != e}
+
+
 def _full_reinsert_union(g):
     """T and the rigidity part of the union loop that re-inserts every
     rejected edge of E minus T after each path, so that every circuit is
-    computed afresh."""
+    computed afresh, and read in full."""
     held = {}
     stripped = coloops(g, 2)
     core = [e for e in g.edges if e not in stripped]
@@ -197,7 +211,7 @@ def _full_reinsert_union(g):
     circuits = game.insert_all(core)
     while len(held) < g.k:
         before = set(held.values())
-        if not laman._augment(g, held, game, circuits):
+        if not laman._augment(g, held, game, circuits, game.accepted):
             break
         after = set(held.values())
         entering = after - before
@@ -207,29 +221,36 @@ def _full_reinsert_union(g):
         circuits = game.insert_all(sorted(
             [e for e in circuits if e not in entering] + list(before - after)))
     transversal = tuple(sorted(held.values()))
-    basis = laman._canonical_basis(core, set(transversal), game, circuits)
+    basis = laman._canonical_basis(core, set(transversal), game, _late(circuits))
     return transversal, tuple(sorted(stripped.union(basis)))
 
 
 def test_union_rounds_keep_unbroken_circuits(monkeypatch):
     # a circuit that avoids the deleted basis edges still lies in the game's
-    # basis, so keeping it gives every augmentation the circuits and basis
-    # a full re-insert gives, with fewer edges inserted
+    # basis, so keeping it gives every augmentation the coloured circuit
+    # entries and the basis a full re-insert gives, with fewer edges
+    # inserted
     rounds = []
     inserted = []
     augment, insert_all = laman._augment, PebbleGame.insert_all
+    insert_coloured = laman._insert_coloured
 
-    def recording_augment(g, held, game, circuits):
-        rounds.append((dict(held), dict(circuits), list(game.accepted)))
-        return augment(g, held, game, circuits)
+    def recording_augment(g, held, game, circuits, among):
+        rounds.append((dict(held), _coloured_entries(g, circuits), list(game.accepted)))
+        return augment(g, held, game, circuits, among)
 
     def counting_insert_all(game, edges):
         edges = list(edges)
         inserted.append(len(edges))
         return insert_all(game, edges)
 
+    def counting_insert_coloured(g, game, edges, *args):
+        inserted.append(len(edges))
+        return insert_coloured(g, game, edges, *args)
+
     monkeypatch.setattr(laman, "_augment", recording_augment)
     monkeypatch.setattr(PebbleGame, "insert_all", counting_insert_all)
+    monkeypatch.setattr(laman, "_insert_coloured", counting_insert_coloured)
     graphs = [load_fixture(name) for name in FIXTURE_NAMES]
     graphs += random_corpus(120, 777, n_range=(20, 60), k_range=(3, 6))
     live = full = later_rounds = 0
@@ -258,13 +279,93 @@ def test_canonical_basis_replays_only_a_non_greedy_basis(pebble_games):
     canonical = PebbleGame(g.n)
     circuits = canonical.insert_all(rest)
     backwards = PebbleGame(g.n)
-    back_circuits = backwards.insert_all(reversed(rest))
+    back_late = _late(backwards.insert_all(reversed(rest)))
     assert sorted(backwards.accepted) != canonical.accepted
+    assert not _late(circuits) and back_late
     pebble_games.clear()
-    assert laman._canonical_basis(g.edges, tset, canonical, circuits) == tuple(canonical.accepted)
+    assert laman._canonical_basis(g.edges, tset, canonical, set()) == tuple(canonical.accepted)
     assert not pebble_games
-    assert laman._canonical_basis(g.edges, tset, backwards, back_circuits) == tuple(canonical.accepted)
+    assert laman._canonical_basis(g.edges, tset, backwards, back_late) == tuple(canonical.accepted)
     assert len(pebble_games) == 1
+
+
+def test_coloured_augment_matches_full_circuits(monkeypatch):
+    # uncoloured edges are loops of the partition matroid and carry no
+    # exchange arc, so every round's path, read from the coloured circuit
+    # entries, is the path the full circuits give on a copy of the game
+    augment = laman._augment
+    rounds = []
+
+    def checking_augment(g, held, game, circuits, among):
+        assert among == [e for e in game.accepted if g.colour_of(e)]
+        twin = game.copy()
+        full = {}
+        for e in circuits:
+            assert not twin.try_insert(e)
+            full[e] = twin.rejection_circuit(e)
+        assert circuits == _coloured_entries(g, full)
+        expected = dict(held)
+        found = augment(g, expected, twin, full, twin.accepted)
+        result = augment(g, held, game, circuits, among)
+        assert (result, held) == (found, expected)
+        rounds.append(circuits != full)
+        return result
+
+    monkeypatch.setattr(laman, "_augment", checking_augment)
+    graphs = [load_fixture(name) for name in FIXTURE_NAMES]
+    graphs += random_corpus(120, 777, n_range=(20, 60), k_range=(3, 6))
+    for g in graphs:
+        union_rank_d2(g)
+    assert len(rounds) >= 500 and sum(rounds) >= 450
+
+
+_insert_coloured = laman._insert_coloured  # unpatched, for the checks below
+
+
+def _checked_insert_coloured(g, game, edges, coloured, basis=None):
+    """``laman._insert_coloured`` checked against a copy of ``game`` that
+    inserts the same edges and reads every circuit in full: the entries
+    are the coloured part of the full circuits, and, given ``basis``, the
+    late edges are those that are not the last of their full circuit."""
+    full = game.copy().insert_all(edges)
+    circuits, late = _insert_coloured(g, game, edges, coloured, basis)
+    assert circuits == _coloured_entries(g, full)
+    assert late == (set() if basis is None else _late(full))
+    return circuits, late
+
+
+def test_tail_flag_matches_full_circuit(monkeypatch):
+    # the flag of a re-inserted rejected edge, read from the basis edges
+    # after it, says whether it is the last edge of its full circuit
+    reads = []
+
+    def recording(g, game, edges, coloured, basis=None):
+        circuits, late = _checked_insert_coloured(g, game, edges, coloured, basis)
+        if basis is not None:
+            reads.append(len(circuits))
+        return circuits, late
+
+    monkeypatch.setattr(laman, "_insert_coloured", recording)
+    for i in range(300):  # dense: many paths, each re-inserting circuits
+        rng = random.Random(i)
+        n, k = rng.randint(5, 24), rng.randint(2, 7)
+        m = min(n * (n - 1) // 2, 2 * n - 3 + k + rng.randint(0, 3 * n))
+        union_rank_d2(random_coloured_graph(n, k, seed=i, m=m))
+    assert len(reads) >= 1200 and sum(reads) >= 12000
+    # no union run above leaves a rejected edge before a basis edge of its
+    # circuit; a basis played in reverse order does: re-inserting the
+    # rest in canonical order must flag the edges that are not last
+    late_count = 0
+    for i in range(60):
+        g = random_coloured_graph(14, 3, seed=i, m=40)
+        game, coloured = PebbleGame(g.n), []
+        first = [e for j, e in enumerate(g.edges) if j % 2]
+        _insert_coloured(g, game, first[::-1], coloured)
+        basis = sorted(game.accepted)
+        rest = [e for j, e in enumerate(g.edges) if j % 2 == 0]
+        _, late = _checked_insert_coloured(g, game, rest, coloured, basis)
+        late_count += len(late)
+    assert late_count >= 600
 
 
 @pytest.mark.parametrize(

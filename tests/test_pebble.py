@@ -422,15 +422,20 @@ BAD_EDGE_LISTS = [
     ([(0, 1), (0, 2), (1, 2), (-1, 0), (-1, 1)], "(-1, 0)", "outside 0..2"),
     ([(0, 1), (0, 2), (1, 3)], "(1, 3)", "outside 0..2"),
     ([(0, 1), (1, 1)], "(1, 1)", "loop"),
+    ([(0, 1.0), (1, 2)], "(0, 1.0)", "not an int"),
+    ([("0", 1)], "('0', 1)", "not an int"),
+    ([(0, True), (1, 2)], "(0, True)", "not an int"),
 ]
 
 
 @pytest.mark.parametrize("edges,named,why", BAD_EDGE_LISTS)
 @pytest.mark.parametrize("call", [run_game, sparsity_rank, redundant_edges_d2])
 def test_plain_edge_lists_reject_bad_endpoints(call, edges, named, why):
-    # a negative endpoint would index the game's lists from the end, and a
-    # loop would be played as an edge; a plain list is checked before any
-    # game, and the error names the first bad edge
+    # a negative endpoint would index the game's lists from the end, a
+    # loop would be played as an edge, True as vertex 1, and a float or a
+    # string would fail inside the game without naming the edge; a plain
+    # list is checked before any game, and the error names the first bad
+    # edge
     with pytest.raises(ValueError, match=re.escape(named) + ".*" + why):
         call((edges, 3))
 
