@@ -21,9 +21,13 @@ eliminates R_core(p)ᵀ once, its columns (one per core edge) ordered
 uncoloured first.  The pivots give rank R(p) = |C| + rank R_core(p).  The
 echelon rows with a pivot in an uncoloured column can be solved for that
 pivot whatever the coloured entries are, so the projection is the kernel
-of N, the other echelon rows cut to the coloured columns, and S_C, a
-basis of ker N, stands for S in every rank above.  The ranks, the tuple
-and the verdict are those the full S gives, at every sample.
+of N, the other echelon rows cut to the coloured columns.  No basis of it
+is built: the rows of N are independent and span (ker N)^⊥, so over any
+field rank(S·A) = rank[N; Aᵀ] - rank N for a matrix A on the coloured
+columns.  rank(S·I) is one elimination of N above the k class-indicator
+rows, and a self-reduction step one with a class's row swapped for an
+edge's unit row.  The ranks, the tuple and the verdict are those the full
+S gives, at every sample.
 
 The targets subtract the generic trivial dimension, a closed form in n
 and d (``_trivial_dim``).  The error is one-sided.  A sampled rank never
@@ -58,7 +62,6 @@ from dataclasses import dataclass
 
 from .cgraph import ColouredGraph, coloops
 from . import linalg
-from .linalg import MODULUS
 
 Edge = tuple[int, int]
 
@@ -77,6 +80,9 @@ class OracleParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
         if self.trials < 1:
@@ -129,11 +135,13 @@ class _RankOracle:
     edge's position in ``g.edges``, the uncoloured edges first and then
     ``coloured``; ``classes`` holds positions in ``coloured``.  A trial
     eliminates R_core(p)ᵀ once (``linalg.modular_projection``) and keeps
-    that rank, the projected stress basis S_C (one row per vector, one
-    entry per coloured core edge, a basis of ker N) and the columns of
-    S_C·I.  ``trivial`` is the generic trivial dimension t, and ``target``
-    and ``coordinated_target`` are the rigidity targets dn - t and
-    dn + k - t of rank R(p) and rank[R(p) | I].
+    that rank, the coordinated rank rank R(p) + rank[N; Iᵀ] - rank N and
+    N itself, whose kernel is the projection of the stresses onto the
+    coloured core edges; ``class_rows`` are the rows of Iᵀ on those edges.
+    A trial's rows of R_core(p) are built when first used.  ``trivial`` is
+    the generic trivial dimension t, and ``target`` and
+    ``coordinated_target`` are the rigidity targets dn - t and dn + k - t
+    of rank R(p) and rank[R(p) | I].
 
     Trials are eliminated in order only while the best rank or coordinated
     rank is below its cap.  ``rank_cap`` is |C| plus, over the connected
@@ -152,9 +160,11 @@ class _RankOracle:
         self.coloured = [i for i in core if g.colours[i]]
         self.core = [i for i in core if not g.colours[i]] + self.coloured
         self.classes = [[] for _ in range(g.k)]  # coloured positions of classes 1..k
+        self.class_rows = [[0] * len(self.coloured) for _ in range(g.k)]  # rows of Iᵀ
         for j, i in enumerate(self.coloured):
             self.classes[g.colours[i] - 1].append(j)
-        self._rows = [None] * params.trials
+            self.class_rows[g.colours[i] - 1][j] = 1
+        self._rows = {}  # trial -> core rows, built on first use
         self.trivial = _trivial_dim(g.n, params.d)
         self.target = params.d * g.n - self.trivial
         self.coordinated_target = self.target + g.k
@@ -168,11 +178,9 @@ class _RankOracle:
         self.rank_full = self.coordinated_rank = 0
         for t in range(params.trials):
             core_rank, projected = linalg.modular_projection(zip(*self.rows(t)), plain)
-            stresses = linalg.modular_nullspace(projected, len(self.coloured))
-            cols = [self.stress_column(stresses, idx) for idx in self.classes]
             rank = len(self.stripped) + core_rank
-            coordinated = rank + linalg.modular_rank_rows(cols)  # rank[R(p) | I]
-            self.trials.append((rank, coordinated, stresses, cols))
+            coordinated = rank + _stress_rank(projected, self.class_rows)
+            self.trials.append((rank, coordinated, projected))
             self.rank_full = max(self.rank_full, rank)
             self.coordinated_rank = max(self.coordinated_rank, coordinated)
             if (self.rank_full >= self.rank_cap
@@ -181,16 +189,11 @@ class _RankOracle:
 
     def rows(self, t: int) -> tuple[tuple[int, ...], ...]:
         """The core rows of R(p) at trial t's configuration, built once."""
-        if self._rows[t] is None:
+        if t not in self._rows:
             g, d = self.g, self.params.d
             p = linalg.sample_modular_configuration(g.n, d, self.params.seed + t)
             self._rows[t] = linalg.modular_matrix(g, p, d, positions=self.core)
         return self._rows[t]
-
-    def stress_column(self, stresses, idx) -> list[int]:
-        """Column of S_C·1_idx: each vector summed over the coloured
-        positions idx."""
-        return [sum(w[i] for i in idx) % MODULUS for w in stresses]
 
     def keeps_rank(self, edges) -> bool:
         """Whether R(p) without the rows of ``edges`` keeps rank_full in
@@ -224,6 +227,11 @@ def is_redundant_set(g: ColouredGraph, edges, params: OracleParams) -> bool:
     """Whether removing ``edges`` keeps the sampled generic rank in some
     trial, on shared samples."""
     return _RankOracle(g, params).keeps_rank(edges)
+
+
+def _stress_rank(projected, rows) -> int:
+    """rank(S·A), A the columns of ``rows``: rank[N; Aᵀ] - rank N."""
+    return linalg.modular_rank_rows(projected + rows) - len(projected)
 
 
 def _trivial_dim(n: int, d: int) -> int:
@@ -289,32 +297,35 @@ def rank_summary(g: ColouredGraph, params: OracleParams) -> dict:
 
 
 def find_rainbow_redundant_tuple(g: ColouredGraph, params: OracleParams, _oracle=None):
-    """A redundant rainbow tuple read from the projected stress basis S_C,
-    or None.
+    """A redundant rainbow tuple read from the projected stresses, or None.
 
     The k-minors of S·I are multilinear in its columns, the class sums of
     the edge columns of S, so S·I has rank k iff some rainbow tuple has
     independent columns, i.e. is redundant.  In the first trial at full
     rank where S·I has rank k, classes 1..k in turn have their column
-    replaced by that of their first edge that keeps rank k.  This is the
-    lexicographically first redundant tuple of the class product, except
-    at an unlucky sample, where it may be a later, still redundant one.
+    replaced by that of their first edge that keeps rank k.  Each rank is
+    rank[N; Aᵀ] - rank N, Aᵀ the current indicator rows with the class's
+    row swapped for the edge's unit row.  This is the lexicographically
+    first redundant tuple of the class product, except at an unlucky
+    sample, where it may be a later, still redundant one.
     """
     if g.k < 1:
         raise ValueError("rainbow tuples need k >= 1")
     oracle = _oracle or _RankOracle(g, params)
     full = oracle.rank_full
-    for rank, coordinated, stresses, cols in oracle.trials:
+    for rank, coordinated, projected in oracle.trials:
         if rank == full and coordinated == full + g.k:
             break
     else:
         return None
+    rows = oracle.class_rows
     tup = []
     for c, idx in enumerate(oracle.classes):
         for i in idx:
-            trial_cols = cols[:c] + [oracle.stress_column(stresses, [i])] + cols[c + 1 :]
-            if linalg.modular_rank_rows(trial_cols) == g.k:
-                cols = trial_cols
+            unit = [int(j == i) for j in range(len(oracle.coloured))]
+            swapped = rows[:c] + [unit] + rows[c + 1 :]
+            if _stress_rank(projected, swapped) == g.k:
+                rows = swapped
                 tup.append(g.edges[oracle.coloured[i]])
                 break
         else:
@@ -357,10 +368,11 @@ def decide_generic_coordinated_rigidity(
 ) -> RigidityVerdict:
     """Decide generic rigidity of the coordinated framework in dimension d.
 
-    Rigid iff the sampled rank of [R(p) | I] = rank R(p) + rank(S·I)
-    reaches dn + k minus the generic trivial dimension; then the
-    underlying graph has full generic rank and the certificate is a
-    redundant rainbow tuple read from S (``find_rainbow_redundant_tuple``),
+    Rigid iff the sampled rank of [R(p) | I] = rank R(p) + rank(S·I),
+    with rank(S·I) read as rank[N; Iᵀ] - rank N, reaches dn + k minus the
+    generic trivial dimension; then the underlying graph has full generic
+    rank and the certificate is a redundant rainbow tuple read the same
+    way (``find_rainbow_redundant_tuple``),
     checked by eliminating R(p) without the tuple's rows (``keeps_rank``).  A
     rigid verdict is certain, as sampled ranks are lower bounds; a flexible
     one is wrong with probability at most r/(q - 1) per trial, r <= dn the
@@ -386,7 +398,7 @@ def decide_generic_coordinated_rigidity(
             tup = find_rainbow_redundant_tuple(g, params, _oracle=oracle)
             if not oracle.keeps_rank(tup):
                 raise BackendError(
-                    f"rainbow tuple {list(tup)} read from the stress basis is "
+                    f"rainbow tuple {list(tup)} read from the stresses is "
                     f"not redundant (seed {params.seed})"
                 )
         certificate = {"rainbow_tuple": [list(e) for e in tup]}

@@ -298,17 +298,24 @@ def _augment(g: ColouredGraph, held: dict[int, Edge], game: PebbleGame,
 # one and two coordination classes
 
 
-def _plane_game(g: ColouredGraph, stripped):
+@dataclass(frozen=True)
+class _PlaneGame:
+    """One (2,3) game on the core of g, as the plane verdicts read it."""
+
+    rank: int  # the (2,3)-rank, |stripped| plus the game's
+    kind: str  # its laman_kind
+    circuits: dict  # rejected edge -> its circuit, as far as a verdict reads it
+    redundant: set  # the union of the circuits
+    g0_circuit: tuple | None  # G0's first circuit; None when G0 is Laman-sparse
+    game: PebbleGame  # the game itself, for the pair search
+    g0_phase: tuple | None  # k = 2: a copy after the G0 phase, and G0's rejections
+
+
+def _plane_game(g: ColouredGraph, stripped) -> _PlaneGame:
     """One (2,3) game on the core of g, g minus its coloops ``stripped``:
     G0's edges, then the coloured ones, each group in canonical order.
-    Returns the (2,3)-rank (|stripped| plus the game's), its
-    ``laman_kind``, the circuits of the rejected edges as far as the
-    verdicts read them, the redundant edges among them (their union),
-    G0's first circuit (None when G0 is Laman-sparse), read from the first
-    phase, which is the game on G0's core, the game itself for the pair
-    search, and, for two classes, a copy of the game taken after the
-    first phase together with G0's rejected edges, from which the (2,2)
-    counts go on (else None).  Coloops lie on no circuit, so none of these
+    G0's circuit and, for two classes, the copy are taken after the first
+    phase, the game on G0's core.  Coloops lie on no circuit, so no field
     changes.
 
     The verdicts read which coloured edges are redundant, G0's first
@@ -338,8 +345,8 @@ def _plane_game(g: ColouredGraph, stripped):
             circuits[e] = game.rejection_circuit(e, among)
     redundant = {e for circuit in circuits.values() for e in circuit}
     rank = len(stripped) + len(game.accepted)
-    return (rank, laman_kind(g.n, g.m, rank), circuits, redundant, g0_circuit, game,
-            g0_phase)
+    return _PlaneGame(rank, laman_kind(g.n, g.m, rank), circuits, redundant,
+                      g0_circuit, game, g0_phase)
 
 
 def check_k1(g: ColouredGraph) -> RigidityVerdict:
@@ -353,32 +360,33 @@ def check_k1(g: ColouredGraph) -> RigidityVerdict:
     """
     if g.k != 1:
         raise ValueError(f"one-class decider called with k={g.k}")
-    rank, kind, circuits, redundant, g0_circuit, _, _ = _plane_game(g, coloops(g, 2))
+    plane = _plane_game(g, coloops(g, 2))
     target = _plane_target(g.n)
-    cert_edges = [e for e in g.colour_class(1) if e in redundant]
-    rigid = rank == target and bool(cert_edges)
+    cert_edges = [e for e in g.colour_class(1) if e in plane.redundant]
+    rigid = plane.rank == target and bool(cert_edges)
     isostatic = rigid and g.m == target + 1
-    g0_sparse = g0_circuit is None
+    g0_sparse = plane.g0_circuit is None
     diagnosis = {
         "g0_laman_sparse": g0_sparse,
-        "independent": g0_sparse and (g.m - rank) <= 1,
+        "independent": g0_sparse and (g.m - plane.rank) <= 1,
     }
     if isostatic:
-        (circuit,) = circuits.values()
+        (circuit,) = plane.circuits.values()
         diagnosis["circuit"] = [list(e) for e in circuit]
     certificate = {"diagnosis": diagnosis}
     if rigid:
         witness = None
         certificate["rainbow_tuple"] = [list(cert_edges[0])]
-    elif rank < target:
-        witness = f"deficiency:{target - rank}"
+    elif plane.rank < target:
+        witness = f"deficiency:{target - plane.rank}"
     elif g.m < target + 1:
         witness = "not-laman-plus-1"
     else:
         witness = "class-all-bridges:1"
     return RigidityVerdict(
         decision="rigid" if rigid else "flexible", method="k1-laman", d=2, k=1,
-        seed=None, ranks=_ranks(g, target_rank=target, rank23=rank, classification=kind),
+        seed=None, ranks=_ranks(g, target_rank=target, rank23=plane.rank,
+                                 classification=plane.kind),
         certificate=certificate, witness=witness, isostatic=isostatic,
     )
 
@@ -394,10 +402,10 @@ def rainbow_pair_k2(g: ColouredGraph):
     """
     if g.k != 2:
         raise ValueError(f"rainbow pair search called with k={g.k}")
-    _, kind, circuits, redundant, _, game, _ = _plane_game(g, coloops(g, 2))
-    if kind != "laman+2":
+    plane = _plane_game(g, coloops(g, 2))
+    if plane.kind != "laman+2":
         return None
-    return _rainbow_pair_general(g, game, circuits, redundant)
+    return _rainbow_pair_general(g, plane.game, plane.circuits, plane.redundant)
 
 
 def check_k2(g: ColouredGraph) -> RigidityVerdict:
@@ -416,14 +424,15 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     if g.k != 2:
         raise ValueError(f"two-class decider called with k={g.k}")
     stripped = coloops(g, 2)
-    rank, kind, circuits, redundant, g0_circuit, game, g0_phase = _plane_game(g, stripped)
+    plane = _plane_game(g, stripped)
+    rank, kind, redundant = plane.rank, plane.kind, plane.redundant
     target = _plane_target(g.n)
     if rank < target:
         redundant = set()
     classes = {i: g.colour_class(i) for i in (1, 2)}
     class_red = {i: [e for e in classes[i] if e in redundant] for i in (1, 2)}
-    g0_sparse = g0_circuit is None
-    sub_22 = _one_class_22_sparse(g, stripped, *g0_phase)
+    g0_sparse = plane.g0_circuit is None
+    sub_22 = _one_class_22_sparse(g, stripped, *plane.g0_phase)
 
     failing = [] if kind == "laman+2" else ["not-laman-plus-2"]
     failing += [f"class-all-bridges:{i}" for i in (1, 2) if not class_red[i]]
@@ -443,13 +452,13 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
         "failing": failing,
     }
     if not g0_sparse:
-        diagnosis["g0_circuit"] = [list(e) for e in g0_circuit]
+        diagnosis["g0_circuit"] = [list(e) for e in plane.g0_circuit]
 
     # a Laman+2 graph is rigid iff no condition fails; a rank-full graph
     # with more surplus is not isostatic but may still be rigid
     pair = None
     if not failing or (rank == target and g.m > target + 2):
-        pair = _rainbow_pair_general(g, game, circuits, redundant)
+        pair = _rainbow_pair_general(g, plane.game, plane.circuits, redundant)
     if not failing and pair is None:
         raise RuntimeError(
             "internal inconsistency: coloured sparsity conditions hold "

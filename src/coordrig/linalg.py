@@ -10,7 +10,7 @@ builds the whole matrix.  A load is in equilibrium when it is orthogonal
 to the trivial motions, the rows of ``trivial_motion_generators``: the
 translations give the net force and the rotations the net torque.
 ``modular_matrix`` returns the same matrix as a tuple of int rows over
-GF(q), with q fixed at MODULUS = 2^30 - 35, for exact ranks and kernels:
+GF(q), with q fixed at MODULUS = 2^30 - 35, for exact ranks:
 the largest prime below 2^30, so that every entry, pivot inverse and
 multiplier is a one-digit CPython int.
 Each float routine imports numpy in its body, so numpy is loaded by the
@@ -156,7 +156,7 @@ def float_rank(A: np.ndarray, tol: float | None = None) -> int:
 
 
 def _row_reduce(rows) -> tuple[list[int], list[list[int]]]:
-    """Gaussian elimination over GF(MODULUS) for every modular rank and kernel.
+    """Gaussian elimination over GF(MODULUS) for every modular rank.
 
     One forward pass over rows with entries in [0, MODULUS).  Returns the
     pivot columns and the unit-pivot echelon rows, each zero left of its
@@ -213,32 +213,6 @@ def modular_projection(rows, start: int) -> tuple[int, list[list[int]]]:
     """
     pivots, echelon = _row_reduce(rows)
     return len(pivots), [row[start:] for c, row in zip(pivots, echelon) if c >= start]
-
-
-def modular_nullspace(rows, ncols: int) -> list[list[int]]:
-    """Kernel basis over GF(MODULUS) in reduced echelon form.
-
-    One vector per free column fc: 1 at fc, 0 at the other free columns,
-    and the pivot entries by back-substitution through the echelon rows.
-    Only pivots left of fc can be nonzero.  The basis is the one a reduced
-    echelon form would give, since it is unique once the pivots are fixed.
-    """
-    q = MODULUS
-    pivots, echelon = _row_reduce(rows)
-    upward = list(zip(pivots, echelon))[::-1]
-    basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        vec = [0] * ncols
-        vec[fc] = 1
-        known = [(fc, 1)]  # the nonzero entries of vec so far
-        for pc, row in upward:
-            if pc < fc:
-                x = -sum(row[j] * v for j, v in known) % q
-                if x:
-                    vec[pc] = x
-                    known.append((pc, x))
-        basis.append(vec)
-    return basis
 
 
 def _svd_spaces(A: np.ndarray, tol: float | None = None):

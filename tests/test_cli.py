@@ -147,6 +147,18 @@ def test_out_of_memory_exits_two_not_flexible(monkeypatch, message, line):
     assert (code, out, err) == (2, "", line)
 
 
+def test_trials_bound_allocates_nothing_per_trial():
+    # --trials bounds the trials sampled; a rigid verdict eliminates one,
+    # so a huge bound must decide as three do, not allocate a slot per trial
+    path = str(fixture_path("seven_rigid_k2"))
+    huge = 2**62
+    code, out, err = run_cli("check", path, "--method", "numeric", "--trials", str(huge))
+    code3, out3, _ = run_cli("check", path, "--method", "numeric", "--trials", "3")
+    assert (code, err) == (code3, "") == (0, "")
+    assert out == out3.replace('"trials": 3,', f'"trials": {huge},')
+    assert out != out3
+
+
 def test_reproducible_byte_identical_output():
     args = ("check", str(fixture_path("seven_rigid_k2")), "--method", "numeric",
             "--seed", "99", "--json")

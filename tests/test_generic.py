@@ -19,13 +19,14 @@ from coordrig import (
 )
 from coordrig.corpus import random_coloured_graph, random_corpus
 from coordrig.laman import decide_plane, union_rank_d2
-from coordrig.linalg import random_configuration
+from coordrig.linalg import MODULUS, random_configuration
 from conftest import load_fixture
 from oracles import (
     brute_rainbow_tuple,
     core_stress_bases,
     full_stress_rainbow_tuple,
     reduced_echelon,
+    reduced_echelon_nullspace,
 )
 
 K4 = build(4, 0, [(u, v, 0) for u in range(4) for v in range(u + 1, 4)])
@@ -41,6 +42,19 @@ def test_params_validation():
         OracleParams(d=0)
     with pytest.raises(ValueError):
         OracleParams(trials=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("d", 2.5), ("d", 2.0), ("d", True), ("d", "2"), ("trials", 2.0),
+     ("trials", True), ("trials", None), ("seed", 1.5), ("seed", False),
+     ("seed", "0"), ("seed", np.int64(0))],
+)
+def test_params_reject_fields_that_are_not_ints(field, value):
+    # a float, bool, string or numpy scalar would fail deep inside the
+    # oracle, or be echoed in the verdict as it is
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        OracleParams(**{field: value})
 
 
 def test_generic_rank_k4_plane_and_space():
@@ -132,7 +146,7 @@ def test_decide_cost_is_polynomial_in_classes(monkeypatch):
 
         return wrapper
 
-    for name in ("modular_rank_rows", "modular_nullspace"):
+    for name in ("modular_rank_rows", "modular_projection"):
         monkeypatch.setattr(linalg, name, counted(getattr(linalg, name)))
     v = decide_generic_coordinated_rigidity(g, p)
     assert v.witness == "no-rainbow-redundant-tuple"
@@ -158,16 +172,17 @@ def test_rigid_tuple_is_checked_by_one_elimination(monkeypatch, seven_rigid_k2):
 
 
 @pytest.fixture
-def nullspaces(monkeypatch):
-    """A list that gets one entry per ``modular_nullspace`` call."""
+def projections(monkeypatch):
+    """A list that gets one entry per ``modular_projection`` call, one per
+    trial eliminated."""
     calls = []
-    nullspace = linalg.modular_nullspace
+    projection = linalg.modular_projection
 
-    def counted(rows, ncols):
-        calls.append(ncols)
-        return nullspace(rows, ncols)
+    def counted(rows, start):
+        calls.append(start)
+        return projection(rows, start)
 
-    monkeypatch.setattr(linalg, "modular_nullspace", counted)
+    monkeypatch.setattr(linalg, "modular_projection", counted)
     return calls
 
 
@@ -187,10 +202,10 @@ CLASS_OF_COLOOPS = build(5, 1, [(u, v, 0) for u, v in K4.edges] + [(0, 4, 1), (1
 PATH = build(4, 1, [(0, 1, 1), (1, 2, 0), (2, 3, 0)])
 
 
-def test_rigid_verdict_eliminates_one_trial(nullspaces, seven_rigid_k2):
+def test_rigid_verdict_eliminates_one_trial(projections, seven_rigid_k2):
     v = decide_generic_coordinated_rigidity(seven_rigid_k2, params(trials=3))
     assert v.rigid and v.ranks["trials"] == 3
-    assert len(nullspaces) == 1
+    assert len(projections) == 1
 
 
 @pytest.mark.parametrize(
@@ -204,11 +219,11 @@ def test_rigid_verdict_eliminates_one_trial(nullspaces, seven_rigid_k2):
     ids=["underlying-flexible", "no-rainbow-tuple", "independent", "below-the-cap"],
 )
 def test_flexible_verdict_eliminates_until_the_caps(
-    nullspaces, g, witness, eliminations
+    projections, g, witness, eliminations
 ):
     v = decide_generic_coordinated_rigidity(g, params(trials=3))
     assert v.witness == witness
-    assert len(nullspaces) == eliminations
+    assert len(projections) == eliminations
 
 
 def test_caps_bound_the_exact_plane_ranks():
@@ -231,8 +246,9 @@ def test_caps_bound_the_exact_plane_ranks():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_projected_stresses_span_the_full_projection(d):
-    # S_C from ker N has the row space of the full stress basis cut to the
-    # coloured core edges, so every rank read from it, and the tuple, agree
+    # ker N is the full stress space cut to the coloured core edges, so
+    # rank[N; Iᵀ] - rank N is rank(S·I) for a full stress basis S, and the
+    # tuple read through N is the one read from S
     graphs = random_corpus(100, seed=7300 + d, n_range=(4, 14), k_range=(0, 4))
     rng = random.Random(d)  # denser graphs, whose cores at d = 3 are not empty
     for s in range(30):
@@ -246,10 +262,14 @@ def test_projected_stresses_span_the_full_projection(d):
         core, bases = core_stress_bases(g, p, len(oracle.trials))
         coloured = [j for j, i in enumerate(core) if g.colours[i]]
         assert oracle.coloured == [core[j] for j in coloured]
-        for (rank, _, stresses, _), basis in zip(oracle.trials, bases):
+        for (rank, coordinated, projected), basis in zip(oracle.trials, bases):
             assert rank == len(oracle.stripped) + len(core) - len(basis)
-            projected = [[w[j] for j in coloured] for w in basis]
-            assert reduced_echelon(stresses) == reduced_echelon(projected)
+            cut = [[w[j] for j in coloured] for w in basis]
+            kernel = reduced_echelon_nullspace(projected, len(coloured))
+            assert reduced_echelon(kernel) == reduced_echelon(cut)
+            columns = [[sum(w[j] for j in idx) % MODULUS for w in cut]
+                       for idx in oracle.classes]
+            assert coordinated == rank + len(reduced_echelon(columns)[0])
         if g.k:
             tup = find_rainbow_redundant_tuple(g, p, _oracle=oracle)
             assert tup == full_stress_rainbow_tuple(g, p, len(oracle.trials))

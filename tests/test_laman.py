@@ -419,13 +419,13 @@ def test_22_counts_continue_the_g0_phase():
         m = min(n * (n - 1) // 2, 2 * n - 4 + i % 9 + dense)
         g = random_coloured_graph(n, 2, seed=i, m=m)
         stripped = coloops(g, 2)
-        *_, g0_circuit, _, g0_phase = laman._plane_game(g, stripped)
-        twin, g0_rejected = g0_phase
+        plane = laman._plane_game(g, stripped)
+        twin, g0_rejected = plane.g0_phase
         expected = _fresh_22_sparse(g, stripped)
         assert laman._one_class_22_sparse(g, stripped, twin, g0_rejected) == expected
         g0_core = [e for e in g.colour_class(0) if e not in stripped]
         g0_22 = not run_game((g0_core, g.n), PLANE_LOOSE)[1]
-        cases["g0 not (2,3)-sparse"] += g0_circuit is not None
+        cases["g0 not (2,3)-sparse"] += plane.g0_circuit is not None
         cases["g0 not (2,2)-sparse"] += not g0_22
         cases["side not sparse"] += g0_22 and not all(expected.values())
         cases["both sparse"] += all(expected.values())
@@ -466,11 +466,13 @@ def test_rainbow_pair_matches_fresh_games(monkeypatch):
         m = min(n * (n - 1) // 2, 2 * n - 4 + i % 7)
         g = random_coloured_graph(n, 2, seed=i, m=m)
         expected = brute_rainbow_pair(g)
-        rank, kind, circuits, redundant, _, game, _ = laman._plane_game(g, coloops(g, 2))
+        plane = laman._plane_game(g, coloops(g, 2))
+        kind, circuits, redundant = plane.kind, plane.circuits, plane.redundant
         # the game on the whole of E has the same rank, kind and circuits
-        assert laman._plane_game(g, frozenset())[:3] == (rank, kind, circuits)
+        whole = laman._plane_game(g, frozenset())
+        assert (whole.rank, whole.kind, whole.circuits) == (plane.rank, kind, circuits)
         del tests[:]
-        assert laman._rainbow_pair_general(g, game, circuits, redundant) == expected
+        assert laman._rainbow_pair_general(g, plane.game, circuits, redundant) == expected
         restored += tests.count(True)
         fell_back += tests.count(False)
         assert rainbow_pair_k2(g) == (expected if kind == "laman+2" else None)
@@ -499,10 +501,10 @@ def _two_phase_graphs(g0_rejections, coloured_rejections, count):
         colours = [1, 2] + [rng.choice((0, 0, 0, 0, 1, 2)) for _ in range(10)]
         rng.shuffle(colours)
         g = build(6, 2, [(u, v, c) for (u, v), c in zip(rng.sample(pairs, 12), colours)])
-        rank, _, circuits, _, _, _, g0_phase = laman._plane_game(g, coloops(g, 2))
-        in_g0 = len(g0_phase[1])
-        if (rank == 9 and in_g0 >= g0_rejections
-                and len(circuits) - in_g0 >= coloured_rejections):
+        plane = laman._plane_game(g, coloops(g, 2))
+        in_g0 = len(plane.g0_phase[1])
+        if (plane.rank == 9 and in_g0 >= g0_rejections
+                and len(plane.circuits) - in_g0 >= coloured_rejections):
             out.append(g)
     return out
 
@@ -552,8 +554,8 @@ def test_pair_search_makes_no_failed_search(seven_rigid_k2, monkeypatch, extra):
     g = seven_rigid_k2
     g = build(g.n + 2 * bool(extra), 2,
               [(u, v, c) for (u, v), c in zip(g.edges, g.colours)] + extra)
-    _, kind, circuits, redundant, _, game, _ = laman._plane_game(g, coloops(g, 2))
-    assert kind == ("other" if extra else "laman+2")
+    plane = laman._plane_game(g, coloops(g, 2))
+    assert plane.kind == ("other" if extra else "laman+2")
     found = []
     find = PebbleGame._find_pebble
 
@@ -562,7 +564,8 @@ def test_pair_search_makes_no_failed_search(seven_rigid_k2, monkeypatch, extra):
         return found[-1]
 
     monkeypatch.setattr(PebbleGame, "_find_pebble", counting_find)
-    assert laman._rainbow_pair_general(g, game, circuits, redundant) == ((0, 1), (4, 6))
+    pair = laman._rainbow_pair_general(g, plane.game, plane.circuits, plane.redundant)
+    assert pair == ((0, 1), (4, 6))
     assert False not in found
 
 

@@ -24,7 +24,7 @@ from coordrig.linalg import (
     indicator_matrix,
     is_equilibrium_load,
     modular_matrix,
-    modular_nullspace,
+    modular_projection,
     modular_rank_rows,
     random_configuration,
     sample_modular_configuration,
@@ -199,14 +199,35 @@ def test_modular_matrix_positions(seven_rigid_k2):
     assert modular_matrix(g, p, 2, positions=[]) == ()
 
 
-def test_modular_nullspace_is_kernel():
+def test_k4_stress_projection():
+    # K4 is a plane circuit: one stress, nonzero on every edge, so its
+    # projection onto the last two edges is a line, cut out by one row of N
     p = sample_modular_configuration(4, 2, seed=5)
-    M = modular_matrix(K4, p, 2)
-    basis = modular_nullspace(M, 8)
-    assert len(basis) == 8 - 5
-    for vec in basis:
-        for row in M:
-            assert sum(a * b for a, b in zip(row, vec)) % MODULUS == 0
+    rt = list(zip(*modular_matrix(K4, p, 2)))
+    (stress,) = reduced_echelon_nullspace(rt, 6)
+    assert all(stress)
+    rank, N = modular_projection(rt, 4)
+    assert (rank, len(N)) == (5, 1)
+    assert sum(a * b for a, b in zip(N[0], stress[4:])) % MODULUS == 0
+    assert modular_rank_rows(N + [[1, 0]]) - len(N) == 1
+    assert modular_rank_rows(N + [[1, 0], [0, 1]]) - len(N) == 1
+
+
+def _assert_projection_ranks(rows, ncols, rng, label):
+    # ker N is the kernel K of ``rows`` cut to the columns from ``start``
+    # on, and rank(K·Aᵀ) = rank[N; A] - rank N for any A
+    full = reduced_echelon_nullspace(rows, ncols)
+    for start in sorted({0, rng.randint(0, ncols), ncols}):
+        rank, N = modular_projection(rows, start)
+        assert rank == len(reduced_echelon(rows)[0]), label
+        width = ncols - start
+        cut = [w[start:] for w in full]
+        assert reduced_echelon(reduced_echelon_nullspace(N, width)) == reduced_echelon(cut), label
+        for _ in range(3):
+            A = [[rng.randrange(MODULUS) if rng.random() < 0.5 else rng.randint(0, 1)
+                  for _ in range(width)] for _ in range(rng.randint(1, 4))]
+            KA = [[sum(a * b for a, b in zip(w, row)) % MODULUS for row in A] for w in cut]
+            assert len(reduced_echelon(KA)[0]) == modular_rank_rows(N + A) - len(N), label
 
 
 def _random_gf_matrices():
@@ -248,10 +269,11 @@ def _fixture_transposes():
 
 
 def test_eliminator_matches_reduced_echelon_on_random_matrices():
+    rng = random.Random(7)
     for i, m in enumerate(_random_gf_matrices()):
         ncols = len(m[0])
         assert modular_rank_rows(m) == len(reduced_echelon(m)[0]), f"matrix {i}"
-        assert modular_nullspace(m, ncols) == reduced_echelon_nullspace(m, ncols), f"matrix {i}"
+        _assert_projection_ranks(m, ncols, rng, f"matrix {i}")
         keep = list(range(0, len(m), 2))
         expect = len(reduced_echelon([m[j] for j in keep])[0])
         assert modular_rank_rows(m, row_subset=keep) == expect, f"matrix {i}"
@@ -260,8 +282,9 @@ def test_eliminator_matches_reduced_echelon_on_random_matrices():
 def test_eliminator_matches_reduced_echelon_on_fixture_transposes():
     # R(p)ᵀ has one row per vertex coordinate and one column per edge; its
     # kernel is the stress space the rank oracle reads rainbow tuples from
+    rng = random.Random(8)
     for label, rt, m in _fixture_transposes():
-        assert modular_nullspace(rt, m) == reduced_echelon_nullspace(rt, m), label
+        _assert_projection_ranks(rt, m, rng, label)
         assert modular_rank_rows(rt) == len(reduced_echelon(rt)[0]), label
         rows = list(zip(*rt))
         assert modular_rank_rows(rows) == len(reduced_echelon(rows)[0]), label

@@ -8,6 +8,9 @@ from conftest import load_fixture
 import coordrig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# names the benchmark still lists after the library dropped them; the
+# tracer wraps only functions that exist, so each must be truly gone
+RETIRED = {"linalg.modular_nullspace"}
 
 
 def test_tracer_wraps_every_named_function_and_restores_it(monkeypatch):
@@ -15,6 +18,10 @@ def test_tracer_wraps_every_named_function_and_restores_it(monkeypatch):
     from tracing import CHECKERS, GROUPS, LAYERS, Tracer
 
     names = {name for members in GROUPS.values() for name in members} | set(CHECKERS)
+    for name in RETIRED:
+        module, attr = name.split(".")
+        assert not hasattr(LAYERS[module], attr), name
+    names -= RETIRED
     originals = {name: getattr(LAYERS[name.split(".")[0]], name.split(".")[1]) for name in names}
     tracer = Tracer()
     tracer.install()
