@@ -10,15 +10,22 @@ Each check lives in one place.  ``parse_coloured_graph`` checks only the
 JSON document's shape, ``build`` sorts the triples without coercing them,
 and ``validate``, which every ``ColouredGraph`` runs, checks every value
 once: the graph, the placement ``coords`` and the offsets ``r``.  The graph
-then answers edge positions and colours from one edge -> position map, and
-its colour classes from tuples built once.
+builds its colour classes once, and each fact that only some callers read
+on first use: the edge -> position map behind ``colour_of`` and
+``edge_index``, and the per-vertex adjacency behind ``coloops`` and
+``isolated_vertices``.  A parsed file may name at most ``MAX_VERTICES``
+vertices, which bounds every per-vertex list that a short file can make
+the program build.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
+
+MAX_VERTICES = 1_000_000  # largest n that parse_coloured_graph accepts
 
 
 class GraphError(ValueError):
@@ -42,9 +49,6 @@ class ColouredGraph:
     k: int
     coords: tuple[tuple[float, ...], ...] | None = None
     r: tuple[float, ...] | None = None
-    _position: dict[tuple[int, int], int] = field(
-        init=False, repr=False, compare=False, hash=False, default_factory=dict
-    )
     _classes: tuple[tuple[tuple[int, int], ...], ...] = field(
         init=False, repr=False, compare=False, hash=False, default=()
     )
@@ -55,7 +59,6 @@ class ColouredGraph:
             object.__setattr__(self, "coords", tuple(tuple(map(float, p)) for p in self.coords))
         if self.r is not None:
             object.__setattr__(self, "r", tuple(map(float, self.r)))
-        object.__setattr__(self, "_position", {e: i for i, e in enumerate(self.edges)})
         classes = [[] for _ in range(self.k + 1)]
         for e, c in zip(self.edges, self.colours):
             classes[c].append(e)
@@ -65,6 +68,22 @@ class ColouredGraph:
     def m(self) -> int:
         return len(self.edges)
 
+    @functools.cached_property
+    def _position(self) -> dict[tuple[int, int], int]:
+        """Edge -> its position in canonical order, built on first use."""
+        return {e: i for i, e in enumerate(self.edges)}
+
+    @functools.cached_property
+    def _adjacency(self) -> list[list[int]]:
+        """Neighbours of each vertex up to the largest endpoint, in edge
+        order, built on first use; a vertex above it has no edge."""
+        top = max([v for _, v in self.edges], default=-1)
+        adj: list[list[int]] = [[] for _ in range(top + 1)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return adj
+
     def colour_of(self, edge: tuple[int, int]) -> int:
         try:
             return self.colours[self._position[edge]]
@@ -72,17 +91,21 @@ class ColouredGraph:
             raise GraphError(f"edge {edge!r} is not in the graph") from None
 
     def colour_class(self, i: int) -> tuple[tuple[int, int], ...]:
-        """Edges of class i (i = 0 gives the uncoloured edges)."""
+        """Edges of class i (i = 0 gives the uncoloured edges); i must be
+        an exact ``int``, so True is not class 1."""
+        if type(i) is not int:
+            raise GraphError(f"colour class {i!r} is not an integer in 0..{self.k}")
         if not 0 <= i <= self.k:
             raise GraphError(f"colour class {i} out of range 0..{self.k}")
         return self._classes[i]
 
     def isolated_vertices(self) -> tuple[int, ...]:
-        seen = set()
-        for a, b in self.edges:
-            seen.add(a)
-            seen.add(b)
-        return tuple(v for v in range(self.n) if v not in seen)
+        """The vertices on no edge, in increasing order."""
+        adj = self._adjacency
+        if len(adj) == self.n and [] not in adj:
+            return ()
+        return tuple([v for v, nbrs in enumerate(adj) if not nbrs]) + tuple(
+            range(len(adj), self.n))
 
     def edge_index(self, edge: tuple[int, int]) -> int:
         """Position of an edge in canonical order; ``GraphError`` for an
@@ -101,22 +124,19 @@ def coloops(g: ColouredGraph, d: int) -> frozenset[tuple[int, int]]:
     minimum degree d + 1 (a vertex of degree <= d adds its edges
     independently), so it lies in the core, and each peeled edge is a
     coloop: in every basis and in no circuit.  The same holds for the
-    (2,2) count matroid at d = 2.  O(m); only vertices that occur in an
-    edge are stored.
+    (2,2) count matroid at d = 2.  O(m) on the graph's adjacency, whose
+    lists run up to the largest endpoint, not to n.
     """
-    adj: dict[int, list[int]] = {}
-    for u, v in g.edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    degree = {v: len(nbrs) for v, nbrs in adj.items()}
-    stack = [v for v, deg in degree.items() if deg <= d]
-    peeled: set[int] = set()
+    adj = g._adjacency
+    degree = [len(nbrs) for nbrs in adj]
+    stack = [v for v, deg in enumerate(degree) if deg <= d]
+    peeled = [False] * len(adj)
     stripped = []
     while stack:
         v = stack.pop()
-        peeled.add(v)
+        peeled[v] = True
         for w in adj[v]:
-            if w in peeled:  # the edge went with w
+            if peeled[w]:  # the edge went with w
                 continue
             stripped.append((v, w) if v < w else (w, v))
             degree[w] -= 1
@@ -190,8 +210,8 @@ def build(n: int, k: int, coloured_edges, coords=None, r=None) -> ColouredGraph:
         triples = sorted(coloured_edges)
     except TypeError as exc:
         raise GraphError(f"edge entries cannot be ordered: {exc}") from exc
-    edges = tuple((u, v) for u, v, _ in triples)
-    colours = tuple(c for _, _, c in triples)
+    edges = tuple([(u, v) for u, v, _ in triples])
+    colours = tuple([c for _, _, c in triples])
     return ColouredGraph(n=n, edges=edges, colours=colours, k=k, coords=coords, r=r)
 
 
@@ -203,7 +223,9 @@ def parse_coloured_graph(text: str) -> ColouredGraph:
     0 <= u < v < n and 0 <= colour <= k.  Optional keys: ``coords`` (n rows
     of d numbers) and ``r`` (k numbers).  This function checks only the JSON
     shape (``edges`` an array of triples, ``coords`` an array of arrays,
-    ``r`` an array); ``validate`` checks every value.
+    ``r`` an array); ``validate`` checks every value.  An integer ``n``
+    above ``MAX_VERTICES`` raises ``GraphError`` before anything of length
+    n is built.
     """
     try:
         doc = json.loads(text)
@@ -215,6 +237,8 @@ def parse_coloured_graph(text: str) -> ColouredGraph:
         if key not in doc:
             raise GraphError(f"missing required key {key!r}")
     n, k, raw_edges = doc["n"], doc["k"], doc["edges"]
+    if type(n) is int and n > MAX_VERTICES:
+        raise GraphError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     if not isinstance(raw_edges, list):
         raise GraphError("'edges' must be an array")
     for item in raw_edges:
@@ -267,8 +291,12 @@ def subgraph_by_colours(g: ColouredGraph, keep: set[int]) -> ColouredGraph:
 
     Retained nonzero classes are renumbered 1..k' in increasing order of
     their original index, so the usual conventions are S={0} for the
-    uncoloured subgraph and S={0, i} for the class-i subgraph.
+    uncoloured subgraph and S={0, i} for the class-i subgraph.  Every
+    entry of ``keep`` must be an exact ``int``.
     """
+    odd = sorted(repr(c) for c in keep if type(c) is not int)
+    if odd:
+        raise GraphError(f"colour selection {odd[0]} is not an integer in 0..{g.k}")
     bad = sorted(c for c in keep if not 0 <= c <= g.k)
     if bad:
         raise GraphError(f"colour selection {bad} out of range 0..{g.k}")

@@ -14,15 +14,18 @@ The games below are played on the core only.
 The one- and two-class deciders play one (2,3) game, uncoloured edges
 first: its first phase is the game on the uncoloured subgraph G0, so G0's
 sparsity and circuit come from the same game as the rank, the Laman+p
-kind and the redundant edges.  Their verdicts read only which coloured
-edges are redundant, one circuit and one pair, so only the first
-rejection's circuit is read in full (G0's first circuit, or the one
-circuit of an isostatic one-class graph); a later rejection keeps just
-the accepted coloured edges on its circuit, none in the G0 phase.  The
-two-class decider's (2,2) counts go on from a copy of that first phase:
-kk is 2 in both counts and a (2,3)-sparse set is (2,2)-sparse, so the
-copy is a valid (2,2) game on G0's (2,3)-basis, and only G0's
-(2,3)-rejected edges and the classes are inserted into it.
+kind and the redundant edges.  Their verdicts read which coloured edges
+are redundant and one pair, and print at most one circuit, so a circuit
+is read in full only where a verdict prints it: G0's first circuit for
+two classes, and for one class the first rejection of a graph with
+m = 2n - 2 whose G0 rejected nothing, the one circuit of a graph that
+may be isostatic.  Every other rejection keeps just the accepted coloured
+edges on its circuit, none in the G0 phase.  The two-class decider's
+(2,2) counts go on from a copy of that first phase: kk is 2 in both
+counts and a (2,3)-sparse set is (2,2)-sparse, so the copy is a valid
+(2,2) game on G0's (2,3)-basis, and only G0's (2,3)-rejected edges and
+the classes are inserted into it, class 2 into the copy itself and
+class 1 into a copy of it.
 
 For any number of classes the decider uses the rank of the union of the
 plane rigidity matroid M with the colour partition matroid P (uncoloured
@@ -40,8 +43,7 @@ is checked by reading its circuit on the basis edges after it; only if a
 check fails is E minus T replayed.
 The k = 2 pair search tests the first candidate pair by rank restoration
 on a copy of the decider's game with the pair deleted, falling back to a
-copy with one edge deleted that replays E - e, and the two (2,2) counts
-go on from copies of its G0 phase.
+copy with one edge deleted that replays E - e.
 
 Also houses the inductive generator for one-class isostatic graphs used to
 build test corpora.
@@ -306,7 +308,9 @@ class _PlaneGame:
     kind: str  # its laman_kind
     circuits: dict  # rejected edge -> its circuit, as far as a verdict reads it
     redundant: set  # the union of the circuits
-    g0_circuit: tuple | None  # G0's first circuit; None when G0 is Laman-sparse
+    # k = 2: G0's first circuit; k = 1: G0's first rejected edge alone;
+    # None when G0 is Laman-sparse
+    g0_circuit: tuple | None
     game: PebbleGame  # the game itself, for the pair search
     g0_phase: tuple | None  # k = 2: a copy after the G0 phase, and G0's rejections
 
@@ -318,31 +322,37 @@ def _plane_game(g: ColouredGraph, stripped) -> _PlaneGame:
     phase, the game on G0's core.  Coloops lie on no circuit, so no field
     changes.
 
-    The verdicts read which coloured edges are redundant, G0's first
-    circuit and the circuit of an isostatic one-class graph, its only one.
-    So only the first rejection's circuit is read in full.  A later
-    rejection in the G0 phase maps to itself alone: no coloured edge is
-    accepted yet, so its circuit has none.  A later rejection in the
-    coloured phase maps to itself and the accepted coloured edges on its
-    circuit, read by ``rejection_circuit`` from the coloured part of the
-    accepted edges.  Every circuit's coloured edges are thus in its entry,
-    and every redundant coloured edge is in ``redundant``."""
+    The verdicts read which coloured edges are redundant, and each prints
+    at most one circuit: G0's first for two classes, and for one class
+    the only circuit of an isostatic graph, which has m = 2n - 2 and so
+    one rejection, in the coloured phase once G0 rejected nothing.  Only
+    those are read in full.  Every other rejection in the G0 phase maps to itself
+    alone (for one class, G0's first too, so ``g0_circuit`` is then that
+    edge alone): no coloured edge is accepted yet, so its circuit has
+    none.  Every other rejection in the coloured phase maps to itself and
+    the accepted coloured edges on its circuit, read by
+    ``rejection_circuit`` from the coloured part of the accepted edges.
+    Every circuit's coloured edges are thus in its entry, and every
+    redundant coloured edge is in ``redundant``."""
     g0, coloured = [], []
     for e, c in zip(g.edges, g.colours):
         if e not in stripped:
             (coloured if c else g0).append(e)
     game = PebbleGame(g.n)
     circuits = {}
+    read_full = g.k == 2
     for e in g0:
         if not game.try_insert(e):
-            circuits[e] = (e,) if circuits else game.rejection_circuit(e)
+            circuits[e] = game.rejection_circuit(e) if read_full else (e,)
+            read_full = False
     g0_circuit = next(iter(circuits.values()), None)
     g0_phase = (game.copy(), list(circuits)) if g.k == 2 else None
     base = len(game.accepted)
+    read_full = g.k == 1 and not circuits and g.m == _plane_target(g.n) + 1
     for e in coloured:
         if not game.try_insert(e):
-            among = game.accepted[base:] if circuits else None
-            circuits[e] = game.rejection_circuit(e, among)
+            circuits[e] = game.rejection_circuit(e, None if read_full else game.accepted[base:])
+            read_full = False
     redundant = {e for circuit in circuits.values() for e in circuit}
     rank = len(stripped) + len(game.accepted)
     return _PlaneGame(rank, laman_kind(g.n, g.m, rank), circuits, redundant,
@@ -488,24 +498,24 @@ def _one_class_22_sparse(g: ColouredGraph, stripped, game: PebbleGame,
                          g0_rejected) -> dict[int, bool]:
     """Whether G0 plus class i is (2,2)-sparse, for i = 1, 2.
 
-    ``game`` is the (2,3) game on G0's core and ``g0_rejected`` the edges
-    it rejected, both from ``_plane_game``.  Its accepted set is
+    ``game`` is a copy of the (2,3) game on G0's core and ``g0_rejected``
+    the edges it rejected, both from ``_plane_game``.  Its accepted set is
     (2,3)-sparse, hence (2,2)-sparse, and kk is 2 in both counts, so the
     game is a valid (2,2) game on that set (Lee & Streinu 2008): switched
     to the (2,2) count, it re-inserts the rejected edges, and G0 is
-    (2,2)-sparse iff all of them go in.  The result is copied for each
-    class, each copy stopping at its first rejection; no circuit is read,
-    and the (2,3) circuits were all read before these searches.  The
-    coloops ``stripped`` of g are skipped: (2,2) circuits also have
-    minimum degree 3, and a coloop of g is one of every subgraph."""
+    (2,2)-sparse iff all of them go in.  When one fails, neither G0 plus
+    class i is sparse and nothing more is played.  Otherwise class 1 goes
+    into a copy of the game and class 2 into the game itself, each
+    stopping at its first rejection; no circuit is read, and the (2,3)
+    circuits were all read before these searches.  The coloops
+    ``stripped`` of g are skipped: (2,2) circuits also have minimum
+    degree 3, and a coloop of g is one of every subgraph."""
     game.params = PLANE_LOOSE
-    g0_sparse = all(game.try_insert(e) for e in g0_rejected)
-    sub_22 = {}
-    for i in (1, 2):
-        trial = game.copy()
-        sub_22[i] = g0_sparse and all(
-            trial.try_insert(e) for e in g.colour_class(i) if e not in stripped)
-    return sub_22
+    if not all(game.try_insert(e) for e in g0_rejected):
+        return {1: False, 2: False}
+    trial = game.copy()
+    return {i: all(played.try_insert(e) for e in g.colour_class(i) if e not in stripped)
+            for i, played in ((1, trial), (2, game))}
 
 
 def _rainbow_pair_general(g: ColouredGraph, game, circuits, redundant):
@@ -617,8 +627,11 @@ def henneberg_k1_sample(target_n: int, seed: int) -> ColouredGraph:
     and one more vertex, and when the removed edge was coloured at least
     one of the two replacement edges at its ends is coloured.  When the
     removed edge was uncoloured all three new edges stay uncoloured.  The
-    output is validated to be isostatic before being returned.
+    output is validated to be isostatic before being returned.  target_n
+    must be an exact ``int``, as a graph's n is.
     """
+    if type(target_n) is not int:
+        raise ValueError(f"generator size must be an int, got {target_n!r}")
     if target_n < 4:
         raise ValueError("generator needs target_n >= 4")
     rng = random.Random(seed)

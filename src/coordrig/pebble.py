@@ -149,7 +149,7 @@ class PebbleGame:
             return
         extra = max(top + 1, min(2 * have, self.n)) - have
         self.pebbles.extend([self.params.kk] * extra)
-        self.succ.extend([] for _ in range(extra))
+        self.succ.extend([[] for _ in range(extra)])
         self.deg.extend([0] * extra)
 
     def _find_pebble(self, u: int, v: int) -> bool:

@@ -10,10 +10,12 @@ from coordrig import (
     ColouredGraph,
     GraphError,
     build,
+    henneberg_k1_sample,
     parse_coloured_graph,
     serialize,
     subgraph_by_colours,
 )
+from coordrig.cgraph import MAX_VERTICES
 from coordrig.corpus import random_coloured_graph
 
 TRIANGLE = '{"n":3,"k":0,"edges":[[0,1,0],[1,2,0],[0,2,0]]}'
@@ -157,6 +159,59 @@ def test_class_sizes_partition(seven_rigid_k2):
 def test_isolated_vertices():
     g = build(5, 0, [(0, 1, 0), (1, 2, 0)])
     assert g.isolated_vertices() == (3, 4)
+
+
+def _isolated_by_scan(g):
+    touched = {x for e in g.edges for x in e}
+    return tuple(v for v in range(g.n) if v not in touched)
+
+
+@pytest.mark.parametrize("n, edges, isolated", [
+    (1, [], (0,)),  # n = 1 and m = 0
+    (4, [], (0, 1, 2, 3)),
+    (6, [(0, 2), (2, 4)], (1, 3, 5)),  # below and above the largest endpoint
+    (4, [(1, 3), (2, 3)], (0,)),
+    (3, [(0, 1), (1, 2)], ()),
+])
+def test_isolated_vertices_cases(n, edges, isolated):
+    g = build(n, 0, [(u, v, 0) for u, v in edges])
+    assert g.isolated_vertices() == isolated == _isolated_by_scan(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_isolated_vertices_match_a_scan(data):
+    n = data.draw(st.integers(min_value=1, max_value=12), label="n")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs
+                      else st.just([]), label="edges")
+    g = build(n, 0, [(u, v, 0) for u, v in edges])
+    assert g.isolated_vertices() == _isolated_by_scan(g)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda g: g.colour_class(True), GraphError),
+    (lambda g: g.colour_class(1.0), GraphError),
+    (lambda g: subgraph_by_colours(g, {"1"}), GraphError),
+    (lambda g: subgraph_by_colours(g, {None}), GraphError),
+    (lambda g: subgraph_by_colours(g, {0, True}), GraphError),
+    (lambda g: henneberg_k1_sample(4.5, 0), ValueError),
+    (lambda g: henneberg_k1_sample(True, 0), ValueError),
+], ids=["class-True", "class-1.0", "keep-str", "keep-None", "keep-True",
+        "gen-4.5", "gen-True"])
+def test_class_indices_and_sizes_must_be_exact_ints(quad_rigid_k1, call, error):
+    # as for a graph's n, k and colours: True is not 1, and 1.0 is not 1
+    with pytest.raises(error, match="integer|an int") as info:
+        call(quad_rigid_k1)
+    assert type(info.value) is error
+
+
+def test_parse_bounds_the_vertex_count():
+    assert parse_coloured_graph(f'{{"n": {MAX_VERTICES}, "k": 0, "edges": []}}').n == MAX_VERTICES
+    with pytest.raises(GraphError, match=f"vertex count {MAX_VERTICES + 1} exceeds"):
+        parse_coloured_graph(f'{{"n": {MAX_VERTICES + 1}, "k": 0, "edges": []}}')
+    # the library itself stays unbounded
+    assert ColouredGraph(n=MAX_VERTICES + 1, edges=(), colours=(), k=0).n == MAX_VERTICES + 1
 
 
 def test_build_rejects_loop_and_duplicate():

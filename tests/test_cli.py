@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,22 @@ def test_trials_bound_allocates_nothing_per_trial():
     assert (code, err) == (code3, "") == (0, "")
     assert out == out3.replace('"trials": 3,', f'"trials": {huge},')
     assert out != out3
+
+
+def test_vertex_count_above_the_limit_exits_two(tmp_path):
+    # a 45-byte file naming three million vertices must fail before any
+    # per-vertex list is built, not write its isolated vertices
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 3000000, "k": 0, "edges": [[0, 2999999, 0]]}')
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli("check", str(path), "--json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert "vertex count 3000000 exceeds the limit" in err
+    assert peak < 1_000_000
 
 
 def test_reproducible_byte_identical_output():

@@ -445,6 +445,107 @@ def test_check_k2_plays_one_game_fewer(pebble_games, monkeypatch, request, fixtu
     assert len(pebble_games) == 2
 
 
+def _k2_instance(i):
+    """A random two-class graph; every third one has a dense G0."""
+    n = 5 + i % 12
+    dense = n if i % 3 == 0 else 0
+    m = min(n * (n - 1) // 2, 2 * n - 4 + i % 9 + dense)
+    return random_coloured_graph(n, 2, seed=i, m=m)
+
+
+def test_check_k2_copies_the_game_once_per_22_count(monkeypatch):
+    # the G0 phase is copied once; class 2 is played on that copy and class
+    # 1 on one more copy, which is not made when G0 is not (2,2)-sparse.
+    # Copies made by the pair search are not counted
+    copies, at_pair = [], []
+    copy, pair = PebbleGame.copy, laman._rainbow_pair_general
+    monkeypatch.setattr(PebbleGame, "copy", lambda self: copies.append(1) or copy(self))
+    monkeypatch.setattr(laman, "_rainbow_pair_general",
+                        lambda *args: at_pair.append(len(copies)) or pair(*args))
+    cases = {1: 0, 2: 0}
+    for i in range(300):
+        g = _k2_instance(i)
+        g0_22 = not run_game((g.colour_class(0), g.n), PLANE_LOOSE)[1]
+        del copies[:], at_pair[:]
+        check_k2(g)
+        made = at_pair[0] if at_pair else len(copies)
+        assert made == 1 + g0_22, i
+        cases[made] += 1
+    assert min(cases.values()) >= 40, cases
+
+
+def test_22_counts_match_fresh_games():
+    # the (2,2) verdicts read from the G0 phase equal a fresh (2,2) game on
+    # the whole of G0 plus class i, coloops included
+    cases = {True: 0, False: 0}
+    for i in range(300):
+        g = _k2_instance(i)
+        diagnosis = check_k2(g).certificate["diagnosis"]
+        for c in (1, 2):
+            sub = subgraph_by_colours(g, {0, c})
+            sparse = sparsity_rank(sub, PLANE_LOOSE)[0] == sub.m
+            assert diagnosis[f"g{c}_22_sparse"] == sparse, (i, c)
+            cases[sparse] += 1
+    assert min(cases.values()) >= 100, cases
+
+
+def _full_reads_expected(g):
+    """The rejections whose circuit a plane verdict prints: for k = 2, G0's
+    first; for k = 1, the first rejection when m = 2n - 2 and G0 rejected
+    nothing.  Read from fresh games on the core."""
+    stripped = coloops(g, 2)
+    core = [e for e in g.edges if e not in stripped]
+    g0 = [e for e in core if g.colour_of(e) == 0]
+    g0_rejected = list(run_game((g0, g.n))[1])
+    if g.k == 2:
+        return g0_rejected[:1]
+    if g0_rejected or g.m != 2 * g.n - 2:
+        return []
+    rest = [e for e in core if g.colour_of(e)]
+    return list(run_game((g0 + rest, g.n))[1])[:1]
+
+
+def test_plane_game_reads_in_full_only_printed_circuits(monkeypatch):
+    full_reads = []
+    read = PebbleGame.rejection_circuit
+
+    def recording_read(self, edge, among=None):
+        if among is None:
+            full_reads.append(edge)
+        return read(self, edge, among)
+
+    monkeypatch.setattr(PebbleGame, "rejection_circuit", recording_read)
+    cases = {"k=1 read": 0, "k=1 none": 0, "k=2 read": 0, "k=2 none": 0}
+    for i in range(400):
+        k = 1 + i % 2
+        n = 4 + i % 10
+        # k = 1 mostly at m = 2n - 2, where the one circuit may be printed,
+        # k = 2 from there to Laman+2 and beyond; every seventh graph dense
+        m = min(n * (n - 1) // 2, 2 * n - 2 + (i // 2) % 4 * (k - 1) + (i % 7 == 0) * n)
+        g = random_coloured_graph(n, k, seed=i, m=m)
+        if k == 1 and i % 5 == 0:
+            g = henneberg_k1_sample(n, i)
+        expected = _full_reads_expected(g)
+        del full_reads[:]
+        plane = laman._plane_game(g, coloops(g, 2))
+        assert full_reads == expected, i
+        cases[f"k={k} {'read' if expected else 'none'}"] += 1
+        if g.k == 1 and plane.g0_circuit is not None:
+            assert len(plane.g0_circuit) == 1
+    assert min(cases.values()) >= 20, cases
+
+
+@pytest.mark.parametrize("name", [n for n in FIXTURE_NAMES if load_fixture(n).k in (1, 2)])
+def test_plane_verdicts_build_no_position_map(name):
+    # no k = 1, 2 decider looks an edge up by position; the map is built on
+    # first use and then agrees with a scan of the edges
+    g = load_fixture(name)
+    decide_plane(g)
+    assert "_position" not in g.__dict__
+    assert g.colour_of(g.edges[-1]) == g.colours[-1]
+    assert g._position == {e: i for i, e in enumerate(g.edges)}
+
+
 def test_rainbow_pair_matches_fresh_games(monkeypatch):
     # the pair search reads E - e from copies of the decider's game; a
     # fresh (2,3) game on every E - e - f must find the same pair.  An
