@@ -37,10 +37,9 @@ minus T: every arc is read from it, each path moves T by deleting and
 re-inserting edges (Lee & Streinu 2008), and the game is the witness.
 Uncoloured edges are loops of P and carry no exchange arc, so every
 circuit is read only on the game's accepted coloured edges.  The witness
-basis is the canonical greedy one iff every rejected edge is the last of
-its circuit: the first game is greedy, and a re-inserted rejected edge
-is checked by reading its circuit on the basis edges after it; only if a
-check fails is E minus T replayed.
+basis is the canonical greedy one by construction: the first game is
+greedy, and a shortest path keeps every rejected edge the last of its
+circuit (``union_rank_d2``).
 The k = 2 pair search tests the first candidate pair by rank restoration
 on a copy of the decider's game with the pair deleted, falling back to a
 copy with one edge deleted that replays E - e.
@@ -52,7 +51,6 @@ build test corpora.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -130,28 +128,46 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
     The circuits are the next round's sources.  The round whose T holds
     every colour, or which finds no path, is the witness, so a call plays
     one game.  ``transversal`` is T in canonical order and
-    ``independent_rigidity`` the canonical basis of E minus T, C together
-    with the game's basis, so the witness is deterministic.  The
-    coordinated framework is generically rigid in the plane iff
-    union_rank = t + k, and generically isostatic iff additionally
-    m = t + k, where t is 2n - 3 (0 for a single vertex).
+    ``independent_rigidity`` C together with the game's basis, in
+    canonical order.  The coordinated framework is generically rigid in
+    the plane iff union_rank = t + k, and generically isostatic iff
+    additionally m = t + k, where t is 2n - 3 (0 for a single vertex).
 
     Uncoloured edges are loops of the colour partition matroid, so they
     start and carry no exchange arc: each circuit is read only on the
     game's accepted coloured edges, kept in a list beside the game
     (``_insert_coloured``).  T is rainbow, so the deleted edges are
-    coloured and "met a deleted edge" reads only coloured edges.  Whether
-    the final basis is the canonical one is decided from a flag per held
-    circuit (``_canonical_basis``): true for the first game, which is
-    greedy, and read on the re-inserts from the basis edges after the
-    rejected edge.
+    coloured and "met a deleted edge" reads only coloured edges.
+
+    The game's basis B is the canonical greedy basis of the core minus T
+    after every round, so the witness is deterministic.  A basis is the
+    greedy one iff every rejected edge is the last edge of its circuit,
+    and the first game is greedy.  For a later round write S for the core
+    minus T before it, C(w, B) for the circuit of w on B, and x0, y1, x1,
+    ..., yl, xl for the path, with x_i on C(y_i, B); Y is the y_i and D
+    the x_i that B holds.  By ``_augment``'s lemma deleting D breaks only
+    the circuits that hold x0, and only when x0 is in B.  A breadth-first
+    path has no shortcut, x_i is not on C(y_j, B) for j < i, so
+    I = B - D + Y is independent, and I + x0 is a basis of S + Y when x0
+    is in B.  A rejected w with x0 on C(w, B) then has x0 on C(w, I + x0),
+    so I does not span it: re-inserting Y and these w in canonical order
+    accepts all of Y and the first such w1, and rejects every later w.
+    Strong circuit elimination at x0 gives each later w a circuit inside
+    C(w, B) and C(w1, B) minus x0, every edge of it at most w, so w is
+    again the last edge of its circuit.  Kept circuits do not change, so
+    B stays greedy.
+
+    T is independent in M* iff the core minus T keeps the rank of the
+    core.  The game holds a basis of the core minus T, so its size is
+    checked against the first game's.
     """
     held: dict[int, Edge] = {}  # colour -> the edge of T that holds it
     stripped = coloops(g, 2)
-    core = [e for e in g.edges if e not in stripped]
     game = PebbleGame(g.n)
     coloured: list[Edge] = []  # the game's accepted coloured edges
-    circuits, late = _insert_coloured(g, game, core, coloured)
+    circuits = _insert_coloured(g, game, [e for e in g.edges if e not in stripped],
+                                coloured)
+    full = len(game.accepted)
     while len(held) < g.k:
         before = set(held.values())
         if not _augment(g, held, game, circuits, coloured):
@@ -174,72 +190,38 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
                 kept[e] = circuit
             else:
                 redo.append(e)
-        late = {e for e in late if e in kept}  # re-inserted edges get new flags
-        redone, redone_late = _insert_coloured(g, game, sorted(redo), coloured,
-                                               sorted(game.accepted))
-        kept.update(redone)
-        late |= redone_late
+        kept.update(_insert_coloured(g, game, sorted(redo), coloured))
         circuits = kept
     transversal = tuple(sorted(held.values()))
     if transversal_rank(g, transversal) != len(transversal):
         raise RuntimeError("union invariant broken: T is not rainbow")
-    # T is independent in M* iff the game on E minus T rejects every edge of T
-    if any(game.try_insert(e) for e in transversal):
+    if len(game.accepted) != full:
         raise RuntimeError("union invariant broken: removing T lowers the rank")
-    accepted = _canonical_basis(core, set(transversal), game, late)
-    rank = len(stripped) + len(accepted) + len(transversal)
+    rank = len(stripped) + full + len(transversal)
     return UnionRankReport(
         union_rank=rank,
-        independent_rigidity=tuple(sorted(stripped.union(accepted))),
+        independent_rigidity=tuple(sorted(stripped.union(game.accepted))),
         transversal=transversal,
         deficiency=(_plane_target(g.n) + g.k) - rank,
     )
 
 
-def _insert_coloured(g: ColouredGraph, game: PebbleGame, edges, coloured,
-                     basis=None):
+def _insert_coloured(g: ColouredGraph, game: PebbleGame, edges, coloured):
     """Insert ``edges`` into ``game`` in order, appending each accepted
     coloured edge to ``coloured``, the game's accepted coloured edges.
 
     Returns {rejected edge e: e plus the edges of ``coloured`` on its
-    circuit}, read by ``rejection_circuit`` from ``coloured`` alone, and
-    the set of rejected edges that are not the last of their circuit.
-    That set is empty when ``basis`` is None, for a greedy game that
-    inserts every edge in canonical order.  Otherwise ``edges`` are in
-    canonical order and ``basis`` is the game's sorted accepted set before
-    the call: an edge accepted earlier in the call comes before e, so e
-    is the last of its circuit iff reading the circuit from the edges of
-    ``basis`` after e gives e alone.
+    circuit}, read by ``rejection_circuit`` from ``coloured`` alone.
     """
     colour_of = g.colour_of
-    circuits, late = {}, set()
+    circuits = {}
     for e in edges:
         if game.try_insert(e):
             if colour_of(e):
                 coloured.append(e)
             continue
         circuits[e] = game.rejection_circuit(e, coloured)
-        if basis is not None and len(
-                game.rejection_circuit(e, basis[bisect_right(basis, e):])) > 1:
-            late.add(e)
-    return circuits, late
-
-
-def _canonical_basis(edges, tset, game: PebbleGame, late) -> tuple[Edge, ...]:
-    """The greedy basis of ``edges`` minus T in canonical order, from
-    ``game`` on that set and ``late``, its rejected edges that are not the
-    last edge of their circuit.
-
-    A basis is the greedy one iff every edge outside it is the last edge
-    of its fundamental circuit (cycle optimality), so the game's basis is
-    returned when ``late`` is empty; only otherwise is ``edges`` minus T
-    replayed in canonical order.
-    """
-    if not late:
-        return tuple(sorted(game.accepted))
-    replay = PebbleGame(game.n)
-    replay.insert_all(e for e in edges if e not in tset)
-    return tuple(replay.accepted)
+    return circuits
 
 
 def _augment(g: ColouredGraph, held: dict[int, Edge], game: PebbleGame,
@@ -265,6 +247,14 @@ def _augment(g: ColouredGraph, held: dict[int, Edge], game: PebbleGame,
     finds the same path.  Returns False when no path exists, i.e. T is
     already largest; the game then still has the accepted edges of E
     minus T.
+
+    Lemma: the sources go into ``pred`` before the search starts, and
+    they hold every coloured redundant edge of S = E minus T, since a
+    redundant basis edge lies on the circuit of some rejected edge.  So
+    a path edge x_i after the source x0, reached from y_i in T, coloured
+    and not yet in ``pred``, is a coloop of S.  Deleting the entering
+    edges that B holds therefore breaks only the circuits that hold x0,
+    and only when x0 is in B (``union_rank_d2``).
     """
     tset = set(held.values())
     sources = sorted({e for circuit in circuits.values() for e in circuit})
@@ -312,14 +302,15 @@ class _PlaneGame:
     # None when G0 is Laman-sparse
     g0_circuit: tuple | None
     game: PebbleGame  # the game itself, for the pair search
-    g0_phase: tuple | None  # k = 2: a copy after the G0 phase, and G0's rejections
+    # for check_k2: a copy after the G0 phase, and G0's rejections
+    g0_phase: tuple | None
 
 
-def _plane_game(g: ColouredGraph, stripped) -> _PlaneGame:
+def _plane_game(g: ColouredGraph, stripped, copy_g0=False) -> _PlaneGame:
     """One (2,3) game on the core of g, g minus its coloops ``stripped``:
     G0's edges, then the coloured ones, each group in canonical order.
-    G0's circuit and, for two classes, the copy are taken after the first
-    phase, the game on G0's core.  Coloops lie on no circuit, so no field
+    G0's circuit and, given ``copy_g0``, the copy for the (2,2) counts are
+    taken after the first phase, the game on G0's core.  Coloops lie on no circuit, so no field
     changes.
 
     The verdicts read which coloured edges are redundant, and each prints
@@ -346,7 +337,7 @@ def _plane_game(g: ColouredGraph, stripped) -> _PlaneGame:
             circuits[e] = game.rejection_circuit(e) if read_full else (e,)
             read_full = False
     g0_circuit = next(iter(circuits.values()), None)
-    g0_phase = (game.copy(), list(circuits)) if g.k == 2 else None
+    g0_phase = (game.copy(), list(circuits)) if copy_g0 else None
     base = len(game.accepted)
     read_full = g.k == 1 and not circuits and g.m == _plane_target(g.n) + 1
     for e in coloured:
@@ -434,7 +425,7 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     if g.k != 2:
         raise ValueError(f"two-class decider called with k={g.k}")
     stripped = coloops(g, 2)
-    plane = _plane_game(g, stripped)
+    plane = _plane_game(g, stripped, copy_g0=True)
     rank, kind, redundant = plane.rank, plane.kind, plane.redundant
     target = _plane_target(g.n)
     if rank < target:

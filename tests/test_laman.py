@@ -130,8 +130,8 @@ def test_augment_invariant_check_fires():
     g = build(5, 1, [(u, v, int((u, v) == (0, 1))) for u in range(4)
                      for v in range(u + 1, 4)] + [(0, 4, 1), (1, 4, 0)])
     game, coloured = PebbleGame(g.n), []
-    circuits, _ = laman._insert_coloured(g, game, [e for e in g.edges if e != (0, 4)],
-                                         coloured)
+    circuits = laman._insert_coloured(g, game, [e for e in g.edges if e != (0, 4)],
+                                      coloured)
     assert coloured == [(0, 1)]
     with pytest.raises(RuntimeError, match="lowers the rank"):
         laman._augment(g, {1: (0, 4)}, game, circuits, coloured)
@@ -203,7 +203,7 @@ def _late(circuits):
 def _full_reinsert_union(g):
     """T and the rigidity part of the union loop that re-inserts every
     rejected edge of E minus T after each path, so that every circuit is
-    computed afresh, and read in full."""
+    computed afresh, and read in full; the final basis must be greedy."""
     held = {}
     stripped = coloops(g, 2)
     core = [e for e in g.edges if e not in stripped]
@@ -220,9 +220,8 @@ def _full_reinsert_union(g):
                 game.delete(e)
         circuits = game.insert_all(sorted(
             [e for e in circuits if e not in entering] + list(before - after)))
-    transversal = tuple(sorted(held.values()))
-    basis = laman._canonical_basis(core, set(transversal), game, _late(circuits))
-    return transversal, tuple(sorted(stripped.union(basis)))
+    assert not _late(circuits)
+    return tuple(sorted(held.values())), tuple(sorted(stripped.union(game.accepted)))
 
 
 def test_union_rounds_keep_unbroken_circuits(monkeypatch):
@@ -269,24 +268,34 @@ def test_union_rounds_keep_unbroken_circuits(monkeypatch):
     assert live < full
 
 
-def test_canonical_basis_replays_only_a_non_greedy_basis(pebble_games):
-    # a basis is the canonical greedy one iff every rejected edge is the
-    # last of its circuit; a game played in reverse order fails that test
-    # and must be replaced by a canonical replay, a canonical game must not
-    g = random_coloured_graph(12, 3, seed=0)
-    tset = set(union_rank_d2(g).transversal)
-    rest = [e for e in g.edges if e not in tset]
-    canonical = PebbleGame(g.n)
-    circuits = canonical.insert_all(rest)
-    backwards = PebbleGame(g.n)
-    back_late = _late(backwards.insert_all(reversed(rest)))
-    assert sorted(backwards.accepted) != canonical.accepted
-    assert not _late(circuits) and back_late
-    pebble_games.clear()
-    assert laman._canonical_basis(g.edges, tset, canonical, set()) == tuple(canonical.accepted)
-    assert not pebble_games
-    assert laman._canonical_basis(g.edges, tset, backwards, back_late) == tuple(canonical.accepted)
-    assert len(pebble_games) == 1
+def test_union_inserts_no_edge_of_t_after_the_last_path(monkeypatch):
+    # the game on the core minus T holds a basis of it, so T's independence
+    # in M* is read from the basis size: no edge of T is inserted into the
+    # game to be rejected once the last augmentation has returned
+    events = []
+    augment, try_insert = laman._augment, PebbleGame.try_insert
+
+    def marking_augment(*args):
+        found = augment(*args)
+        events.append(None)
+        return found
+
+    def recording_try_insert(self, edge):
+        events.append(edge)
+        return try_insert(self, edge)
+
+    monkeypatch.setattr(laman, "_augment", marking_augment)
+    monkeypatch.setattr(PebbleGame, "try_insert", recording_try_insert)
+    graphs = [load_fixture(name) for name in FIXTURE_NAMES]
+    graphs += random_corpus(40, 24, n_range=(8, 30), k_range=(3, 6))
+    held = 0
+    for i, g in enumerate(graphs):
+        del events[:]
+        rep = union_rank_d2(g)
+        last = len(events) - events[::-1].index(None)
+        assert not set(rep.transversal).intersection(events[last:]), f"instance {i}"
+        held += bool(rep.transversal)
+    assert held >= 40
 
 
 def test_coloured_augment_matches_full_circuits(monkeypatch):
@@ -322,50 +331,62 @@ def test_coloured_augment_matches_full_circuits(monkeypatch):
 _insert_coloured = laman._insert_coloured  # unpatched, for the checks below
 
 
-def _checked_insert_coloured(g, game, edges, coloured, basis=None):
+def _checked_insert_coloured(g, game, edges, coloured):
     """``laman._insert_coloured`` checked against a copy of ``game`` that
     inserts the same edges and reads every circuit in full: the entries
-    are the coloured part of the full circuits, and, given ``basis``, the
-    late edges are those that are not the last of their full circuit."""
+    are the coloured part of the full circuits."""
     full = game.copy().insert_all(edges)
-    circuits, late = _insert_coloured(g, game, edges, coloured, basis)
+    circuits = _insert_coloured(g, game, edges, coloured)
     assert circuits == _coloured_entries(g, full)
-    assert late == (set() if basis is None else _late(full))
-    return circuits, late
+    return circuits
 
 
-def test_tail_flag_matches_full_circuit(monkeypatch):
-    # the flag of a re-inserted rejected edge, read from the basis edges
-    # after it, says whether it is the last edge of its full circuit
-    reads = []
+def test_shortest_paths_keep_the_basis_greedy(monkeypatch):
+    # _augment's lemma: every path edge after the source is a coloop of S,
+    # the core minus T.  union_rank_d2's: re-inserting after a path leaves
+    # every rejected edge the last of its full circuit, so the live game
+    # holds the canonical greedy basis and the witness is a fresh game's
+    rounds, after_source, redone = [], [], []
+    augment = laman._augment
 
-    def recording(g, game, edges, coloured, basis=None):
-        circuits, late = _checked_insert_coloured(g, game, edges, coloured, basis)
-        if basis is not None:
-            reads.append(len(circuits))
-        return circuits, late
+    def checking_augment(g, held, game, circuits, among):
+        before = set(held.values())
+        stripped = coloops(g, 2)
+        rest = [e for e in g.edges if e not in stripped and e not in before]
+        full = game.copy().insert_all(list(circuits))
+        assert set(full) == set(rest) - set(game.accepted)
+        assert not _late(full)
+        found = augment(g, held, game, circuits, among)
+        entering = set(held.values()) - before
+        coloops_of_s = entering - set(redundant_edges_d2((rest, g.n)))
+        assert len(coloops_of_s) == len(entering) - found  # all but the source
+        rounds.append(found)
+        after_source.append(len(coloops_of_s))
+        return found
 
+    def recording(g, game, edges, coloured):
+        circuits = _checked_insert_coloured(g, game, edges, coloured)
+        redone.append(len(circuits))
+        return circuits
+
+    monkeypatch.setattr(laman, "_augment", checking_augment)
     monkeypatch.setattr(laman, "_insert_coloured", recording)
-    for i in range(300):  # dense: many paths, each re-inserting circuits
-        rng = random.Random(i)
-        n, k = rng.randint(5, 24), rng.randint(2, 7)
-        m = min(n * (n - 1) // 2, 2 * n - 3 + k + rng.randint(0, 3 * n))
-        union_rank_d2(random_coloured_graph(n, k, seed=i, m=m))
-    assert len(reads) >= 1200 and sum(reads) >= 12000
-    # no union run above leaves a rejected edge before a basis edge of its
-    # circuit; a basis played in reverse order does: re-inserting the
-    # rest in canonical order must flag the edges that are not last
-    late_count = 0
-    for i in range(60):
-        g = random_coloured_graph(14, 3, seed=i, m=40)
-        game, coloured = PebbleGame(g.n), []
-        first = [e for j, e in enumerate(g.edges) if j % 2]
-        _insert_coloured(g, game, first[::-1], coloured)
-        basis = sorted(game.accepted)
-        rest = [e for j, e in enumerate(g.edges) if j % 2 == 0]
-        _, late = _checked_insert_coloured(g, game, rest, coloured, basis)
-        late_count += len(late)
-    assert late_count >= 600
+    redone_rounds = redone_rejections = 0
+    for i in range(600):
+        rng = random.Random(i % 300)
+        if i < 300:  # dense: many paths, each re-inserting circuits
+            n, k = rng.randint(5, 24), rng.randint(2, 7)
+            m = min(n * (n - 1) // 2, 2 * n - 3 + k + rng.randint(0, 3 * n))
+        else:  # small and exactly at the count: paths that pass through T
+            n, k = rng.randint(6, 12), rng.randint(3, 6)
+            m = min(n * (n - 1) // 2, 2 * n - 3 + k)
+        g = random_coloured_graph(n, k, seed=i % 300, m=m)
+        del redone[:]
+        assert union_rank_d2(g) == replay_union_rank(g), f"instance {i}"
+        redone_rounds += len(redone) - 1
+        redone_rejections += sum(redone[1:])
+    assert sum(rounds) >= 2400 and sum(1 for x in after_source if x) >= 75
+    assert redone_rounds >= 2400 and redone_rejections >= 13000
 
 
 @pytest.mark.parametrize(
@@ -419,7 +440,7 @@ def test_22_counts_continue_the_g0_phase():
         m = min(n * (n - 1) // 2, 2 * n - 4 + i % 9 + dense)
         g = random_coloured_graph(n, 2, seed=i, m=m)
         stripped = coloops(g, 2)
-        plane = laman._plane_game(g, stripped)
+        plane = laman._plane_game(g, stripped, copy_g0=True)
         twin, g0_rejected = plane.g0_phase
         expected = _fresh_22_sparse(g, stripped)
         assert laman._one_class_22_sparse(g, stripped, twin, g0_rejected) == expected
@@ -443,6 +464,19 @@ def test_check_k2_plays_one_game_fewer(pebble_games, monkeypatch, request, fixtu
     del pebble_games[:]
     assert check_k2(g) == verdict
     assert len(pebble_games) == 2
+
+
+@pytest.mark.parametrize("fixture,copies", [("twin_blocks_k2", 0), ("seven_rigid_k2", 1)])
+def test_rainbow_pair_takes_no_g0_copy(monkeypatch, request, fixture, copies):
+    # only check_k2's (2,2) counts read the copy of the G0 phase; the pair
+    # search alone copies the game only for its own trials, and none when
+    # the graph is not Laman+2
+    g = request.getfixturevalue(fixture)
+    made = []
+    copy = PebbleGame.copy
+    monkeypatch.setattr(PebbleGame, "copy", lambda self: made.append(1) or copy(self))
+    rainbow_pair_k2(g)
+    assert len(made) == copies
 
 
 def _k2_instance(i):
@@ -602,7 +636,7 @@ def _two_phase_graphs(g0_rejections, coloured_rejections, count):
         colours = [1, 2] + [rng.choice((0, 0, 0, 0, 1, 2)) for _ in range(10)]
         rng.shuffle(colours)
         g = build(6, 2, [(u, v, c) for (u, v), c in zip(rng.sample(pairs, 12), colours)])
-        plane = laman._plane_game(g, coloops(g, 2))
+        plane = laman._plane_game(g, coloops(g, 2), copy_g0=True)
         in_g0 = len(plane.g0_phase[1])
         if (plane.rank == 9 and in_g0 >= g0_rejections
                 and len(plane.circuits) - in_g0 >= coloured_rejections):
