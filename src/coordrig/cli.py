@@ -26,6 +26,7 @@ from .generic import OracleParams, decide_generic_coordinated_rigidity
 from .laman import decide_plane, henneberg_k1_sample, union_rank_d2
 
 USAGE_ERROR = 2
+MAX_GEN_VERTICES = 1_000  # largest --n that gen builds
 
 
 class CliError(Exception):
@@ -165,6 +166,8 @@ def cmd_stresses(args) -> int:
 def cmd_gen(args) -> int:
     if args.count < 1:
         raise CliError(f"--count must be at least 1, got {args.count}")
+    if args.n > MAX_GEN_VERTICES:
+        raise CliError(f"--n {args.n} exceeds the limit of {MAX_GEN_VERTICES}")
     if args.mode == "henneberg-k1":
         if args.k != 1:
             raise CliError("henneberg-k1 generation requires --k 1")
@@ -196,7 +199,11 @@ def cmd_gen(args) -> int:
 def cmd_draw(args) -> int:
     g = _load(args.file)
     out = args.out or str(Path(args.file).with_suffix(".svg"))
-    _write(out, render_svg(g))
+    try:
+        svg = render_svg(g)
+    except ValueError as exc:
+        raise CliError(f"{args.file}: {exc}")
+    _write(out, svg)
     _emit({"out": out, "n": g.n, "m": g.m, "k": g.k}, args.json)
     return 0
 

@@ -2,9 +2,10 @@
 
 Class-0 edges are drawn solid, class 1 dashed, class 2 dotted; higher
 classes cycle through dash patterns with distinct hues.  When the graph
-carries no 2-d coordinates a small seeded spring layout is used; the seed
-comes from a hash of the canonical serialization, so the picture is a pure
-function of the graph.  Layout is cosmetic, not contractual.
+carries no 2-d coordinates a small seeded spring layout is used, for at
+most ``MAX_LAYOUT_VERTICES`` vertices; the seed comes from a hash of the
+canonical serialization, so the picture is a pure function of the graph.
+Layout is cosmetic, not contractual.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ _DASHES = ["8,6", "2,5", "10,4,2,4", "6,3,1,3"]
 _LAYOUT_STEPS = 120
 _SIZE = 480
 _MARGIN = 30
+MAX_LAYOUT_VERTICES = 300  # largest n that spring_layout lays out
 
 
 def edge_style(colour: int) -> tuple[str, str | None]:
@@ -33,6 +35,11 @@ def edge_style(colour: int) -> tuple[str, str | None]:
 
 
 def spring_layout(g: ColouredGraph) -> list[tuple[float, float]]:
+    """Seeded positions from _LAYOUT_STEPS passes over all vertex pairs;
+    ValueError above ``MAX_LAYOUT_VERTICES``, before any of them."""
+    if g.n > MAX_LAYOUT_VERTICES:
+        raise ValueError(f"spring layout of {g.n} vertices exceeds the limit of "
+                         f"{MAX_LAYOUT_VERTICES}; give the file 2-d coords")
     rng = random.Random(zlib.crc32(serialize(g).encode()))
     pos = [(rng.random(), rng.random()) for _ in range(g.n)]
     if g.n == 1:

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 from .cgraph import ColouredGraph, build, coloops
 from .generic import RigidityVerdict, _ranks, _trivial_dim
-from .pebble import PLANE_LOOSE, PebbleGame
+from .pebble import PLANE_LOOSE, PebbleGame, _span
 
 Edge = tuple[int, int]
 
@@ -163,10 +163,10 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
     """
     held: dict[int, Edge] = {}  # colour -> the edge of T that holds it
     stripped = coloops(g, 2)
-    game = PebbleGame(g.n)
+    core = [e for e in g.edges if e not in stripped]
+    game = PebbleGame(_span(core))
     coloured: list[Edge] = []  # the game's accepted coloured edges
-    circuits = _insert_coloured(g, game, [e for e in g.edges if e not in stripped],
-                                coloured)
+    circuits = _insert_coloured(g, game, core, coloured)
     full = len(game.accepted)
     while len(held) < g.k:
         before = set(held.values())
@@ -329,7 +329,7 @@ def _plane_game(g: ColouredGraph, stripped, copy_g0=False) -> _PlaneGame:
     for e, c in zip(g.edges, g.colours):
         if e not in stripped:
             (coloured if c else g0).append(e)
-    game = PebbleGame(g.n)
+    game = PebbleGame(max(_span(g0), _span(coloured)))
     circuits = {}
     read_full = g.k == 2
     for e in g0:

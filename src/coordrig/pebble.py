@@ -23,11 +23,13 @@ free pebble to whichever endpoint its path starts from, so an edge is
 rejected by its first failed search.  That search has then marked every
 vertex reachable from the endpoints, which is the minimal tight set
 spanning the edge (Lee & Streinu 2008), and the circuit is read from its
-marks without a second walk.  Searches mark visits in lists that a game
-shares with its copies, with an integer stamp bumped once per search, so
-no dict or set is built per search and no list is cleared.  These lists
-and the per-vertex ones (pebbles, arcs, degrees) grow in place to the
-largest endpoint inserted, not to n.
+marks without a second walk.  Searches mark visits in a game's own
+lists, with an integer stamp bumped once per search, so no dict or set
+is built per search and no list is cleared.  A game makes these lists
+and the per-vertex ones (pebbles, arcs, degrees) once, for the vertices
+its edges touch: the callers size it by the span of the edges it plays
+(``_span``), not by n, so a far coloop costs nothing.  A copy gets its
+own marks.
 
 Most inserts make no search at all.  An edge with an endpoint of
 accepted degree below kk, and parallel to no accepted edge, is
@@ -46,6 +48,7 @@ a rejection still costs one failed search whose marks give the circuit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .cgraph import ColouredGraph
 
@@ -77,46 +80,41 @@ PLANE_LOOSE = SparsityParams(2, 2)
 
 
 class PebbleGame:
-    """Incremental (kk, ll)-independence tester.
+    """Incremental (kk, ll)-independence tester on vertices 0..n-1.
 
     Each vertex starts with kk pebbles; inserting an edge requires ll + 1
     pebbles gathered on its endpoints, after which one pebble pays for the
     edge and the edge is oriented away from the paying endpoint.  Every
     vertex v keeps pebbles[v] + len(succ[v]) == kk, and deg[v] is its
-    number of accepted edges.  The three lists cover the vertices up to the
-    largest endpoint inserted and grow as later endpoints arrive.
+    number of accepted edges.  The lists are made once, for the n
+    vertices the caller's edges touch; an endpoint beyond them raises
+    IndexError.
     """
 
     def __init__(self, n: int, params: SparsityParams = PLANE) -> None:
         self.n = n
         self.params = params
-        self.pebbles: list[int] = []
-        self.succ: list[list[int]] = []
-        self.deg: list[int] = []
+        self.pebbles = [params.kk] * n
+        self.succ: list[list[int]] = [[] for _ in range(n)]
+        self.deg = [0] * n
         self.accepted: list[Edge] = []
-        # [seen, parent, stamp]: seen[w] == stamp marks w as visited by the
-        # current search, and parent[w] is then its predecessor.  Shared
-        # with the game's copies, and grown in place to cover the largest
-        # endpoint inserted (``_top``), the only vertices a search can reach.
-        self._visits: list = [[], [], 0]
-        self._top = -1
-        # (edge, stamp) of the last try_insert if it rejected its edge
-        self._rejected: tuple[Edge, int] | None = None
+        # seen[w] == stamp marks w as visited by the current search, and
+        # parent[w] is then its predecessor
+        self._seen, self._parent, self._stamp = [0] * n, [0] * n, 0
+        self._rejected: Edge | None = None  # the last try_insert's edge if rejected
 
     def copy(self) -> PebbleGame:
         """An independent game in the same state, made without replaying
-        any insertion: pebbles, arcs and degrees are copied.  The twin
-        shares the visit lists together with their stamp counter, so no
-        search of either game takes the other's marks for its own, as
-        shared lists with separate counters would, and a growth of the
-        lists made by one serves both."""
+        any insertion: pebbles, arcs and degrees are copied, and the twin
+        gets its own search marks, so neither game's searches touch the
+        other's."""
         twin = object.__new__(type(self))
         twin.n, twin.params = self.n, self.params
         twin.pebbles = list(self.pebbles)
         twin.succ = [list(s) for s in self.succ]
         twin.deg = list(self.deg)
         twin.accepted = list(self.accepted)
-        twin._visits, twin._top = self._visits, self._top
+        twin._seen, twin._parent, twin._stamp = [0] * self.n, [0] * self.n, 0
         twin._rejected = None
         return twin
 
@@ -136,22 +134,6 @@ class PebbleGame:
         self.accepted.remove(edge)
         self._rejected = None
 
-    def _raise_top(self, top: int) -> None:
-        """Make ``top`` the largest endpoint inserted, growing the vertex
-        lists to cover it.  They at least double (up to n), so a game
-        whose endpoints arrive in increasing order grows them a
-        logarithmic number of times."""
-        if top >= self.n:
-            raise ValueError(f"endpoint {top} out of range for a game on {self.n} vertices")
-        self._top = top
-        have = len(self.pebbles)
-        if top < have:
-            return
-        extra = max(top + 1, min(2 * have, self.n)) - have
-        self.pebbles.extend([self.params.kk] * extra)
-        self.succ.extend([[] for _ in range(extra)])
-        self.deg.extend([0] * extra)
-
     def _find_pebble(self, u: int, v: int) -> bool:
         """Move one free pebble to u or v along a reversed search path.
 
@@ -165,14 +147,8 @@ class PebbleGame:
         no free pebble is reachable; the stamp then marks exactly the
         vertices reachable from u and v.
         """
-        pebbles, succ = self.pebbles, self.succ
-        visits = self._visits
-        seen, parent = visits[0], visits[1]
-        if len(seen) <= self._top:
-            extra = [0] * (self._top + 1 - len(seen))
-            seen.extend(extra)
-            parent.extend(extra)
-        stamp = visits[2] = visits[2] + 1
+        pebbles, succ, seen, parent = self.pebbles, self.succ, self._seen, self._parent
+        stamp = self._stamp = self._stamp + 1
         seen[u] = seen[v] = stamp
         stack = [u, v]
         while stack:
@@ -212,8 +188,6 @@ class PebbleGame:
         neither depends on them.
         """
         u, v = edge
-        if u > self._top or v > self._top:
-            self._raise_top(u if u > v else v)
         pebbles, deg, succ = self.pebbles, self.deg, self.succ
         kk = self.params.kk
         if (deg[v] < kk or deg[u] < kk) and v not in succ[u] and u not in succ[v]:
@@ -222,7 +196,7 @@ class PebbleGame:
             need = self.params.ll + 1
             while pebbles[u] + pebbles[v] < need:
                 if not self._find_pebble(u, v):
-                    self._rejected = (edge, self._visits[2])
+                    self._rejected = edge
                     return False
             tail, head = (v, u) if pebbles[v] else (u, v)
         self._rejected = None
@@ -264,19 +238,15 @@ class PebbleGame:
         ``among`` on its circuit, for a caller that reads only some of
         them (the plane deciders read only the coloured ones).  Raises
         RuntimeError when ``edge`` is not the edge the last ``try_insert``
-        of this game rejected, or when a game sharing the visit lists has
-        searched since, because the marks then belong to another region.
+        of this game rejected, because the marks then belong to another
+        region.  A copy searches with its own marks, so its searches leave
+        this read valid.
         """
-        rejected = self._rejected
-        if rejected is None or rejected[0] != edge:
+        if self._rejected != edge:
             raise RuntimeError(
                 f"no circuit to read for {edge}: it is not the edge the last "
                 "try_insert of this game rejected")
-        seen, _, stamp = self._visits
-        if rejected[1] != stamp:
-            raise RuntimeError(
-                f"stale circuit read for {edge}: a game sharing the visit "
-                "lists has searched since it was rejected")
+        seen, stamp = self._seen, self._stamp
         if among is None:
             among = self.accepted
         inside = [e for e in among if seen[e[0]] == stamp and seen[e[1]] == stamp]
@@ -285,17 +255,25 @@ class PebbleGame:
         return tuple(inside)
 
 
+def _span(edges) -> int:
+    """The number of vertices a game on canonical ``edges`` (u < v) needs:
+    one more than the largest endpoint, 0 for no edges."""
+    return 1 + max(edges, key=itemgetter(1))[1] if edges else 0
+
+
 def _edges_of(g) -> tuple[tuple[Edge, ...], int]:
-    """The edges and vertex count of a ColouredGraph or of an (edges, n)
-    pair.  A ColouredGraph was validated when it was built; a plain edge
-    list is checked here, since the game would take a negative endpoint
-    for an index from the end of its lists, play a loop as an edge, and
-    play True as vertex 1 or fail on a float or a string with an error
-    that does not name the edge.  An endpoint must be exactly an int."""
+    """The edges of a ColouredGraph or of an (edges, n) pair, and their
+    span, the number of vertices a game on them needs.  A ColouredGraph
+    was validated when it was built; a plain edge list is checked here,
+    since the game would take a negative endpoint for an index from the
+    end of its lists, play a loop as an edge, and play True as vertex 1
+    or fail on a float or a string with an error that does not name the
+    edge.  An endpoint must be exactly an int."""
     if isinstance(g, ColouredGraph):
-        return g.edges, g.n
+        return g.edges, _span(g.edges)
     edges, n = g
     edges = tuple(edges)
+    top = -1
     for u, v in edges:
         if type(u) is not int or type(v) is not int:
             raise ValueError(f"edge {(u, v)} has an endpoint that is not an int")
@@ -303,17 +281,19 @@ def _edges_of(g) -> tuple[tuple[Edge, ...], int]:
             raise ValueError(f"edge {(u, v)} is a loop")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge {(u, v)} has an endpoint outside 0..{n - 1}")
-    return edges, n
+        top = max(top, u, v)
+    return edges, top + 1
 
 
 def run_game(g, params: SparsityParams = PLANE):
     """Play the full game; returns (accepted, {rejected edge: circuit}).
 
     Edges are inserted in the order given (canonical for a ColouredGraph),
-    so the accepted set is the greedy basis in that order.
+    so the accepted set is the greedy basis in that order.  The game is
+    sized by the span of the edges, not by n.
     """
-    edges, n = _edges_of(g)
-    game = PebbleGame(n, params)
+    edges, span = _edges_of(g)
+    game = PebbleGame(span, params)
     circuits = game.insert_all(edges)
     return tuple(game.accepted), circuits
 

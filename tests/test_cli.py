@@ -10,7 +10,7 @@ import pytest
 from conftest import fixture_path
 
 from coordrig import serialize, sparsity_rank, union_rank_d2
-from coordrig import cli, linalg
+from coordrig import cli, draw, linalg
 from coordrig.cli import main
 from coordrig.corpus import random_coloured_graph
 
@@ -301,6 +301,31 @@ def test_usage_errors_exit_two(tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("mode", ["random", "henneberg-k1"])
+def test_gen_above_the_vertex_limit_exits_two(tmp_path, mode):
+    # random graphs list all n(n - 1)/2 pairs first, so a large --n would
+    # exhaust memory before writing anything
+    n = cli.MAX_GEN_VERTICES + 1
+    code, out, err = run_cli("gen", "--n", str(n), "--mode", mode, "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert f"--n {n} exceeds the limit of {cli.MAX_GEN_VERTICES}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_at_the_vertex_limit_stays_small(tmp_path):
+    n = cli.MAX_GEN_VERTICES
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli("gen", "--n", str(n), "--k", "3", "--mode", "random",
+                               "--out", str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(Path(json.loads(out)["files"][0]).read_text())["n"] == n
+    assert peak < 100_000_000
+
+
 def test_gen_requires_k1(tmp_path):
     code, _, _ = run_cli(
         "gen", "--n", "6", "--k", "2", "--mode", "henneberg-k1",
@@ -348,6 +373,25 @@ def test_draw_stroke_classes(tmp_path):
     # 13 edges total: 7 with no dash pattern
     assert svg.count("<line") == 13
     assert svg.count("<line") - dashed - dotted == 7
+
+
+def test_draw_without_coords_above_the_layout_limit_exits_two(tmp_path, monkeypatch):
+    # the spring layout makes 120 passes over all vertex pairs, so a file
+    # without 2-d coords above the limit fails before any of them
+    n = draw.MAX_LAYOUT_VERTICES + 1
+    path, svg = tmp_path / "big.json", tmp_path / "big.svg"
+    path.write_text(json.dumps({"n": n, "k": 0, "edges": [[0, 1, 0]]}))
+    monkeypatch.setattr(draw, "serialize", None)  # the layout's first step
+    code, out, err = run_cli("draw", str(path), "--out", str(svg))
+    assert (code, out) == (2, "")
+    assert f"exceeds the limit of {draw.MAX_LAYOUT_VERTICES}" in err
+    assert not svg.exists()
+    # 2-d coords need no layout, at any size
+    edges = [[i, i + 1, 0] for i in range(n - 1)]
+    coords = [[i % 17, i // 17] for i in range(n)]
+    path.write_text(json.dumps({"n": n, "k": 0, "edges": edges, "coords": coords}))
+    assert run_cli("draw", str(path), "--out", str(svg))[0] == 0
+    assert svg.read_text().count("<circle") == n
 
 
 def test_draw_default_output_name(tmp_path):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from coordrig import (
 from coordrig import laman
 from coordrig.cgraph import coloops
 from coordrig.corpus import random_coloured_graph, random_corpus
+from coordrig.generic import _ranks
 from coordrig.pebble import PLANE, PLANE_LOOSE, PebbleGame, run_game
 
 from conftest import FIXTURE_NAMES, load_fixture
@@ -1060,3 +1062,31 @@ def test_decider_agreement_small_corpus():
             assert union.ranks["union_rank"] == 2 * g.n - 3 + g.k
         if plane.isostatic:
             assert g.m == 2 * g.n - 3 + g.k
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("check,k", [(check_k1, 1), (check_k2, 2), (check_union, 4)])
+def test_deciders_size_their_games_by_the_core(monkeypatch, check, k):
+    # a K4 core, its edges coloured 0..k in turn, and a coloop to the last
+    # of 100 000 vertices: the coloop is stripped before any game is made,
+    # so every game covers the core's four vertices, and each decider
+    # needs under 1 MB beyond the peel and the verdict's isolated
+    # vertices; a game on n, or on the adjacency's span, holds about 10 MB
+    n = 100_000
+    core = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    g = build(n, k, [(u, v, i % (k + 1)) for i, (u, v) in enumerate(core)] + [(0, n - 1, 0)])
+    floor = max(_traced_peak(lambda: coloops(g, 2)), _traced_peak(lambda: _ranks(g)))
+    sizes = []
+    init = PebbleGame.__init__
+    monkeypatch.setattr(PebbleGame, "__init__",
+                        lambda self, n, *args: sizes.append(n) or init(self, n, *args))
+    assert _traced_peak(lambda: check(g)) < floor + 1_000_000
+    assert sizes and set(sizes) == {4}

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -387,22 +388,27 @@ def test_circuit_read_needs_the_edge_just_rejected():
         game.rejection_circuit((2, 3))
 
 
-def test_circuit_read_after_a_shared_search_raises():
-    game = PebbleGame(4, PLANE)
-    game.insert_all(K4[:5])
+def test_a_copy_searches_with_its_own_marks():
+    # two disjoint copies of K4 less its last edge; the copy's failed
+    # search on the second leaves the original's marks, and so its
+    # circuit read, on the first
+    left, right = K4[:5], [(u + 4, v + 4) for u, v in K4[:5]]
+    game = PebbleGame(8, PLANE)
+    game.insert_all(left + right)
     assert not game.try_insert((2, 3))
     twin = game.copy()
     with pytest.raises(RuntimeError, match="not the edge"):
         twin.rejection_circuit((2, 3))  # a copy starts with no rejection
-    assert not twin.try_insert((2, 3))  # searches with the shared stamps
-    with pytest.raises(RuntimeError, match="searched since"):
-        game.rejection_circuit((2, 3))
-    assert twin.rejection_circuit((2, 3)) == tuple(K4)
+    assert not twin.try_insert((6, 7))
+    assert game.rejection_circuit((2, 3)) == tuple(K4)
+    assert twin.rejection_circuit((6, 7)) == tuple(right) + ((6, 7),)
+    with pytest.raises(RuntimeError, match="not the edge"):
+        game.rejection_circuit((6, 7))
 
 
 def test_circuit_read_among_given_edges():
     # ``among`` narrows the read to the circuit's edges that it lists; the
-    # stale-read checks hold for it as for a full read
+    # stale-read check holds for it as for a full read
     game = PebbleGame(5, PLANE)
     game.insert_all(K4[:5] + [(3, 4)])
     assert not game.try_insert((2, 3))
@@ -412,8 +418,7 @@ def test_circuit_read_among_given_edges():
     assert game.rejection_circuit((2, 3)) == tuple(K4)
     twin = game.copy()
     assert not twin.try_insert((2, 3))
-    with pytest.raises(RuntimeError, match="searched since"):
-        game.rejection_circuit((2, 3), [(0, 1)])
+    assert game.rejection_circuit((2, 3), [(0, 1)]) == ((0, 1), (2, 3))
     with pytest.raises(RuntimeError, match="not the edge"):
         twin.rejection_circuit((0, 1), [(0, 1)])
 
@@ -441,38 +446,45 @@ def test_plain_edge_lists_reject_bad_endpoints(call, edges, named, why):
 
 
 def test_coloured_graph_edges_pass_through():
-    # a ColouredGraph was validated when built; its edge tuple goes to the
-    # game as it is, while a plain list of good edges is only made a tuple
-    g = build(4, 0, [(u, v, 0) for u, v in K4])
-    edges, n = pebble._edges_of(g)
-    assert edges is g.edges and n == 4
-    assert pebble._edges_of((iter(K4), 4)) == (tuple(K4), 4)
+    # a ColouredGraph was validated when it was built; its edge tuple goes
+    # to the game as it is, while a plain list of good edges is only made
+    # a tuple; both come with their span, not with n
+    g = build(9, 0, [(u, v, 0) for u, v in K4])
+    edges, span = pebble._edges_of(g)
+    assert edges is g.edges and span == 4
+    assert pebble._edges_of((iter(K4), 9)) == (tuple(K4), 4)
+    assert pebble._edges_of(([(5, 2), (1, 3)], 9)) == (((5, 2), (1, 3)), 6)
+    assert pebble._edges_of(([], 9)) == ((), 0)
 
 
-def test_visit_lists_cover_only_the_inserted_endpoints():
-    # a few edges on small labels in a large game make short visit lists;
-    # they grow in place, so a game and its copies go on sharing them
-    n = 100_000
-    game = PebbleGame(n, PLANE)
+FAR = 3_000_000
+
+
+@pytest.mark.parametrize("call", [run_game, sparsity_rank, redundant_edges_d2])
+@pytest.mark.parametrize("coloured", [False, True])
+def test_games_cover_only_the_span_of_their_edges(call, coloured):
+    # K4 on three million vertices makes a game on four
+    g = build(FAR, 0, [(u, v, 0) for u, v in K4]) if coloured else (K4, FAR)
+    tracemalloc.start()
+    try:
+        call(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_a_game_covers_the_vertices_it_is_made_for():
+    # the lists are made once, for 0..n-1, and never grow: an endpoint
+    # beyond them is the caller's error, raised before any list changes
+    game = PebbleGame(4, PLANE)
     assert game.insert_all(K4) == {(2, 3): tuple(K4)}
-    seen, parent, _ = game._visits
-    assert len(seen) == len(parent) == 4
-    twin = game.copy()
-    far = [(0, 9), (1, 9), (2, 9), (3, 9), (8, 9)]
-    twin_circuits = twin.insert_all(far)
-    assert twin._visits[0] is seen and twin._visits[1] is parent
-    assert len(seen) == len(parent) == 10
-    assert game._visits[0] is seen  # the original sees its twin's growth
-    # both play on over the grown lists as fresh games do
-    more = [(1, 8), (2, 8), (3, 8)] + far
-    circuits = game.insert_all(more)
-    accepted, fresh = run_game((K4 + more, n))
-    assert tuple(game.accepted) == accepted
-    assert circuits == {e: c for e, c in fresh.items() if e in more}
-    accepted, fresh = run_game((K4 + far, n))
-    assert tuple(twin.accepted) == accepted
-    assert twin_circuits == {e: c for e, c in fresh.items() if e in far}
-    assert len(seen) == 10
+    state = (list(game.pebbles), [list(s) for s in game.succ], list(game.deg))
+    for e in [(3, 4), (0, 4), (4, 9)]:
+        with pytest.raises(IndexError):
+            game.try_insert(e)
+    assert (game.pebbles, game.succ, game.deg) == state
+    assert len(game._seen) == len(game._parent) == 4
 
 
 def _dense_graph(seed):
@@ -485,9 +497,8 @@ def _dense_graph(seed):
 
 @pytest.mark.parametrize("params", [PLANE, PLANE_LOOSE])
 def test_interleaved_copies_play_fresh_games(params):
-    # a game and its copies share the visit lists and one stamp counter;
-    # lists shared under separate counters would let one game take another
-    # game's marks for its own, so searches of the three alternate here
+    # a game and its copies each search with their own marks, so
+    # searches of the three can alternate
     for seed in range(30):
         g = _dense_graph(seed)
         half = len(g.edges) // 2
@@ -610,20 +621,6 @@ def test_degrees_match_the_accepted_edges(params):
                 recount[u] += 1
                 recount[v] += 1
             assert game.deg == recount
-
-
-def test_vertex_lists_cover_only_the_inserted_endpoints():
-    # K4 in a game on 100 000 vertices makes lists of four vertices, and a
-    # later endpoint grows them in place
-    game = PebbleGame(100_000, PLANE)
-    assert game.insert_all(K4) == {(2, 3): tuple(K4)}
-    assert len(game.pebbles) == len(game.succ) == len(game.deg) == 4
-    assert game.try_insert((3, 40))
-    assert len(game.pebbles) == len(game.succ) == len(game.deg) == 41
-    assert game.deg[40] == 1 and game.pebbles[39] == 2 and game.succ[39] == []
-    with pytest.raises(ValueError, match="out of range"):
-        game.try_insert((3, 100_000))
-    assert len(game.pebbles) == 41
 
 
 @pytest.mark.parametrize("params,copies", [(PLANE, 1), (PLANE_LOOSE, 2),
