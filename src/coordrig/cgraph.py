@@ -12,10 +12,10 @@ and ``validate``, which every ``ColouredGraph`` runs, checks every value
 once: the graph, the placement ``coords`` and the offsets ``r``.  The graph
 builds its colour classes once, and each fact that only some callers read
 on first use: the edge -> position map behind ``colour_of`` and
-``edge_index``, and the per-vertex adjacency behind ``coloops`` and
-``isolated_vertices``.  A parsed file may name at most ``MAX_VERTICES``
-vertices, which bounds every per-vertex list that a short file can make
-the program build.
+``edge_index``, and the per-vertex adjacency behind ``coloops``,
+``low_degree_vertex`` and ``isolated_vertices``.  A parsed file may name
+at most ``MAX_VERTICES`` vertices, which bounds every per-vertex list that
+a short file can make the program build.
 """
 
 from __future__ import annotations
@@ -143,6 +143,16 @@ def coloops(g: ColouredGraph, d: int) -> frozenset[tuple[int, int]]:
             if degree[w] == d:  # w drops to d once, unless it started there
                 stack.append(w)
     return frozenset(stripped)
+
+
+def low_degree_vertex(g: ColouredGraph, d: int) -> tuple[int, list[int]] | None:
+    """The lowest vertex of degree below d with its neighbours, or None.
+    A vertex above the adjacency's largest endpoint has no edge."""
+    adj = g._adjacency
+    for v, nbrs in enumerate(adj):
+        if len(nbrs) < d:
+            return v, nbrs
+    return (len(adj), []) if len(adj) < g.n else None
 
 
 def validate(n: int, edges, colours, k: int, coords, r) -> None:

@@ -249,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--method", choices=["auto", "combinatorial", "numeric"],
                    default="auto")
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--trials", type=int, default=3,
+                   help=f"most random trials sampled, 1..{generic.MAX_TRIALS} "
+                        "(default: 3)")
     common(p)
     p.set_defaults(func=cmd_check)
 
@@ -287,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="rank report across all engines")
     p.add_argument("file")
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--trials", type=int, default=3,
+                   help=f"most random trials sampled, 1..{generic.MAX_TRIALS} "
+                        "(default: 3)")
     p.add_argument("--coords", choices=["random", "from-file"], default="random")
     p.add_argument("--dump-matrix", action="store_true")
     common(p)

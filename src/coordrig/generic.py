@@ -60,10 +60,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cgraph import ColouredGraph, coloops
+from .cgraph import ColouredGraph, coloops, low_degree_vertex
 from . import linalg
 
 Edge = tuple[int, int]
+
+MAX_TRIALS = 64  # most trials an OracleParams allows, so every call ends
 
 
 class BackendError(RuntimeError):
@@ -73,7 +75,9 @@ class BackendError(RuntimeError):
 @dataclass(frozen=True)
 class OracleParams:
     """Sampling parameters for the exact randomized rank oracle; ``trials``
-    is the most trials sampled, since sampling stops at the rank caps."""
+    is the most trials sampled, since sampling stops at the rank caps, and
+    is at most ``MAX_TRIALS``: a flexible graph whose sampled ranks stay
+    below the caps samples every trial."""
 
     d: int = 2
     trials: int = 3
@@ -87,6 +91,8 @@ class OracleParams:
             raise ValueError("dimension must be >= 1")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"at most {MAX_TRIALS} trials, got {self.trials}")
 
 
 @dataclass(frozen=True)
@@ -379,6 +385,15 @@ def decide_generic_coordinated_rigidity(
     rank of the minor, about 1.8·10⁻⁶ at d = 3, n = 640.  Trials stop
     once both ranks reach their caps, so a rigid verdict stops at the
     trial that shows it rigid.
+
+    A flexible verdict's certificate carries ``flex``, a nontrivial
+    infinitesimal motion (v, r) with [R(p) | I]·(v, r) = 0 at the seeded
+    float configuration, of unit norm and orthogonal to the trivial
+    motions, and ``flex_from``, its route (``_nontrivial_flex``).  With
+    n >= d + 1 and a vertex of degree below d, it is "vertex:<v>": the
+    lowest such v moves orthogonally to its edges, the rest stays still,
+    and no SVD is taken.  Otherwise it is "svd", read from the SVD of the
+    coordinated matrix.
     """
     oracle = _RankOracle(g, params)
     ranks = _ranks(g, **_rank_fields(oracle), trials=params.trials)
@@ -406,8 +421,9 @@ def decide_generic_coordinated_rigidity(
         witness = ("no-rainbow-redundant-tuple" if underlying_rigid
                    else "underlying-flexible")
         certificate = {"kind": witness}
-        flex = _nontrivial_flex(g, params.d, params.seed)
-        if flex is not None:
+        found = _nontrivial_flex(g, params.d, params.seed)
+        if found is not None:
+            flex, certificate["flex_from"] = found
             certificate["flex"] = [round(float(x), 12) for x in flex]
     return RigidityVerdict(
         decision="rigid" if rigid else "flexible", method="numeric", d=params.d,
@@ -417,12 +433,31 @@ def decide_generic_coordinated_rigidity(
 
 
 def _nontrivial_flex(g: ColouredGraph, d: int, seed: int):
-    """A nontrivial infinitesimal motion at a seeded float configuration."""
+    """A nontrivial unit infinitesimal motion orthogonal to the trivial
+    motions at a seeded float configuration, with its route, or None.
+
+    With n >= d + 1, the lowest vertex v of degree below d gives one with
+    no SVD (``linalg.vertex_motion``): v moves orthogonally to its edges
+    and all else stays still.  It is not trivial.  A nonzero
+    infinitesimal isometry x -> Ax + b, A skew, vanishes on an affine set
+    of dimension at most d - 2: on none if A = 0, and otherwise on none or
+    on one of dimension d - rank A, as a nonzero skew A has rank at least
+    2.  The n - 1 >= d other generic points span a hyperplane, so no
+    nonzero trivial motion vanishes on all of them, while this motion
+    does and is nonzero at v.  The route is "vertex:<v>".  Otherwise, or
+    when that motion degenerates at p, the route is "svd": the first row
+    of ``infinitesimal_motions``' nontrivial basis.
+    """
     p = linalg.random_configuration(g.n, d, seed)
+    low = low_degree_vertex(g, d) if g.n >= d + 1 else None
+    if low is not None:
+        flex = linalg.vertex_motion(p, *low, g.k)
+        if flex is not None:
+            return flex, f"vertex:{low[0]}"
     try:
         report = linalg.infinitesimal_motions(g, p)
     except ValueError:
         return None
     if report.nontrivial_dim == 0:
         return None
-    return report.nontrivial_basis[0]
+    return report.nontrivial_basis[0], "svd"

@@ -307,6 +307,37 @@ def infinitesimal_motions(g: ColouredGraph, p, tol: float | None = None) -> Moti
     )
 
 
+def vertex_motion(p: np.ndarray, v: int, neighbours, k: int):
+    """A unit motion (p', r') of [R(p) | 1(c)] that moves one vertex,
+    orthogonal to the trivial motions, or None.
+
+    v moves along a unit vector orthogonal to its edge directions
+    p(v) - p(w), w in ``neighbours``: the first column past them of a
+    complete QR of the d x deg(v) direction matrix, or e₁ when v is
+    isolated.  Every other vertex stays still and r' = 0, so every row
+    vanishes on it; this needs deg(v) < d.  The trivial part is removed by
+    least squares on the generators.  None when an edge at v has zero
+    length or the projected norm is at most 1e-9.  No SVD and no matrix
+    with a row per edge.
+    """
+    import numpy as np
+    n, d = p.shape
+    step = np.zeros(d)
+    if neighbours:
+        dirs = p[v] - p[list(neighbours)]
+        if not dirs.any(axis=1).all():
+            return None
+        step = np.linalg.qr(dirs.T, mode="complete")[0][:, len(neighbours)]
+    else:
+        step[0] = 1.0
+    motion = np.zeros(d * n + k)
+    motion[d * v : d * v + d] = step
+    gens = trivial_motion_generators(p, k).T
+    motion -= gens @ np.linalg.lstsq(gens, motion, rcond=None)[0]
+    norm = np.linalg.norm(motion)
+    return motion / norm if norm > 1e-9 else None
+
+
 def equilibrium_stresses(g: ColouredGraph, p, tol: float | None = None) -> np.ndarray:
     """Orthonormal basis (rows) of the left kernel S(p) of R(p).
 

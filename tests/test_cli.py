@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from conftest import fixture_path
 
 from coordrig import serialize, sparsity_rank, union_rank_d2
-from coordrig import cli, draw, linalg
+from coordrig import cli, draw, generic, linalg
 from coordrig.cli import main
 from coordrig.corpus import random_coloured_graph
 
@@ -150,14 +151,37 @@ def test_out_of_memory_exits_two_not_flexible(monkeypatch, message, line):
 
 def test_trials_bound_allocates_nothing_per_trial():
     # --trials bounds the trials sampled; a rigid verdict eliminates one,
-    # so a huge bound must decide as three do, not allocate a slot per trial
+    # so the largest bound decides as three do, and any larger one exits 2
     path = str(fixture_path("seven_rigid_k2"))
-    huge = 2**62
-    code, out, err = run_cli("check", path, "--method", "numeric", "--trials", str(huge))
+    top = generic.MAX_TRIALS
+    code, out, err = run_cli("check", path, "--method", "numeric", "--trials", str(top))
     code3, out3, _ = run_cli("check", path, "--method", "numeric", "--trials", "3")
     assert (code, err) == (code3, "") == (0, "")
-    assert out == out3.replace('"trials": 3,', f'"trials": {huge},')
+    assert out == out3.replace('"trials": 3,', f'"trials": {top},')
     assert out != out3
+    for trials in (top + 1, 2**62):
+        code, out, err = run_cli("check", path, "--method", "numeric", "--trials", str(trials))
+        assert (code, out, err) == (2, "", f"error: at most {top} trials, got {trials}\n")
+
+
+def test_flexible_graph_at_the_trials_limit_ends(monkeypatch):
+    # twin_blocks_k2's sampled ranks stay below the caps, so every trial is
+    # eliminated; the limit keeps that to MAX_TRIALS small eliminations
+    eliminations = []
+    projection = linalg.modular_projection
+
+    def counted(*args):
+        eliminations.append(1)
+        return projection(*args)
+
+    monkeypatch.setattr(linalg, "modular_projection", counted)
+    path = str(fixture_path("twin_blocks_k2"))
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        "check", path, "--method", "numeric", "--trials", str(generic.MAX_TRIALS))
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (1, "")
+    assert len(eliminations) == generic.MAX_TRIALS
 
 
 def test_vertex_count_above_the_limit_exits_two(tmp_path):
@@ -284,6 +308,8 @@ def test_gen_tiny_exit_two(tmp_path):
         ("stresses", "FILE", "--tol", "inf"),
         ("stresses", "FILE", "--tol", "-1"),
         ("check", "FILE", "--trials", "0"),
+        ("check", "FILE", "--trials", str(generic.MAX_TRIALS + 1)),
+        ("rank", "FILE", "--trials", str(generic.MAX_TRIALS + 1)),
     ],
 )
 def test_usage_errors_exit_two(tmp_path, argv):

@@ -42,6 +42,9 @@ def test_params_validation():
         OracleParams(d=0)
     with pytest.raises(ValueError):
         OracleParams(trials=0)
+    assert OracleParams(trials=generic.MAX_TRIALS).trials == generic.MAX_TRIALS
+    with pytest.raises(ValueError, match=f"at most {generic.MAX_TRIALS} trials"):
+        OracleParams(trials=generic.MAX_TRIALS + 1)
 
 
 @pytest.mark.parametrize(
@@ -318,7 +321,7 @@ def test_decide_fixtures(quad_rigid_k1, twin_blocks_k2, nested_circuit_k2):
     w = decide_generic_coordinated_rigidity(twin_blocks_k2, params())
     assert not w.rigid
     assert w.witness == "no-rainbow-redundant-tuple"
-    assert "flex" in w.certificate
+    assert w.certificate["flex_from"] == "svd"  # every vertex has degree >= 2
     x = decide_generic_coordinated_rigidity(nested_circuit_k2, params())
     assert not x.rigid
 
@@ -329,6 +332,61 @@ def test_decide_underlying_flexible():
     assert v.decision == "flexible"
     assert v.witness == "underlying-flexible"
     assert v.ranks["generic_rank"] < v.ranks["target_rank"]
+
+
+def _flex_corpus():
+    """Seeded graphs with flexible numeric verdicts at d = 1, 2, 3: random
+    graphs from n = 2 up, so n <= d occurs, plus graphs with an isolated
+    vertex inside and past the last endpoint, and wheels, whose vertices
+    all have degree >= 3."""
+    wheels = [_wheel_plus(n, [], k) for n, k in ((5, 1), (6, 2), (7, 3))]
+    extra = [
+        build(5, 1, [(0, 1, 1), (0, 2, 0), (1, 2, 0)]),
+        build(5, 1, [(0, 1, 1), (0, 4, 0), (1, 4, 0), (3, 4, 0)]),
+        build(3, 0, [(0, 1, 0), (1, 2, 0)]),
+        PATH, K4_PENDANT, TWIN_K4,
+    ] + wheels
+    for d in (1, 2, 3):
+        for s, g in enumerate(random_corpus(60, seed=7100 + d, n_range=(2, 9))):
+            yield d, s, g
+        for s, g in enumerate(extra):
+            yield d, s, g
+
+
+def test_flex_is_a_unit_nontrivial_motion():
+    routes = set()
+    for d, seed, g in _flex_corpus():
+        v = decide_generic_coordinated_rigidity(g, params(d=d, seed=seed))
+        if v.rigid:
+            continue
+        flex = np.array(v.certificate["flex"])
+        p = random_configuration(g.n, d, seed)
+        assert np.linalg.norm(linalg.coordinated_matrix(g, p) @ flex) <= 1e-8
+        assert abs(np.linalg.norm(flex) - 1) <= 1e-9
+        trivial = linalg.trivial_motion_generators(p, g.k)
+        assert np.abs(trivial @ flex).max() <= 1e-8
+        degree = [0] * g.n
+        for e in g.edges:
+            for u in e:
+                degree[u] += 1
+        low = [u for u in range(g.n) if degree[u] < d]
+        route = f"vertex:{low[0]}" if g.n >= d + 1 and low else "svd"
+        assert v.certificate["flex_from"] == route, (d, seed, g)
+        routes.add((d, route.partition(":")[0], g.n <= d))
+    for d in (1, 2, 3):
+        assert {(d, "vertex", False), (d, "svd", False)} <= routes
+    assert {(2, "svd", True), (3, "svd", True)} <= routes  # n = 1 is rigid
+
+
+def test_vertex_flex_takes_no_svd(monkeypatch):
+    # the wheel needs the SVD at d = 3; a pendant vertex does not
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    v = decide_generic_coordinated_rigidity(K4_PENDANT, params(d=3))
+    assert v.certificate["flex_from"] == "vertex:4" and not calls
+    w = decide_generic_coordinated_rigidity(_wheel_plus(6, [], 2), params(d=3))
+    assert w.certificate["flex_from"] == "svd" and calls
 
 
 def test_decide_k0_plain_graph():

@@ -29,6 +29,7 @@ from coordrig.linalg import (
     random_configuration,
     sample_modular_configuration,
     trivial_motion_generators,
+    vertex_motion,
 )
 
 from conftest import FIXTURE_NAMES, load_fixture
@@ -298,6 +299,14 @@ def test_motions_quad_flex_vs_rigid(quad_flex_k1, quad_rigid_k1):
     rigid = infinitesimal_motions(quad_rigid_k1, p)
     assert rigid.nontrivial_dim == 0
     assert rigid.nullity == 3
+
+
+def test_vertex_motion_none_on_a_zero_length_edge():
+    # the decider then falls back to the SVD route
+    p = random_configuration(4, 3, seed=5)
+    p[2] = p[1]
+    assert vertex_motion(p, 1, [0, 2], 0) is None
+    assert vertex_motion(p, 0, [3], 0) is not None
 
 
 def test_motion_kernel_residual(seven_rigid_k2):
