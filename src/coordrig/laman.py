@@ -31,15 +31,19 @@ For any number of classes the decider uses the rank of the union of the
 plane rigidity matroid M with the colour partition matroid P (uncoloured
 edges are loops, at most one edge per colour): r(E) plus the largest
 rainbow set T independent in the dual M*, i.e. whose removal keeps the rank
-r(E).  T is a matroid intersection of M* with P, grown by at most k
-shortest augmenting paths.  One game on the core stays live on the core
-minus T: every arc is read from it, each path moves T by deleting and
-re-inserting edges (Lee & Streinu 2008), and the game is the witness.
-Uncoloured edges are loops of P and carry no exchange arc, so every
-circuit is read only on the game's accepted coloured edges.  The witness
-basis is the canonical greedy one by construction: the first game is
-greedy, and a shortest path keeps every rejected edge the last of its
-circuit (``union_rank_d2``).
+r(E).  T is a matroid intersection of M* with P, grown by shortest
+augmenting paths, at most one per colour that has a redundant edge: every
+edge of T is redundant, so no search is made for another colour.  One
+game on the core stays live on the core minus T: every arc is read from
+it, each path moves T by deleting and re-inserting edges (Lee & Streinu
+2008), and the game is the witness.  Uncoloured edges are loops of P and
+carry no exchange arc, so every circuit is read only on the game's
+accepted coloured edges.  The witness basis is the canonical greedy one
+by construction: the first game is greedy, and a shortest path keeps
+every rejected edge the last of its circuit (``union_rank_d2``).  After
+the last path no circuit is read, so only the edges the basis gains go
+back in: those leaving T and the first rejected edge whose circuit met a
+deleted edge.
 The k = 2 pair search tests the first candidate pair by rank restoration
 on a copy of the decider's game with the pair deleted, falling back to a
 copy with one edge deleted that replays E - e.
@@ -125,13 +129,14 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
     and the rejected edges whose circuit met a deleted edge.  Every other
     circuit lies in the remaining basis, so its edge would be rejected
     again with the same circuit and change no other insert; it is kept.
-    The circuits are the next round's sources.  The round whose T holds
-    every colour, or which finds no path, is the witness, so a call plays
-    one game.  ``transversal`` is T in canonical order and
-    ``independent_rigidity`` C together with the game's basis, in
-    canonical order.  The coordinated framework is generically rigid in
-    the plane iff union_rank = t + k, and generically isostatic iff
-    additionally m = t + k, where t is 2n - 3 (0 for a single vertex).
+    The circuits are the next round's sources.  The round that finds no
+    path, or after which T holds every colour with a redundant edge, is
+    the witness, so a call plays one game.  ``transversal`` is T in
+    canonical order and ``independent_rigidity`` C together with the
+    game's basis, in canonical order.  The coordinated framework is
+    generically rigid in the plane iff union_rank = t + k, and
+    generically isostatic iff additionally m = t + k, where t is 2n - 3
+    (0 for a single vertex).
 
     Uncoloured edges are loops of the colour partition matroid, so they
     start and carry no exchange arc: each circuit is read only on the
@@ -157,6 +162,17 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
     again the last edge of its circuit.  Kept circuits do not change, so
     B stays greedy.
 
+    Two parts of that work feed nothing and are skipped.  Removing T keeps
+    the rank, so every edge of T is a coloured redundant edge of the core
+    and lies on the fundamental circuit of a rejected edge of the first
+    game, whose entry holds it.  T therefore holds at most ``most``
+    colours, those of the first entries' coloured edges, and the loop
+    stops there, with no exhausting search for a colour that no circuit
+    holds.  The round after which T holds ``most`` colours is the last:
+    no circuit is read after it, and a rejected edge leaves the basis as
+    it is.  So by the lemma it re-inserts only Y and w1, the edges the
+    basis gains, and raises RuntimeError if one of them is rejected.
+
     T is independent in M* iff the core minus T keeps the rank of the
     core.  The game holds a basis of the core minus T, so its size is
     checked against the first game's.
@@ -168,12 +184,14 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
     coloured: list[Edge] = []  # the game's accepted coloured edges
     circuits = _insert_coloured(g, game, core, coloured)
     full = len(game.accepted)
-    while len(held) < g.k:
+    # the colours with a redundant edge: T holds no other
+    most = len({g.colour_of(e) for circuit in circuits.values() for e in circuit} - {0})
+    while len(held) < most:
         before = set(held.values())
         if not _augment(g, held, game, circuits, coloured):
             break
         after = set(held.values())
-        entering = after - before
+        entering, leaving = after - before, before - after
         deleted = {e for e in entering if e not in circuits}
         for e in sorted(deleted):
             game.delete(e)
@@ -181,16 +199,23 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
         # deletion leaves a valid game on the rest of the basis; a circuit
         # avoiding the deleted edges still lies in it, so only the edges of
         # broken circuits and those leaving T go back in
-        kept = {}
-        redo = list(before - after)
+        kept, broken = {}, []
         for e, circuit in circuits.items():
             if e in entering:
                 continue
             if deleted.isdisjoint(circuit):
                 kept[e] = circuit
             else:
-                redo.append(e)
-        kept.update(_insert_coloured(g, game, sorted(redo), coloured))
+                broken.append(e)
+        if len(held) == most:
+            # the last round: no circuit is read after it, so only Y and
+            # the first broken edge go back in, which the lemma accepts
+            for e in sorted(leaving.union(sorted(broken)[:1])):
+                if not game.try_insert(e):
+                    raise RuntimeError(
+                        f"union invariant broken: the last path's re-insert rejects {e}")
+            break
+        kept.update(_insert_coloured(g, game, sorted(broken + list(leaving)), coloured))
         circuits = kept
     transversal = tuple(sorted(held.values()))
     if transversal_rank(g, transversal) != len(transversal):
@@ -246,7 +271,10 @@ def _augment(g: ColouredGraph, held: dict[int, Edge], game: PebbleGame,
     the coloured edges gives every coloured edge the same predecessor and
     finds the same path.  Returns False when no path exists, i.e. T is
     already largest; the game then still has the accepted edges of E
-    minus T.
+    minus T.  Every edge the search reaches is a source or lies on a
+    circuit with an edge of T, so it is redundant in E: once T holds
+    every colour that has a redundant edge in E, no sink is reachable and
+    the call would return False (``union_rank_d2`` does not make it).
 
     Lemma: the sources go into ``pred`` before the search starts, and
     they hold every coloured redundant edge of S = E minus T, since a
@@ -643,7 +671,11 @@ def henneberg_k1_sample(target_n: int, seed: int) -> ColouredGraph:
         else:
             t = rng.randrange(len(edges))
             i, j, c = edges.pop(t)
-            z = rng.choice([v for v in range(n) if v not in (i, j)])
+            # the vertex rng.choice would draw from range(n) minus i < j,
+            # found by index without building that list
+            z = rng.randrange(n - 2)
+            z += z >= i
+            z += z >= j
             if c == 1:
                 ci = 1 if rng.random() < 0.25 else 0
                 cj = 1 if rng.random() < 0.25 else 0

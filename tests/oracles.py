@@ -8,8 +8,9 @@ rainbow tuples by enumerating the class product with row-removal ranks,
 and plane rainbow pairs by a fresh (2,3) rank of every E - e - f.
 
 The rest are earlier implementations kept as references for the code
-that replaced them: the union rank that replays a fresh game on E minus T
-in every augmentation round, the pebble game that searched from one
+that replaced them: the one-class Henneberg generator that picked an edge
+split's third vertex from a list of the candidates, the union rank that
+replays a fresh game on E minus T in every augmentation round, the pebble game that searched from one
 endpoint at a time and walked a rejected edge's region again for its
 circuit, the two-sided game that searched for every edge, whatever its
 endpoints' degrees, GF(q) elimination to reduced echelon form,
@@ -21,11 +22,12 @@ per edge, and the equilibrium test as explicit force and torque sums.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
 
 import numpy as np
 
-from coordrig.cgraph import coloops
+from coordrig.cgraph import build, coloops
 from coordrig.laman import UnionRankReport, _augment, _plane_target, transversal_rank
 from coordrig.linalg import (
     MODULUS,
@@ -192,6 +194,44 @@ def replay_union_rank(g) -> UnionRankReport:
         transversal=transversal,
         deficiency=(_plane_target(g.n) + g.k) - rank,
     )
+
+
+def listed_henneberg_k1_sample(target_n: int, seed: int):
+    """``laman.henneberg_k1_sample``'s moves, with the edge split's third
+    vertex drawn by ``rng.choice`` from a list of every vertex but the
+    split edge's ends; the graph is not checked."""
+    rng = random.Random(seed)
+    edges = []
+    for u in range(4):
+        for v in range(u + 1, 4):
+            edges.append((u, v, 1 if rng.random() < 0.25 else 0))
+    if not any(c == 1 for _, _, c in edges):
+        u, v, _ = edges[rng.randrange(len(edges))]
+        edges = [(a, b, 1 if (a, b) == (u, v) else c) for a, b, c in edges]
+    n = 4
+    while n < target_n:
+        w = n
+        if rng.random() < 0.5:
+            i, j = sorted(rng.sample(range(n), 2))
+            edges.append((i, w, 1 if rng.random() < 0.25 else 0))
+            edges.append((j, w, 1 if rng.random() < 0.25 else 0))
+        else:
+            i, j, c = edges.pop(rng.randrange(len(edges)))
+            z = rng.choice([v for v in range(n) if v not in (i, j)])
+            if c == 1:
+                ci = 1 if rng.random() < 0.25 else 0
+                cj = 1 if rng.random() < 0.25 else 0
+                if ci == 0 and cj == 0:
+                    if rng.random() < 0.5:
+                        ci = 1
+                    else:
+                        cj = 1
+                cz = 1 if rng.random() < 0.25 else 0
+            else:
+                ci = cj = cz = 0
+            edges += [(i, w, ci), (j, w, cj), (z, w, cz)]
+        n += 1
+    return build(n, 1, edges)
 
 
 class OneSidedPebbleGame:

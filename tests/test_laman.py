@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from oracles import (
     brute_circuits,
     brute_rainbow_pair,
     brute_union_rank,
+    listed_henneberg_k1_sample,
     replay_union_rank,
 )
 
@@ -88,6 +90,77 @@ def test_union_rank_matches_brute_force_formula():
         assert union_rank_d2(g).union_rank == brute_union_rank(g), f"instance {idx}"
 
 
+def _colours_with_redundant_edges(g):
+    """The colours that have an edge on some circuit: T holds no other."""
+    return {g.colour_of(e) for e in redundant_edges_d2(g)} - {0}
+
+
+def _bridge_class_graphs(count, seed):
+    """Graphs with k = 3..5 classes and m <= 14 whose class k is made of
+    bridges only.  Even instances are dense random graphs with a vertex
+    of degree 1 or 2 added, so that their bridges are coloops; odd ones
+    join a K4 and a triangle by three bars, so that the bars and the
+    triangle are bridges of the core."""
+    out = []
+    i = seed
+    while len(out) < count:
+        rng = random.Random(i)
+        k = rng.randint(3, 5)
+        if i % 2 == 0:
+            n = rng.randint(5, 6)
+            dense = random_coloured_graph(n, 0, seed=i, m=rng.randint(2 * n - 1, 2 * n))
+            edges = list(dense.edges) + [(u, n) for u in rng.sample(range(n), rng.randint(1, 2))]
+            n += 1
+        else:
+            n, label = 7, rng.sample(range(7), 7)
+            edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+            edges += [(4, 5), (4, 6), (5, 6)] + [(rng.randrange(4), w) for w in (4, 5, 6)]
+            edges = [tuple(sorted((label[u], label[v]))) for u, v in edges]
+        i += 1
+        redundant = set(redundant_edges_d2((edges, n)))
+        bridges = [e for e in edges if e not in redundant]
+        others = [e for e in edges if e in redundant]
+        if not bridges or len(others) < k - 1:
+            continue
+        chosen = rng.sample(bridges, rng.randint(1, len(bridges)))
+        others += [e for e in bridges if e not in chosen]
+        rng.shuffle(others)
+        colours = list(range(1, k)) + [rng.choice((0, 0, rng.randint(1, k - 1)))
+                                       for _ in others[k - 1:]]
+        triples = [(u, v, c) for (u, v), c in zip(others, colours)]
+        out.append(build(n, k, triples + [(u, v, k) for u, v in chosen]))
+    return out
+
+
+def test_union_rank_with_a_class_of_bridges(monkeypatch):
+    # a colour with no redundant edge is never held, so the loop stops once
+    # T holds every colour that has one, with no exhausting search for the
+    # rest; the report is the per-round replay's, with the rank of the
+    # min-formula
+    augment = laman._augment
+    failed = []
+
+    def recording_augment(g, held, *args):
+        found = augment(g, held, *args)
+        if not found:
+            failed.append(set(range(1, g.k + 1)) - set(held))
+        return found
+
+    monkeypatch.setattr(laman, "_augment", recording_augment)
+    in_core = capped = 0
+    for i, g in enumerate(_bridge_class_graphs(60, 4242)):
+        del failed[:]
+        rep = union_rank_d2(g)
+        assert rep == replay_union_rank(g), f"instance {i}"
+        assert rep.union_rank == brute_union_rank(g), f"instance {i}"
+        colours = _colours_with_redundant_edges(g)
+        assert g.k not in colours
+        assert all(unheld & colours for unheld in failed), f"instance {i}"
+        in_core += any(e not in coloops(g, 2) for e in g.colour_class(g.k))
+        capped += len(rep.transversal) == len(colours)
+    assert in_core >= 20 and capped >= 10
+
+
 def test_union_rank_matches_modular_rank_beyond_brute_force():
     # the brute-force oracle stops at m <= 12; the sampled rank of the
     # coordinated matrix [R | I] checks larger graphs, and every rigid
@@ -123,6 +196,22 @@ def test_union_invariant_check_fires(monkeypatch, twin_blocks_k2):
 
     monkeypatch.setattr(laman, "_augment", augment_with_bridge)
     with pytest.raises(RuntimeError, match="lowers the rank"):
+        union_rank_d2(g)
+
+
+def test_union_last_round_check_fires(monkeypatch):
+    # the last round re-inserts only the edges the lemma says go in; a path
+    # without the lemma's shortcut-free exchange, here swapping the held
+    # class-1 edge for another rejected one, leaves one of them spanned
+    g = build(5, 2, [(u, v, {(2, 3): 1, (2, 4): 1, (3, 4): 2}.get((u, v), 0))
+                     for u in range(5) for v in range(u + 1, 5)])
+
+    def swapping_augment(g, held, game, circuits, among):
+        held.update({1: (2, 3)} if not held else {1: (2, 4), 2: (3, 4)})
+        return True
+
+    monkeypatch.setattr(laman, "_augment", swapping_augment)
+    with pytest.raises(RuntimeError, match=r"re-insert rejects \(2, 3\)"):
         union_rank_d2(g)
 
 
@@ -230,50 +319,52 @@ def test_union_rounds_keep_unbroken_circuits(monkeypatch):
     # a circuit that avoids the deleted basis edges still lies in the game's
     # basis, so keeping it gives every augmentation the coloured circuit
     # entries and the basis a full re-insert gives, with fewer edges
-    # inserted
+    # inserted; the one round the live loop leaves out is the reference's
+    # failing last one, made only when no unheld colour has a redundant edge
     rounds = []
-    inserted = []
-    augment, insert_all = laman._augment, PebbleGame.insert_all
-    insert_coloured = laman._insert_coloured
+    inserted = [0]
+    augment, try_insert = laman._augment, PebbleGame.try_insert
 
     def recording_augment(g, held, game, circuits, among):
         rounds.append((dict(held), _coloured_entries(g, circuits), list(game.accepted)))
         return augment(g, held, game, circuits, among)
 
-    def counting_insert_all(game, edges):
-        edges = list(edges)
-        inserted.append(len(edges))
-        return insert_all(game, edges)
-
-    def counting_insert_coloured(g, game, edges, *args):
-        inserted.append(len(edges))
-        return insert_coloured(g, game, edges, *args)
+    def counting_try_insert(game, edge):
+        inserted[0] += 1
+        return try_insert(game, edge)
 
     monkeypatch.setattr(laman, "_augment", recording_augment)
-    monkeypatch.setattr(PebbleGame, "insert_all", counting_insert_all)
-    monkeypatch.setattr(laman, "_insert_coloured", counting_insert_coloured)
+    monkeypatch.setattr(PebbleGame, "try_insert", counting_try_insert)
     graphs = [load_fixture(name) for name in FIXTURE_NAMES]
     graphs += random_corpus(120, 777, n_range=(20, 60), k_range=(3, 6))
-    live = full = later_rounds = 0
+    graphs += _bridge_class_graphs(60, 4242)
+    live = full = later_rounds = skipped = 0
     for i, g in enumerate(graphs):
-        del rounds[:], inserted[:]
+        del rounds[:]
+        inserted[0] = 0
         transversal, rigidity = _full_reinsert_union(g)
-        expected, full_inserts = list(rounds), sum(inserted)
-        del rounds[:], inserted[:]
+        expected, full_inserts = list(rounds), inserted[0]
+        del rounds[:]
+        inserted[0] = 0
         rep = union_rank_d2(g)
         assert (rep.transversal, rep.independent_rigidity) == (transversal, rigidity), f"instance {i}"
-        assert rounds == expected, f"instance {i}"
-        live += sum(inserted)
+        if rounds != expected:
+            assert rounds == expected[:-1], f"instance {i}"
+            unheld = set(range(1, g.k + 1)) - set(expected[-1][0])
+            assert unheld.isdisjoint(_colours_with_redundant_edges(g)), f"instance {i}"
+            skipped += 1
+        live += inserted[0]
         full += full_inserts
         later_rounds += len(rounds) - 1
-    assert later_rounds >= 100
+    assert later_rounds >= 100 and skipped >= 12
     assert live < full
 
 
 def test_union_inserts_no_edge_of_t_after_the_last_path(monkeypatch):
     # the game on the core minus T holds a basis of it, so T's independence
     # in M* is read from the basis size: no edge of T is inserted into the
-    # game to be rejected once the last augmentation has returned
+    # game once the last augmentation has returned, and every edge that
+    # the last path's round re-inserts is accepted
     events = []
     augment, try_insert = laman._augment, PebbleGame.try_insert
 
@@ -283,21 +374,27 @@ def test_union_inserts_no_edge_of_t_after_the_last_path(monkeypatch):
         return found
 
     def recording_try_insert(self, edge):
-        events.append(edge)
-        return try_insert(self, edge)
+        accepted = try_insert(self, edge)
+        events.append((edge, accepted))
+        return accepted
 
     monkeypatch.setattr(laman, "_augment", marking_augment)
     monkeypatch.setattr(PebbleGame, "try_insert", recording_try_insert)
     graphs = [load_fixture(name) for name in FIXTURE_NAMES]
     graphs += random_corpus(40, 24, n_range=(8, 30), k_range=(3, 6))
-    held = 0
+    held = last_rounds = 0
     for i, g in enumerate(graphs):
         del events[:]
         rep = union_rank_d2(g)
-        last = len(events) - events[::-1].index(None)
-        assert not set(rep.transversal).intersection(events[last:]), f"instance {i}"
+        if None not in events:  # no path was searched: T is empty
+            assert not rep.transversal, f"instance {i}"
+            continue
+        tail = events[len(events) - events[::-1].index(None):]
+        assert not set(rep.transversal).intersection(e for e, _ in tail), f"instance {i}"
+        assert all(accepted for _, accepted in tail), f"instance {i}"
         held += bool(rep.transversal)
-    assert held >= 40
+        last_rounds += bool(tail)
+    assert held >= 40 and last_rounds >= 30
 
 
 def test_coloured_augment_matches_full_circuits(monkeypatch):
@@ -364,6 +461,20 @@ def test_shortest_paths_keep_the_basis_greedy(monkeypatch):
         assert len(coloops_of_s) == len(entering) - found  # all but the source
         rounds.append(found)
         after_source.append(len(coloops_of_s))
+        if found and len(held) == len(_colours_with_redundant_edges(g)):
+            # the last round re-inserts only the edges leaving T and the
+            # first broken rejection w1; on a copy, a full re-insert
+            # accepts exactly those and keeps every rejection late-free
+            deleted = {e for e in entering if e not in circuits}
+            broken = sorted(e for e, circuit in circuits.items()
+                            if e not in entering and not deleted.isdisjoint(circuit))
+            twin = game.copy()
+            for e in deleted:
+                twin.delete(e)
+            rejected = twin.insert_all(sorted(broken + list(before - set(held.values()))))
+            assert set(rejected) == set(broken[1:])
+            assert not _late(rejected)
+            redone.append(len(rejected))
         return found
 
     def recording(g, game, edges, coloured):
@@ -1025,6 +1136,21 @@ def test_henneberg_rejects_tiny():
         henneberg_k1_sample(3, seed=0)
 
 
+def test_henneberg_draws_match_the_listed_pick():
+    # the edge split's third vertex is drawn by index past the split edge's
+    # ends, the same draw as rng.choice from the list of the other vertices
+    splits = 0
+    for n in (5, 6, 9, 17, 40, 100):
+        for seed in range(40):
+            g = henneberg_k1_sample(n, seed)
+            ref = listed_henneberg_k1_sample(n, seed)
+            assert (g.edges, g.colours) == (ref.edges, ref.colours), (n, seed)
+            # a vertex with three edges to earlier ones came by a split
+            earlier = Counter(v for _, v in g.edges)
+            splits += sum(earlier[v] == 3 for v in range(4, n))
+    assert splits >= 1000
+
+
 def test_henneberg_smoke_corpus():
     for i in range(12):
         n = 4 + (i % 6)
@@ -1062,6 +1188,26 @@ def test_decider_agreement_small_corpus():
             assert union.ranks["union_rank"] == 2 * g.n - 3 + g.k
         if plane.isostatic:
             assert g.m == 2 * g.n - 3 + g.k
+
+
+def test_plane_and_numeric_rainbow_tuples_agree_for_one_and_two_classes():
+    # for k = 1, 2 both backends print the lexicographically first
+    # redundant rainbow tuple: the first class-1 edge that extends to one,
+    # then the first class-2 edge given it
+    params = OracleParams(d=2, trials=3, seed=0)
+    rigid = Counter()
+    for i in range(240):
+        rng = random.Random(i)
+        n, k = rng.randint(5, 30), 1 + i % 2
+        m = min(n * (n - 1) // 2, 2 * n - 3 + k + rng.randint(0, n))
+        g = random_coloured_graph(n, k, seed=i, m=m)
+        plane = decide_plane(g)
+        numeric = decide_generic_coordinated_rigidity(g, params)
+        assert plane.decision == numeric.decision, f"instance {i}"
+        if plane.rigid:
+            rigid[g.k] += 1
+            assert plane.certificate["rainbow_tuple"] == numeric.certificate["rainbow_tuple"], f"instance {i}"
+    assert rigid[1] >= 50 and rigid[2] >= 50
 
 
 def _traced_peak(call):
