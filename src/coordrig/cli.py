@@ -26,7 +26,7 @@ from .generic import OracleParams, decide_generic_coordinated_rigidity
 from .laman import decide_plane, henneberg_k1_sample, union_rank_d2
 
 USAGE_ERROR = 2
-MAX_GEN_VERTICES = 1_000  # largest --n that gen builds
+MAX_GEN_VERTICES = 10_000  # largest --n that gen builds
 
 
 class CliError(Exception):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 from .cgraph import ColouredGraph, build
@@ -15,13 +16,14 @@ def random_coloured_graph(
     Edge count defaults to a window around 2n - 3 + k so that rigid,
     flexible and overbraced instances all occur.  One edge per nonzero
     class is forced so the colouring is always valid; remaining edges are
-    uncoloured with probability 2/3.
+    uncoloured with probability 2/3.  The edges are drawn as indices into
+    the n(n - 1)/2 pairs in lexicographic order, each mapped to its pair
+    arithmetically, so no list of all pairs is built: memory is O(n + m).
     """
     if n < 2:
         raise ValueError("need n >= 2")
     rng = random.Random(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    max_m = len(pairs)
+    max_m = n * (n - 1) // 2
     if k > max_m:
         raise ValueError(f"{k} classes need {k} edges, but n={n} allows {max_m}")
     if m is None:
@@ -30,7 +32,7 @@ def random_coloured_graph(
         m = rng.randint(low, min(max_m, target + 3))
     if not k <= m <= max_m:
         raise ValueError(f"edge count {m} out of range [{k}, {max_m}]")
-    edges = rng.sample(pairs, m)
+    edges = [_pair(n, t) for t in rng.sample(range(max_m), m)]
     rng.shuffle(edges)
     colours = [0] * m
     for i in range(k):
@@ -39,6 +41,18 @@ def random_coloured_graph(
         if k > 0 and rng.random() > 2 / 3:
             colours[i] = rng.randint(1, k)
     return build(n, k, [(u, v, c) for (u, v), c in zip(edges, colours)])
+
+
+def _pair(n: int, t: int) -> tuple[int, int]:
+    """The t-th pair (u, v), u < v < n, in lexicographic order: u is the
+    largest value with u(2n - u - 1)/2 <= t, the number of pairs before
+    row u.  The smaller root of u(b - u) = 2t, b = 2n - 1, rounded with
+    an integer square root, overshoots u by at most one."""
+    b = 2 * n - 1
+    u = (b - math.isqrt(b * b - 8 * t)) // 2
+    if u * (b - u) > 2 * t:
+        u -= 1
+    return u, t - u * (b - u) // 2 + u + 1
 
 
 def random_corpus(count: int, seed: int, n_range=(3, 8), k_range=(0, 3)):

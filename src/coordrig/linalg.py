@@ -12,7 +12,9 @@ translations give the net force and the rotations the net torque.
 ``modular_matrix`` returns the same matrix as a tuple of int rows over
 GF(q), with q fixed at MODULUS = 2^30 - 35, for exact ranks:
 the largest prime below 2^30, so that every entry, pivot inverse and
-multiplier is a one-digit CPython int.
+multiplier is a one-digit CPython int.  Every exact rank comes from one
+forward elimination, ``_row_reduce``, which pivots each column on its
+sparsest nonzero row (Markowitz's rule) to keep the fill small.
 Each float routine imports numpy in its body, so numpy is loaded by the
 first float call and never by the exact routines or by code that uses
 only them.
@@ -163,19 +165,38 @@ def _row_reduce(rows) -> tuple[list[int], list[list[int]]]:
     pivot.  A pivot row updates the rows below it only in the columns where
     it is nonzero, so sparse matrices such as R(p) and R(p)ᵀ cost far less
     than their size.
+
+    Column c pivots on the row with the fewest nonzeros among the rows not
+    yet used that are nonzero at c, the first such row on a tie
+    (Markowitz's rule): only the pivot row's nonzeros can fill in the rows
+    below, so the sparsest row can fill the fewest.  Each row's count is
+    taken when it is copied and kept current by the updates.  The choice
+    changes no result.  Column-ordered elimination pivots exactly on the
+    columns outside the span of the columns before them, whichever row is
+    chosen, so the pivot list and every rank are the same.  Each row is
+    still unit-pivot and zero left of its pivot.  The echelon rows whose
+    pivot is at or after a column span the vectors of the row space of
+    ``rows`` that vanish before it, whichever rows they are, so
+    ``modular_projection``'s N spans the same space and every rank taken
+    against it is the same too.
     """
     q = MODULUS
     work = [list(r) for r in rows if any(r)]
-    pivots: list[int] = []
     ncols = len(work[0]) if work else 0
+    nonzeros = [ncols - r.count(0) for r in work]
+    pivots: list[int] = []
     for c in range(ncols):
         top = len(pivots)
         if top == len(work):
             break
-        piv = next((i for i in range(top, len(work)) if work[i][c]), None)
+        piv, fewest = None, ncols + 1
+        for i in range(top, len(work)):
+            if work[i][c] and nonzeros[i] < fewest:
+                piv, fewest = i, nonzeros[i]
         if piv is None:
             continue
         work[top], work[piv] = work[piv], work[top]
+        nonzeros[top], nonzeros[piv] = nonzeros[piv], nonzeros[top]
         prow = work[top]
         inv = pow(prow[c], -1, q)
         prow[c] = 1
@@ -189,8 +210,15 @@ def _row_reduce(rows) -> tuple[list[int], list[list[int]]]:
             f = ri[c]
             if f:
                 ri[c] = 0
+                count = nonzeros[i] - 1
                 for j, x in support:
-                    ri[j] = (ri[j] - f * x) % q
+                    old = ri[j]
+                    ri[j] = new = (old - f * x) % q
+                    if not old:
+                        count += 1
+                    elif not new:
+                        count -= 1
+                nonzeros[i] = count
         pivots.append(c)
     return pivots, work[: len(pivots)]
 
@@ -206,10 +234,12 @@ def modular_projection(rows, start: int) -> tuple[int, list[list[int]]]:
     """Rank over GF(MODULUS) of ``rows``, and a matrix N whose kernel is
     the projection of their kernel onto the columns from ``start`` on.
 
-    One forward pass.  An echelon row whose pivot lies left of ``start``
-    can be solved for its pivot entry whatever the entries from ``start``
-    on are, so a vector there extends to the kernel iff the other echelon
-    rows, cut to those columns, vanish on it; N is those rows.
+    One forward pass of ``_row_reduce``, whose sparsest-row pivots decide
+    which rows N holds but not their span.  An echelon row whose pivot
+    lies left of ``start`` can be solved for its pivot entry whatever the
+    entries from ``start`` on are, so a vector there extends to the kernel
+    iff the other echelon rows, cut to those columns, vanish on it; N is
+    those rows.
     """
     pivots, echelon = _row_reduce(rows)
     return len(pivots), [row[start:] for c, row in zip(pivots, echelon) if c >= start]

@@ -13,7 +13,9 @@ split's third vertex from a list of the candidates, the union rank that
 replays a fresh game on E minus T in every augmentation round, the pebble game that searched from one
 endpoint at a time and walked a rejected edge's region again for its
 circuit, the two-sided game that searched for every edge, whatever its
-endpoints' degrees, GF(q) elimination to reduced echelon form,
+endpoints' degrees, GF(q) elimination to reduced echelon form, the
+forward GF(q) elimination that pivoted on the first nonzero row of each
+column, the random graph that drew its edges from a list of all pairs,
 the stress basis over every core edge with the rainbow tuple read from it,
 the float rigidity matrix built one edge row at a time, the trivial motion
 generators filled one vertex at a time, edge and class loads written out
@@ -234,6 +236,33 @@ def listed_henneberg_k1_sample(target_n: int, seed: int):
     return build(n, 1, edges)
 
 
+def listed_random_coloured_graph(n: int, k: int, seed: int, m: int | None = None):
+    """``corpus.random_coloured_graph`` with its edges drawn by
+    ``rng.sample`` from a list of all n(n - 1)/2 pairs."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    max_m = len(pairs)
+    if k > max_m:
+        raise ValueError(f"{k} classes need {k} edges, but n={n} allows {max_m}")
+    if m is None:
+        target = 2 * n - 3 + k
+        low = min(max(k, 1, target - 4), max_m)  # nearly complete graphs
+        m = rng.randint(low, min(max_m, target + 3))
+    if not k <= m <= max_m:
+        raise ValueError(f"edge count {m} out of range [{k}, {max_m}]")
+    edges = rng.sample(pairs, m)
+    rng.shuffle(edges)
+    colours = [0] * m
+    for i in range(k):
+        colours[i] = i + 1
+    for i in range(k, m):
+        if k > 0 and rng.random() > 2 / 3:
+            colours[i] = rng.randint(1, k)
+    return build(n, k, [(u, v, c) for (u, v), c in zip(edges, colours)])
+
+
 class OneSidedPebbleGame:
     """The (kk, ll) pebble game whose searches start at one endpoint.
 
@@ -408,6 +437,41 @@ def reduced_echelon(rows):
             if f and i != top:
                 ri = work[i]
                 ri[c:] = [(a - f * b) % q for a, b in zip(ri[c:], prow[c:])]
+        pivots.append(c)
+    return pivots, work[: len(pivots)]
+
+
+def first_nonzero_echelon(rows):
+    """``linalg._row_reduce`` with each column pivoted on its first nonzero
+    row, not its sparsest: the same pivot columns, unit-pivot rows zero
+    left of their pivot, but more fill in the rows below."""
+    q = MODULUS
+    work = [list(r) for r in rows if any(r)]
+    pivots = []
+    ncols = len(work[0]) if work else 0
+    for c in range(ncols):
+        top = len(pivots)
+        if top == len(work):
+            break
+        piv = next((i for i in range(top, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[top], work[piv] = work[piv], work[top]
+        prow = work[top]
+        inv = pow(prow[c], -1, q)
+        prow[c] = 1
+        support = []
+        for j in range(c + 1, ncols):
+            if prow[j]:
+                prow[j] = prow[j] * inv % q
+                support.append((j, prow[j]))
+        for i in range(top + 1, len(work)):
+            ri = work[i]
+            f = ri[c]
+            if f:
+                ri[c] = 0
+                for j, x in support:
+                    ri[j] = (ri[j] - f * x) % q
         pivots.append(c)
     return pivots, work[: len(pivots)]
 

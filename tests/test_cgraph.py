@@ -16,7 +16,9 @@ from coordrig import (
     subgraph_by_colours,
 )
 from coordrig.cgraph import MAX_VERTICES
-from coordrig.corpus import random_coloured_graph
+from coordrig.corpus import _pair, random_coloured_graph
+
+from oracles import listed_random_coloured_graph
 
 TRIANGLE = '{"n":3,"k":0,"edges":[[0,1,0],[1,2,0],[0,2,0]]}'
 QUAD_RIGID = '{"n":4,"k":1,"edges":[[0,1,1],[0,2,0],[0,3,0],[1,2,0],[1,3,1],[2,3,1]]}'
@@ -338,3 +340,24 @@ def test_random_graph_any_class_count():
                 assert sorted(set(g.colours) - {0}) == list(range(1, k + 1))
     k4 = random_coloured_graph(4, 6, seed=0)
     assert (k4.m, sorted(k4.colours)) == (6, [1, 2, 3, 4, 5, 6])
+
+
+def test_pair_index_maps_to_lexicographic_pairs():
+    for n in list(range(2, 40)) + [97, 640]:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        assert [_pair(n, t) for t in range(len(pairs))] == pairs, n
+
+
+def test_random_graph_draws_match_the_listed_pairs():
+    # sampling indices draws the same positions, and leaves the RNG in the
+    # same state, as sampling the list of all pairs: the colours drawn
+    # after the edges agree too
+    for n in list(range(2, 40)) + [97, 640, 1000]:
+        pairs = n * (n - 1) // 2
+        seeds, full = (range(20), pairs) if n < 100 else (range(3), 4 * n)
+        for m in (None, min(pairs, n), full):
+            for seed in seeds:
+                k = min(3, pairs)
+                g = random_coloured_graph(n, k, seed=seed, m=m)
+                ref = listed_random_coloured_graph(n, k, seed=seed, m=m)
+                assert (g.edges, g.colours) == (ref.edges, ref.colours), (n, m, seed)

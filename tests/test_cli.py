@@ -329,8 +329,7 @@ def test_usage_errors_exit_two(tmp_path, argv):
 
 @pytest.mark.parametrize("mode", ["random", "henneberg-k1"])
 def test_gen_above_the_vertex_limit_exits_two(tmp_path, mode):
-    # random graphs list all n(n - 1)/2 pairs first, so a large --n would
-    # exhaust memory before writing anything
+    # the limit is checked before any graph is drawn, so nothing is written
     n = cli.MAX_GEN_VERTICES + 1
     code, out, err = run_cli("gen", "--n", str(n), "--mode", mode, "--out", str(tmp_path))
     assert (code, out) == (2, "")

@@ -17,9 +17,10 @@ from coordrig import (
     resolve_load,
     rigidity_matrix,
 )
-from coordrig.corpus import random_corpus
+from coordrig.corpus import random_coloured_graph, random_corpus
 from coordrig.linalg import (
     MODULUS,
+    _row_reduce,
     float_rank,
     indicator_matrix,
     is_equilibrium_load,
@@ -34,6 +35,7 @@ from coordrig.linalg import (
 
 from conftest import FIXTURE_NAMES, load_fixture
 from oracles import (
+    first_nonzero_echelon,
     loop_colour_class_load,
     loop_edge_load,
     loop_is_equilibrium_load,
@@ -289,6 +291,62 @@ def test_eliminator_matches_reduced_echelon_on_fixture_transposes():
         assert modular_rank_rows(rt) == len(reduced_echelon(rt)[0]), label
         rows = list(zip(*rt))
         assert modular_rank_rows(rows) == len(reduced_echelon(rows)[0]), label
+
+
+def _eliminator_cases():
+    # the random matrices, each also with duplicated rows and with its rows
+    # permuted, and R(p)ᵀ of seeded random graphs at d = 2 and 3
+    rng = random.Random(31)
+    for i, m in enumerate(_random_gf_matrices()):
+        yield f"matrix {i}", m
+        doubled = m + [list(m[j]) for j in rng.sample(range(len(m)), (len(m) + 1) // 2)]
+        rng.shuffle(doubled)
+        yield f"matrix {i} duplicated", doubled
+        yield f"matrix {i} permuted", rng.sample(m, len(m))
+    for d in (2, 3):
+        for i in range(6):
+            n = rng.randint(d + 2, 16)
+            m = rng.randint(d * n - 4, min(d * n + 4, n * (n - 1) // 2))
+            g = random_coloured_graph(n, 0, seed=100 * d + i, m=m)
+            p = sample_modular_configuration(n, d, seed=i)
+            yield f"R(p)ᵀ d={d} n={n} m={m}", list(zip(*modular_matrix(g, p, d)))
+
+
+def test_sparsest_pivot_keeps_pivots_and_row_space():
+    for label, rows in _eliminator_cases():
+        pivots, echelon = _row_reduce(rows)
+        expect = reduced_echelon(rows)
+        assert pivots == expect[0], label
+        for c, row in zip(pivots, echelon):
+            assert row[c] == 1 and not any(row[:c]), label
+        assert reduced_echelon(echelon) == expect, label
+
+
+def test_projected_stress_rank_ignores_row_order():
+    # N differs with the pivot rows chosen, but rank[N; A] - rank N does not
+    rng = random.Random(32)
+    for label, rows in _eliminator_cases():
+        ncols = len(rows[0])
+        start = rng.randint(0, ncols)
+        A = [[rng.randrange(MODULUS) if rng.random() < 0.5 else rng.randint(0, 1)
+              for _ in range(ncols - start)] for _ in range(rng.randint(1, 4))]
+        ranks = set()
+        for _ in range(4):
+            rank, N = modular_projection(rng.sample(rows, len(rows)), start)
+            ranks.add((rank, modular_rank_rows(N + A) - len(N)))
+        assert len(ranks) == 1, label
+
+
+def test_sparsest_pivot_fills_less_than_first_nonzero():
+    # same pivots; on this fixed R(p)ᵀ about half the echelon nonzeros
+    g = random_coloured_graph(60, 0, seed=3, m=3 * 60 - 6)
+    rt = list(zip(*modular_matrix(g, sample_modular_configuration(60, 3, seed=3), 3)))
+    pivots, echelon = _row_reduce(rt)
+    ref_pivots, ref_echelon = first_nonzero_echelon(rt)
+    assert pivots == ref_pivots
+    fill = sum(len(r) - r.count(0) for r in echelon)
+    ref_fill = sum(len(r) - r.count(0) for r in ref_echelon)
+    assert fill < ref_fill
 
 
 def test_motions_quad_flex_vs_rigid(quad_flex_k1, quad_rigid_k1):
