@@ -34,7 +34,6 @@ from .laman import (
     check_union,
     decide_plane,
     henneberg_k1_sample,
-    rainbow_pair_k2,
     transversal_rank,
     union_rank_d2,
 )

@@ -19,7 +19,11 @@ def random_coloured_graph(
     uncoloured with probability 2/3.  The edges are drawn as indices into
     the n(n - 1)/2 pairs in lexicographic order, each mapped to its pair
     arithmetically, so no list of all pairs is built: memory is O(n + m).
+    n, k and m (when given) must be exact ``int``s, as a graph's n is.
     """
+    for name, value in (("n", n), ("k", k), ("m", m)):
+        if type(value) is not int and not (name == "m" and value is None):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if n < 2:
         raise ValueError("need n >= 2")
     rng = random.Random(seed)

@@ -44,9 +44,13 @@ every rejected edge the last of its circuit (``union_rank_d2``).  After
 the last path no circuit is read, so only the edges the basis gains go
 back in: those leaving T and the first rejected edge whose circuit met a
 deleted edge.
-The k = 2 pair search tests the first candidate pair by rank restoration
-on a copy of the decider's game with the pair deleted, falling back to a
-copy with one edge deleted that replays E - e.
+The k = 2 pair search makes rank-restoration tests only, read from the
+decider's game: from its circuits, or from a copy with the pair deleted
+when both edges are in the basis.  For redundant e and f, f is redundant
+in E - e iff e and f are not in series, an equivalence relation, so once
+the first redundant class-1 edge has no partner, every redundant class-2
+edge lies in its series class, and one test per later class-1 edge
+decides it.
 
 Also houses the inductive generator for one-class isostatic graphs used to
 build test corpora.
@@ -329,17 +333,18 @@ class _PlaneGame:
     # k = 2: G0's first circuit; k = 1: G0's first rejected edge alone;
     # None when G0 is Laman-sparse
     g0_circuit: tuple | None
-    game: PebbleGame  # the game itself, for the pair search
-    # for check_k2: a copy after the G0 phase, and G0's rejections
+    game: PebbleGame  # the game itself, for the pair search's rank tests
+    # k = 2: a copy after the G0 phase, and G0's rejections, for the (2,2)
+    # counts; None for k = 1
     g0_phase: tuple | None
 
 
-def _plane_game(g: ColouredGraph, stripped, copy_g0=False) -> _PlaneGame:
+def _plane_game(g: ColouredGraph, stripped) -> _PlaneGame:
     """One (2,3) game on the core of g, g minus its coloops ``stripped``:
     G0's edges, then the coloured ones, each group in canonical order.
-    G0's circuit and, given ``copy_g0``, the copy for the (2,2) counts are
-    taken after the first phase, the game on G0's core.  Coloops lie on no circuit, so no field
-    changes.
+    G0's circuit and, for two classes, the copy for the (2,2) counts are
+    taken after the first phase, the game on G0's core.  Coloops lie on no
+    circuit, so no field changes.
 
     The verdicts read which coloured edges are redundant, and each prints
     at most one circuit: G0's first for two classes, and for one class
@@ -365,7 +370,7 @@ def _plane_game(g: ColouredGraph, stripped, copy_g0=False) -> _PlaneGame:
             circuits[e] = game.rejection_circuit(e) if read_full else (e,)
             read_full = False
     g0_circuit = next(iter(circuits.values()), None)
-    g0_phase = (game.copy(), list(circuits)) if copy_g0 else None
+    g0_phase = (game.copy(), list(circuits)) if g.k == 2 else None
     base = len(game.accepted)
     read_full = g.k == 1 and not circuits and g.m == _plane_target(g.n) + 1
     for e in coloured:
@@ -420,23 +425,6 @@ def check_k1(g: ColouredGraph) -> RigidityVerdict:
     )
 
 
-def rainbow_pair_k2(g: ColouredGraph):
-    """First rainbow redundant pair of a Laman+2 graph, canonical order.
-
-    A rainbow redundant pair {e, f} is a rainbow set independent in the
-    dual matroid M*: removing both keeps the (2,3)-rank.  Returns None
-    unless the graph is Laman+2; otherwise the first redundant class-1 edge
-    e after whose removal some class-2 edge is still redundant, with the
-    first such f, or None when there is none.
-    """
-    if g.k != 2:
-        raise ValueError(f"rainbow pair search called with k={g.k}")
-    plane = _plane_game(g, coloops(g, 2))
-    if plane.kind != "laman+2":
-        return None
-    return _rainbow_pair_general(g, plane.game, plane.circuits, plane.redundant)
-
-
 def check_k2(g: ColouredGraph) -> RigidityVerdict:
     """Plane decision for two coordination classes.
 
@@ -453,7 +441,7 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     if g.k != 2:
         raise ValueError(f"two-class decider called with k={g.k}")
     stripped = coloops(g, 2)
-    plane = _plane_game(g, stripped, copy_g0=True)
+    plane = _plane_game(g, stripped)
     rank, kind, redundant = plane.rank, plane.kind, plane.redundant
     target = _plane_target(g.n)
     if rank < target:
@@ -538,57 +526,57 @@ def _one_class_22_sparse(g: ColouredGraph, stripped, game: PebbleGame,
 
 
 def _rainbow_pair_general(g: ColouredGraph, game, circuits, redundant):
-    """Rainbow redundant pair search for rank-full graphs of any surplus.
+    """First rainbow redundant pair of a rank-full graph of any surplus.
 
-    {e, f} is jointly redundant iff e is redundant and f stays redundant
-    after e is removed, so f is a redundant class-2 edge, a candidate.
-    ``game`` is the plane game on E and ``circuits`` its rejection
-    circuits, of which only the coloured edges are read (``_plane_game``).
-    For each redundant class-1 edge e in canonical order: if e was
-    rejected, the redundant edges of E - e are the other rejections'
-    circuits.  Otherwise the first candidate f is tested by rank
-    restoration (``_rank_restored``): f is redundant in E - e exactly when
-    E - e - f keeps the rank, and, being first, is then the pair's f.
-    Only when the test fails is E - e replayed: a copy of the game deletes
-    e, which leaves a valid game on the rest of the basis, and re-inserts
-    the rejected edges whose circuit holds e; the other circuits lie in
-    the rest of the basis and are kept.
+    {e, f} is jointly redundant iff E - e - f keeps the rank of E, so e is
+    in R1 and f in R2, the redundant edges of classes 1 and 2.  The pair is
+    the first e that has a partner, with its first partner.  ``game`` is
+    the plane game on E and ``circuits`` its rejection circuits, of which
+    only the coloured edges are read (``_plane_game``); every test is a
+    rank restoration (``_rank_restored``).
+
+    Lemma (Oxley, "Matroid Theory", series classes): for redundant edges
+    e != f, E - e - f keeps the rank iff {e, f} is not a cocircuit, i.e.
+    e and f are not in series, and being in series is the parallel
+    relation of the dual matroid, an equivalence relation.  So the first
+    edge e0 of R1 is tested with each edge of R2 in order, and the first
+    that passes is the pair.  When none passes, all of R2 lies in e0's
+    series class S; a later e then passes with every edge of R2 if it lies
+    outside S and with none if inside, so it is tested with the first edge
+    f0 of R2 alone, and the first that passes is the pair.  A call makes at
+    most |R1| + |R2| - 1 tests.
     """
-    candidates = [f for f in g.colour_class(2) if f in redundant]
-    if not candidates:
+    r1 = [e for e in g.colour_class(1) if e in redundant]
+    r2 = [f for f in g.colour_class(2) if f in redundant]
+    if not r1 or not r2:
         return None
-    for e in g.colour_class(1):
-        if e not in redundant:
-            continue
-        if e in circuits:
-            rest = [c for x, c in circuits.items() if x != e]
-        elif _rank_restored(game, circuits, (e, candidates[0])):
-            return (e, candidates[0])
-        else:
-            trial = game.copy()
-            trial.delete(e)
-            rest = [c for c in circuits.values() if e not in c]
-            rest += trial.insert_all([x for x, c in circuits.items() if e in c]).values()
-        sub_red = {x for circuit in rest for x in circuit}
-        for f in candidates:
-            if f in sub_red:
-                return (e, f)
+    for f in r2:
+        if _rank_restored(game, circuits, (r1[0], f)):
+            return (r1[0], f)
+    for e in r1[1:]:
+        if _rank_restored(game, circuits, (e, r2[0])):
+            return (e, r2[0])
     return None
 
 
 def _rank_restored(game, circuits, pair) -> bool:
     """Whether E minus the two edges of ``pair`` keeps the rank of E.
 
-    ``game`` is a game on E and ``circuits`` its rejection circuits, each
-    holding at least its own edge and any edge of ``pair`` on it.  A copy
-    deletes the pair's accepted edges, which leaves a valid game on the
-    rest of the basis (Lee & Streinu 2008), and re-inserts in the game's
-    order the other rejected edges whose circuit meets a deleted edge,
-    until the rank is back.  Every other rejected edge keeps its circuit
-    in the rest of the basis and would be rejected again."""
+    ``game`` is a game on E with basis B, and ``circuits`` its rejection
+    circuits, each holding at least its own edge and any edge of ``pair``
+    on it.  With at most one edge y of the pair in B no copy is made:
+    B - y plus a rejected edge x outside the pair is a basis iff y lies on
+    x's circuit, and B itself avoids the pair when neither edge is in it.  Otherwise a copy
+    deletes both, which leaves a valid game on the rest of the basis (Lee &
+    Streinu 2008), and re-inserts in the game's order the other rejected
+    edges whose circuit meets a deleted edge, until the rank is back.
+    Every other rejected edge keeps its circuit in the rest of the basis
+    and would be rejected again."""
+    deleted = [x for x in pair if x not in circuits]
+    if len(deleted) < 2:
+        return all(any(y in c for x, c in circuits.items() if x not in pair) for y in deleted)
     rank = len(game.accepted)
     trial = game.copy()
-    deleted = [x for x in pair if x not in circuits]
     for x in deleted:
         trial.delete(x)
     for x, circuit in circuits.items():

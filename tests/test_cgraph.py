@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from coordrig import (
     serialize,
     subgraph_by_colours,
 )
+from coordrig import corpus
 from coordrig.cgraph import MAX_VERTICES
 from coordrig.corpus import _pair, random_coloured_graph
 
@@ -279,6 +281,21 @@ def test_random_graph_round_trip(seed):
         assert g.edge_index(e) == g.edges.index(e) == i
         assert g.colour_of(e) == c
     assert all(c for c in range(1, g.k + 1) if g.colour_class(c))
+
+
+@pytest.mark.parametrize("args,name", [
+    ((5.0, 1, 7), "n"), ((True, 1, 7), "n"), ((5, 1.0, 7), "k"), ((5, None, 7), "k"),
+    ((5, 1, 7.0), "m"), ((5, 1, True), "m"), ((5, 1, "7"), "m"),
+])
+def test_random_graph_sizes_must_be_exact_ints(monkeypatch, args, name):
+    # a float, bool or string size is refused by name before any draw;
+    # without the check m=True built a graph with one edge
+    value = dict(zip("nkm", args))[name]
+    drawn = []
+    monkeypatch.setattr(corpus.random, "Random", lambda *a: drawn.append(a))
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+        random_coloured_graph(*args[:2], seed=0, m=args[2])
+    assert drawn == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,7 +16,6 @@ from coordrig import (
     decide_generic_coordinated_rigidity,
     decide_plane,
     henneberg_k1_sample,
-    rainbow_pair_k2,
     rank_summary,
     redundant_edges_d2,
     sparsity_rank,
@@ -553,7 +552,7 @@ def test_22_counts_continue_the_g0_phase():
         m = min(n * (n - 1) // 2, 2 * n - 4 + i % 9 + dense)
         g = random_coloured_graph(n, 2, seed=i, m=m)
         stripped = coloops(g, 2)
-        plane = laman._plane_game(g, stripped, copy_g0=True)
+        plane = laman._plane_game(g, stripped)
         twin, g0_rejected = plane.g0_phase
         expected = _fresh_22_sparse(g, stripped)
         assert laman._one_class_22_sparse(g, stripped, twin, g0_rejected) == expected
@@ -581,14 +580,18 @@ def test_check_k2_plays_one_game_fewer(pebble_games, monkeypatch, request, fixtu
 
 @pytest.mark.parametrize("fixture,copies", [("twin_blocks_k2", 0), ("seven_rigid_k2", 1)])
 def test_rainbow_pair_takes_no_g0_copy(monkeypatch, request, fixture, copies):
-    # only check_k2's (2,2) counts read the copy of the G0 phase; the pair
-    # search alone copies the game only for its own trials, and none when
-    # the graph is not Laman+2
+    # a two-class game takes the one copy of its G0 phase, which only
+    # check_k2's (2,2) counts read; the pair search copies the game only for
+    # its rank tests of two basis edges, one on seven_rigid_k2 and none on
+    # twin_blocks_k2, whose class-2 edges are all bridges
     g = request.getfixturevalue(fixture)
     made = []
     copy = PebbleGame.copy
     monkeypatch.setattr(PebbleGame, "copy", lambda self: made.append(1) or copy(self))
-    rainbow_pair_k2(g)
+    plane = laman._plane_game(g, coloops(g, 2))
+    assert len(made) == 1 and plane.g0_phase is not None
+    del made[:]
+    laman._rainbow_pair_general(g, plane.game, plane.circuits, plane.redundant)
     assert len(made) == copies
 
 
@@ -694,21 +697,27 @@ def test_plane_verdicts_build_no_position_map(name):
 
 
 def test_rainbow_pair_matches_fresh_games(monkeypatch):
-    # the pair search reads E - e from copies of the decider's game; a
-    # fresh (2,3) game on every E - e - f must find the same pair.  An
-    # accepted e is settled by the rank-restoration test of the first
-    # candidate or falls back to a replay of E - e; both must occur often
+    # the pair search tests pairs by rank restoration on copies of the
+    # decider's game; a fresh (2,3) game on every E - e - f must find the
+    # same pair, and every test must agree with a fresh game on E - e - f.
+    # It tests the first redundant class-1 edge with each candidate, then
+    # each later one with the first candidate, so a call makes at most
+    # |R1| + |R2| - 1 tests; a test copies the game only when both edges are
+    # in its basis.  Passing and failing tests, tests with 0, 1 and 2 basis
+    # edges, and calls that reach a later class-1 edge must all occur often
     cases = {"laman+2": 0, "surplus>2": 0, "deficit": 0, "e rejected": 0}
     found = 0
-    tests = []
-    rank_restored = laman._rank_restored
+    tests, copies = [], []
+    rank_restored, copy = laman._rank_restored, PebbleGame.copy
 
-    def recording_rank_restored(*args):
-        tests.append(rank_restored(*args))
-        return tests[-1]
+    def recording_rank_restored(game, circuits, pair):
+        tests.append((pair, rank_restored(game, circuits, pair)))
+        return tests[-1][1]
 
     monkeypatch.setattr(laman, "_rank_restored", recording_rank_restored)
-    restored = fell_back = 0
+    monkeypatch.setattr(PebbleGame, "copy", lambda self: copies.append(1) or copy(self))
+    restored = failed = later = 0
+    in_basis = Counter()
     for i in range(500):
         n = 5 + i % 9
         m = min(n * (n - 1) // 2, 2 * n - 4 + i % 7)
@@ -719,11 +728,19 @@ def test_rainbow_pair_matches_fresh_games(monkeypatch):
         # the game on the whole of E has the same rank, kind and circuits
         whole = laman._plane_game(g, frozenset())
         assert (whole.rank, whole.kind, whole.circuits) == (plane.rank, kind, circuits)
-        del tests[:]
+        del tests[:], copies[:]
         assert laman._rainbow_pair_general(g, plane.game, circuits, redundant) == expected
-        restored += tests.count(True)
-        fell_back += tests.count(False)
-        assert rainbow_pair_k2(g) == (expected if kind == "laman+2" else None)
+        for pair, ok in tests:
+            rest = [x for x in g.edges if x not in pair]
+            assert ok == (sparsity_rank((rest, g.n))[0] == plane.rank), (i, pair)
+        basis_edges = [sum(x not in circuits for x in pair) for pair, _ in tests]
+        assert len(copies) == basis_edges.count(2), i
+        in_basis.update(basis_edges)
+        r1, r2 = ([e for e in g.colour_class(c) if e in redundant] for c in (1, 2))
+        assert len(tests) <= max(len(r1) + len(r2) - 1, 0), i
+        restored += sum(ok for _, ok in tests)
+        failed += sum(not ok for _, ok in tests)
+        later += any(pair[0] != r1[0] for pair, _ in tests)
         full = kind != "deficit"
         got = check_k2(g).certificate.get("rainbow_tuple")
         assert got == ([list(e) for e in expected] if full and expected else None)
@@ -736,7 +753,8 @@ def test_rainbow_pair_matches_fresh_games(monkeypatch):
         cases["e rejected"] += first in circuits
     assert min(cases.values()) >= 40, cases
     assert 100 <= found <= 400
-    assert restored >= 150 and fell_back >= 80, (restored, fell_back)
+    assert restored >= 150 and failed >= 120 and later >= 25, (restored, failed, later)
+    assert min(in_basis[c] for c in range(3)) >= 20, in_basis
 
 
 def _two_phase_graphs(g0_rejections, coloured_rejections, count):
@@ -749,7 +767,7 @@ def _two_phase_graphs(g0_rejections, coloured_rejections, count):
         colours = [1, 2] + [rng.choice((0, 0, 0, 0, 1, 2)) for _ in range(10)]
         rng.shuffle(colours)
         g = build(6, 2, [(u, v, c) for (u, v), c in zip(rng.sample(pairs, 12), colours)])
-        plane = laman._plane_game(g, coloops(g, 2), copy_g0=True)
+        plane = laman._plane_game(g, coloops(g, 2))
         in_g0 = len(plane.g0_phase[1])
         if (plane.rank == 9 and in_g0 >= g0_rejections
                 and len(plane.circuits) - in_g0 >= coloured_rejections):
@@ -797,8 +815,8 @@ BRACED_BLOCK = [(4, 7, 0), (4, 8, 0), (5, 7, 0), (5, 8, 0), (7, 8, 0)]
 def test_pair_search_makes_no_failed_search(seven_rigid_k2, monkeypatch, extra):
     # deleting e = (0, 1) and f = (4, 6) and re-inserting the two rejected
     # edges whose circuit holds one of them restores the rank, so no pebble
-    # search fails; a replay of E - e would re-insert (5, 6), whose circuit
-    # avoids e, and fail a search on it, and re-inserting (7, 8) would too
+    # search fails; re-inserting every rejected edge would re-insert (5, 6),
+    # whose circuit avoids the pair, and fail a search on it, and (7, 8) too
     g = seven_rigid_k2
     g = build(g.n + 2 * bool(extra), 2,
               [(u, v, c) for (u, v), c in zip(g.edges, g.colours)] + extra)
@@ -815,6 +833,42 @@ def test_pair_search_makes_no_failed_search(seven_rigid_k2, monkeypatch, extra):
     pair = laman._rainbow_pair_general(g, plane.game, plane.circuits, plane.redundant)
     assert pair == ((0, 1), (4, 6))
     assert False not in found
+
+
+def _wheel_on_k5(rim):
+    """A wheel with hub 0 and rim 1..rim whose edges alternate classes 1
+    and 2, except the spoke (0, 1), glued at 0 and 1 to an uncoloured K5
+    on 0, 1 and three new vertices, which holds the spoke."""
+    wheel = [(0, v) for v in range(2, rim + 1)] + [(v, v + 1) for v in range(1, rim)]
+    block = [0, 1, rim + 1, rim + 2, rim + 3]
+    edges = [(u, v, 1 + i % 2) for i, (u, v) in enumerate(wheel + [(1, rim)])]
+    edges += [(u, v, 0) for i, u in enumerate(block) for v in block[i + 1:]]
+    return build(rim + 4, 2, edges)
+
+
+@pytest.mark.parametrize("rim", [5, 12, 60])
+def test_one_series_class_takes_one_test_per_redundant_edge(monkeypatch, rim):
+    # the K5 holds 0 and 1 rigid, so the coloured wheel edges carry one edge
+    # more than their rank: each is redundant, any two of them are in
+    # series, and there is no pair.  The first class-1 edge fails with
+    # every candidate and every later one with the first, |R1| + |R2| - 1
+    # rank tests, and no E - e is replayed
+    g = _wheel_on_k5(rim)
+    tests, replays = [], []
+    rank_restored, insert_all = laman._rank_restored, PebbleGame.insert_all
+    monkeypatch.setattr(laman, "_rank_restored",
+                        lambda *args: tests.append(args[2]) or rank_restored(*args))
+    monkeypatch.setattr(PebbleGame, "insert_all",
+                        lambda self, edges: replays.append(edges) or insert_all(self, edges))
+    verdict = check_k2(g)
+    assert verdict.witness == "no-rainbow-redundant-pair"
+    r1, r2 = g.colour_class(1), g.colour_class(2)
+    assert verdict.certificate["diagnosis"]["class_redundant"] == {
+        "1": [list(e) for e in r1], "2": [list(e) for e in r2]}
+    assert replays == []
+    assert tests == [(r1[0], f) for f in r2] + [(e, r2[0]) for e in r1[1:]]
+    if rim <= 5:
+        assert brute_rainbow_pair(g) is None
 
 
 def test_g0_read_from_the_game_on_e():
@@ -1039,13 +1093,20 @@ def test_check_k2_verdict_invariants():
     assert min(branches.values()) >= 5, branches
 
 
+def _rainbow_pair(g):
+    """The pair search on the plane game of g's core."""
+    plane = laman._plane_game(g, coloops(g, 2))
+    return laman._rainbow_pair_general(g, plane.game, plane.circuits, plane.redundant)
+
+
 def test_rainbow_pair_seven_fixture(seven_rigid_k2):
-    assert rainbow_pair_k2(seven_rigid_k2) == ((0, 1), (4, 6))
+    assert _rainbow_pair(seven_rigid_k2) == ((0, 1), (4, 6))
+    assert check_k2(seven_rigid_k2).certificate["rainbow_tuple"] == [[0, 1], [4, 6]]
 
 
 def test_rainbow_pair_none_fixtures(twin_blocks_k2, nested_circuit_k2):
-    assert rainbow_pair_k2(twin_blocks_k2) is None
-    assert rainbow_pair_k2(nested_circuit_k2) is None
+    assert _rainbow_pair(twin_blocks_k2) is None
+    assert _rainbow_pair(nested_circuit_k2) is None
 
 
 def shared_edge_monochromatic_graph():
@@ -1063,7 +1124,7 @@ def shared_edge_monochromatic_graph():
 
 def test_shared_monochromatic_circuits_rejected():
     g = shared_edge_monochromatic_graph()
-    assert rainbow_pair_k2(g) is None
+    assert _rainbow_pair(g) is None
     v = check_k2(g)
     assert not v.rigid
     diag = v.certificate["diagnosis"]

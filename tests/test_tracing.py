@@ -10,7 +10,7 @@ import coordrig
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # names the benchmark still lists after the library dropped them; the
 # tracer wraps only functions that exist, so each must be truly gone
-RETIRED = {"linalg.modular_nullspace"}
+RETIRED = {"linalg.modular_nullspace", "laman.rainbow_pair_k2"}
 
 
 def test_tracer_wraps_every_named_function_and_restores_it(monkeypatch):
