@@ -11,21 +11,21 @@ circuit; the rank is |C| plus the rank of the 3-core, and the circuits,
 the redundant edges and the redundant rainbow sets are those of the core.
 The games below are played on the core only.
 
-The one- and two-class deciders play one (2,3) game, uncoloured edges
-first: its first phase is the game on the uncoloured subgraph G0, so G0's
-sparsity and circuit come from the same game as the rank, the Laman+p
-kind and the redundant edges.  Their verdicts read which coloured edges
-are redundant and one pair, and print at most one circuit, so a circuit
-is read in full only where a verdict prints it: G0's first circuit for
-two classes, and for one class the first rejection of a graph with
-m = 2n - 2 whose G0 rejected nothing, the one circuit of a graph that
-may be isostatic.  Every other rejection keeps just the accepted coloured
-edges on its circuit, none in the G0 phase.  The two-class decider's
-(2,2) counts go on from a copy of that first phase: kk is 2 in both
-counts and a (2,3)-sparse set is (2,2)-sparse, so the copy is a valid
-(2,2) game on G0's (2,3)-basis, and only G0's (2,3)-rejected edges and
-the classes are inserted into it, class 2 into the copy itself and
-class 1 into a copy of it.
+Every decider plays the same first game (``_plane_game``): the core in
+canonical order, each rejection's circuit read only on the game's
+accepted coloured edges (``_insert_coloured``).  The one- and two-class
+verdicts read it off the game's final state (``_PlaneGame``): the rank,
+the Laman+p kind, the redundant coloured edges, G0's (2,3)-sparsity and,
+for two classes, the (2,2) counts of G0 plus each class and the rainbow
+pair.  A state of the game minus the edges it deletes is a valid game on
+the rest (Lee & Streinu 2008), so where the state alone does not settle
+a count, the game (or a copy, while a later read needs it) deletes its
+accepted coloured edges of one kind and re-inserts only rejected edges.
+A circuit is read in full only where a verdict prints it: the one
+circuit of an isostatic one-class graph, re-read by inserting its
+rejected edge into the final game once more, and G0's first canonical
+circuit, from a fresh game on G0's core that stops at its first
+rejection.
 
 For any number of classes the decider uses the rank of the union of the
 plane rigidity matroid M with the colour partition matroid P (uncoloured
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 from .cgraph import ColouredGraph, build, coloops
 from .generic import RigidityVerdict, _ranks, _trivial_dim
-from .pebble import PLANE_LOOSE, PebbleGame, _span
+from .pebble import PLANE, PLANE_LOOSE, PebbleGame, _span
 
 Edge = tuple[int, int]
 
@@ -183,13 +183,11 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
     """
     held: dict[int, Edge] = {}  # colour -> the edge of T that holds it
     stripped = coloops(g, 2)
-    core = [e for e in g.edges if e not in stripped]
-    game = PebbleGame(_span(core))
-    coloured: list[Edge] = []  # the game's accepted coloured edges
-    circuits = _insert_coloured(g, game, core, coloured)
+    plane = _plane_game(g, stripped)
+    game, coloured, circuits = plane.game, plane.coloured, plane.circuits
     full = len(game.accepted)
     # the colours with a redundant edge: T holds no other
-    most = len({g.colour_of(e) for circuit in circuits.values() for e in circuit} - {0})
+    most = len({g.colour_of(e) for e in plane.redundant} - {0})
     while len(held) < most:
         before = set(held.values())
         if not _augment(g, held, game, circuits, coloured):
@@ -235,18 +233,21 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
     )
 
 
-def _insert_coloured(g: ColouredGraph, game: PebbleGame, edges, coloured):
+def _insert_coloured(g: ColouredGraph, game: PebbleGame, edges, coloured, colours=None):
     """Insert ``edges`` into ``game`` in order, appending each accepted
     coloured edge to ``coloured``, the game's accepted coloured edges.
+    ``colours`` gives the edges' colours in the same order; when None they
+    are looked up in g.
 
     Returns {rejected edge e: e plus the edges of ``coloured`` on its
     circuit}, read by ``rejection_circuit`` from ``coloured`` alone.
     """
-    colour_of = g.colour_of
+    if colours is None:
+        colours = map(g.colour_of, edges)
     circuits = {}
-    for e in edges:
+    for e, c in zip(edges, colours):
         if game.try_insert(e):
-            if colour_of(e):
+            if c:
                 coloured.append(e)
             continue
         circuits[e] = game.rejection_circuit(e, coloured)
@@ -324,63 +325,91 @@ def _augment(g: ColouredGraph, held: dict[int, Edge], game: PebbleGame,
 
 @dataclass(frozen=True)
 class _PlaneGame:
-    """One (2,3) game on the core of g, as the plane verdicts read it."""
+    """One (2,3) game on the core E of g in canonical order, and the
+    reads the one- and two-class verdicts take off its final state.
+
+    Write B for the basis the game holds, G0 for the uncoloured edges,
+    Ci for class i, R0 for G0's rejected edges, surplus(X) = |X| - r(X),
+    and r*(X) = |X| - r(E) + r(E - X) for the rank of X in the dual.
+    Every count is decided on the core: (2,3)- and (2,2)-circuits have
+    minimum degree 3, so a coloop of g lies on no circuit of any of its
+    subgraphs.
+
+    G0's (2,3)-sparsity (``_g0_read``).  Sparse when R0 is empty.  Not
+    sparse when the entry of an edge of R0 holds no coloured edge, since
+    its circuit lies in G0.  Sparse when R0 is one edge e whose entry
+    holds a coloured edge: that circuit is the only one in B + e, and
+    G0's accepted edges plus e, a part of B + e that misses one of its
+    edges, are independent.
+    Otherwise the game deletes its accepted coloured edges, which leaves
+    a valid game on G0's accepted edges (Lee & Streinu 2008), and G0 is
+    sparse iff all of R0 goes back in (``_sparse_after``).
+
+    The (2,2) count of G0 + Ci, for j the other class.  A (2,2)-violating
+    set has m' >= 2n' - 1 edges and (2,3)-rank at most 2n' - 3, so its
+    surplus is at least 2; surplus never falls on a superset, so a set of
+    surplus at most 1 is (2,2)-sparse.  G0 + Ci is E - Cj, and
+    (a) its accepted edges are independent, so its surplus is at most the
+        number of its rejected edges, those outside Cj;
+    (b) surplus(E - Cj) = surplus(E) - r*(Cj), by expanding both sides,
+        and r*(Cj) >= 1 iff Cj holds a redundant edge (one whose removal
+        keeps the rank, so one on a circuit); the surplus is then at
+        most surplus(E) - 1.  The game's ``redundant`` holds every
+        redundant coloured edge, whatever the rank.
+    When neither bound is at most 1, the game deletes Cj's accepted edges,
+    which leaves a (2,3)-sparse, hence (2,2)-sparse, valid game on the
+    accepted edges of E - Cj, and since kk is 2 in both counts, it
+    switches to the (2,2) count and re-inserts the rejected edges outside
+    Cj: G0 + Ci is (2,2)-sparse iff they all go in.
+
+    The rainbow pair (``_rainbow_pair_general``) reads the game and its
+    circuits as they are: while it may still run, each test strips a
+    copy, and otherwise the last test strips the game itself.
+    """
 
     rank: int  # the (2,3)-rank, |stripped| plus the game's
-    kind: str  # its laman_kind
-    circuits: dict  # rejected edge -> its circuit, as far as a verdict reads it
+    circuits: dict  # rejected edge -> it plus the accepted coloured edges on its circuit
     redundant: set  # the union of the circuits
-    # k = 2: G0's first circuit; k = 1: G0's first rejected edge alone;
-    # None when G0 is Laman-sparse
-    g0_circuit: tuple | None
-    game: PebbleGame  # the game itself, for the pair search's rank tests
-    # k = 2: a copy after the G0 phase, and G0's rejections, for the (2,2)
-    # counts; None for k = 1
-    g0_phase: tuple | None
+    game: PebbleGame
+    coloured: list  # the game's accepted coloured edges
 
 
 def _plane_game(g: ColouredGraph, stripped) -> _PlaneGame:
-    """One (2,3) game on the core of g, g minus its coloops ``stripped``:
-    G0's edges, then the coloured ones, each group in canonical order.
-    G0's circuit and, for two classes, the copy for the (2,2) counts are
-    taken after the first phase, the game on G0's core.  Coloops lie on no
-    circuit, so no field changes.
-
-    The verdicts read which coloured edges are redundant, and each prints
-    at most one circuit: G0's first for two classes, and for one class
-    the only circuit of an isostatic graph, which has m = 2n - 2 and so
-    one rejection, in the coloured phase once G0 rejected nothing.  Only
-    those are read in full.  Every other rejection in the G0 phase maps to itself
-    alone (for one class, G0's first too, so ``g0_circuit`` is then that
-    edge alone): no coloured edge is accepted yet, so its circuit has
-    none.  Every other rejection in the coloured phase maps to itself and
-    the accepted coloured edges on its circuit, read by
-    ``rejection_circuit`` from the coloured part of the accepted edges.
+    """The first game of every plane decider: the core of g, g minus its
+    coloops ``stripped``, inserted in canonical order, each rejection
+    read on the accepted coloured edges alone (``_insert_coloured``).
     Every circuit's coloured edges are thus in its entry, and every
     redundant coloured edge is in ``redundant``."""
-    g0, coloured = [], []
+    core, colours = [], []
     for e, c in zip(g.edges, g.colours):
         if e not in stripped:
-            (coloured if c else g0).append(e)
-    game = PebbleGame(max(_span(g0), _span(coloured)))
-    circuits = {}
-    read_full = g.k == 2
-    for e in g0:
-        if not game.try_insert(e):
-            circuits[e] = game.rejection_circuit(e) if read_full else (e,)
-            read_full = False
-    g0_circuit = next(iter(circuits.values()), None)
-    g0_phase = (game.copy(), list(circuits)) if g.k == 2 else None
-    base = len(game.accepted)
-    read_full = g.k == 1 and not circuits and g.m == _plane_target(g.n) + 1
-    for e in coloured:
-        if not game.try_insert(e):
-            circuits[e] = game.rejection_circuit(e, None if read_full else game.accepted[base:])
-            read_full = False
+            core.append(e)
+            colours.append(c)
+    game = PebbleGame(_span(core))
+    coloured: list[Edge] = []
+    circuits = _insert_coloured(g, game, core, coloured, colours)
     redundant = {e for circuit in circuits.values() for e in circuit}
-    rank = len(stripped) + len(game.accepted)
-    return _PlaneGame(rank, laman_kind(g.n, g.m, rank), circuits, redundant,
-                      g0_circuit, game, g0_phase)
+    return _PlaneGame(len(stripped) + len(game.accepted), circuits, redundant, game, coloured)
+
+
+def _g0_read(circuits, coloured_rejected):
+    """G0's (2,3)-sparsity as far as the final state shows it
+    (``_PlaneGame``): True, False, or None when the game must re-insert
+    G0's rejected edges R0; and R0, the edges of ``circuits`` outside
+    ``coloured_rejected``."""
+    r0 = [e for e in circuits if e not in coloured_rejected]
+    if any(len(circuits[e]) == 1 for e in r0):
+        return False, r0
+    return (True if len(r0) <= 1 else None), r0
+
+
+def _sparse_after(game: PebbleGame, deleted, params, edges) -> bool:
+    """Whether the accepted edges of ``game`` minus ``deleted``, together
+    with ``edges``, are sparse for ``params`` (``_PlaneGame``).  Strips
+    ``game`` in place and stops at the first rejection."""
+    game.delete_all(deleted)
+    game.params = params
+    return all(game.try_insert(e) for e in edges)
 
 
 def check_k1(g: ColouredGraph) -> RigidityVerdict:
@@ -395,32 +424,40 @@ def check_k1(g: ColouredGraph) -> RigidityVerdict:
     if g.k != 1:
         raise ValueError(f"one-class decider called with k={g.k}")
     plane = _plane_game(g, coloops(g, 2))
+    rank, circuits, game = plane.rank, plane.circuits, plane.game
     target = _plane_target(g.n)
     cert_edges = [e for e in g.colour_class(1) if e in plane.redundant]
-    rigid = plane.rank == target and bool(cert_edges)
+    rigid = rank == target and bool(cert_edges)
     isostatic = rigid and g.m == target + 1
-    g0_sparse = plane.g0_circuit is None
+    if isostatic:
+        # the one rejection: the final game rejects it again, and the
+        # marks of that search are its whole circuit
+        (e,) = circuits
+        game.try_insert(e)
+        circuit = game.rejection_circuit(e)
+    g0_sparse, r0 = _g0_read(circuits, {e for e in cert_edges if e in circuits})
+    if g0_sparse is None:
+        g0_sparse = _sparse_after(game, plane.coloured, PLANE, r0)
     diagnosis = {
         "g0_laman_sparse": g0_sparse,
-        "independent": g0_sparse and (g.m - plane.rank) <= 1,
+        "independent": g0_sparse and (g.m - rank) <= 1,
     }
     if isostatic:
-        (circuit,) = plane.circuits.values()
         diagnosis["circuit"] = [list(e) for e in circuit]
     certificate = {"diagnosis": diagnosis}
     if rigid:
         witness = None
         certificate["rainbow_tuple"] = [list(cert_edges[0])]
-    elif plane.rank < target:
-        witness = f"deficiency:{target - plane.rank}"
+    elif rank < target:
+        witness = f"deficiency:{target - rank}"
     elif g.m < target + 1:
         witness = "not-laman-plus-1"
     else:
         witness = "class-all-bridges:1"
     return RigidityVerdict(
         decision="rigid" if rigid else "flexible", method="k1-laman", d=2, k=1,
-        seed=None, ranks=_ranks(g, target_rank=target, rank23=plane.rank,
-                                 classification=plane.kind),
+        seed=None, ranks=_ranks(g, target_rank=target, rank23=rank,
+                                 classification=laman_kind(g.n, g.m, rank)),
         certificate=certificate, witness=witness, isostatic=isostatic,
     )
 
@@ -437,19 +474,49 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     rank deficiency when the rank is short; else, up to Laman+2, the first
     failing condition; else the first class made of bridges, or
     no-rainbow-redundant-pair when there is none.
+
+    G0's sparsity and the (2,2) counts are read off the plane game's
+    final state, or, where it does not settle them, by deleting edges
+    from the game and re-inserting rejected ones (``_PlaneGame``).
     """
     if g.k != 2:
         raise ValueError(f"two-class decider called with k={g.k}")
     stripped = coloops(g, 2)
     plane = _plane_game(g, stripped)
-    rank, kind, redundant = plane.rank, plane.kind, plane.redundant
+    rank, circuits = plane.rank, plane.circuits
+    kind = laman_kind(g.n, g.m, rank)
     target = _plane_target(g.n)
-    if rank < target:
-        redundant = set()
+    surplus = len(circuits)
     classes = {i: g.colour_class(i) for i in (1, 2)}
-    class_red = {i: [e for e in classes[i] if e in redundant] for i in (1, 2)}
-    g0_sparse = plane.g0_circuit is None
-    sub_22 = _one_class_22_sparse(g, stripped, *plane.g0_phase)
+    # the game's redundant and rejected edges of each class
+    red = {i: [e for e in classes[i] if e in plane.redundant] for i in (1, 2)}
+    rejected = {i: {e for e in red[i] if e in circuits} for i in (1, 2)}
+    redundant = plane.redundant if rank == target else set()
+    class_red = {i: red[i] if rank == target else [] for i in (1, 2)}
+
+    g0_sparse, r0 = _g0_read(circuits, rejected[1] | rejected[2])
+    tests = []  # (key, edges to delete, count, edges to re-insert)
+    if g0_sparse is None:
+        tests.append(("g0", plane.coloured, PLANE, r0))
+    sub_22 = {}
+    for i, j in ((1, 2), (2, 1)):
+        # the surplus of G0 + Ci = E - Cj is at most 1 by bound (a) or (b)
+        if surplus - len(rejected[j]) <= 1 or surplus - bool(red[j]) <= 1:
+            sub_22[i] = True
+        else:
+            accepted_j = [e for e in classes[j] if e not in circuits and e not in stripped]
+            outside_j = [e for e in circuits if e not in rejected[j]]
+            tests.append((i, accepted_j, PLANE_LOOSE, outside_j))
+    # the pair search reads the game after the tests: while the graph may
+    # have a pair each test strips a copy, else the last strips the game
+    pair_reads = rank == target and surplus >= 2 and red[1] and red[2]
+    for n, (key, deleted, params, edges) in enumerate(tests, 1):
+        game = plane.game if n == len(tests) and not pair_reads else plane.game.copy()
+        sparse = _sparse_after(game, deleted, params, edges)
+        if key == "g0":
+            g0_sparse = sparse
+        else:
+            sub_22[key] = sparse
 
     failing = [] if kind == "laman+2" else ["not-laman-plus-2"]
     failing += [f"class-all-bridges:{i}" for i in (1, 2) if not class_red[i]]
@@ -469,13 +536,14 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
         "failing": failing,
     }
     if not g0_sparse:
-        diagnosis["g0_circuit"] = [list(e) for e in plane.g0_circuit]
+        g0 = [e for e, c in zip(g.edges, g.colours) if not c and e not in stripped]
+        diagnosis["g0_circuit"] = [list(e) for e in _first_circuit(g0)]
 
     # a Laman+2 graph is rigid iff no condition fails; a rank-full graph
     # with more surplus is not isostatic but may still be rigid
     pair = None
-    if not failing or (rank == target and g.m > target + 2):
-        pair = _rainbow_pair_general(g, plane.game, plane.circuits, redundant)
+    if not failing or (rank == target and surplus > 2):
+        pair = _rainbow_pair_general(g, plane.game, circuits, redundant)
     if not failing and pair is None:
         raise RuntimeError(
             "internal inconsistency: coloured sparsity conditions hold "
@@ -501,28 +569,14 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     )
 
 
-def _one_class_22_sparse(g: ColouredGraph, stripped, game: PebbleGame,
-                         g0_rejected) -> dict[int, bool]:
-    """Whether G0 plus class i is (2,2)-sparse, for i = 1, 2.
-
-    ``game`` is a copy of the (2,3) game on G0's core and ``g0_rejected``
-    the edges it rejected, both from ``_plane_game``.  Its accepted set is
-    (2,3)-sparse, hence (2,2)-sparse, and kk is 2 in both counts, so the
-    game is a valid (2,2) game on that set (Lee & Streinu 2008): switched
-    to the (2,2) count, it re-inserts the rejected edges, and G0 is
-    (2,2)-sparse iff all of them go in.  When one fails, neither G0 plus
-    class i is sparse and nothing more is played.  Otherwise class 1 goes
-    into a copy of the game and class 2 into the game itself, each
-    stopping at its first rejection; no circuit is read, and the (2,3)
-    circuits were all read before these searches.  The coloops
-    ``stripped`` of g are skipped: (2,2) circuits also have minimum
-    degree 3, and a coloop of g is one of every subgraph."""
-    game.params = PLANE_LOOSE
-    if not all(game.try_insert(e) for e in g0_rejected):
-        return {1: False, 2: False}
-    trial = game.copy()
-    return {i: all(played.try_insert(e) for e in g.colour_class(i) if e not in stripped)
-            for i, played in ((1, trial), (2, game))}
+def _first_circuit(edges):
+    """The whole circuit of the first edge that a fresh (2,3) game on
+    ``edges``, in order, rejects; None when it rejects none."""
+    game = PebbleGame(_span(edges))
+    for e in edges:
+        if not game.try_insert(e):
+            return game.rejection_circuit(e)
+    return None
 
 
 def _rainbow_pair_general(g: ColouredGraph, game, circuits, redundant):

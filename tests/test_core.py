@@ -133,10 +133,14 @@ def test_plane_game_inserts_only_core_edges(inserted):
     g = henneberg_k1_sample(12, seed=4)
     stripped = coloops(g, 2)
     assert len(stripped) == 12
+    core = [e for e in g.edges if e not in stripped]
+    (rejected,) = run_game((core, g.n))[1]
     inserted.clear()  # the generator checks its graph with check_k1
     verdict = check_k1(g)
     assert verdict.rigid and verdict.isostatic
-    assert sorted(inserted) == [e for e in g.edges if e not in stripped]
+    # every core edge once, and the one rejected edge once more, to read
+    # its circuit off the final game
+    assert sorted(inserted) == sorted(core + [rejected])
 
 
 def test_union_and_oracle_work_on_the_core(inserted, monkeypatch):
@@ -206,6 +210,6 @@ def test_laman_plus_1_circuit_excludes_the_coloops():
     assert circuit == [[u, v] for u, v, _ in K4_EDGES]
     on_core = laman._plane_game(g, coloops(g, 2))
     whole = laman._plane_game(g, frozenset())
-    for field in ("rank", "kind", "circuits", "redundant", "g0_circuit"):
+    for field in ("rank", "circuits", "redundant", "coloured"):
         assert getattr(on_core, field) == getattr(whole, field), field
 

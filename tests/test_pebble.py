@@ -497,6 +497,35 @@ def _dense_graph(seed):
 
 
 @pytest.mark.parametrize("params", [PLANE, PLANE_LOOSE])
+def test_bulk_removal_leaves_a_valid_game(params):
+    # delete_all drops any number of accepted edges in one pass; the game
+    # must stay valid (every vertex keeps pebbles + out-arcs = kk, degrees
+    # count the accepted edges) and every later insert must decide as a
+    # fresh game on the remaining accepted edges decides it
+    rejected_later = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = _dense_graph(seed)
+        game = PebbleGame(g.n, params)
+        rejected = list(game.insert_all(g.edges))
+        gone = rng.sample(game.accepted, rng.randint(0, len(game.accepted)))
+        rest = [e for e in game.accepted if e not in gone]
+        game.delete_all(gone)
+        assert game.accepted == rest
+        assert all(game.pebbles[v] + len(game.succ[v]) == params.kk for v in range(g.n))
+        assert game.deg == [sum(v in e for e in rest) for v in range(g.n)]
+        fresh = PebbleGame(g.n, params)
+        assert fresh.insert_all(rest) == {}
+        later = rejected + gone
+        rng.shuffle(later)
+        for e in later:
+            ok = fresh.try_insert(e)
+            assert game.try_insert(e) == ok, (seed, e)
+            rejected_later += not ok
+    assert rejected_later >= 40
+
+
+@pytest.mark.parametrize("params", [PLANE, PLANE_LOOSE])
 def test_interleaved_copies_play_fresh_games(params):
     # a game and its copies each search with their own marks, so
     # searches of the three can alternate
