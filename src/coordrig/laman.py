@@ -38,19 +38,24 @@ game on the core stays live on the core minus T: every arc is read from
 it, each path moves T by deleting and re-inserting edges (Lee & Streinu
 2008), and the game is the witness.  Uncoloured edges are loops of P and
 carry no exchange arc, so every circuit is read only on the game's
-accepted coloured edges.  The witness basis is the canonical greedy one
-by construction: the first game is greedy, and a shortest path keeps
-every rejected edge the last of its circuit (``union_rank_d2``).  After
-the last path no circuit is read, so only the edges the basis gains go
-back in: those leaving T and the first rejected edge whose circuit met a
-deleted edge.
+accepted coloured edges.  The search pops the rejected edges first, in
+canonical order, then the other circuit edges, in canonical order.  A
+rejected edge of a colour T does not hold is both a source and a sink,
+so whenever one exists the path is the first of them, a path of length
+zero: T takes it with no search, and the game deletes and re-inserts
+nothing.  Most rounds are of that kind.  The witness basis is the
+canonical greedy one by construction: the first game is greedy, and a
+shortest path keeps every rejected edge the last of its circuit
+(``union_rank_d2``).  After the last path no circuit is read, so only
+the edges the basis gains go back in: those leaving T and the first
+rejected edge whose circuit met a deleted edge.
 The k = 2 pair search makes rank-restoration tests only, read from the
-decider's game: from its circuits, or from a copy with the pair deleted
-when both edges are in the basis.  For redundant e and f, f is redundant
-in E - e iff e and f are not in series, an equivalence relation, so once
-the first redundant class-1 edge has no partner, every redundant class-2
-edge lies in its series class, and one test per later class-1 edge
-decides it.
+decider's game: from its circuits, and from a copy with the pair deleted
+only when both edges are in the basis and the circuits settle nothing.
+For redundant e and f, f is redundant in E - e iff e and f are not in
+series, an equivalence relation, so once the first redundant class-1
+edge has no partner, every redundant class-2 edge lies in its series
+class, and one test per later class-1 edge decides it.
 
 Also houses the inductive generator for one-class isostatic graphs used to
 build test corpora.
@@ -59,6 +64,7 @@ build test corpora.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -164,7 +170,13 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
     Strong circuit elimination at x0 gives each later w a circuit inside
     C(w, B) and C(w1, B) minus x0, every edge of it at most w, so w is
     again the last edge of its circuit.  Kept circuits do not change, so
-    B stays greedy.
+    B stays greedy.  The search pops the rejected edges first
+    (``_augment``), so whenever a rejected edge of an unheld colour exists
+    the path is the first of them alone, of length zero: x0 is rejected,
+    D and Y are empty, nothing is deleted or re-inserted, and every other
+    circuit is kept as it is.  B is then the greedy basis of S - x0 too,
+    since whether the greedy order takes an edge depends only on the edges
+    it took before, and x0 is not one of them.
 
     Two parts of that work feed nothing and are skipped.  Removing T keeps
     the rank, so every edge of T is a coloured redundant edge of the core
@@ -270,7 +282,15 @@ def _augment(g: ColouredGraph, held: dict[int, Edge], game: PebbleGame,
     T does not hold.
     The new arcs of y are the coloops of E minus T in C(y, B), those on a
     circuit with y, so no arc depends on which basis the game holds.
-    Breadth-first in canonical order, so the path found is deterministic.
+    Breadth-first, with the sources queued in a fixed order: the rejected
+    edges (the keys of ``circuits``) in canonical order, then the other
+    circuit edges in canonical order; every later edge is queued in the
+    order its arcs are read.  So the path found is deterministic, and it
+    is shortest whatever the order of the sources.  A rejected edge is not
+    in T, so the first one of an unheld colour is the search's first sink
+    whenever one exists, before any arc is read: the path is that edge
+    alone, and it is taken directly, with no search, insert or circuit
+    read.
     An uncoloured edge is a loop of the partition matroid: it is skipped
     when popped, neither a sink nor the tail of an arc, so reading only
     the coloured edges gives every coloured edge the same predecessor and
@@ -289,8 +309,15 @@ def _augment(g: ColouredGraph, held: dict[int, Edge], game: PebbleGame,
     edges that B holds therefore breaks only the circuits that hold x0,
     and only when x0 is in B (``union_rank_d2``).
     """
+    rejected = sorted(circuits)
+    for x in rejected:
+        colour = g.colour_of(x)
+        if colour and colour not in held:  # the first pop, a source and a sink
+            held[colour] = x
+            return True
     tset = set(held.values())
-    sources = sorted({e for circuit in circuits.values() for e in circuit})
+    sources = rejected + sorted({e for circuit in circuits.values() for e in circuit
+                                 if e not in circuits})
     pred: dict[Edge, Edge | None] = dict.fromkeys(sources)
     queue: deque[Edge] = deque(sources)
     while queue:
@@ -613,31 +640,55 @@ def _rainbow_pair_general(g: ColouredGraph, game, circuits, redundant):
     return None
 
 
+def _holds(circuit, edge) -> bool:
+    """Whether the sorted tuple ``circuit`` holds ``edge``, by bisection."""
+    i = bisect_left(circuit, edge)
+    return i < len(circuit) and circuit[i] == edge
+
+
 def _rank_restored(game, circuits, pair) -> bool:
     """Whether E minus the two edges of ``pair`` keeps the rank of E.
 
     ``game`` is a game on E with basis B, and ``circuits`` its rejection
-    circuits, each holding at least its own edge and any edge of ``pair``
-    on it.  With at most one edge y of the pair in B no copy is made:
+    circuits, each a sorted tuple holding at least its own edge and any
+    edge of ``pair`` on it, so an edge is looked up in an entry by
+    bisection, and a test reads each entry in time logarithmic in its
+    size.  With at most one edge y of the pair in B no copy is made:
     B - y plus a rejected edge x outside the pair is a basis iff y lies on
-    x's circuit, and B itself avoids the pair when neither edge is in it.  Otherwise a copy
-    deletes both, which leaves a valid game on the rest of the basis (Lee &
-    Streinu 2008), and re-inserts in the game's order the other rejected
-    edges whose circuit meets a deleted edge, until the rank is back.
-    Every other rejected edge keeps its circuit in the rest of the basis
-    and would be rejected again."""
-    deleted = [x for x in pair if x not in circuits]
+    x's circuit, and B itself avoids the pair when neither edge is in it.
+
+    With both in B, two rules read the circuits first.  Every rejected
+    edge whose circuit avoids the pair is spanned by B minus the pair, so
+    the rank does not come back when fewer than two circuits meet it.  A
+    circuit that holds one edge of the pair and not the other is a
+    circuit of E minus the other, so when both edges are on circuits and
+    some circuit holds only one of them they are not in series and the
+    rank comes back.  Equal supports settle nothing, since the matroid is
+    not binary.  Otherwise a copy deletes both, which leaves a valid game
+    on the rest of the basis (Lee & Streinu 2008), and re-inserts in
+    canonical order the rejected edges whose circuit meets a deleted
+    edge, until the rank is back.  Every other rejected edge keeps its
+    circuit in the rest of the basis and would be rejected again."""
+    deleted = [y for y in pair if y not in circuits]
     if len(deleted) < 2:
-        return all(any(y in c for x, c in circuits.items() if x not in pair) for y in deleted)
+        return all(any(_holds(c, y) for x, c in circuits.items() if x not in pair)
+                   for y in deleted)
+    e, f = deleted
+    on_e = {x for x, c in circuits.items() if _holds(c, e)}
+    on_f = {x for x, c in circuits.items() if _holds(c, f)}
+    meets = on_e | on_f
+    if len(meets) < 2:
+        return False
+    if on_e and on_f and on_e != on_f:
+        return True
     rank = len(game.accepted)
     trial = game.copy()
-    for x in deleted:
-        trial.delete(x)
-    for x, circuit in circuits.items():
+    for y in deleted:
+        trial.delete(y)
+    for x in sorted(meets):
         if len(trial.accepted) == rank:
             return True
-        if x not in pair and any(y in circuit for y in deleted):
-            trial.try_insert(x)
+        trial.try_insert(x)
     return len(trial.accepted) == rank
 
 

@@ -37,6 +37,7 @@ from oracles import (
     brute_sparse,
     brute_union_rank,
     listed_henneberg_k1_sample,
+    pair_test_rule,
     replay_union_rank,
 )
 
@@ -131,6 +132,19 @@ def _bridge_class_graphs(count, seed):
         triples = [(u, v, c) for (u, v), c in zip(others, colours)]
         out.append(build(n, k, triples + [(u, v, k) for u, v in chosen]))
     return out
+
+
+def _basis_class_graph(g, first=None):
+    """g with the edges of classes ``first``..k (k alone by default) moved,
+    in order, onto its first edges in canonical order, and the other
+    colours kept in order after them.  The first game meets the moved
+    edges first, so it rejects few of them, and none at vertices 0 and 1,
+    whose edges are (2,3)-sparse.  A path that gives T a class with no
+    rejected edge ends at a basis edge and deletes it."""
+    moved = range(g.k if first is None else first, g.k + 1)
+    colours = [c for c in moved for _ in g.colour_class(c)]
+    colours += [c for c in g.colours if c not in moved]
+    return build(g.n, g.k, [(u, v, c) for (u, v), c in zip(g.edges, colours)])
 
 
 def test_union_rank_with_a_class_of_bridges(monkeypatch):
@@ -383,6 +397,10 @@ def test_union_inserts_no_edge_of_t_after_the_last_path(monkeypatch):
     monkeypatch.setattr(PebbleGame, "try_insert", recording_try_insert)
     graphs = [load_fixture(name) for name in FIXTURE_NAMES]
     graphs += random_corpus(40, 24, n_range=(8, 30), k_range=(3, 6))
+    # class k moved onto the first edges mostly has no rejected edge; it is
+    # then taken last, by a path that deletes a basis edge, so the last
+    # round re-inserts the first broken rejection
+    graphs += map(_basis_class_graph, random_corpus(20, 25, n_range=(8, 30), k_range=(3, 6)))
     held = last_rounds = 0
     for i, g in enumerate(graphs):
         del events[:]
@@ -395,7 +413,57 @@ def test_union_inserts_no_edge_of_t_after_the_last_path(monkeypatch):
         assert all(accepted for _, accepted in tail), f"instance {i}"
         held += bool(rep.transversal)
         last_rounds += bool(tail)
-    assert held >= 40 and last_rounds >= 30
+    assert held >= 40 and last_rounds >= 30, (held, last_rounds)
+
+
+def test_rejected_edges_of_unheld_colours_take_zero_length_rounds(monkeypatch):
+    # a rejected edge of a colour T does not hold is a source and a sink of
+    # the exchange graph, and the search pops the rejected edges first, so
+    # it is the path: T takes it and the game deletes and re-inserts
+    # nothing.  When every colour with a redundant edge has a rejected edge
+    # in the first game, every round is such a round, and T is the first
+    # rejected edge of each of those colours.  Under the order that lists
+    # each class's rejected edges first, that T is also the
+    # lexicographically first redundant rainbow tuple, because any set of
+    # rejected edges is jointly redundant: removing it leaves the greedy
+    # basis.  The other graphs still need a path that changes the game
+    events = []
+    plane_game = laman._plane_game
+
+    def first_game(*args):  # the events after the first game are kept
+        plane = plane_game(*args)
+        events.clear()
+        return plane
+
+    def recording(name):
+        method = getattr(PebbleGame, name)
+        return lambda self, edge, *args: events.append((name, edge)) or method(self, edge, *args)
+
+    monkeypatch.setattr(laman, "_plane_game", first_game)
+    for name in ("try_insert", "delete", "rejection_circuit"):
+        monkeypatch.setattr(PebbleGame, name, recording(name))
+    zero_length = searched = 0
+    for i in range(300):
+        rng = random.Random(i)
+        n, k = rng.randint(6, 40), rng.randint(3, 6)
+        m = min(n * (n - 1) // 2, 2 * n - 3 + k + rng.randint(-2, n if i % 3 else 3 * n))
+        g = random_coloured_graph(n, k, seed=i, m=m)
+        _, circuits = run_game(g)
+        colours = _colours_with_redundant_edges(g)
+        first = {}
+        for e in circuits:
+            first.setdefault(g.colour_of(e), e)
+        rep = union_rank_d2(g)
+        after = list(events)
+        assert rep == replay_union_rank(g), f"instance {i}"
+        if colours <= set(first):
+            assert rep.transversal == tuple(sorted(first[c] for c in colours)), f"instance {i}"
+            assert after == [], f"instance {i}"
+            zero_length += bool(colours)
+        else:
+            assert after, f"instance {i}"
+            searched += 1
+    assert zero_length >= 30 and searched >= 30, (zero_length, searched)
 
 
 def test_coloured_augment_matches_full_circuits(monkeypatch):
@@ -486,21 +554,29 @@ def test_shortest_paths_keep_the_basis_greedy(monkeypatch):
     monkeypatch.setattr(laman, "_augment", checking_augment)
     monkeypatch.setattr(laman, "_insert_coloured", recording)
     redone_rounds = redone_rejections = 0
-    for i in range(600):
-        rng = random.Random(i % 300)
-        if i < 300:  # dense: many paths, each re-inserting circuits
+    for i in range(1000):
+        seed = i % 300 if i < 600 else i
+        rng = random.Random(seed)
+        if i < 300 or i >= 700:  # dense: many paths, each re-inserting circuits
             n, k = rng.randint(5, 24), rng.randint(2, 7)
             m = min(n * (n - 1) // 2, 2 * n - 3 + k + rng.randint(0, 3 * n))
         else:  # small and exactly at the count: paths that pass through T
             n, k = rng.randint(6, 12), rng.randint(3, 6)
             m = min(n * (n - 1) // 2, 2 * n - 3 + k)
-        g = random_coloured_graph(n, k, seed=i % 300, m=m)
+        g = random_coloured_graph(n, k, seed=seed, m=m)
+        if i >= 600:
+            # a rejected edge of an unheld colour is a path with no arc that
+            # deletes nothing; with every class moved onto the first edges,
+            # mostly basis edges, the paths delete basis edges and break
+            # circuits again
+            g = _basis_class_graph(g, 1)
         del redone[:]
         assert union_rank_d2(g) == replay_union_rank(g), f"instance {i}"
         redone_rounds += len(redone) - 1
         redone_rejections += sum(redone[1:])
-    assert sum(rounds) >= 2400 and sum(1 for x in after_source if x) >= 75
-    assert redone_rounds >= 2400 and redone_rejections >= 13000
+    assert sum(rounds) >= 2400 and sum(1 for x in after_source if x) >= 75, (
+        sum(rounds), sum(1 for x in after_source if x))
+    assert redone_rounds >= 2400 and redone_rejections >= 13000, (redone_rounds, redone_rejections)
 
 
 @pytest.mark.parametrize(
@@ -729,20 +805,25 @@ def test_check_k2_plays_one_game_fewer(pebble_games, monkeypatch, request, fixtu
     assert len(pebble_games) == 1
 
 
-@pytest.mark.parametrize("fixture,copies", [("twin_blocks_k2", 0), ("seven_rigid_k2", 1)])
-def test_rainbow_pair_takes_no_g0_copy(monkeypatch, request, fixture, copies):
-    # the plane game takes no copy of a G0 phase; the pair search copies
-    # the game only for its rank tests of two basis edges, one on
-    # seven_rigid_k2 and none on twin_blocks_k2, whose class-2 edges are
-    # all bridges
+@pytest.mark.parametrize("fixture,basis_tests", [("twin_blocks_k2", 0), ("seven_rigid_k2", 1)])
+def test_rainbow_pair_takes_no_g0_copy(monkeypatch, request, fixture, basis_tests):
+    # the plane game takes no copy of a G0 phase, and the pair search
+    # copies the game only for a rank test of two basis edges that the
+    # circuits leave open.  seven_rigid_k2 makes one such test, which the
+    # circuit of (2, 3) settles, since it holds (0, 1) and not (4, 6);
+    # twin_blocks_k2's class-2 edges are all bridges, so it makes none
     g = request.getfixturevalue(fixture)
-    made = []
-    copy = PebbleGame.copy
+    made, tests = [], []
+    copy, rank_restored = PebbleGame.copy, laman._rank_restored
     monkeypatch.setattr(PebbleGame, "copy", lambda self: made.append(1) or copy(self))
+    monkeypatch.setattr(laman, "_rank_restored",
+                        lambda *args: tests.append(args[2]) or rank_restored(*args))
     plane = laman._plane_game(g, coloops(g, 2))
     assert made == []
     laman._rainbow_pair_general(g, plane.game, plane.circuits, plane.redundant)
-    assert len(made) == copies
+    rules = [pair_test_rule(plane.circuits, pair) for pair in tests]
+    assert len(rules) - rules.count(None) == basis_tests
+    assert "copy" not in rules and made == []
 
 
 @pytest.mark.parametrize("name", [n for n in FIXTURE_NAMES if load_fixture(n).k in (1, 2)])
@@ -879,13 +960,14 @@ def test_plane_verdicts_build_no_position_map(name):
 
 
 def test_rainbow_pair_matches_fresh_games(monkeypatch):
-    # the pair search tests pairs by rank restoration on copies of the
-    # decider's game; a fresh (2,3) game on every E - e - f must find the
-    # same pair, and every test must agree with a fresh game on E - e - f.
-    # It tests the first redundant class-1 edge with each candidate, then
-    # each later one with the first candidate, so a call makes at most
-    # |R1| + |R2| - 1 tests; a test copies the game only when both edges are
-    # in its basis.  Passing and failing tests, tests with 0, 1 and 2 basis
+    # the pair search tests pairs by rank restoration, read from the
+    # decider's game and its circuits; a fresh (2,3) game on every
+    # E - e - f must find the same pair, and every test must agree with a
+    # fresh game on E - e - f.  It tests the first redundant class-1 edge
+    # with each candidate, then each later one with the first candidate,
+    # so a call makes at most |R1| + |R2| - 1 tests; a test copies the game
+    # only when both edges are in its basis and the circuits settle
+    # nothing.  Passing and failing tests, tests with 0, 1 and 2 basis
     # edges, and calls that reach a later class-1 edge must all occur often
     cases = {"laman+2": 0, "surplus>2": 0, "deficit": 0, "e rejected": 0}
     found = 0
@@ -925,7 +1007,8 @@ def test_rainbow_pair_matches_fresh_games(monkeypatch):
             rest = [x for x in g.edges if x not in pair]
             assert ok == (sparsity_rank((rest, g.n))[0] == plane.rank), (i, pair)
         basis_edges = [sum(x not in circuits for x in pair) for pair, _ in tests]
-        assert len(copies) == basis_edges.count(2), i
+        assert len(copies) == sum(pair_test_rule(circuits, pair) == "copy"
+                                  for pair, _ in tests), i
         in_basis.update(basis_edges)
         r1, r2 = ([e for e in g.colour_class(c) if e in redundant] for c in (1, 2))
         assert len(tests) <= max(len(r1) + len(r2) - 1, 0), i
@@ -946,6 +1029,48 @@ def test_rainbow_pair_matches_fresh_games(monkeypatch):
     assert 100 <= found <= 480  # at most 80 % of the graphs have a pair
     assert restored >= 150 and failed >= 120 and later >= 25, (restored, failed, later)
     assert min(in_basis[c] for c in range(3)) >= 20, in_basis
+
+
+def test_pair_rules_settle_rank_tests_from_the_circuits(monkeypatch):
+    # with both edges of a pair in the basis, the circuits settle most rank
+    # tests: when fewer than two circuits meet the pair the rank stays
+    # short, and when some circuit holds one edge and not the other the two
+    # are not in series, so the rank comes back.  Each rule must agree with
+    # a fresh game on E - e - f, and only a test that neither rule settles
+    # copies the game.  A surplus of 1 to 4 leaves few circuits, so both
+    # rules fire often
+    tests, copies = [], []
+    rank_restored, copy = laman._rank_restored, PebbleGame.copy
+
+    def recording_rank_restored(*args):
+        made = len(copies)
+        restored = rank_restored(*args)
+        tests.append((args[2], restored, len(copies) - made))
+        return restored
+
+    monkeypatch.setattr(laman, "_rank_restored", recording_rank_restored)
+    monkeypatch.setattr(PebbleGame, "copy", lambda self: copies.append(1) or copy(self))
+    cases = Counter()
+    for i in range(300):
+        rng = random.Random(i)
+        n = rng.randint(6, 30)
+        m = min(n * (n - 1) // 2, 2 * n - 3 + rng.randint(1, 4))
+        g = random_coloured_graph(n, 2, seed=i, m=m)
+        plane = laman._plane_game(g, coloops(g, 2))
+        del tests[:]
+        laman._rainbow_pair_general(g, plane.game, plane.circuits, plane.redundant)
+        for pair, restored, made in tests:
+            rule = pair_test_rule(plane.circuits, pair)
+            if rule is None:
+                continue
+            rest = [x for x in g.edges if x not in pair]
+            assert restored == (sparsity_rank((rest, g.n))[0] == plane.rank), (i, pair)
+            assert made == (rule == "copy"), (i, pair)
+            if rule != "copy":
+                assert restored == (rule == "support"), (i, pair)
+            cases[rule, restored] += 1
+    assert cases["count", False] >= 30 and cases["support", True] >= 30, cases
+    assert cases["copy", True] >= 10 and cases["copy", False] >= 10, cases
 
 
 def _rejecting_graphs(g0_rejections, coloured_rejections, count):
@@ -1005,10 +1130,11 @@ BRACED_BLOCK = [(4, 7, 0), (4, 8, 0), (5, 7, 0), (5, 8, 0), (7, 8, 0)]
 
 @pytest.mark.parametrize("extra", [[], BRACED_BLOCK], ids=["laman+2", "braced block"])
 def test_pair_search_makes_no_failed_search(seven_rigid_k2, monkeypatch, extra):
-    # deleting e = (0, 1) and f = (4, 6) and re-inserting the two rejected
-    # edges whose circuit holds one of them restores the rank, so no pebble
-    # search fails; re-inserting every rejected edge would re-insert (5, 6),
-    # whose circuit avoids the pair, and fail a search on it, and (7, 8) too
+    # e = (0, 1) and f = (4, 6) are basis edges, and the circuit of (2, 3)
+    # holds e and not f, so they are not in series and the rank comes back
+    # with no copy and no pebble search; a copy re-inserting every rejected
+    # edge would re-insert (5, 6), whose circuit holds f, and (7, 8), whose
+    # circuit avoids the pair, and fail a search on them
     g = seven_rigid_k2
     g = build(g.n + 2 * bool(extra), 2,
               [(u, v, c) for (u, v), c in zip(g.edges, g.colours)] + extra)
@@ -1022,9 +1148,11 @@ def test_pair_search_makes_no_failed_search(seven_rigid_k2, monkeypatch, extra):
         return found[-1]
 
     monkeypatch.setattr(PebbleGame, "_find_pebble", counting_find)
+    copy = PebbleGame.copy
+    monkeypatch.setattr(PebbleGame, "copy", lambda self: found.append("copy") or copy(self))
     pair = laman._rainbow_pair_general(g, plane.game, plane.circuits, plane.redundant)
     assert pair == ((0, 1), (4, 6))
-    assert False not in found
+    assert found == []
 
 
 def _wheel_on_k5(rim):
@@ -1044,20 +1172,25 @@ def test_one_series_class_takes_one_test_per_redundant_edge(monkeypatch, rim):
     # more than their rank: each is redundant, any two of them are in
     # series, and there is no pair.  The first class-1 edge fails with
     # every candidate and every later one with the first, |R1| + |R2| - 1
-    # rank tests, and no E - e is replayed
+    # rank tests, and no E - e is replayed.  One rejected edge's circuit
+    # meets the wheel, so the circuits settle every test of two basis
+    # edges and the pair search copies nothing (the (2,2) counts, made
+    # before it, still strip copies)
     g = _wheel_on_k5(rim)
-    tests, replays = [], []
-    rank_restored, insert_all = laman._rank_restored, PebbleGame.insert_all
+    tests, replays, copies = [], [], []
+    rank_restored, insert_all, copy = laman._rank_restored, PebbleGame.insert_all, PebbleGame.copy
     monkeypatch.setattr(laman, "_rank_restored",
                         lambda *args: tests.append(args[2]) or rank_restored(*args))
     monkeypatch.setattr(PebbleGame, "insert_all",
                         lambda self, edges: replays.append(edges) or insert_all(self, edges))
+    monkeypatch.setattr(PebbleGame, "copy",
+                        lambda self: copies.append(bool(tests)) or copy(self))
     verdict = check_k2(g)
     assert verdict.witness == "no-rainbow-redundant-pair"
     r1, r2 = g.colour_class(1), g.colour_class(2)
     assert verdict.certificate["diagnosis"]["class_redundant"] == {
         "1": [list(e) for e in r1], "2": [list(e) for e in r2]}
-    assert replays == []
+    assert replays == [] and True not in copies
     assert tests == [(r1[0], f) for f in r2] + [(e, r2[0]) for e in r1[1:]]
     if rim <= 5:
         assert brute_rainbow_pair(g) is None
