@@ -51,11 +51,14 @@ the edges the basis gains go back in: those leaving T and the first
 rejected edge whose circuit met a deleted edge.
 The k = 2 pair search makes rank-restoration tests only, read from the
 decider's game: from its circuits, and from a copy with the pair deleted
-only when both edges are in the basis and the circuits settle nothing.
+only when both edges are in the basis and two or more circuits meet them.
 For redundant e and f, f is redundant in E - e iff e and f are not in
 series, an equivalence relation, so once the first redundant class-1
 edge has no partner, every redundant class-2 edge lies in its series
-class, and one test per later class-1 edge decides it.
+class, and one test per later class-1 edge decides it.  The pair decides
+every two-class verdict.  It changes no game, so it runs before the
+count tests strip it, and on a Laman+2 graph it is checked against the
+three coloured conditions both ways.
 
 Also houses the inductive generator for one-class isostatic graphs used to
 build test corpora.
@@ -390,8 +393,8 @@ class _PlaneGame:
     Cj: G0 + Ci is (2,2)-sparse iff they all go in.
 
     The rainbow pair (``_rainbow_pair_general``) reads the game and its
-    circuits as they are: while it may still run, each test strips a
-    copy, and otherwise the last test strips the game itself.
+    circuits first and changes neither; after it each test strips a copy,
+    except the last, which strips the game itself.
     """
 
     rank: int  # the (2,3)-rank, |stripped| plus the game's
@@ -496,15 +499,20 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     bridges, (3) the uncoloured subgraph is Laman-sparse and both one-class
     subgraphs are (2,2)-sparse.  All three conditions are evaluated even
     after one fails so the diagnosis is complete, and ``failing`` lists
-    those that fail.  Rigid (beyond isostatic) means full plane rank plus
-    some rainbow redundant pair.  A flexible verdict's witness is the
-    rank deficiency when the rank is short; else, up to Laman+2, the first
-    failing condition; else the first class made of bridges, or
-    no-rainbow-redundant-pair when there is none.
+    those that fail.  The rainbow pair decides every verdict: rigid iff
+    the plane rank is full and some rainbow pair is redundant.  On a
+    Laman+2 graph a pair exists iff no condition fails (the two-class
+    theorem), and RuntimeError is raised when the two disagree.  A
+    flexible verdict's witness is the rank deficiency when the rank is
+    short; else, up to Laman+2, the first failing condition; else the
+    first class made of bridges, or no-rainbow-redundant-pair when there
+    is none.
 
-    G0's sparsity and the (2,2) counts are read off the plane game's
-    final state, or, where it does not settle them, by deleting edges
-    from the game and re-inserting rejected ones (``_PlaneGame``).
+    The pair search runs first and changes no game.  G0's sparsity and
+    the (2,2) counts are then read off the plane game's final state, or,
+    where it does not settle them, by deleting edges from a copy of the
+    game, the last from the game itself, and re-inserting rejected ones
+    (``_PlaneGame``).
     """
     if g.k != 2:
         raise ValueError(f"two-class decider called with k={g.k}")
@@ -521,6 +529,12 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     redundant = plane.redundant if rank == target else set()
     class_red = {i: red[i] if rank == target else [] for i in (1, 2)}
 
+    # the pair decides the verdict; it changes no game, so the count tests
+    # read the game after it, each earlier one on a copy
+    pair = None
+    if rank == target and surplus >= 2:
+        pair = _rainbow_pair_general(plane.game, circuits, class_red[1], class_red[2])
+
     g0_sparse, r0 = _g0_read(circuits, rejected[1] | rejected[2])
     tests = []  # (key, edges to delete, count, edges to re-insert)
     if g0_sparse is None:
@@ -534,11 +548,8 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
             accepted_j = [e for e in classes[j] if e not in circuits and e not in stripped]
             outside_j = [e for e in circuits if e not in rejected[j]]
             tests.append((i, accepted_j, PLANE_LOOSE, outside_j))
-    # the pair search reads the game after the tests: while the graph may
-    # have a pair each test strips a copy, else the last strips the game
-    pair_reads = rank == target and surplus >= 2 and red[1] and red[2]
     for n, (key, deleted, params, edges) in enumerate(tests, 1):
-        game = plane.game if n == len(tests) and not pair_reads else plane.game.copy()
+        game = plane.game if n == len(tests) else plane.game.copy()
         sparse = _sparse_after(game, deleted, params, edges)
         if key == "g0":
             g0_sparse = sparse
@@ -566,15 +577,12 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
         g0 = [e for e, c in zip(g.edges, g.colours) if not c and e not in stripped]
         diagnosis["g0_circuit"] = [list(e) for e in _first_circuit(g0)]
 
-    # a Laman+2 graph is rigid iff no condition fails; a rank-full graph
-    # with more surplus is not isostatic but may still be rigid
-    pair = None
-    if not failing or (rank == target and surplus > 2):
-        pair = _rainbow_pair_general(g, plane.game, circuits, redundant)
-    if not failing and pair is None:
+    # the two-class theorem: a Laman+2 graph has a pair iff no condition fails
+    if kind == "laman+2" and (pair is None) != bool(failing):
         raise RuntimeError(
-            "internal inconsistency: coloured sparsity conditions hold "
-            "but no rainbow redundant pair was found"
+            "internal inconsistency: a Laman+2 graph has a rainbow redundant "
+            "pair iff no coloured sparsity condition fails, but the pair is "
+            f"{pair} and the failing conditions are {failing}"
         )
     rigid = pair is not None
     certificate = {"diagnosis": diagnosis}
@@ -606,15 +614,16 @@ def _first_circuit(edges):
     return None
 
 
-def _rainbow_pair_general(g: ColouredGraph, game, circuits, redundant):
+def _rainbow_pair_general(game, circuits, r1, r2):
     """First rainbow redundant pair of a rank-full graph of any surplus.
 
     {e, f} is jointly redundant iff E - e - f keeps the rank of E, so e is
-    in R1 and f in R2, the redundant edges of classes 1 and 2.  The pair is
-    the first e that has a partner, with its first partner.  ``game`` is
-    the plane game on E and ``circuits`` its rejection circuits, of which
-    only the coloured edges are read (``_plane_game``); every test is a
-    rank restoration (``_rank_restored``).
+    in R1 and f in R2, the redundant edges of classes 1 and 2, given in
+    canonical order as ``r1`` and ``r2``.  The pair is the first e that
+    has a partner, with its first partner.  ``game`` is the plane game on
+    E and ``circuits`` its rejection circuits, of which only the coloured
+    edges are read (``_plane_game``); every test is a rank restoration
+    (``_rank_restored``), and none changes the game.
 
     Lemma (Oxley, "Matroid Theory", series classes): for redundant edges
     e != f, E - e - f keeps the rank iff {e, f} is not a cocircuit, i.e.
@@ -627,8 +636,6 @@ def _rainbow_pair_general(g: ColouredGraph, game, circuits, redundant):
     f0 of R2 alone, and the first that passes is the pair.  A call makes at
     most |R1| + |R2| - 1 tests.
     """
-    r1 = [e for e in g.colour_class(1) if e in redundant]
-    r2 = [f for f in g.colour_class(2) if f in redundant]
     if not r1 or not r2:
         return None
     for f in r2:
@@ -657,30 +664,22 @@ def _rank_restored(game, circuits, pair) -> bool:
     B - y plus a rejected edge x outside the pair is a basis iff y lies on
     x's circuit, and B itself avoids the pair when neither edge is in it.
 
-    With both in B, two rules read the circuits first.  Every rejected
-    edge whose circuit avoids the pair is spanned by B minus the pair, so
-    the rank does not come back when fewer than two circuits meet it.  A
-    circuit that holds one edge of the pair and not the other is a
-    circuit of E minus the other, so when both edges are on circuits and
-    some circuit holds only one of them they are not in series and the
-    rank comes back.  Equal supports settle nothing, since the matroid is
-    not binary.  Otherwise a copy deletes both, which leaves a valid game
-    on the rest of the basis (Lee & Streinu 2008), and re-inserts in
-    canonical order the rejected edges whose circuit meets a deleted
-    edge, until the rank is back.  Every other rejected edge keeps its
-    circuit in the rest of the basis and would be rejected again."""
+    With both in B, every rejected edge whose circuit avoids the pair is
+    spanned by B minus the pair, so the rank does not come back when fewer
+    than two circuits meet it.  Otherwise a copy deletes both, which
+    leaves a valid game on the rest of the basis (Lee & Streinu 2008), and
+    re-inserts in canonical order the rejected edges whose circuit meets
+    a deleted edge, until the rank is back.  Every other rejected edge
+    keeps its circuit in the rest of the basis and would be rejected
+    again."""
     deleted = [y for y in pair if y not in circuits]
     if len(deleted) < 2:
         return all(any(_holds(c, y) for x, c in circuits.items() if x not in pair)
                    for y in deleted)
     e, f = deleted
-    on_e = {x for x, c in circuits.items() if _holds(c, e)}
-    on_f = {x for x, c in circuits.items() if _holds(c, f)}
-    meets = on_e | on_f
+    meets = [x for x, c in circuits.items() if _holds(c, e) or _holds(c, f)]
     if len(meets) < 2:
         return False
-    if on_e and on_f and on_e != on_f:
-        return True
     rank = len(game.accepted)
     trial = game.copy()
     for y in deleted:

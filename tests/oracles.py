@@ -7,7 +7,7 @@ the union rank by exhausting the min-formula over every subset,
 rainbow tuples by enumerating the class product with row-removal ranks,
 and plane rainbow pairs by a fresh (2,3) rank of every E - e - f.
 ``pair_test_rule`` names which rule of the pair search settles a rank
-test, read by scanning the circuit tuples rather than through an index.
+test, read by scanning the circuit tuples rather than by bisection.
 
 The rest are earlier implementations kept as references for the code
 that replaced them: the one-class Henneberg generator that picked an edge
@@ -177,18 +177,13 @@ def brute_rainbow_pair(g, params=PLANE):
 def pair_test_rule(circuits, pair):
     """How ``laman._rank_restored`` settles the rank test of ``pair`` from
     the rejection ``circuits``: None when an edge of the pair is rejected,
-    "count" when fewer than two circuits meet a pair of basis edges,
-    "support" when both are on circuits and some circuit holds only one,
-    and "copy" when neither rule applies and the test plays a copy."""
+    "count" when fewer than two circuits meet a pair of basis edges, and
+    "copy" otherwise, when the test plays a copy."""
     if any(x in circuits for x in pair):
         return None
     e, f = pair
-    holds = [(e in c, f in c) for c in circuits.values() if e in c or f in c]
-    if len(holds) < 2:
-        return "count"
-    if any(a for a, _ in holds) and any(b for _, b in holds) and any(a != b for a, b in holds):
-        return "support"
-    return "copy"
+    meets = [c for c in circuits.values() if e in c or f in c]
+    return "count" if len(meets) < 2 else "copy"
 
 
 def replay_union_rank(g) -> UnionRankReport:

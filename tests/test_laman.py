@@ -808,9 +808,9 @@ def test_check_k2_plays_one_game_fewer(pebble_games, monkeypatch, request, fixtu
 @pytest.mark.parametrize("fixture,basis_tests", [("twin_blocks_k2", 0), ("seven_rigid_k2", 1)])
 def test_rainbow_pair_takes_no_g0_copy(monkeypatch, request, fixture, basis_tests):
     # the plane game takes no copy of a G0 phase, and the pair search
-    # copies the game only for a rank test of two basis edges that the
-    # circuits leave open.  seven_rigid_k2 makes one such test, which the
-    # circuit of (2, 3) settles, since it holds (0, 1) and not (4, 6);
+    # copies the game only for a rank test of two basis edges that two or
+    # more circuits meet.  seven_rigid_k2 makes one such test: the circuit
+    # of (2, 3) holds (0, 1) and that of (5, 6) holds (4, 6).
     # twin_blocks_k2's class-2 edges are all bridges, so it makes none
     g = request.getfixturevalue(fixture)
     made, tests = [], []
@@ -820,18 +820,18 @@ def test_rainbow_pair_takes_no_g0_copy(monkeypatch, request, fixture, basis_test
                         lambda *args: tests.append(args[2]) or rank_restored(*args))
     plane = laman._plane_game(g, coloops(g, 2))
     assert made == []
-    laman._rainbow_pair_general(g, plane.game, plane.circuits, plane.redundant)
+    _pair_search(g, plane.game, plane.circuits, plane.redundant)
     rules = [pair_test_rule(plane.circuits, pair) for pair in tests]
     assert len(rules) - rules.count(None) == basis_tests
-    assert "copy" not in rules and made == []
+    assert rules.count("copy") == len(made) == basis_tests
 
 
 @pytest.mark.parametrize("name", [n for n in FIXTURE_NAMES if load_fixture(n).k in (1, 2)])
 def test_k12_fixture_games_and_copies(pebble_games, monkeypatch, name):
     # a k = 1 decision plays one game and takes no copy; a k = 2 decision
-    # copies only for the pair search and for a test that strips the game
-    # while the pair search may still read it; nested_circuit_k2 is the
-    # only fixture that replays G0 in a second game
+    # copies nothing before the pair search, which runs first, and after it
+    # only for the pair search and for every count test but the last;
+    # nested_circuit_k2 is the only fixture that replays G0 in a second game
     g = load_fixture(name)
     copies, at_pair = [], []
     copy, pair = PebbleGame.copy, laman._rainbow_pair_general
@@ -847,17 +847,22 @@ def test_k12_fixture_games_and_copies(pebble_games, monkeypatch, name):
 
 
 def test_check_k2_copies_the_game_once_per_22_count(monkeypatch):
-    # no G0-phase copy: before the pair search, the game is copied only for
-    # a test that strips it (G0's drop test or a (2,2) count), at most once
-    # each; while the pair search may read the game afterwards every test
-    # strips a copy, and otherwise the last one strips the game itself.
-    # Copies made by the pair search are not counted
-    copies, at_pair, played, stripped_itself = [], [], [], []
+    # no G0-phase copy: the pair search runs first and copies only for its
+    # own rank tests; after it every test that strips the game (G0's drop
+    # test or a (2,2) count) strips a copy, except the last, which strips
+    # the game itself
+    copies, pair_span, played, stripped_itself = [], [], [], []
     copy, pair = PebbleGame.copy, laman._rainbow_pair_general
     plane_game, sparse_after = laman._plane_game, laman._sparse_after
+
+    def recording_pair(*args):
+        pair_span.append(len(copies))
+        found = pair(*args)
+        pair_span.append(len(copies))
+        return found
+
     monkeypatch.setattr(PebbleGame, "copy", lambda self: copies.append(1) or copy(self))
-    monkeypatch.setattr(laman, "_rainbow_pair_general",
-                        lambda *args: at_pair.append(len(copies)) or pair(*args))
+    monkeypatch.setattr(laman, "_rainbow_pair_general", recording_pair)
     monkeypatch.setattr(laman, "_plane_game",
                         lambda *args: played.append(plane_game(*args)) or played[-1])
     monkeypatch.setattr(
@@ -867,21 +872,45 @@ def test_check_k2_copies_the_game_once_per_22_count(monkeypatch):
     cases = Counter()
     for i in range(300):
         g = _k2_instance(i)
-        del copies[:], at_pair[:], played[:], stripped_itself[:]
+        del copies[:], pair_span[:], played[:], stripped_itself[:]
         check_k2(g)
-        made = at_pair[0] if at_pair else len(copies)
+        before, after = pair_span or (0, 0)
+        assert before == 0, i
         tests = len(stripped_itself)
-        assert made == tests - sum(stripped_itself), i
-        assert stripped_itself[:-1] == [False] * (tests - 1), i
-        plane = played[-1]
-        if at_pair and all(any(e in plane.redundant for e in g.colour_class(c)) for c in (1, 2)):
-            # the search reads the game: no test has stripped it
-            assert True not in stripped_itself, i
-        cases[(tests, made)] += 1
-    # (tests, copies): every count of tests, each with and without a test
-    # that strips the game itself
-    kinds = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]
+        assert len(copies) - after == max(tests - 1, 0), i
+        assert stripped_itself == [False] * (tests - 1) + [True] * bool(tests), i
+        cases[(tests, bool(pair_span))] += 1
+    # (tests, searched): every count of tests, each with and without a
+    # pair search before it, except no test after a search, which is rare
+    kinds = [(0, False)] + [(t, searched) for t in (1, 2, 3) for searched in (False, True)]
     assert min(cases[t] for t in kinds) >= 5, cases
+
+
+def test_pair_search_reads_the_first_games_basis(monkeypatch):
+    # the pair search is entered with the plane game as the first game
+    # left it, before any count test strips it, and leaves its basis as it
+    # found it
+    entered = []
+    pair = laman._rainbow_pair_general
+
+    def recording_pair(game, *args):
+        basis = tuple(game.accepted)
+        found = pair(game, *args)
+        entered.append((basis, tuple(game.accepted)))
+        return found
+
+    monkeypatch.setattr(laman, "_rainbow_pair_general", recording_pair)
+    searched = 0
+    for i in range(300):
+        g = _k2_instance(i)
+        del entered[:]
+        check_k2(g)
+        if entered:
+            ((basis, left),) = entered
+            first = laman._plane_game(g, coloops(g, 2)).game
+            assert basis == left == tuple(first.accepted), i
+            searched += 1
+    assert searched >= 100, searched
 
 
 def test_22_counts_match_fresh_games():
@@ -966,8 +995,8 @@ def test_rainbow_pair_matches_fresh_games(monkeypatch):
     # fresh game on E - e - f.  It tests the first redundant class-1 edge
     # with each candidate, then each later one with the first candidate,
     # so a call makes at most |R1| + |R2| - 1 tests; a test copies the game
-    # only when both edges are in its basis and the circuits settle
-    # nothing.  Passing and failing tests, tests with 0, 1 and 2 basis
+    # only when both edges are in its basis and two or more circuits meet
+    # them.  Passing and failing tests, tests with 0, 1 and 2 basis
     # edges, and calls that reach a later class-1 edge must all occur often
     cases = {"laman+2": 0, "surplus>2": 0, "deficit": 0, "e rejected": 0}
     found = 0
@@ -1002,7 +1031,7 @@ def test_rainbow_pair_matches_fresh_games(monkeypatch):
         whole = laman._plane_game(g, frozenset())
         assert (whole.rank, whole.circuits) == (plane.rank, circuits)
         del tests[:], copies[:]
-        assert laman._rainbow_pair_general(g, plane.game, circuits, redundant) == expected
+        assert _pair_search(g, plane.game, circuits, redundant) == expected
         for pair, ok in tests:
             rest = [x for x in g.edges if x not in pair]
             assert ok == (sparsity_rank((rest, g.n))[0] == plane.rank), (i, pair)
@@ -1032,13 +1061,14 @@ def test_rainbow_pair_matches_fresh_games(monkeypatch):
 
 
 def test_pair_rules_settle_rank_tests_from_the_circuits(monkeypatch):
-    # with both edges of a pair in the basis, the circuits settle most rank
-    # tests: when fewer than two circuits meet the pair the rank stays
-    # short, and when some circuit holds one edge and not the other the two
-    # are not in series, so the rank comes back.  Each rule must agree with
-    # a fresh game on E - e - f, and only a test that neither rule settles
-    # copies the game.  A surplus of 1 to 4 leaves few circuits, so both
-    # rules fire often
+    # the circuits settle two kinds of rank test with no copy: with an edge
+    # of the pair rejected, each basis edge of it must lie on the circuit
+    # of a rejected edge outside the pair; with both edges in the basis
+    # and fewer than two circuits meeting them, the rank stays short.
+    # Each must agree with a fresh game on E - e - f, and only a test that
+    # neither settles copies the game.  A surplus of 1 to 4 leaves few
+    # circuits, so the count rule fires often; the first game accepts most
+    # coloured edges, so tests with a rejected edge are fewer
     tests, copies = [], []
     rank_restored, copy = laman._rank_restored, PebbleGame.copy
 
@@ -1058,18 +1088,17 @@ def test_pair_rules_settle_rank_tests_from_the_circuits(monkeypatch):
         g = random_coloured_graph(n, 2, seed=i, m=m)
         plane = laman._plane_game(g, coloops(g, 2))
         del tests[:]
-        laman._rainbow_pair_general(g, plane.game, plane.circuits, plane.redundant)
+        _pair_search(g, plane.game, plane.circuits, plane.redundant)
         for pair, restored, made in tests:
             rule = pair_test_rule(plane.circuits, pair)
-            if rule is None:
-                continue
             rest = [x for x in g.edges if x not in pair]
             assert restored == (sparsity_rank((rest, g.n))[0] == plane.rank), (i, pair)
             assert made == (rule == "copy"), (i, pair)
-            if rule != "copy":
-                assert restored == (rule == "support"), (i, pair)
+            if rule == "count":
+                assert not restored, (i, pair)
             cases[rule, restored] += 1
-    assert cases["count", False] >= 30 and cases["support", True] >= 30, cases
+    assert cases[None, True] >= 5 and cases[None, False] >= 5, cases
+    assert cases["count", False] >= 30, cases
     assert cases["copy", True] >= 10 and cases["copy", False] >= 10, cases
 
 
@@ -1130,11 +1159,12 @@ BRACED_BLOCK = [(4, 7, 0), (4, 8, 0), (5, 7, 0), (5, 8, 0), (7, 8, 0)]
 
 @pytest.mark.parametrize("extra", [[], BRACED_BLOCK], ids=["laman+2", "braced block"])
 def test_pair_search_makes_no_failed_search(seven_rigid_k2, monkeypatch, extra):
-    # e = (0, 1) and f = (4, 6) are basis edges, and the circuit of (2, 3)
-    # holds e and not f, so they are not in series and the rank comes back
-    # with no copy and no pebble search; a copy re-inserting every rejected
-    # edge would re-insert (5, 6), whose circuit holds f, and (7, 8), whose
-    # circuit avoids the pair, and fail a search on them
+    # e = (0, 1) and f = (4, 6) are basis edges, the circuit of (2, 3)
+    # holds e and that of (5, 6) holds f, so the test copies the game once;
+    # the copy re-inserts only these two, the rejected edges whose circuit
+    # meets the pair, and both go back in, so no search fails.  A copy
+    # re-inserting every rejected edge would re-insert (7, 8), whose
+    # circuit avoids the pair, and fail a search on it
     g = seven_rigid_k2
     g = build(g.n + 2 * bool(extra), 2,
               [(u, v, c) for (u, v), c in zip(g.edges, g.colours)] + extra)
@@ -1150,9 +1180,9 @@ def test_pair_search_makes_no_failed_search(seven_rigid_k2, monkeypatch, extra):
     monkeypatch.setattr(PebbleGame, "_find_pebble", counting_find)
     copy = PebbleGame.copy
     monkeypatch.setattr(PebbleGame, "copy", lambda self: found.append("copy") or copy(self))
-    pair = laman._rainbow_pair_general(g, plane.game, plane.circuits, plane.redundant)
+    pair = _pair_search(g, plane.game, plane.circuits, plane.redundant)
     assert pair == ((0, 1), (4, 6))
-    assert found == []
+    assert found[0] == "copy" and set(found[1:]) == {True}, found
 
 
 def _wheel_on_k5(rim):
@@ -1173,18 +1203,27 @@ def test_one_series_class_takes_one_test_per_redundant_edge(monkeypatch, rim):
     # series, and there is no pair.  The first class-1 edge fails with
     # every candidate and every later one with the first, |R1| + |R2| - 1
     # rank tests, and no E - e is replayed.  One rejected edge's circuit
-    # meets the wheel, so the circuits settle every test of two basis
+    # meets the wheel, so the count rule settles every test of two basis
     # edges and the pair search copies nothing (the (2,2) counts, made
-    # before it, still strip copies)
+    # after it, still strip copies)
     g = _wheel_on_k5(rim)
-    tests, replays, copies = [], [], []
+    tests, replays, copies, searching = [], [], [], []
     rank_restored, insert_all, copy = laman._rank_restored, PebbleGame.insert_all, PebbleGame.copy
+    pair = laman._rainbow_pair_general
+
+    def recording_pair(*args):
+        searching.append(True)
+        found = pair(*args)
+        searching.append(False)
+        return found
+
+    monkeypatch.setattr(laman, "_rainbow_pair_general", recording_pair)
     monkeypatch.setattr(laman, "_rank_restored",
                         lambda *args: tests.append(args[2]) or rank_restored(*args))
     monkeypatch.setattr(PebbleGame, "insert_all",
                         lambda self, edges: replays.append(edges) or insert_all(self, edges))
     monkeypatch.setattr(PebbleGame, "copy",
-                        lambda self: copies.append(bool(tests)) or copy(self))
+                        lambda self: copies.append(searching[-1]) or copy(self))
     verdict = check_k2(g)
     assert verdict.witness == "no-rainbow-redundant-pair"
     r1, r2 = g.colour_class(1), g.colour_class(2)
@@ -1418,10 +1457,17 @@ def test_check_k2_verdict_invariants():
     assert min(branches.values()) >= 5, branches
 
 
+def _pair_search(g, game, circuits, redundant):
+    """The pair search on ``game``, given each class's edges in
+    ``redundant``."""
+    r1, r2 = ([e for e in g.colour_class(c) if e in redundant] for c in (1, 2))
+    return laman._rainbow_pair_general(game, circuits, r1, r2)
+
+
 def _rainbow_pair(g):
     """The pair search on the plane game of g's core."""
     plane = laman._plane_game(g, coloops(g, 2))
-    return laman._rainbow_pair_general(g, plane.game, plane.circuits, plane.redundant)
+    return _pair_search(g, plane.game, plane.circuits, plane.redundant)
 
 
 def test_rainbow_pair_seven_fixture(seven_rigid_k2):
@@ -1432,6 +1478,21 @@ def test_rainbow_pair_seven_fixture(seven_rigid_k2):
 def test_rainbow_pair_none_fixtures(twin_blocks_k2, nested_circuit_k2):
     assert _rainbow_pair(twin_blocks_k2) is None
     assert _rainbow_pair(nested_circuit_k2) is None
+
+
+@pytest.mark.parametrize("fixture,pair", [
+    ("nested_circuit_k2", ((2, 6), (0, 6))),  # only G0-not-sparse fails
+    ("seven_rigid_k2", None),  # no condition fails
+], ids=["pair-despite-failing", "no-pair-though-all-hold"])
+def test_laman_plus_2_counts_checked_against_the_pair_both_ways(
+        monkeypatch, request, fixture, pair):
+    # the pair decides every k = 2 verdict; on a Laman+2 graph a pair must
+    # exist iff the coloured sparsity conditions hold, in either direction
+    g = request.getfixturevalue(fixture)
+    assert check_k2(g).ranks["classification"] == "laman+2"
+    monkeypatch.setattr(laman, "_rainbow_pair_general", lambda *args: pair)
+    with pytest.raises(RuntimeError, match="internal inconsistency"):
+        check_k2(g)
 
 
 def shared_edge_monochromatic_graph():

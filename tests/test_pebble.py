@@ -552,8 +552,8 @@ def test_interleaved_copies_play_fresh_games(params):
 def test_rainbow_pair_copies_play_fresh_games(monkeypatch, params):
     # ``_rainbow_pair_general`` decides every pair by rank restoration, at
     # most |R1| + |R2| - 1 of them, and never replays E - e.  A test copies
-    # the searched game only when both edges are in its basis and the
-    # circuits settle nothing (``pair_test_rule``); otherwise it reads the
+    # the searched game only when both edges are in its basis and two or
+    # more circuits meet them (``pair_test_rule``); otherwise it reads the
     # circuits alone.  Every test must agree with a fresh game on E - e - f
     tests, replays, copies = [], [], []
     rank_restored, insert_all, copy = laman._rank_restored, PebbleGame.insert_all, PebbleGame.copy
@@ -576,13 +576,13 @@ def test_rainbow_pair_copies_play_fresh_games(monkeypatch, params):
         game = PebbleGame(g.n, params)
         circuits = game.insert_all(g.edges)
         redundant = {e for c in circuits.values() for e in c}
+        r1, r2 = ([e for e in g.colour_class(c) if e in redundant] for c in (1, 2))
         expected = brute_rainbow_pair(g, params)
         del tests[:], replays[:], copies[:]
-        assert _rainbow_pair_general(g, game, circuits, redundant) == expected
+        assert _rainbow_pair_general(game, circuits, r1, r2) == expected
         assert replays == [], seed
         assert len(copies) == sum(pair_test_rule(circuits, pair) == "copy"
                                   for pair, _ in tests), seed
-        r1, r2 = ([e for e in g.colour_class(c) if e in redundant] for c in (1, 2))
         assert len(tests) <= max(len(r1) + len(r2) - 1, 0), seed
         full = len(game.accepted)
         for pair, ok in tests:
