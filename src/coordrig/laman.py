@@ -11,21 +11,32 @@ circuit; the rank is |C| plus the rank of the 3-core, and the circuits,
 the redundant edges and the redundant rainbow sets are those of the core.
 The games below are played on the core only.
 
-Every decider plays the same first game (``_plane_game``): the core in
-canonical order, each rejection's circuit read only on the game's
-accepted coloured edges (``_insert_coloured``).  The one- and two-class
-verdicts read it off the game's final state (``_PlaneGame``): the rank,
+Every decider plays the same first game (``_plane_game``): the core,
+each rejection's circuit read only on the game's accepted coloured edges
+(``_insert_coloured``).  It is played in one of two orders.  The union
+plays the canonical order, because its printed rigidity part and T are
+read off the canonical greedy basis.  The one- and two-class deciders
+play the vertex order (``_vertex_order``), the canonical order reversed,
+in which each vertex joins with no edge, so its first two edges need no
+search.  They read the game's final state (``_PlaneGame``): the rank,
 the Laman+p kind, the redundant coloured edges, G0's (2,3)-sparsity and,
 for two classes, the (2,2) counts of G0 plus each class and the rainbow
-pair.  A state of the game minus the edges it deletes is a valid game on
-the rest (Lee & Streinu 2008), so where the state alone does not settle
-a count, the game (or a copy, while a later read needs it) deletes its
-accepted coloured edges of one kind and re-inserts only rejected edges.
-A circuit is read in full only where a verdict prints it: the one
-circuit of an isostatic one-class graph, re-read by inserting its
-rejected edge into the final game once more, and G0's first canonical
-circuit, from a fresh game on G0's core that stops at its first
-rejection.
+pair.  Lemma: none of these depends on the order, since each is a
+matroid property or a read that holds for any basis.  The rank, the
+redundant edges and each circuit, the minimal tight set spanning its
+edge (Lee & Streinu 2008), are the same over every basis; so are G0's
+sparsity, both (2,2) counts, the first rainbow pair in the canonical
+order of the redundant lists and the one circuit of an isostatic
+one-class graph; and ``_g0_read``'s cases and (2,2) bound (a) hold for
+any basis.  A state of the game minus the edges it deletes is a valid
+game on the rest (Lee & Streinu 2008), so where the state alone does not
+settle a count, the game (or a copy, while a later read needs it)
+deletes its accepted coloured edges of one kind and re-inserts only
+rejected edges.  A circuit is read in full only where a verdict prints
+it: the one circuit of an isostatic one-class graph, re-read by
+inserting its rejected edge into the final game once more, and G0's
+first canonical circuit, from a fresh game on G0's core, in canonical
+order, that stops at its first rejection.
 
 For any number of classes the decider uses the rank of the union of the
 plane rigidity matroid M with the colour partition matroid P (uncoloured
@@ -136,20 +147,21 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
     keeps the (2,3)-rank r(E).  T grows by shortest augmenting paths, at
     most one per colour.  The coloops C (``coloops(g, 2)``) lie on no
     circuit, so T avoids them, and the game is played on the core E minus
-    C alone.  One game, played on the core in canonical order, stays live
-    on the core minus T: after each path it deletes the entering edges it
-    had accepted and re-inserts, in canonical order, the edges leaving T
-    and the rejected edges whose circuit met a deleted edge.  Every other
-    circuit lies in the remaining basis, so its edge would be rejected
-    again with the same circuit and change no other insert; it is kept.
-    The circuits are the next round's sources.  The round that finds no
-    path, or after which T holds every colour with a redundant edge, is
-    the witness, so a call plays one game.  ``transversal`` is T in
-    canonical order and ``independent_rigidity`` C together with the
-    game's basis, in canonical order.  The coordinated framework is
-    generically rigid in the plane iff union_rank = t + k, and
-    generically isostatic iff additionally m = t + k, where t is 2n - 3
-    (0 for a single vertex).
+    C alone.  One game, played on the core in canonical order (not the
+    k <= 2 deciders' vertex order: the witness is read off its basis),
+    stays live on the core minus T: after each path it deletes the
+    entering edges it had accepted and re-inserts, in canonical order,
+    the edges leaving T and the rejected edges whose circuit met a
+    deleted edge.  Every other circuit lies in the remaining basis, so
+    its edge would be rejected again with the same circuit and change no
+    other insert; it is kept.  The circuits are the next round's sources.
+    The round that finds no path, or after which T holds every colour
+    with a redundant edge, is the witness, so a call plays one game.
+    ``transversal`` is T in canonical order and ``independent_rigidity``
+    C together with the game's basis, in canonical order.  The
+    coordinated framework is generically rigid in the plane iff
+    union_rank = t + k, and generically isostatic iff additionally
+    m = t + k, where t is 2n - 3 (0 for a single vertex).
 
     Uncoloured edges are loops of the colour partition matroid, so they
     start and carry no exchange arc: each circuit is read only on the
@@ -355,8 +367,8 @@ def _augment(g: ColouredGraph, held: dict[int, Edge], game: PebbleGame,
 
 @dataclass(frozen=True)
 class _PlaneGame:
-    """One (2,3) game on the core E of g in canonical order, and the
-    reads the one- and two-class verdicts take off its final state.
+    """One (2,3) game on the core E of g, in any order, and the reads the
+    one- and two-class verdicts take off its final state.
 
     Write B for the basis the game holds, G0 for the uncoloured edges,
     Ci for class i, R0 for G0's rejected edges, surplus(X) = |X| - r(X),
@@ -395,6 +407,17 @@ class _PlaneGame:
     The rainbow pair (``_rainbow_pair_general``) reads the game and its
     circuits first and changes neither; after it each test strips a copy,
     except the last, which strips the game itself.
+
+    None of these reads depends on the order the game played the core in,
+    so the deciders play the vertex order (``_vertex_order``).  The rank,
+    the redundant edges and each circuit, the minimal tight set spanning
+    its edge, are the same over every basis (Lee & Streinu 2008), so the
+    coloured redundant edges, G0's sparsity, both (2,2) counts, the first
+    rainbow pair in the canonical order of the redundant lists and the one
+    circuit of an isostatic one-class graph are too.  The cases of
+    ``_g0_read`` and bound (a) above hold for any basis B, and bound (b)
+    reads only the redundant edges.  Only which edge is rejected, which
+    count test runs and how a rank test is settled follow the order.
     """
 
     rank: int  # the (2,3)-rank, |stripped| plus the game's
@@ -404,22 +427,40 @@ class _PlaneGame:
     coloured: list  # the game's accepted coloured edges
 
 
-def _plane_game(g: ColouredGraph, stripped) -> _PlaneGame:
+def _plane_game(g: ColouredGraph, stripped, order=None) -> _PlaneGame:
     """The first game of every plane decider: the core of g, g minus its
-    coloops ``stripped``, inserted in canonical order, each rejection
-    read on the accepted coloured edges alone (``_insert_coloured``).
-    Every circuit's coloured edges are thus in its entry, and every
-    redundant coloured edge is in ``redundant``."""
+    coloops ``stripped``, each rejection read on the accepted coloured
+    edges alone (``_insert_coloured``).  Every circuit's coloured edges
+    are thus in its entry, and every redundant coloured edge is in
+    ``redundant``.  The core is inserted in canonical order, or, when
+    ``order`` is given, in the order ``order(edges, colours)`` returns
+    for the core's edges and colours in canonical order.  The union
+    reads the canonical greedy basis; the k <= 2 deciders read only what
+    holds for any basis (``_PlaneGame``) and pass ``_vertex_order``."""
     core, colours = [], []
     for e, c in zip(g.edges, g.colours):
         if e not in stripped:
             core.append(e)
             colours.append(c)
+    if order is not None:
+        core, colours = order(core, colours)
     game = PebbleGame(_span(core))
     coloured: list[Edge] = []
     circuits = _insert_coloured(g, game, core, coloured, colours)
     redundant = {e for circuit in circuits.values() for e in circuit}
     return _PlaneGame(len(stripped) + len(game.accepted), circuits, redundant, game, coloured)
+
+
+def _vertex_order(edges, colours):
+    """The k <= 2 deciders' play order: canonical ``edges`` and their
+    ``colours``, both reversed in place.  That is vertex by vertex from
+    the top: vertex u's edges (u, v) with v > u come together, after
+    every edge among the vertices above u, so u joins the game with no
+    edge and its first two edges are 0-extensions, placed with no
+    search (``PebbleGame.try_insert``)."""
+    edges.reverse()
+    colours.reverse()
+    return edges, colours
 
 
 def _g0_read(circuits, coloured_rejected):
@@ -453,7 +494,7 @@ def check_k1(g: ColouredGraph) -> RigidityVerdict:
     """
     if g.k != 1:
         raise ValueError(f"one-class decider called with k={g.k}")
-    plane = _plane_game(g, coloops(g, 2))
+    plane = _plane_game(g, coloops(g, 2), _vertex_order)
     rank, circuits, game = plane.rank, plane.circuits, plane.game
     target = _plane_target(g.n)
     cert_edges = [e for e in g.colour_class(1) if e in plane.redundant]
@@ -517,7 +558,7 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     if g.k != 2:
         raise ValueError(f"two-class decider called with k={g.k}")
     stripped = coloops(g, 2)
-    plane = _plane_game(g, stripped)
+    plane = _plane_game(g, stripped, _vertex_order)
     rank, circuits = plane.rank, plane.circuits
     kind = laman_kind(g.n, g.m, rank)
     target = _plane_target(g.n)

@@ -38,8 +38,10 @@ endpoints loses at most kk spanned edges with that endpoint, so it spans
 at most kk*n' - ll, and the two endpoints alone span one edge, at most
 2*kk - ll), and that endpoint, whose out-degree is below kk, has a free
 pebble to pay with.  Otherwise an accepted edge is paid for by its later
-endpoint when that one has a pebble, which spares the next edge in
-canonical order, usually at the same first endpoint, a search.  None of
+endpoint when that one has a pebble, which spares the next edge, usually
+at the same first endpoint, a search: edges with the same first endpoint
+come together both in canonical order and in its reverse, the order the
+one- and two-class plane deciders play (``laman._vertex_order``).  None of
 this changes any output: the pebble game is exact from any valid
 orientation (Lee & Streinu 2008), so the payer only orients an arc, and
 a rejection still costs one failed search whose marks give the circuit.
@@ -196,11 +198,11 @@ class PebbleGame:
         costs one failed search, and its stamp marks the region that
         ``rejection_circuit`` reads.  Such an edge, once accepted, is paid
         for by v when it has a pebble and by u only otherwise: the next
-        edge in canonical order usually starts at u again and finds u's
-        pebbles in place, which saves it a search.  The certificate and the
-        payer set only the arc's direction; the accepted set is the greedy
-        basis and each circuit the minimal tight set spanning its edge, so
-        neither depends on them.
+        edge, in canonical order or in its reverse, usually starts at u
+        again and finds u's pebbles in place, which saves it a search.
+        The certificate and the payer set only the arc's direction; the
+        accepted set is the greedy basis and each circuit the minimal
+        tight set spanning its edge, so neither depends on them.
         """
         u, v = edge
         pebbles, deg, succ = self.pebbles, self.deg, self.succ
@@ -245,7 +247,9 @@ class PebbleGame:
         2008), and the accepted edges inside it together with the rejected
         edge form the unique circuit.  No search runs here; the edges are
         read by a scan of the accepted edges, which come in nearly
-        canonical order, so the sort is nearly linear; collecting the
+        canonical order or nearly its reverse (the one- and two-class
+        plane deciders' order), runs the sort takes in linear time;
+        collecting the
         region's own arcs and sorting them costs more than the scan saves
         when, as is typical, the region holds a third of the vertices or
         more.  ``among``, a sequence of accepted edges, narrows the scan

@@ -134,7 +134,10 @@ def test_plane_game_inserts_only_core_edges(inserted):
     stripped = coloops(g, 2)
     assert len(stripped) == 12
     core = [e for e in g.edges if e not in stripped]
-    (rejected,) = run_game((core, g.n))[1]
+    # check_k1 plays the core in vertex order, the canonical order
+    # reversed, whose game rejects another edge than the canonical one
+    (rejected,) = run_game((core[::-1], g.n))[1]
+    assert rejected not in run_game((core, g.n))[1]
     inserted.clear()  # the generator checks its graph with check_k1
     verdict = check_k1(g)
     assert verdict.rigid and verdict.isostatic

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -664,8 +665,8 @@ def test_final_state_reads_match_fresh_games(monkeypatch):
     sparse_after, first_circuit = laman._sparse_after, laman._first_circuit
     played = []
 
-    def recording_plane_game(g, stripped):
-        played.append(plane_game(g, stripped))
+    def recording_plane_game(g, stripped, order=None):
+        played.append(plane_game(g, stripped, order))
         return played[-1]
 
     def recording_g0_read(circuits, coloured_rejected):
@@ -888,8 +889,8 @@ def test_check_k2_copies_the_game_once_per_22_count(monkeypatch):
 
 def test_pair_search_reads_the_first_games_basis(monkeypatch):
     # the pair search is entered with the plane game as the first game
-    # left it, before any count test strips it, and leaves its basis as it
-    # found it
+    # left it, in vertex order, before any count test strips it, and leaves
+    # its basis as it found it
     entered = []
     pair = laman._rainbow_pair_general
 
@@ -907,7 +908,7 @@ def test_pair_search_reads_the_first_games_basis(monkeypatch):
         check_k2(g)
         if entered:
             ((basis, left),) = entered
-            first = laman._plane_game(g, coloops(g, 2)).game
+            first = laman._plane_game(g, coloops(g, 2), laman._vertex_order).game
             assert basis == left == tuple(first.accepted), i
             searched += 1
     assert searched >= 100, searched
@@ -930,13 +931,14 @@ def test_22_counts_match_fresh_games():
 
 def _full_reads_expected(g):
     """The rejections whose circuit a plane verdict prints: for k = 2, G0's
-    first; for k = 1, the one rejection of an isostatic graph.  Read from
-    fresh games on the core."""
+    first, in canonical order; for k = 1, the one rejection of an
+    isostatic graph, in the decider's vertex order.  Read from fresh games
+    on the core."""
     stripped = coloops(g, 2)
     core = [e for e in g.edges if e not in stripped]
     if g.k == 2:
         return list(run_game(([e for e in core if g.colour_of(e) == 0], g.n))[1])[:1]
-    accepted, circuits = run_game((core, g.n))
+    accepted, circuits = run_game((core[::-1], g.n))
     if len(stripped) + len(accepted) != 2 * g.n - 3 or len(circuits) != 1:
         return []
     ((e, circuit),) = circuits.items()
@@ -975,6 +977,78 @@ def test_plane_game_reads_in_full_only_printed_circuits(monkeypatch):
         assert (printed is not None) == bool(expected), i
         cases[f"k={k} {'read' if expected else 'none'}"] += 1
     assert min(cases.values()) >= 20, cases
+
+
+def _mutants(g, rng):
+    """The benchmark's mutants of g: "over", g with two new edges of
+    random colours; "del", g less one edge of a class that keeps a member;
+    and "recol", g with class k cut to one edge at a vertex of least
+    degree and its other edges moved to random lower classes, left out
+    when that empties a class."""
+    triples = _triples(g)
+    present = set(g.edges)
+    missing = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in present]
+    over = triples + [(u, v, rng.randint(0, g.k))
+                      for u, v in rng.sample(missing, min(2, len(missing)))]
+    sizes = Counter(g.colours)
+    dropped = rng.choice([t for t in triples if t[2] == 0 or sizes[t[2]] >= 2])
+    less = [t for t in triples if t != dropped]
+    degree = Counter(x for e in g.edges for x in e)
+    w = min(degree, key=degree.__getitem__)
+    pick = rng.choice([t for t in triples if w in t[:2]])
+    recol = [(u, v, g.k if (u, v, c) == pick else rng.randint(0, g.k - 1) if c == g.k else c)
+             for u, v, c in triples]
+    mutants = [over, less]
+    if len({c for *_, c in recol} - {0}) == g.k:
+        mutants.append(recol)
+    return [build(g.n, g.k, t) for t in mutants]
+
+
+def _order_corpus():
+    """k = 1, 2 graphs: Henneberg graphs (Laman+1, and Laman+2 with up to
+    two more edges) with their mutants, random graphs with sparse and
+    dense G0, and the fixtures."""
+    graphs = [load_fixture(name) for name in FIXTURE_NAMES if load_fixture(name).k in (1, 2)]
+    for i in range(80):
+        base = henneberg_k1_sample(6 + i % 12, seed=i) if i % 2 else _laman_plus_graph(i)
+        graphs += [base] + _mutants(base, random.Random(i))
+    for i in range(150):
+        graphs.append(_k2_instance(i))
+        n = 4 + i % 12
+        dense = n if i % 3 == 0 else 0
+        graphs.append(random_coloured_graph(
+            n, 1, seed=i, m=min(n * (n - 1) // 2, 2 * n - 4 + i % 6 + dense)))
+    return graphs
+
+
+def test_k12_verdicts_do_not_depend_on_the_game_order(monkeypatch):
+    # every k <= 2 read is a matroid property or holds for any basis, so
+    # the verdict bytes and the exit decision are the same whether the
+    # first game plays the core in vertex order, in canonical order or in
+    # a seeded random order
+    rng = random.Random(33)
+
+    def shuffled(edges, colours):
+        order = rng.sample(range(len(edges)), len(edges))
+        return [edges[i] for i in order], [colours[i] for i in order]
+
+    orders = {"vertex": laman._vertex_order, "canonical": lambda edges, colours: (edges, colours),
+              "random": shuffled}
+    cases = Counter()
+    for i, g in enumerate(_order_corpus()):
+        outputs = set()
+        for order in orders.values():
+            monkeypatch.setattr(laman, "_vertex_order", order)
+            verdict = decide_plane(g)
+            outputs.add((verdict.rigid, json.dumps(verdict.to_json())))
+        assert len(outputs) == 1, i
+        cases[verdict.decision] += 1
+        if g.k == 2:
+            cases.update(verdict.certificate["diagnosis"]["failing"])
+    failing = ["not-laman-plus-2", "class-all-bridges:1", "class-all-bridges:2",
+               "G0-not-sparse", "G1-not-22-sparse", "G2-not-22-sparse"]
+    assert cases["rigid"] >= 200 and cases["flexible"] >= 100, cases
+    assert min(cases[f] for f in failing) >= 25, cases
 
 
 @pytest.mark.parametrize("name", [n for n in FIXTURE_NAMES if load_fixture(n).k in (1, 2)])
