@@ -42,17 +42,20 @@ trial: with q = 2^30 - 35 and r <= dn, about 1.8·10⁻⁶ at d = 3,
 n = 640.
 
 Sampling stops once a trial reaches both caps, upper bounds on the generic
-ranks read from the core.  R_core(p) is block-diagonal over the core's
-connected components, so rank R(p) is at most |C| + Σᵢ min(mᵢ, d·nᵢ - tᵢ)
-over the components, tᵢ the trivial dimension of nᵢ points; rank[R(p) | I]
-is at most m and at most that cap plus the number of classes with an edge
-in the core, since a class inside C has a zero column in S·I.  No later
-trial can raise either maximum, so ``trials`` is an upper bound on the
-trials eliminated.  A rigid verdict stops at the trial that shows it
-rigid, the first one except at an unlucky sample.  A flexible one stops
-when its sampled ranks reach the caps, and otherwise takes every trial
-and keeps the bound above.  When a cap is below its target, no sample can
-reach the target, so that flexible verdict is certain.
+ranks read from the core.  One cap covers the whole core: R_core(p) has
+one row per core edge and rank at most d·n_core - t_core, n_core the
+vertices the core edges touch and t_core their trivial dimension, so rank
+R(p) is at most |C| + min(m_core, d·n_core - t_core); rank[R(p) | I] is
+at most m and at most that cap plus the number of classes with an edge in
+the core, since a class inside C has a zero column in S·I.  No later trial
+can raise either maximum, so ``trials`` is an upper bound on the trials
+eliminated.  A rigid verdict stops at the trial that shows it rigid, the
+first one except at an unlucky sample.  A flexible one stops when its
+sampled ranks reach the caps, and otherwise takes every trial and keeps
+the bound above; a core in several connected components, whose rank is
+below the one cap even when each component is rigid, may thus sample
+every trial.  When a cap is below its target, no sample can reach the
+target, so that flexible verdict is certain.
 """
 
 from __future__ import annotations
@@ -150,9 +153,11 @@ class _RankOracle:
     of rank R(p) and rank[R(p) | I].
 
     Trials are eliminated in order only while the best rank or coordinated
-    rank is below its cap.  ``rank_cap`` is |C| plus, over the connected
-    components of the core, min(mᵢ, d·nᵢ - tᵢ); ``coordinated_cap`` is
-    min(m, rank_cap + k_core), k_core the classes with an edge in the core.
+    rank is below its cap.  ``rank_cap`` is one cap over the whole core,
+    |C| + min(m_core, d·n_core - t_core), n_core the vertices the core edges
+    touch and t_core their trivial dimension (0 for an empty core);
+    ``coordinated_cap`` is min(m, rank_cap + k_core), k_core the classes
+    with an edge in the core.
     No sample exceeds the generic rank, so no later trial can raise either
     maximum; ``trials`` holds the trials eliminated, at most
     ``params.trials`` of them.
@@ -174,8 +179,9 @@ class _RankOracle:
         self.trivial = _trivial_dim(g.n, params.d)
         self.target = params.d * g.n - self.trivial
         self.coordinated_target = self.target + g.k
-        self.rank_cap = len(self.stripped) + _component_cap(
-            [g.edges[i] for i in core], params.d
+        n_core = len({v for i in core for v in g.edges[i]})
+        self.rank_cap = len(self.stripped) + min(
+            len(core), params.d * n_core - _trivial_dim(n_core, params.d)
         )
         k_core = sum(1 for idx in self.classes if idx)
         self.coordinated_cap = min(g.m, self.rank_cap + k_core)
@@ -245,32 +251,6 @@ def _trivial_dim(n: int, d: int) -> int:
     C(d+1, 2), less the C(d+1-n, 2) rotations that fix the affine span of
     n <= d points."""
     return math.comb(d + 1, 2) - math.comb(max(d + 1 - n, 0), 2)
-
-
-def _component_cap(edges, d: int) -> int:
-    """Σ min(mᵢ, d·nᵢ - tᵢ) over the connected components of ``edges``, an
-    upper bound on their generic rank in dimension d; O(m)."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen: set[int] = set()
-    cap = 0
-    for root in adj:
-        if root in seen:
-            continue
-        seen.add(root)
-        stack, nv, degrees = [root], 0, 0
-        while stack:
-            v = stack.pop()
-            nv += 1
-            degrees += len(adj[v])
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        cap += min(degrees // 2, d * nv - _trivial_dim(nv, d))
-    return cap
 
 
 def _ranks(g: ColouredGraph, **fields) -> dict:

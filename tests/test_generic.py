@@ -199,6 +199,13 @@ TWIN_K4 = build(
     7, 1, [(u, v, int((u, v) == (0, 1))) for u, v in K4.edges]
     + [(u + 3, v + 3, 0) for u, v in K4.edges]
 )
+# two K4s joined through the degree-2 vertex 8, class 1 the edge (0, 1):
+# rank 2 + 5 + 5 = 12 against the core-wide cap 2 + min(12, 2·8 - 3) = 14
+# and the target 15, so the count proves it flexible but every trial runs
+TWO_BLOCKS = build(
+    9, 1, [(u, v, int((u, v) == (0, 1))) for u, v in K4.edges]
+    + [(u + 4, v + 4, 0) for u, v in K4.edges] + [(0, 8, 0), (4, 8, 0)]
+)
 # K4 uncoloured, and class 1 is the two edges of a degree-2 vertex
 CLASS_OF_COLOOPS = build(5, 1, [(u, v, 0) for u, v in K4.edges] + [(0, 4, 1), (1, 4, 1)])
 # a path: independent, so its first trial reaches both caps, m and m
@@ -218,8 +225,10 @@ def test_rigid_verdict_eliminates_one_trial(projections, seven_rigid_k2):
         (load_fixture("twin_blocks_k2"), "no-rainbow-redundant-tuple", 3),
         (PATH, "underlying-flexible", 1),
         (TWIN_K4, "underlying-flexible", 3),
+        (TWO_BLOCKS, "underlying-flexible", 3),
     ],
-    ids=["underlying-flexible", "no-rainbow-tuple", "independent", "below-the-cap"],
+    ids=["underlying-flexible", "no-rainbow-tuple", "independent", "below-the-cap",
+         "two-core-components"],
 )
 def test_flexible_verdict_eliminates_until_the_caps(
     projections, g, witness, eliminations
@@ -232,9 +241,11 @@ def test_flexible_verdict_eliminates_until_the_caps(
 def test_caps_bound_the_exact_plane_ranks():
     # at d = 2 the (2,3) game and the union rank are exact: no sample
     # exceeds them, and no cap is below them, so a cap below its target
-    # proves the graph flexible
-    proofs = 0
-    for s, g in enumerate(random_corpus(200, seed=6100, n_range=(4, 16), k_range=(0, 4))):
+    # proves the graph flexible; TWO_BLOCKS's core in two components is
+    # still proved by the one core-wide cap
+    graphs = random_corpus(200, seed=6100, n_range=(4, 16), k_range=(0, 4))
+    proved = []
+    for s, g in enumerate(graphs + [TWO_BLOCKS]):
         oracle = generic._RankOracle(g, params(trials=3, seed=s))
         exact = sparsity_rank(g)[0]
         union = union_rank_d2(g).union_rank
@@ -242,9 +253,9 @@ def test_caps_bound_the_exact_plane_ranks():
         assert oracle.coordinated_rank <= union <= oracle.coordinated_cap
         if (oracle.rank_cap < oracle.target
                 or oracle.coordinated_cap < oracle.coordinated_target):
-            proofs += 1
+            proved.append(g)
             assert not decide_plane(g).rigid
-    assert proofs >= 50
+    assert len(proved) >= 50 and proved[-1] is TWO_BLOCKS
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -257,7 +268,7 @@ def test_projected_stresses_span_the_full_projection(d):
     for s in range(30):
         n = rng.randint(7, 14)
         graphs.append(random_coloured_graph(n, rng.randint(1, 4), seed=s, m=3 * n))
-    graphs += [K4_PENDANT, CLASS_OF_COLOOPS, TWIN_K4]
+    graphs += [K4_PENDANT, CLASS_OF_COLOOPS, TWIN_K4, TWO_BLOCKS]
     seen = {"no coloured core edge": 0, "class of coloops": 0, "tuple": 0}
     for s, g in enumerate(graphs):
         p = params(d=d, trials=3, seed=s)
