@@ -60,16 +60,17 @@ shortest path keeps every rejected edge the last of its circuit
 (``union_rank_d2``).  After the last path no circuit is read, so only
 the edges the basis gains go back in: those leaving T and the first
 rejected edge whose circuit met a deleted edge.
-The k = 2 pair search makes rank-restoration tests only, read from the
-decider's game: from its circuits, and from a copy with the pair deleted
-only when both edges are in the basis and two or more circuits meet them.
-For redundant e and f, f is redundant in E - e iff e and f are not in
-series, an equivalence relation, so once the first redundant class-1
-edge has no partner, every redundant class-2 edge lies in its series
-class, and one test per later class-1 edge decides it.  The pair decides
-every two-class verdict.  It changes no game, so it runs before the
-count tests strip it, and on a Laman+2 graph it is checked against the
-three coloured conditions both ways.
+The k = 2 rainbow pair is read from one set, R', the redundant edges of
+E - e0 for e0 the first redundant class-1 edge.  For redundant e and f,
+f is redundant in E - e iff e and f are not in series, an equivalence
+relation, so e0 pairs with the first class-2 edge in R', and when there
+is none, a later class-1 edge pairs with the first class-2 edge iff it
+is in R'.  R' is the union of the decider's circuits but the one that
+holds e0 when e0 is rejected or one circuit holds it; otherwise a copy of
+the game deletes e0 and re-inserts the rejected edges whose circuit
+holds it.  The pair decides every two-class verdict.  It changes no
+game, so it runs before the count tests strip it, and on a Laman+2 graph
+it is checked against the three coloured conditions both ways.
 
 Also houses the inductive generator for one-class isostatic graphs used to
 build test corpora.
@@ -78,7 +79,6 @@ build test corpora.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -222,9 +222,9 @@ def union_rank_d2(g: ColouredGraph) -> UnionRankReport:
         after = set(held.values())
         entering, leaving = after - before, before - after
         deleted = {e for e in entering if e not in circuits}
-        for e in sorted(deleted):
-            game.delete(e)
-            coloured.remove(e)
+        if deleted:
+            game.delete_all(deleted)
+            coloured = [e for e in coloured if e not in deleted]
         # deletion leaves a valid game on the rest of the basis; a circuit
         # avoiding the deleted edges still lies in it, so only the edges of
         # broken circuits and those leaving T go back in
@@ -405,8 +405,9 @@ class _PlaneGame:
     Cj: G0 + Ci is (2,2)-sparse iff they all go in.
 
     The rainbow pair (``_rainbow_pair_general``) reads the game and its
-    circuits first and changes neither; after it each test strips a copy,
-    except the last, which strips the game itself.
+    circuits first, on a copy where the circuits alone do not give the
+    redundant edges of E - e0, and changes neither; after it each count
+    test strips a copy, except the last, which strips the game itself.
 
     None of these reads depends on the order the game played the core in,
     so the deciders play the vertex order (``_vertex_order``).  The rank,
@@ -417,7 +418,8 @@ class _PlaneGame:
     circuit of an isostatic one-class graph are too.  The cases of
     ``_g0_read`` and bound (a) above hold for any basis B, and bound (b)
     reads only the redundant edges.  Only which edge is rejected, which
-    count test runs and how a rank test is settled follow the order.
+    count test runs and whether the pair read copies the game follow the
+    order.
     """
 
     rank: int  # the (2,3)-rank, |stripped| plus the game's
@@ -549,11 +551,12 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     first class made of bridges, or no-rainbow-redundant-pair when there
     is none.
 
-    The pair search runs first and changes no game.  G0's sparsity and
-    the (2,2) counts are then read off the plane game's final state, or,
-    where it does not settle them, by deleting edges from a copy of the
-    game, the last from the game itself, and re-inserting rejected ones
-    (``_PlaneGame``).
+    The pair read (``_rainbow_pair_general``), one read of the redundant
+    edges of E - e0 for e0 the first redundant class-1 edge, runs first
+    and changes no game.  G0's sparsity and the (2,2) counts are then
+    read off the plane game's final state, or, where it does not settle
+    them, by deleting edges from a copy of the game, the last from the
+    game itself, and re-inserting rejected ones (``_PlaneGame``).
     """
     if g.k != 2:
         raise ValueError(f"two-class decider called with k={g.k}")
@@ -571,7 +574,7 @@ def check_k2(g: ColouredGraph) -> RigidityVerdict:
     class_red = {i: red[i] if rank == target else [] for i in (1, 2)}
 
     # the pair decides the verdict; it changes no game, so the count tests
-    # read the game after it, each earlier one on a copy
+    # read the game after it, each but the last on a copy
     pair = None
     if rank == target and surplus >= 2:
         pair = _rainbow_pair_general(plane.game, circuits, class_red[1], class_red[2])
@@ -662,74 +665,58 @@ def _rainbow_pair_general(game, circuits, r1, r2):
     in R1 and f in R2, the redundant edges of classes 1 and 2, given in
     canonical order as ``r1`` and ``r2``.  The pair is the first e that
     has a partner, with its first partner.  ``game`` is the plane game on
-    E and ``circuits`` its rejection circuits, of which only the coloured
-    edges are read (``_plane_game``); every test is a rank restoration
-    (``_rank_restored``), and none changes the game.
+    E with basis B and ``circuits`` its rejection circuits, of which only
+    the coloured edges are read (``_plane_game``); the game is not changed.
 
     Lemma (Oxley, "Matroid Theory", series classes): for redundant edges
     e != f, E - e - f keeps the rank iff {e, f} is not a cocircuit, i.e.
     e and f are not in series, and being in series is the parallel
-    relation of the dual matroid, an equivalence relation.  So the first
-    edge e0 of R1 is tested with each edge of R2 in order, and the first
-    that passes is the pair.  When none passes, all of R2 lies in e0's
-    series class S; a later e then passes with every edge of R2 if it lies
-    outside S and with none if inside, so it is tested with the first edge
-    f0 of R2 alone, and the first that passes is the pair.  A call makes at
-    most |R1| + |R2| - 1 tests.
+    relation of the dual matroid, an equivalence relation.  So the pair
+    is fixed by one set, R', the redundant edges of E - e0 for e0 the
+    first edge of R1: the partners of e0 are the edges of R2 in R'.  When
+    it has none, all of R2 lies in e0's series class S, and a later e of
+    R1 pairs with every edge of R2 if it lies outside S, i.e. in R', and
+    with none if inside, so its pair is with the first edge of R2.
+
+    R' is the union of the fundamental circuits of any basis of E - e0,
+    and only its edges of R1 and R2 are read.  When e0 is rejected, B is
+    such a basis, with every circuit but e0's.  When the circuit of one
+    rejected edge x holds e0, B - e0 + x is one and keeps every other
+    circuit, which lies in B - e0.  Otherwise a copy of the game deletes
+    e0, which leaves a valid game on B - e0 (Lee & Streinu 2008), and
+    re-inserts the rejected edges whose circuit holds e0 in canonical
+    order: the first goes in and restores the rank, and each later one is
+    rejected with its circuit on the new basis, read on the copy's
+    accepted edges of R1 and R2.  Every other circuit is kept.
     """
     if not r1 or not r2:
         return None
-    for f in r2:
-        if _rank_restored(game, circuits, (r1[0], f)):
-            return (r1[0], f)
-    for e in r1[1:]:
-        if _rank_restored(game, circuits, (e, r2[0])):
-            return (e, r2[0])
-    return None
-
-
-def _holds(circuit, edge) -> bool:
-    """Whether the sorted tuple ``circuit`` holds ``edge``, by bisection."""
-    i = bisect_left(circuit, edge)
-    return i < len(circuit) and circuit[i] == edge
-
-
-def _rank_restored(game, circuits, pair) -> bool:
-    """Whether E minus the two edges of ``pair`` keeps the rank of E.
-
-    ``game`` is a game on E with basis B, and ``circuits`` its rejection
-    circuits, each a sorted tuple holding at least its own edge and any
-    edge of ``pair`` on it, so an edge is looked up in an entry by
-    bisection, and a test reads each entry in time logarithmic in its
-    size.  With at most one edge y of the pair in B no copy is made:
-    B - y plus a rejected edge x outside the pair is a basis iff y lies on
-    x's circuit, and B itself avoids the pair when neither edge is in it.
-
-    With both in B, every rejected edge whose circuit avoids the pair is
-    spanned by B minus the pair, so the rank does not come back when fewer
-    than two circuits meet it.  Otherwise a copy deletes both, which
-    leaves a valid game on the rest of the basis (Lee & Streinu 2008), and
-    re-inserts in canonical order the rejected edges whose circuit meets
-    a deleted edge, until the rank is back.  Every other rejected edge
-    keeps its circuit in the rest of the basis and would be rejected
-    again."""
-    deleted = [y for y in pair if y not in circuits]
-    if len(deleted) < 2:
-        return all(any(_holds(c, y) for x, c in circuits.items() if x not in pair)
-                   for y in deleted)
-    e, f = deleted
-    meets = [x for x, c in circuits.items() if _holds(c, e) or _holds(c, f)]
-    if len(meets) < 2:
-        return False
-    rank = len(game.accepted)
-    trial = game.copy()
-    for y in deleted:
-        trial.delete(y)
-    for x in sorted(meets):
-        if len(trial.accepted) == rank:
-            return True
-        trial.try_insert(x)
-    return len(trial.accepted) == rank
+    e0 = r1[0]
+    holders, kept = [], []
+    for x, circuit in circuits.items():
+        if e0 in circuit:
+            holders.append(x)
+        else:
+            kept.append(circuit)
+    if len(holders) > 1:
+        first, *rest = sorted(holders)
+        trial = game.copy()
+        trial.delete_all([e0])
+        if not trial.try_insert(first):
+            raise RuntimeError(f"pair invariant broken: the game on B - {e0} rejects {first}")
+        # the copy's basis edges that may be in R1 or R2
+        among = [e for e in r1 + r2 if e != e0 and e not in circuits] + [first]
+        for x in rest:
+            # B - e0 + first spans E - e0, so x is rejected; were it not,
+            # the read would raise RuntimeError
+            trial.try_insert(x)
+            kept.append(trial.rejection_circuit(x, among))
+    redundant = set().union(*kept)
+    f = next((f for f in r2 if f in redundant), None)
+    if f is not None:
+        return (e0, f)
+    e = next((e for e in r1[1:] if e in redundant), None)
+    return None if e is None else (e, r2[0])
 
 
 def check_union(g: ColouredGraph) -> RigidityVerdict:

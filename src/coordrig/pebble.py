@@ -11,9 +11,9 @@ rejected edge is the unique minimal tight set spanning it (Lee & Streinu
 2008), so neither depends on which pebble a search finds.
 
 A game can be copied (``PebbleGame.copy``) and can drop accepted edges
-(``PebbleGame.delete``, and ``delete_all`` for many at once): removing an
-edge's arc and returning its pebble to the arc's tail leaves a valid game
-on the remaining accepted edges (Lee & Streinu 2008).  Re-inserting the rejected edges then gives the
+(``PebbleGame.delete_all``): removing an edge's arc and returning its
+pebble to the arc's tail leaves a valid game on the remaining accepted
+edges (Lee & Streinu 2008).  Re-inserting the rejected edges then gives the
 rank, the redundant edges and the circuits of the smaller edge set without
 replaying the whole game; a rejected edge whose circuit avoids the deleted
 edges keeps that circuit and need not go back in.
@@ -120,36 +120,22 @@ class PebbleGame:
         twin._rejected = None
         return twin
 
-    def delete(self, edge: Edge) -> None:
-        """Remove an accepted edge: drop its arc and return the pebble that
-        paid for it to the arc's tail.  The state is then a valid game on
-        the remaining accepted edges (Lee & Streinu 2008)."""
-        self._drop_arc(*edge)
-        self.accepted.remove(edge)
-        self._rejected = None
-
     def delete_all(self, edges) -> None:
-        """Remove accepted edges as ``delete`` does, in O(n + m) for any
-        number of them: a vertex has at most kk arcs, so each arc goes in
-        O(1), and the accepted list is filtered once, where ``delete``
-        scans it once per edge."""
+        """Remove accepted edges: drop each one's arc and return the pebble
+        that paid for it to the arc's tail.  The state is then a valid game
+        on the remaining accepted edges (Lee & Streinu 2008).  O(n + m) for
+        any number of edges: a vertex has at most kk arcs, so each arc goes
+        in O(1), and the accepted list is filtered once."""
         gone = set(edges)
+        succ, pebbles, deg = self.succ, self.pebbles, self.deg
         for u, v in gone:
-            self._drop_arc(u, v)
+            tail, head = (u, v) if v in succ[u] else (v, u)
+            succ[tail].remove(head)
+            pebbles[tail] += 1
+            deg[u] -= 1
+            deg[v] -= 1
         self.accepted = [e for e in self.accepted if e not in gone]
         self._rejected = None
-
-    def _drop_arc(self, u: int, v: int) -> None:
-        """Drop the arc of the accepted edge uv and return its pebble to
-        the arc's tail."""
-        if v in self.succ[u]:
-            self.succ[u].remove(v)
-            self.pebbles[u] += 1
-        else:
-            self.succ[v].remove(u)
-            self.pebbles[v] += 1
-        self.deg[u] -= 1
-        self.deg[v] -= 1
 
     def _find_pebble(self, u: int, v: int) -> bool:
         """Move one free pebble to u or v along a reversed search path.

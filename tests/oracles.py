@@ -6,8 +6,6 @@ maximizing over all edge subsets, circuits as minimal dependent sets, and
 the union rank by exhausting the min-formula over every subset,
 rainbow tuples by enumerating the class product with row-removal ranks,
 and plane rainbow pairs by a fresh (2,3) rank of every E - e - f.
-``pair_test_rule`` names which rule of the pair search settles a rank
-test, read by scanning the circuit tuples rather than by bisection.
 
 The rest are earlier implementations kept as references for the code
 that replaced them: the one-class Henneberg generator that picked an edge
@@ -172,18 +170,6 @@ def brute_rainbow_pair(g, params=PLANE):
             if rank_without(e, f) == full:
                 return (e, f)
     return None
-
-
-def pair_test_rule(circuits, pair):
-    """How ``laman._rank_restored`` settles the rank test of ``pair`` from
-    the rejection ``circuits``: None when an edge of the pair is rejected,
-    "count" when fewer than two circuits meet a pair of basis edges, and
-    "copy" otherwise, when the test plays a copy."""
-    if any(x in circuits for x in pair):
-        return None
-    e, f = pair
-    meets = [c for c in circuits.values() if e in c or f in c]
-    return "count" if len(meets) < 2 else "copy"
 
 
 def replay_union_rank(g) -> UnionRankReport:

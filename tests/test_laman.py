@@ -38,7 +38,6 @@ from oracles import (
     brute_sparse,
     brute_union_rank,
     listed_henneberg_k1_sample,
-    pair_test_rule,
     replay_union_rank,
 )
 
@@ -324,7 +323,7 @@ def _full_reinsert_union(g):
         entering = after - before
         for e in sorted(entering):
             if e not in circuits:
-                game.delete(e)
+                game.delete_all([e])
         circuits = game.insert_all(sorted(
             [e for e in circuits if e not in entering] + list(before - after)))
     assert not _late(circuits)
@@ -441,7 +440,7 @@ def test_rejected_edges_of_unheld_colours_take_zero_length_rounds(monkeypatch):
         return lambda self, edge, *args: events.append((name, edge)) or method(self, edge, *args)
 
     monkeypatch.setattr(laman, "_plane_game", first_game)
-    for name in ("try_insert", "delete", "rejection_circuit"):
+    for name in ("try_insert", "delete_all", "rejection_circuit"):
         monkeypatch.setattr(PebbleGame, name, recording(name))
     zero_length = searched = 0
     for i in range(300):
@@ -540,7 +539,7 @@ def test_shortest_paths_keep_the_basis_greedy(monkeypatch):
                             if e not in entering and not deleted.isdisjoint(circuit))
             twin = game.copy()
             for e in deleted:
-                twin.delete(e)
+                twin.delete_all([e])
             rejected = twin.insert_all(sorted(broken + list(before - set(held.values()))))
             assert set(rejected) == set(broken[1:])
             assert not _late(rejected)
@@ -591,7 +590,7 @@ def test_shortest_paths_keep_the_basis_greedy(monkeypatch):
         # one game on the core, read off its final state
         (check_k1, "quad_rigid_k1", 1),
         # that game alone: the (2,2) counts are read off its final state,
-        # and the pair search works on copies of it
+        # and the pair read takes at most one copy of it
         (check_k2, "seven_rigid_k2", 2),
         # no pair search: G0 is not Laman-sparse, and its printed circuit
         # comes from a second, fresh game on G0's core
@@ -806,27 +805,6 @@ def test_check_k2_plays_one_game_fewer(pebble_games, monkeypatch, request, fixtu
     assert len(pebble_games) == 1
 
 
-@pytest.mark.parametrize("fixture,basis_tests", [("twin_blocks_k2", 0), ("seven_rigid_k2", 1)])
-def test_rainbow_pair_takes_no_g0_copy(monkeypatch, request, fixture, basis_tests):
-    # the plane game takes no copy of a G0 phase, and the pair search
-    # copies the game only for a rank test of two basis edges that two or
-    # more circuits meet.  seven_rigid_k2 makes one such test: the circuit
-    # of (2, 3) holds (0, 1) and that of (5, 6) holds (4, 6).
-    # twin_blocks_k2's class-2 edges are all bridges, so it makes none
-    g = request.getfixturevalue(fixture)
-    made, tests = [], []
-    copy, rank_restored = PebbleGame.copy, laman._rank_restored
-    monkeypatch.setattr(PebbleGame, "copy", lambda self: made.append(1) or copy(self))
-    monkeypatch.setattr(laman, "_rank_restored",
-                        lambda *args: tests.append(args[2]) or rank_restored(*args))
-    plane = laman._plane_game(g, coloops(g, 2))
-    assert made == []
-    _pair_search(g, plane.game, plane.circuits, plane.redundant)
-    rules = [pair_test_rule(plane.circuits, pair) for pair in tests]
-    assert len(rules) - rules.count(None) == basis_tests
-    assert rules.count("copy") == len(made) == basis_tests
-
-
 @pytest.mark.parametrize("name", [n for n in FIXTURE_NAMES if load_fixture(n).k in (1, 2)])
 def test_k12_fixture_games_and_copies(pebble_games, monkeypatch, name):
     # a k = 1 decision plays one game and takes no copy; a k = 2 decision
@@ -848,8 +826,8 @@ def test_k12_fixture_games_and_copies(pebble_games, monkeypatch, name):
 
 
 def test_check_k2_copies_the_game_once_per_22_count(monkeypatch):
-    # no G0-phase copy: the pair search runs first and copies only for its
-    # own rank tests; after it every test that strips the game (G0's drop
+    # no G0-phase copy: the pair read runs first and copies only for its
+    # own re-inserts; after it every test that strips the game (G0's drop
     # test or a (2,2) count) strips a copy, except the last, which strips
     # the game itself
     copies, pair_span, played, stripped_itself = [], [], [], []
@@ -1062,29 +1040,31 @@ def test_plane_verdicts_build_no_position_map(name):
     assert g._position == {e: i for i, e in enumerate(g.edges)}
 
 
-def test_rainbow_pair_matches_fresh_games(monkeypatch):
-    # the pair search tests pairs by rank restoration, read from the
-    # decider's game and its circuits; a fresh (2,3) game on every
-    # E - e - f must find the same pair, and every test must agree with a
-    # fresh game on E - e - f.  It tests the first redundant class-1 edge
-    # with each candidate, then each later one with the first candidate,
-    # so a call makes at most |R1| + |R2| - 1 tests; a test copies the game
-    # only when both edges are in its basis and two or more circuits meet
-    # them.  Passing and failing tests, tests with 0, 1 and 2 basis
-    # edges, and calls that reach a later class-1 edge must all occur often
-    cases = {"laman+2": 0, "surplus>2": 0, "deficit": 0, "e rejected": 0}
-    found = 0
-    tests, copies = [], []
-    rank_restored, copy = laman._rank_restored, PebbleGame.copy
+def _pair_from(r1, r2, redundant):
+    """The pair the series-class lemma reads off ``redundant``, the
+    redundant edges of E - e0 for e0 = r1[0]: e0 with its first partner
+    in r2, else the first later edge of r1 in it with r2[0], else None."""
+    f = next((f for f in r2 if f in redundant), None)
+    if f is not None:
+        return (r1[0], f)
+    e = next((e for e in r1[1:] if e in redundant), None)
+    return None if e is None else (e, r2[0])
 
-    def recording_rank_restored(game, circuits, pair):
-        tests.append((pair, rank_restored(game, circuits, pair)))
-        return tests[-1][1]
 
-    monkeypatch.setattr(laman, "_rank_restored", recording_rank_restored)
-    monkeypatch.setattr(PebbleGame, "copy", lambda self: copies.append(1) or copy(self))
-    restored = failed = later = 0
-    in_basis = Counter()
+def _pair_read_branch(plane, e0):
+    """The branch the pair read of ``plane`` takes for the first redundant
+    class-1 edge e0: "rejected", "one" when e0 is in the basis and one
+    circuit holds it, and "copy" when two or more do."""
+    if e0 in plane.circuits:
+        return "rejected"
+    holders = sum(e0 in circuit for circuit in plane.circuits.values())
+    return "one" if holders == 1 else "copy"
+
+
+def _rainbow_pair_graphs():
+    """Two-class graphs around the count, some with the coloured edges
+    moved onto the last edges in canonical order, and graphs of surplus
+    1 to 4 on up to 30 vertices."""
     for i in range(600):
         n = 5 + i % 9
         m = min(n * (n - 1) // 2, 2 * n - 4 + i % 7)
@@ -1097,83 +1077,59 @@ def test_rainbow_pair_matches_fresh_games(monkeypatch):
             colours = [c for c in g.colours if not c]
             colours += [c for c in g.colours if c]
             g = build(g.n, 2, [(u, v, c) for (u, v), c in zip(g.edges, colours)])
-        expected = brute_rainbow_pair(g)
-        plane = laman._plane_game(g, coloops(g, 2))
-        circuits, redundant = plane.circuits, plane.redundant
-        kind = laman.laman_kind(g.n, g.m, plane.rank)
-        # the game on the whole of E has the same rank and circuits
-        whole = laman._plane_game(g, frozenset())
-        assert (whole.rank, whole.circuits) == (plane.rank, circuits)
-        del tests[:], copies[:]
-        assert _pair_search(g, plane.game, circuits, redundant) == expected
-        for pair, ok in tests:
-            rest = [x for x in g.edges if x not in pair]
-            assert ok == (sparsity_rank((rest, g.n))[0] == plane.rank), (i, pair)
-        basis_edges = [sum(x not in circuits for x in pair) for pair, _ in tests]
-        assert len(copies) == sum(pair_test_rule(circuits, pair) == "copy"
-                                  for pair, _ in tests), i
-        in_basis.update(basis_edges)
-        r1, r2 = ([e for e in g.colour_class(c) if e in redundant] for c in (1, 2))
-        assert len(tests) <= max(len(r1) + len(r2) - 1, 0), i
-        restored += sum(ok for _, ok in tests)
-        failed += sum(not ok for _, ok in tests)
-        later += any(pair[0] != r1[0] for pair, _ in tests)
-        full = kind != "deficit"
-        got = check_k2(g).certificate.get("rainbow_tuple")
-        assert got == ([list(e) for e in expected] if full and expected else None)
-        if kind in cases:
-            cases[kind] += 1
-        elif kind == "other":
-            cases["surplus>2"] += 1
-        found += expected is not None
-        first = next((e for e in g.colour_class(1) if e in redundant), None)
-        cases["e rejected"] += first in circuits
-    assert min(cases.values()) >= 40, cases
-    assert 100 <= found <= 480  # at most 80 % of the graphs have a pair
-    assert restored >= 150 and failed >= 120 and later >= 25, (restored, failed, later)
-    assert min(in_basis[c] for c in range(3)) >= 20, in_basis
-
-
-def test_pair_rules_settle_rank_tests_from_the_circuits(monkeypatch):
-    # the circuits settle two kinds of rank test with no copy: with an edge
-    # of the pair rejected, each basis edge of it must lie on the circuit
-    # of a rejected edge outside the pair; with both edges in the basis
-    # and fewer than two circuits meeting them, the rank stays short.
-    # Each must agree with a fresh game on E - e - f, and only a test that
-    # neither settles copies the game.  A surplus of 1 to 4 leaves few
-    # circuits, so the count rule fires often; the first game accepts most
-    # coloured edges, so tests with a rejected edge are fewer
-    tests, copies = [], []
-    rank_restored, copy = laman._rank_restored, PebbleGame.copy
-
-    def recording_rank_restored(*args):
-        made = len(copies)
-        restored = rank_restored(*args)
-        tests.append((args[2], restored, len(copies) - made))
-        return restored
-
-    monkeypatch.setattr(laman, "_rank_restored", recording_rank_restored)
-    monkeypatch.setattr(PebbleGame, "copy", lambda self: copies.append(1) or copy(self))
-    cases = Counter()
+        yield g
     for i in range(300):
         rng = random.Random(i)
         n = rng.randint(6, 30)
         m = min(n * (n - 1) // 2, 2 * n - 3 + rng.randint(1, 4))
-        g = random_coloured_graph(n, 2, seed=i, m=m)
-        plane = laman._plane_game(g, coloops(g, 2))
-        del tests[:]
-        _pair_search(g, plane.game, plane.circuits, plane.redundant)
-        for pair, restored, made in tests:
-            rule = pair_test_rule(plane.circuits, pair)
-            rest = [x for x in g.edges if x not in pair]
-            assert restored == (sparsity_rank((rest, g.n))[0] == plane.rank), (i, pair)
-            assert made == (rule == "copy"), (i, pair)
-            if rule == "count":
-                assert not restored, (i, pair)
-            cases[rule, restored] += 1
-    assert cases[None, True] >= 5 and cases[None, False] >= 5, cases
-    assert cases["count", False] >= 30, cases
-    assert cases["copy", True] >= 10 and cases["copy", False] >= 10, cases
+        yield random_coloured_graph(n, 2, seed=i, m=m)
+
+
+def test_rainbow_pair_matches_fresh_games(monkeypatch, seven_rigid_k2, twin_blocks_k2):
+    # the pair read takes R', the redundant edges of E - e0, from the
+    # decider's game and its circuits, copying the game only when two or
+    # more circuits hold e0.  A fresh (2,3) game on every E - e - f must
+    # find the same pair, and so must the series-class lemma applied to a
+    # fresh game's redundant edges of E - e0.  Both play orders, every
+    # branch of the read and every kind of pair must occur often
+    cases = Counter()
+    copies, replays = [], []
+    copy, insert_all = PebbleGame.copy, PebbleGame.insert_all
+    monkeypatch.setattr(PebbleGame, "copy", lambda self: copies.append(1) or copy(self))
+    monkeypatch.setattr(PebbleGame, "insert_all",
+                        lambda self, edges: replays.append(edges) or insert_all(self, edges))
+    graphs = [seven_rigid_k2, twin_blocks_k2, *_rainbow_pair_graphs()]
+    for i, g in enumerate(graphs):
+        expected = brute_rainbow_pair(g)
+        for order in (None, laman._vertex_order):
+            plane = laman._plane_game(g, coloops(g, 2), order)
+            if order is None:
+                # the game on the whole of E has the same rank and circuits
+                whole = laman._plane_game(g, frozenset())
+                assert (whole.rank, whole.circuits) == (plane.rank, plane.circuits)
+            del copies[:], replays[:]
+            basis = tuple(plane.game.accepted)
+            found = _pair_search(g, plane.game, plane.circuits, plane.redundant)
+            assert found == expected, i
+            assert tuple(plane.game.accepted) == basis and replays == [], i
+            r1, r2 = ([e for e in g.colour_class(c) if e in plane.redundant] for c in (1, 2))
+            if not (r1 and r2):
+                assert found is None and copies == [], i
+                cases["no candidates"] += 1
+                continue
+            branch = _pair_read_branch(plane, r1[0])
+            assert len(copies) == (branch == "copy"), i
+            rest = [x for x in g.edges if x != r1[0]]
+            assert _pair_from(r1, r2, set(redundant_edges_d2((rest, g.n)))) == found, i
+            cases[branch] += 1
+            cases["none" if found is None else "e0" if found[0] == r1[0] else "later"] += 1
+        kind = laman.laman_kind(g.n, g.m, plane.rank)
+        got = check_k2(g).certificate.get("rainbow_tuple")
+        assert got == ([list(e) for e in expected] if kind != "deficit" and expected else None)
+        cases[kind] += 1
+    assert min(cases[c] for c in ("rejected", "one", "copy", "e0", "none",
+                                  "no candidates", "laman+2", "other", "deficit")) >= 40, cases
+    assert cases["later"] >= 15, cases
 
 
 def _rejecting_graphs(g0_rejections, coloured_rejections, count):
@@ -1227,23 +1183,22 @@ def test_k1_circuit_read_in_full_when_only_a_coloured_edge_is_rejected():
 
 
 # an uncoloured K4 on 4, 5, 7, 8, whose rejected edge (7, 8) comes first
-# in the game's order and has a circuit avoiding the pair
+# in the game's order and has a circuit avoiding e0 = (0, 1)
 BRACED_BLOCK = [(4, 7, 0), (4, 8, 0), (5, 7, 0), (5, 8, 0), (7, 8, 0)]
 
 
 @pytest.mark.parametrize("extra", [[], BRACED_BLOCK], ids=["laman+2", "braced block"])
 def test_pair_search_makes_no_failed_search(seven_rigid_k2, monkeypatch, extra):
-    # e = (0, 1) and f = (4, 6) are basis edges, the circuit of (2, 3)
-    # holds e and that of (5, 6) holds f, so the test copies the game once;
-    # the copy re-inserts only these two, the rejected edges whose circuit
-    # meets the pair, and both go back in, so no search fails.  A copy
-    # re-inserting every rejected edge would re-insert (7, 8), whose
-    # circuit avoids the pair, and fail a search on it
+    # e0 = (0, 1) is a basis edge and only the circuit of (2, 3) holds it,
+    # so B - e0 + (2, 3) is a basis of E - e0 that keeps every other
+    # circuit: R' is their union, read with no copy and no search.  The
+    # braced block's (7, 8) keeps its circuit, which avoids e0
     g = seven_rigid_k2
     g = build(g.n + 2 * bool(extra), 2,
               [(u, v, c) for (u, v), c in zip(g.edges, g.colours)] + extra)
     plane = laman._plane_game(g, coloops(g, 2))
     assert laman.laman_kind(g.n, g.m, plane.rank) == ("other" if extra else "laman+2")
+    assert _pair_read_branch(plane, (0, 1)) == "one"
     found = []
     find = PebbleGame._find_pebble
 
@@ -1256,7 +1211,7 @@ def test_pair_search_makes_no_failed_search(seven_rigid_k2, monkeypatch, extra):
     monkeypatch.setattr(PebbleGame, "copy", lambda self: found.append("copy") or copy(self))
     pair = _pair_search(g, plane.game, plane.circuits, plane.redundant)
     assert pair == ((0, 1), (4, 6))
-    assert found[0] == "copy" and set(found[1:]) == {True}, found
+    assert found == []
 
 
 def _wheel_on_k5(rim):
@@ -1274,39 +1229,58 @@ def _wheel_on_k5(rim):
 def test_one_series_class_takes_one_test_per_redundant_edge(monkeypatch, rim):
     # the K5 holds 0 and 1 rigid, so the coloured wheel edges carry one edge
     # more than their rank: each is redundant, any two of them are in
-    # series, and there is no pair.  The first class-1 edge fails with
-    # every candidate and every later one with the first, |R1| + |R2| - 1
-    # rank tests, and no E - e is replayed.  One rejected edge's circuit
-    # meets the wheel, so the count rule settles every test of two basis
-    # edges and the pair search copies nothing (the (2,2) counts, made
-    # after it, still strip copies)
+    # series, and there is no pair.  R' holds no edge of R1 or R2, so
+    # the read tests each edge once against it, |R1| + |R2| - 1 tests,
+    # and no E - e is replayed
     g = _wheel_on_k5(rim)
-    tests, replays, copies, searching = [], [], [], []
-    rank_restored, insert_all, copy = laman._rank_restored, PebbleGame.insert_all, PebbleGame.copy
-    pair = laman._rainbow_pair_general
-
-    def recording_pair(*args):
-        searching.append(True)
-        found = pair(*args)
-        searching.append(False)
-        return found
-
-    monkeypatch.setattr(laman, "_rainbow_pair_general", recording_pair)
-    monkeypatch.setattr(laman, "_rank_restored",
-                        lambda *args: tests.append(args[2]) or rank_restored(*args))
+    replays, insert_all = [], PebbleGame.insert_all
     monkeypatch.setattr(PebbleGame, "insert_all",
                         lambda self, edges: replays.append(edges) or insert_all(self, edges))
-    monkeypatch.setattr(PebbleGame, "copy",
-                        lambda self: copies.append(searching[-1]) or copy(self))
     verdict = check_k2(g)
     assert verdict.witness == "no-rainbow-redundant-pair"
     r1, r2 = g.colour_class(1), g.colour_class(2)
     assert verdict.certificate["diagnosis"]["class_redundant"] == {
         "1": [list(e) for e in r1], "2": [list(e) for e in r2]}
-    assert replays == [] and True not in copies
-    assert tests == [(r1[0], f) for f in r2] + [(e, r2[0]) for e in r1[1:]]
+    assert replays == []
     if rim <= 5:
         assert brute_rainbow_pair(g) is None
+
+
+@pytest.mark.parametrize("make,branch", [
+    # rank tests of pairs of basis edges copied these games twice each
+    (lambda: random_coloured_graph(7, 2, seed=2198, m=13), "copy"),
+    (lambda: random_coloured_graph(16, 2, seed=2027, m=35), "copy"),
+    (lambda: random_coloured_graph(20, 2, seed=3507, m=39), "copy"),
+    # the vertex-order game rejects the wheel's e0 = (0, 2)
+    (lambda: _wheel_on_k5(5), "rejected"),
+    (lambda: _wheel_on_k5(12), "rejected"),
+    (lambda: _wheel_on_k5(60), "rejected"),
+], ids=["n7", "n16", "n20", "wheel5", "wheel12", "wheel60"])
+def test_pair_read_copies_the_game_at_most_once(monkeypatch, make, branch):
+    # a k = 2 verdict's pair read copies the decider's game once when two
+    # or more circuits hold e0, and not at all when e0 is rejected or one
+    # circuit holds it
+    g = make()
+    plane = laman._plane_game(g, coloops(g, 2), laman._vertex_order)
+    e0 = next(e for e in g.colour_class(1) if e in plane.redundant)
+    assert _pair_read_branch(plane, e0) == branch
+    copies, reading = [], [False]
+    copy, pair = PebbleGame.copy, laman._rainbow_pair_general
+
+    def recording_pair(*args):
+        reading[0] = True
+        found = pair(*args)
+        reading[0] = False
+        return found
+
+    monkeypatch.setattr(laman, "_rainbow_pair_general", recording_pair)
+    monkeypatch.setattr(PebbleGame, "copy",
+                        lambda self: copies.append(reading[0]) or copy(self))
+    verdict = check_k2(g)
+    assert copies.count(True) == (branch == "copy")
+    expected = brute_rainbow_pair(g) if g.n <= 20 else None
+    assert verdict.certificate.get("rainbow_tuple") == (
+        [list(e) for e in expected] if expected else None)
 
 
 def test_g0_read_from_the_game_on_e():
