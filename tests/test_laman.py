@@ -1278,6 +1278,8 @@ def test_pair_read_copies_the_game_at_most_once(monkeypatch, make, branch):
                         lambda self: copies.append(reading[0]) or copy(self))
     verdict = check_k2(g)
     assert copies.count(True) == (branch == "copy")
+    # brute force only up to n = 20; the rim-60 wheel has no pair, as
+    # test_one_series_class_takes_one_test_per_redundant_edge shows
     expected = brute_rainbow_pair(g) if g.n <= 20 else None
     assert verdict.certificate.get("rainbow_tuple") == (
         [list(e) for e in expected] if expected else None)
