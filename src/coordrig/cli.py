@@ -3,7 +3,8 @@
 Commands: check, motions, stresses, gen, draw, rank.  All machine output is
 JSON on stdout; diagnostics go to stderr.  Exit codes: 0 for a "rigid"
 decision or plain success, 1 for a "flexible" decision, 2 for input or
-usage errors and for running out of memory.  The environment variable
+usage errors, for running out of memory and for any other exception a
+command raises, whose traceback goes to stderr.  The environment variable
 COORDRIG_SEED supplies the default seed; the same file, flags and seed
 always produce byte-identical output.
 """
@@ -236,6 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide generic rigidity of coordinated bar-joint frameworks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # command name -> its parser, filled by add_parser, for _parse_args
+    parser.commands = sub.choices
 
     def common(p, seed=True):
         if seed:
@@ -306,15 +309,40 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, with an argv that opens with a
+    command name parsed once, by that command's parser alone.
+
+    The top-level parser would hand every token after the command to that
+    parser anyway, and report what it leaves over; -h, no command and an
+    unknown command still go through the top-level parser.
+    """
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0])
+    )
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
+    # exit 1 means "flexible", so a crash must not exit 1
     try:
         if "seed" in args and args.seed is None:
             args.seed = _default_seed()
         return args.func(args)
     except (CliError, generic.BackendError, MemoryError) as exc:
-        # exit 1 means "flexible", so a crash must not exit 1
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return USAGE_ERROR
+    except Exception:
+        import traceback
+        traceback.print_exc()
         return USAGE_ERROR
 
 

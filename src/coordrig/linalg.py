@@ -19,7 +19,12 @@ Each float routine imports numpy in its body, so numpy is loaded by the
 first float call and never by the exact routines or by code that uses
 only them.
 Random sampling always takes an explicit seed and parallel trials must
-derive their seeds as root_seed + trial_index.
+derive their seeds as root_seed + trial_index.  A seed's draws follow
+one stated rule on ``random.Random(seed)``: ``random_configuration``
+takes n·d ``random()`` floats, vertex by vertex, and
+``sample_modular_configuration`` takes each coordinate as 1 + r, where r
+is the next ``getrandbits(30)`` value below MODULUS - 1 (CPython's
+``randrange(1, MODULUS)`` draws the same values).
 """
 
 from __future__ import annotations
@@ -56,16 +61,28 @@ def as_points(p, n: int) -> np.ndarray:
 
 
 def random_configuration(n: int, d: int, seed: int) -> np.ndarray:
-    """Deterministic float configuration with coordinates in (0, 1)."""
+    """Deterministic (n, d) float configuration with coordinates in [0, 1):
+    the first n·d ``random()`` draws of ``random.Random(seed)``, vertex by
+    vertex."""
     import numpy as np
-    rng = random.Random(seed)
-    return np.array([[rng.random() for _ in range(d)] for _ in range(n)])
+    draw = random.Random(seed).random
+    return np.array([draw() for _ in range(n * d)]).reshape(n, d)
 
 
 def sample_modular_configuration(n: int, d: int, seed: int):
-    """Integer configuration for ``modular_matrix``, coordinates in [1, MODULUS - 1]."""
-    rng = random.Random(seed)
-    return [[rng.randrange(1, MODULUS) for _ in range(d)] for _ in range(n)]
+    """Integer configuration for ``modular_matrix``, coordinates in [1, MODULUS - 1].
+
+    Vertex by vertex, each coordinate is 1 + r, where r is the next
+    ``getrandbits(30)`` value of ``random.Random(seed)`` below MODULUS - 1.
+    """
+    draw = random.Random(seed).getrandbits
+    span, size = MODULUS - 1, n * d
+    # a 30-bit draw is at least span with odds 36 / 2^30, and is skipped
+    flat = [1 + r for _ in range(size) if (r := draw(30)) < span]
+    while len(flat) < size:
+        if (r := draw(30)) < span:
+            flat.append(1 + r)
+    return [flat[d * i:d * i + d] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,21 @@ column, the random graph that drew its edges from a list of all pairs,
 the stress basis over every core edge with the rainbow tuple read from it,
 the float rigidity matrix built one edge row at a time, the trivial motion
 generators filled one vertex at a time, edge and class loads written out
-per edge, and the equilibrium test as explicit force and torque sums.
+per edge, the equilibrium test as explicit force and torque sums, the
+GF(q) and float samplers that drew through ``randrange`` and a nested
+list, and ``cli.main`` when every argv went through the top-level parser
+before the command's parser.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations, product
 
 import numpy as np
 
+from coordrig import cli, generic
 from coordrig.cgraph import build, coloops
 from coordrig.laman import UnionRankReport, _augment, _plane_target, transversal_rank
 from coordrig.linalg import (
@@ -603,3 +608,28 @@ def loop_is_equilibrium_load(p, f, tol: float = 1e-9) -> bool:
             if abs(torque) > tol * scale * (1.0 + float(np.abs(p).max())):
                 return False
     return True
+
+
+def randrange_modular_configuration(n: int, d: int, seed: int):
+    """Every coordinate drawn by ``randrange(1, MODULUS)``, vertex by vertex."""
+    rng = random.Random(seed)
+    return [[rng.randrange(1, MODULUS) for _ in range(d)] for _ in range(n)]
+
+
+def nested_random_configuration(n: int, d: int, seed: int) -> np.ndarray:
+    """The float configuration built from one list of d draws per vertex."""
+    rng = random.Random(seed)
+    return np.array([[rng.random() for _ in range(d)] for _ in range(n)])
+
+
+def top_level_main(argv=None) -> int:
+    """``cli.main`` with every argv parsed by the top-level parser, which
+    hands the tokens after the command on to that command's parser."""
+    args = cli._parser().parse_args(argv)
+    try:
+        if "seed" in args and args.seed is None:
+            args.seed = cli._default_seed()
+        return args.func(args)
+    except (cli.CliError, generic.BackendError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return cli.USAGE_ERROR

@@ -1,14 +1,18 @@
+import argparse
+import io
 import json
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from conftest import fixture_path
+from oracles import top_level_main
 
 from coordrig import serialize, sparsity_rank, union_rank_d2
 from coordrig import cli, draw, generic, linalg
@@ -497,6 +501,99 @@ def test_one_parser_serves_every_call(monkeypatch):
     assert shared == fresh
     assert [code for code, _ in shared] == [1, 0, 2, 1]
     assert shared[0][1] != shared[3][1]  # the seed reached the oracle
+
+
+DISPATCH_ARGVS = [
+    ("check", "QUAD", "--json"),
+    ("check", "SEVEN", "--method", "numeric", "--dim", "3", "--seed", "4", "--json"),
+    ("motions", "QUAD", "--seed", "3"),
+    ("stresses", "SEVEN", "--dump-matrix", "--json"),
+    ("gen", "--n", "6", "--seed", "2", "--out", "OUT"),
+    ("draw", "QUAD", "--out", "OUT/quad.svg"),
+    ("rank", "SEVEN", "--trials", "2", "--json"),
+    ("-h",),
+    ("--help",),
+    ("check", "-h"),
+    ("motions", "-h"),
+    ("stresses", "--help"),
+    ("gen", "-h"),
+    ("draw", "-h"),
+    ("rank", "-h"),
+    ("check", "QUAD", "--json", "-h"),
+    (),
+    ("bogus",),
+    ("bogus", "QUAD"),
+    ("chec", "QUAD"),
+    ("check", "MISSING"),
+    ("check",),
+    ("check", "QUAD", "--method", "bogus"),
+    ("check", "QUAD", "--dim", "x"),
+    ("check", "QUAD", "--bogus"),
+    ("check", "QUAD", "--bogus", "extra", "--json", "-x"),
+    ("check", "QUAD", "QUAD"),
+    ("--bogus",),
+    ("--bogus", "check", "QUAD"),
+    ("check", "--", "QUAD"),
+    ("check", "QUAD", "--"),
+    ("check", "QUAD", "--", "--json"),
+    ("--", "check", "QUAD"),
+    ("check", "QUAD", "--js", "--me", "numeric"),
+    ("check", "QUAD", "--seed", "-3", "--json"),
+    ("check", "QUAD", "--dim=3", "--method=numeric", "--json"),
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+def test_command_dispatch_parses_as_the_top_level_parser(tmp_path, monkeypatch, argv):
+    # main hands a command's tokens straight to that command's parser; the
+    # namespace, exit code and every byte written must be what parsing the
+    # whole argv with the top-level parser gives
+    monkeypatch.delenv("COORDRIG_SEED", raising=False)
+    fill = {
+        "QUAD": str(fixture_path("quad_rigid_k1")),
+        "SEVEN": str(fixture_path("seven_rigid_k2")),
+        "MISSING": str(tmp_path / "missing.json"),
+        "OUT": str(tmp_path),
+    }
+    argv = [fill.get(a, a.replace("OUT/", f"{tmp_path}/")) for a in argv]
+
+    def outcome(call):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                result = call(list(argv))
+            except SystemExit as exc:
+                result = ("exit", exc.code)
+        if isinstance(result, argparse.Namespace):
+            result = vars(result)
+        return result, out.getvalue(), err.getvalue()
+
+    assert outcome(cli._parse_args) == outcome(cli._parser().parse_args)
+    assert outcome(main) == outcome(top_level_main)
+
+
+def test_a_crash_exits_two_with_its_traceback(monkeypatch):
+    # exit 1 means "flexible", so an exception that no command expects must
+    # not leave the console script with status 1 either
+    def broken(g):
+        raise RuntimeError("union invariant broken: test")
+
+    monkeypatch.setattr(cli, "decide_plane", broken)
+    code, out, err = run_cli("check", str(fixture_path("quad_rigid_k1")))
+    assert (code, out) == (2, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("\nRuntimeError: union invariant broken: test\n")
+
+
+@pytest.mark.parametrize("stop", [SystemExit(3), KeyboardInterrupt()], ids=repr)
+def test_exit_and_interrupt_pass_through_main(monkeypatch, stop):
+    def stopped(g):
+        raise stop
+
+    monkeypatch.setattr(cli, "decide_plane", stopped)
+    with pytest.raises(type(stop)) as info:
+        run_cli("check", str(fixture_path("quad_rigid_k1")))
+    assert info.value is stop
 
 
 def test_rank_dump_matrix():

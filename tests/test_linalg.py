@@ -41,6 +41,8 @@ from oracles import (
     loop_is_equilibrium_load,
     loop_rigidity_matrix,
     loop_trivial_motion_generators,
+    nested_random_configuration,
+    randrange_modular_configuration,
     reduced_echelon,
     reduced_echelon_nullspace,
 )
@@ -189,6 +191,39 @@ def test_modular_configuration_range(n, d, seed):
     p = sample_modular_configuration(n, d, seed)
     assert len(p) == n and all(len(row) == d for row in p)
     assert all(type(x) is int and 1 <= x <= MODULUS - 1 for row in p for x in row)
+
+
+RETRY_STRIDE = 1_000_003  # perfbench's seed step between decider attempts
+SKIPPING_SEED = 16_179 * RETRY_STRIDE  # its 1193rd 30-bit draw is skipped
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 7, 20, 81, 640])
+def test_samplers_draw_what_randrange_and_nested_lists_drew(n, d):
+    # the stated draw rule gives every trial the configuration that
+    # randrange(1, MODULUS) and one list per vertex gave before it; trial t
+    # of an attempt draws from its seed + t
+    seeds = [root + a * RETRY_STRIDE + t
+             for root in (0, 5, 11) for a in range(2) for t in range(3)]
+    for seed in seeds + [SKIPPING_SEED]:
+        assert sample_modular_configuration(n, d, seed) == (
+            randrange_modular_configuration(n, d, seed)
+        )
+        p, ref = random_configuration(n, d, seed), nested_random_configuration(n, d, seed)
+        assert np.array_equal(p, ref)
+        assert (p.dtype, p.shape) == (ref.dtype, ref.shape) == (np.float64, (n, d))
+
+
+def test_a_skipped_draw_moves_the_later_coordinates():
+    # a 30-bit draw of at least MODULUS - 1 is skipped, and the next one
+    # taken; SKIPPING_SEED meets one inside the n = 640 grid above
+    draw = random.Random(SKIPPING_SEED).getrandbits
+    skipped = [draw(30) >= MODULUS - 1 for _ in range(1920)]
+    assert [i for i, s in enumerate(skipped) if s] == [1192]
+    flat = sum(sample_modular_configuration(640, 2, SKIPPING_SEED), [])
+    draw = random.Random(SKIPPING_SEED).getrandbits
+    raw = [1 + draw(30) for _ in range(1281)]
+    assert flat == raw[:1192] + raw[1193:]
 
 
 def test_modular_matrix_positions(seven_rigid_k2):
