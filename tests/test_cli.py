@@ -1,4 +1,5 @@
 import argparse
+import gc
 import io
 import json
 import os
@@ -14,7 +15,14 @@ import pytest
 from conftest import fixture_path
 from oracles import top_level_main
 
-from coordrig import serialize, sparsity_rank, union_rank_d2
+from coordrig import (
+    decide_plane,
+    henneberg_k1_sample,
+    parse_coloured_graph,
+    serialize,
+    sparsity_rank,
+    union_rank_d2,
+)
 from coordrig import cli, draw, generic, linalg
 from coordrig.cli import main
 from coordrig.corpus import random_coloured_graph
@@ -594,6 +602,83 @@ def test_exit_and_interrupt_pass_through_main(monkeypatch, stop):
     with pytest.raises(type(stop)) as info:
         run_cli("check", str(fixture_path("quad_rigid_k1")))
     assert info.value is stop
+
+
+def test_a_large_check_runs_no_collection(tmp_path):
+    # main pauses the cyclic collector for the command; run with it on, the
+    # same library call on this file collects several times
+    path = tmp_path / "henneberg_600.json"
+    path.write_text(serialize(henneberg_k1_sample(600, 0)) + "\n")
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        decide_plane(parse_coloured_graph(path.read_text()))
+        library = len(starts)
+        starts.clear()
+        code, _, _ = run_cli("check", str(path), "--json")
+    finally:
+        gc.callbacks.remove(record)
+        if not enabled:
+            gc.disable()
+    assert library >= 2
+    assert (code, starts) == (0, [])
+
+
+COLLECTOR_EXITS = [
+    pytest.param(("check", "QUAD"), None, 0, id="exit-0"),
+    pytest.param(("check", "TWIN"), None, 1, id="exit-1"),
+    pytest.param(("check", "MISSING"), None, 2, id="cli-error"),
+    pytest.param(("check", "QUAD"), generic.BackendError, 2, id="backend-error"),
+    pytest.param(("check", "QUAD"), MemoryError, 2, id="out-of-memory"),
+    pytest.param(("check", "QUAD"), RuntimeError, 2, id="crash"),
+    pytest.param(("--bogus",), None, SystemExit, id="usage-error"),
+    pytest.param(("check", "-h"), None, SystemExit, id="help"),
+    pytest.param(("check", "QUAD"), KeyboardInterrupt, KeyboardInterrupt,
+                 id="interrupt"),
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv, raised, outcome", COLLECTOR_EXITS)
+def test_main_restores_the_collector_on_every_exit(
+    tmp_path, monkeypatch, enabled, argv, raised, outcome
+):
+    # the command runs with the collector paused, and the caller finds it
+    # as it left it, whether main returns or raises
+    seen = []
+
+    def decide(g):
+        seen.append(gc.isenabled())
+        if raised is not None:
+            raise raised()
+        return decide_plane(g)
+
+    monkeypatch.setattr(cli, "decide_plane", decide)
+    fill = {
+        "QUAD": str(fixture_path("quad_rigid_k1")),
+        "TWIN": str(fixture_path("twin_blocks_k2")),
+        "MISSING": str(tmp_path / "missing.json"),
+    }
+    before = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        try:
+            result = run_cli(*(fill.get(a, a) for a in argv))[0]
+        except (SystemExit, KeyboardInterrupt) as exc:
+            result = type(exc)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert result == outcome
+    assert after is enabled
+    assert True not in seen
 
 
 def test_rank_dump_matrix():

@@ -103,3 +103,19 @@ def test_numpy_is_imported_only_inside_functions():
             if any(name.split(".")[0] == "numpy" for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"numpy imported at module level: {found}"
+
+
+def test_only_the_cli_touches_the_collector():
+    # cli.main pauses the cyclic collector for one command and puts it back;
+    # a library call must never change a host process's collector
+    importers, switches = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "gc"):
+                importers.add(path.name)
+            elif (isinstance(node, ast.Attribute) and node.attr in ("disable", "enable")
+                    and isinstance(node.value, ast.Name) and node.value.id == "gc"):
+                switches.add((path.name, node.attr))
+    assert importers == {"cli.py"}
+    assert switches == {("cli.py", "disable"), ("cli.py", "enable")}
